@@ -3,13 +3,13 @@
 # packages that run goroutines (the parallel sweep engine in enumerate,
 # the parallel-BFS explorer it drives — whose multi-worker determinism
 # tests run under -race here — the lincheck fuzzer, the obs metrics
-# layer they all feed, and the cluster coordinator, whose
-# memoized-vs-unmemoized byte-equivalence suite exercises the shared
-# memo table across concurrent shard workers).
+# layer they all feed, and internal/cluster, whose
+# memoized-vs-unmemoized byte-equivalence suite drives the parallel
+# sweep engine's shared memo table across range cuts).
 
 GO ?= go
 
-.PHONY: verify fmt vet build test race bench bench-json bench-gate bench-schema loadtest experiments
+.PHONY: verify fmt vet build test race bench bench-json bench-gate bench-schema experiments
 
 verify: fmt vet build test race bench-gate bench-schema
 
@@ -153,29 +153,12 @@ bench-schema:
 	@jq -e '.threshold_percent == 2 and (.results | length) == 2 and .histogram.level_count_per_op > 0 and .histogram.level_p50_ns > 0 and .histogram.level_p99_ns >= .histogram.level_p50_ns' BENCH_obs.json > /dev/null \
 		|| { echo "bench-schema: BENCH_obs.json missing or has implausible histogram fields"; exit 1; }
 	@echo "bench-schema: BENCH_obs.json ok ($$(jq -r .verdict BENCH_obs.json | cut -c1-40)...)"
-	@jq -e -f bench_cluster.jq BENCH_cluster.json > /dev/null \
-		|| { echo "bench-schema: BENCH_cluster.json missing or fails the cluster SLO gate (regenerate with make loadtest)"; exit 1; }
-	@echo "bench-schema: BENCH_cluster.json ok (identical=$$(jq -r .sweep.report_identical BENCH_cluster.json), p99=$$(jq -r .load.submit_ms.p99 BENCH_cluster.json)ms, 429s=$$(jq -r .load.rejected_429 BENCH_cluster.json))"
 	@jq -e '(.sweeps.thm52.candidates == 49) and (.sweeps.thm71.candidates == 1116) and .sweeps.thm52.render_identical and .sweeps.thm71.render_identical and (.sweeps.thm71.memo_on.candidates_per_sec > 0) and (.sweeps.thm71.memo_off.candidates_per_sec > 0) and (.memoization.render_identical == true) and (.quick.counters."sweep.sweeps" >= 1)' BENCH_experiments.json > /dev/null \
 		|| { echo "bench-schema: BENCH_experiments.json missing the memoization sweep comparison or reports not byte-identical (regenerate with make bench-json)"; exit 1; }
 	@echo "bench-schema: BENCH_experiments.json ok (thm71 speedup $$(jq -r .memoization.thm71_speedup BENCH_experiments.json)x, identical=$$(jq -r .memoization.render_identical BENCH_experiments.json))"
 	@jq -e '(.space.collections == 35) and .pruning.render_identical and (.pruning.on.collections_per_sec > 0) and (.pruning.off.collections_per_sec > 0) and .cross_validation.all_confirmed' BENCH_collections.json > /dev/null \
 		|| { echo "bench-schema: BENCH_collections.json missing, reports not byte-identical across pruning, or a cross-validation verdict unconfirmed (regenerate with make bench-json)"; exit 1; }
 	@echo "bench-schema: BENCH_collections.json ok (pruning speedup $$(jq -r .pruning.speedup BENCH_collections.json)x, cross-validations $$(jq -r .cross_validation.confirmed BENCH_collections.json)/$$(jq -r .cross_validation.checks BENCH_collections.json) confirmed)"
-
-# loadtest stands up a real cluster on this host — one coordinator
-# dacd in front of two worker dacds, plus a plain daemon as the
-# baseline — runs the Theorem 7.1 sweep through both paths, floods the
-# coordinator's bounded queue with concurrent submitters, and rewrites
-# BENCH_cluster.json. dacload exits non-zero when any SLO fails (see
-# bench_cluster.jq for the gated fields), so this target doubles as
-# the cluster acceptance check in CI.
-loadtest:
-	$(GO) build -o bin/dacd ./cmd/dacd
-	$(GO) build -o bin/dacload ./cmd/dacload
-	./bin/dacload -dacd bin/dacd -workers 2 -out BENCH_cluster.json
-	@jq -e -f bench_cluster.jq BENCH_cluster.json > /dev/null \
-		|| { echo "loadtest: BENCH_cluster.json fails its own gate"; exit 1; }
 
 experiments:
 	$(GO) run ./cmd/experiments

@@ -8,25 +8,14 @@
 //
 //	dacd -addr 127.0.0.1:8099 -data ./dacd-data [-job-workers N] [-max-pending N]
 //	     [-archive DIR] [-journal-max SIZE] [-archive-age D] [-archive-sweep D]
-//	     [-pprof] [-coordinator [-workers URL,URL,...]]
+//	     [-pprof]
 //
-// Checking cluster: every daemon accepts "sweep" (a whole falsification
-// sweep) and "sweep-shard" (one candidate range of a sweep) jobs. A
-// daemon started with -coordinator -workers splits each "sweep" into
-// candidate-range shards, dispatches them as "sweep-shard" jobs to the
-// worker daemons, retries shards lost to worker death, steals work from
-// stragglers, and merges the shard reports. The merged result is
-// byte-identical to running the same "sweep" on a single plain daemon:
-// candidates index deterministically, so shard boundaries, retries, and
-// steals never show in the report. See EXPERIMENTS.md "Running a
-// checking cluster".
-//
-// Set-consensus collections sweeps ride the same machinery:
-// "collections-sweep" decides task solvability for every collection in
-// a multiset space (internal/collections) and "collections-shard" is
-// its per-range worker job. The same byte-identity guarantee holds —
-// collections index deterministically, so the merged report never
-// shows the shard schedule. See EXPERIMENTS.md "Set-consensus
+// Job kinds: "explore" runs one exploration; "sweep" checks a whole
+// falsification sweep (internal/cluster.SweepSpec) and
+// "collections-sweep" decides every collection of a set-consensus
+// collections space (internal/cluster.CollectionsSpec). Sweeps run in
+// process and their results are the canonical report bytes, a pure
+// function of the spec. See EXPERIMENTS.md "Set-consensus
 // collections".
 //
 // API (see EXPERIMENTS.md "Durable runs" for the full catalog):
@@ -78,7 +67,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -104,22 +92,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	archiveAge := fs.Duration("archive-age", time.Minute, "keep finished jobs hot for this long before archiving them")
 	archiveSweep := fs.Duration("archive-sweep", 30*time.Second, "interval between archival sweeps")
 	pprofOn := fs.Bool("pprof", false, "serve the profiler under /debug/pprof/")
-	coordinator := fs.Bool("coordinator", false, "coordinate \"sweep\" jobs across the -workers cluster (without -workers, sweeps run in-process)")
-	workerURLs := fs.String("workers", "", "comma-separated worker daemon base URLs for -coordinator shard dispatch")
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-	var clusterWorkers []string
-	if *workerURLs != "" {
-		if !*coordinator {
-			fmt.Fprintln(stderr, "dacd: -workers requires -coordinator")
-			return 2
-		}
-		for _, u := range strings.Split(*workerURLs, ",") {
-			if u = strings.TrimSpace(strings.TrimSuffix(u, "/")); u != "" {
-				clusterWorkers = append(clusterWorkers, u)
-			}
-		}
 	}
 	journalBound, err := cfgstore.ParseBudget(*journalMax)
 	if err != nil {
@@ -143,11 +117,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	reg := obs.NewRegistry()
 	pool := jobs.NewPool(store, *workers, map[string]jobs.Runner{
 		"explore":           exploreRunner(reg),
-		"sweep":             sweepRunner(reg, clusterWorkers),
-		"sweep-shard":       sweepShardRunner(reg),
-		"collections-sweep": collectionsRunner(reg, clusterWorkers),
-		"collections-shard": collectionsShardRunner(reg),
+		"sweep":             sweepRunner(reg),
+		"collections-sweep": collectionsRunner(reg),
 	})
+	// Install the signal handler before the listener exists: a
+	// SIGTERM sent as soon as "listening on" appears must drain, not
+	// kill the daemon with the default action.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintf(stderr, "dacd: %v\n", err)
@@ -184,8 +161,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 
 	code := 0
 	select {

@@ -240,6 +240,10 @@ func mustRead(t *testing.T, path string) []byte {
 type daemon struct {
 	cmd  *exec.Cmd
 	base string
+	// stdout collects the lines printed after the greeting; read it
+	// only once outDone is closed (the child exited).
+	stdout  bytes.Buffer
+	outDone chan struct{}
 }
 
 func startDaemon(t *testing.T, dataDir string, extraArgs ...string) *daemon {
@@ -276,9 +280,39 @@ func startDaemon(t *testing.T, dataDir string, extraArgs ...string) *daemon {
 	if i < 0 {
 		t.Fatalf("unexpected daemon greeting: %q", line)
 	}
-	base := "http://" + strings.Fields(line[i+len(marker):])[0]
-	go io.Copy(io.Discard, out) // keep the pipe drained
-	return &daemon{cmd: cmd, base: base}
+	d := &daemon{cmd: cmd, base: "http://" + strings.Fields(line[i+len(marker):])[0], outDone: make(chan struct{})}
+	go func() { // keep the pipe drained
+		defer close(d.outDone)
+		for sc.Scan() {
+			d.stdout.WriteString(sc.Text() + "\n")
+		}
+	}()
+	return d
+}
+
+// TestSIGTERMRightAfterListen pins that the signal handler is in place
+// by the time the daemon announces its address: a SIGTERM sent the
+// moment "listening on" is read drains the daemon to a clean exit
+// instead of killing it with the default action.
+func TestSIGTERMRightAfterListen(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess e2e")
+	}
+	d := startDaemon(t, t.TempDir())
+	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-d.outDone:
+	case <-time.After(30 * time.Second):
+		t.Fatal("daemon still running 30s after SIGTERM")
+	}
+	if err := d.cmd.Wait(); err != nil {
+		t.Errorf("daemon exited uncleanly after SIGTERM: %v", err)
+	}
+	if !strings.Contains(d.stdout.String(), "dacd: clean shutdown") {
+		t.Errorf("no clean shutdown line after SIGTERM; stdout:\n%s", d.stdout.String())
+	}
 }
 
 // TestKill9ResumeE2E is the acceptance smoke test: submit an explore

@@ -142,13 +142,12 @@ func writeSummary(w io.Writer, name string, h obs.HistogramSnapshot) {
 }
 
 // flatten turns a dotted sink name into a Prometheus-legal one.
-// Coordinator metrics (cluster.*) and collections-sweep metrics
-// (collections.*) are daemon-level, not run-level, so they export in
-// the daemon's namespace as dacd_cluster_* / dacd_collections_*
-// families.
+// Collections-sweep metrics (collections.*) are daemon-level, not
+// run-level, so they export in the daemon's namespace as
+// dacd_collections_* families.
 func flatten(name string) string {
 	flat := strings.NewReplacer(".", "_", "-", "_").Replace(name)
-	if strings.HasPrefix(name, "cluster.") || strings.HasPrefix(name, "collections.") {
+	if strings.HasPrefix(name, "collections.") {
 		return "dacd_" + flat
 	}
 	return flat

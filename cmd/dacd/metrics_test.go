@@ -30,7 +30,6 @@ func TestMetricsGolden(t *testing.T) {
 	s.Counter(httpRequestsPrefix + "GET /jobs").Add(2)
 	s.Counter("explore.states").Add(12345)
 	s.Counter("explore.transitions").Add(67890)
-	s.Counter("cluster.shards").Add(3)
 	s.Counter("collections.decided").Add(6)
 	s.Counter("collections.pruned").Add(2)
 	s.Counter("collections.solvable").Add(4)

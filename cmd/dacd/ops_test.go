@@ -70,6 +70,25 @@ func TestDashboardAssets(t *testing.T) {
 	}
 }
 
+// TestSubmitUnknownKind: a kind with no runner is rejected with 400
+// at submit and never reaches the job table.
+func TestSubmitUnknownKind(t *testing.T) {
+	t.Parallel()
+	ts, store := opsServer(t, serverOptions{}, map[string]jobs.Runner{"explore": runExploreJob})
+	resp := postJSON(t, ts.URL+"/jobs", map[string]any{"kind": "sweep-shard"})
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("submit of an unregistered kind: %s, want 400", resp.Status)
+	}
+	if !strings.Contains(string(body), "unknown job kind") {
+		t.Errorf("400 body %q does not name the unknown kind", body)
+	}
+	if n := len(store.List()); n != 0 {
+		t.Errorf("store holds %d jobs after a rejected submit, want 0", n)
+	}
+}
+
 // TestDotEndpoint: a job submitted with "dot": true serves its graph,
 // and one without 404s.
 func TestDotEndpoint(t *testing.T) {

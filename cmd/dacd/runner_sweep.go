@@ -7,64 +7,58 @@ import (
 	"os"
 
 	"setagree/internal/cluster"
+	"setagree/internal/collections"
 	"setagree/internal/jobs"
 	"setagree/internal/obs"
 )
 
-// sweepShardRunner returns the jobs.Runner for kind "sweep-shard": the
-// worker half of the checking cluster. The spec is a cluster.ShardJob
-// ({"sweep":{...},"lo":L,"hi":H}); the result is the shard's
-// ShardReport. Shards are not checkpointed: verdicts are deterministic
-// and shards are sized to re-run cheaply, so a lost worker costs one
-// shard re-check, not a resume protocol.
-func sweepShardRunner(reg *obs.Registry) jobs.Runner {
-	return func(ctx context.Context, store *jobs.Store, job jobs.Job) ([]byte, error) {
-		var sj cluster.ShardJob
-		if err := json.Unmarshal(job.Spec, &sj); err != nil {
-			return nil, fmt.Errorf("bad spec: %w", err)
-		}
-		emitter, closeEvents, err := jobEmitter(store, job.ID)
-		if err != nil {
-			return nil, err
-		}
-		defer closeEvents()
-		sink := reg.Attach()
-		if sink == nil {
-			sink = obs.NewSink()
-		}
-		defer reg.Release(sink)
-		rep, err := cluster.RunShard(ctx, sj, sink, emitter)
-		if err != nil {
-			emitter.Sync()
-			return nil, err
-		}
-		if err := emitter.Sync(); err != nil {
-			return nil, fmt.Errorf("event stream: %w", err)
-		}
-		return json.MarshalIndent(rep, "", "  ")
-	}
-}
-
-// sweepJobSpec is the JSON spec of a "sweep" job: the sweep plus the
-// coordinator's partitioning knobs. The worker list is the daemon's
-// -workers flag, not part of the spec — topology is an operator
-// decision, and the same submitted job runs in-process on a plain
-// daemon and sharded on a coordinator, with byte-identical results.
+// sweepJobSpec is the JSON spec of a "sweep" job.
 type sweepJobSpec struct {
 	Sweep cluster.SweepSpec `json:"sweep"`
-	// Shards overrides the shard count (0 = 4 per worker, or 1 local).
-	Shards int `json:"shards,omitempty"`
-	// PaceMs sleeps each shard this long per candidate — the demo/test
-	// knob that makes a sweep long-lived enough to kill a worker under.
-	PaceMs int `json:"pace_ms,omitempty"`
 }
 
-// sweepRunner returns the jobs.Runner for kind "sweep": coordinate a
-// partitioned sweep over the configured workers (in-process when the
-// list is empty) and store the canonical merged SweepReport.
-func sweepRunner(reg *obs.Registry, workers []string) jobs.Runner {
+// sweepRunner returns the jobs.Runner for kind "sweep": check the
+// whole sweep in process and store the canonical SweepReport.
+func sweepRunner(reg *obs.Registry) jobs.Runner {
+	return inProcessRunner(reg, func(ctx context.Context, sp sweepJobSpec, sink *obs.Sink, events *obs.Emitter) ([]byte, error) {
+		rep, err := cluster.Run(ctx, sp.Sweep, sink, events)
+		if err != nil {
+			return nil, err
+		}
+		return rep.Render()
+	})
+}
+
+// collectionsJobSpec is the JSON spec of a "collections-sweep" job.
+type collectionsJobSpec struct {
+	Collections cluster.CollectionsSpec `json:"collections"`
+}
+
+// collectionsRunner returns the jobs.Runner for kind
+// "collections-sweep": decide every collection of the space in process
+// and store the canonical collections.Report.
+func collectionsRunner(reg *obs.Registry) jobs.Runner {
+	return inProcessRunner(reg, func(ctx context.Context, sp collectionsJobSpec, sink *obs.Sink, events *obs.Emitter) ([]byte, error) {
+		opts := sp.Collections.Options()
+		opts.Ctx = ctx
+		opts.Obs = sink
+		opts.Events = events
+		rep, err := collections.Sweep(sp.Collections.Space(), sp.Collections.Task(), opts)
+		if err != nil {
+			return nil, err
+		}
+		return rep.Render()
+	})
+}
+
+// inProcessRunner adapts a sweep-shaped job to a jobs.Runner: decode
+// the spec, attach a registry sink and a fresh event stream, and return
+// the rendered document. Sweeps are not checkpointed: verdicts are
+// deterministic and cheap to recompute, so a retried job re-runs from
+// scratch.
+func inProcessRunner[S any](reg *obs.Registry, run func(context.Context, S, *obs.Sink, *obs.Emitter) ([]byte, error)) jobs.Runner {
 	return func(ctx context.Context, store *jobs.Store, job jobs.Job) ([]byte, error) {
-		var sp sweepJobSpec
+		var sp S
 		if err := json.Unmarshal(job.Spec, &sp); err != nil {
 			return nil, fmt.Errorf("bad spec: %w", err)
 		}
@@ -78,13 +72,7 @@ func sweepRunner(reg *obs.Registry, workers []string) jobs.Runner {
 			sink = obs.NewSink()
 		}
 		defer reg.Release(sink)
-		rep, err := cluster.Run(ctx, sp.Sweep, cluster.Options{
-			Workers: workers,
-			Shards:  sp.Shards,
-			PaceMs:  sp.PaceMs,
-			Obs:     sink,
-			Events:  emitter,
-		})
+		out, err := run(ctx, sp, sink, emitter)
 		if err != nil {
 			emitter.Sync()
 			return nil, err
@@ -92,7 +80,7 @@ func sweepRunner(reg *obs.Registry, workers []string) jobs.Runner {
 		if err := emitter.Sync(); err != nil {
 			return nil, fmt.Errorf("event stream: %w", err)
 		}
-		return rep.Render()
+		return out, nil
 	}
 }
 

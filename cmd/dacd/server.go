@@ -178,6 +178,10 @@ func (s *server) submit(w http.ResponseWriter, r *http.Request) {
 	}
 	job, err := s.pool.Submit(req.Kind, req.Spec)
 	if err != nil {
+		if errors.Is(err, jobs.ErrUnknownKind) {
+			writeError(w, http.StatusBadRequest, err)
+			return
+		}
 		if errors.Is(err, jobs.ErrQueueFull) {
 			// Back-pressure, not failure: the client should retry once
 			// the pool has drained some of the queue. The hint is the

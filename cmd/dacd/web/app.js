@@ -2,10 +2,10 @@
 // The job table refreshes by polling GET /jobs; each running job also
 // gets an EventSource on its SSE stream. Explore jobs sample every
 // explore.heartbeat (cumulative states + frontier); sweep jobs sample
-// every sweep.candidate (cumulative states + candidate index); cluster
-// coordinator jobs sample every cluster.shard.done (cumulative states
-// + shard high bound). All three feed the states/sec + progress
-// sparklines the same way.
+// every sweep.candidate (cumulative states + candidate index);
+// collections sweeps sample every collections.progress (collections
+// decided + collection index). All three feed the states/sec +
+// progress sparklines the same way.
 "use strict";
 
 const POLL_MS = 2000;
@@ -58,13 +58,9 @@ function track(id) {
       tr.total = (tr.total || 0) + (ev.states || 0);
       states = tr.total;
       marker = ev.index;
-    } else if (ev.event === "cluster.shard.done") {
-      tr.total = (tr.total || 0) + (ev.states || 0);
-      states = tr.total;
-      marker = ev.hi;
     } else if (ev.event === "collections.progress") {
       // One event per decided collection; count events so the series
-      // stays monotone across shard boundaries.
+      // stays monotone.
       tr.total = (tr.total || 0) + 1;
       states = tr.total;
       marker = ev.index;

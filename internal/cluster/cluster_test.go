@@ -1,19 +1,11 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
-	"net/http"
-	"net/http/httptest"
-	"sync"
 	"testing"
-	"time"
 
 	"setagree/internal/enumerate"
-	"setagree/internal/jobs"
-	"setagree/internal/obs"
 )
 
 // TestSpecRoundTrip pins that a SweepSpec survives JSON and rebuilds
@@ -104,23 +96,8 @@ func TestMergeValidation(t *testing.T) {
 	}
 }
 
-// smallSpec is a fast sweep (depth-1 register family against
-// 2-consensus) for coordinator tests: 8 candidates, refuted.
-func smallSpec() SweepSpec {
-	return SweepSpec{
-		Task:    TaskSpec{Kind: "consensus", N: 2},
-		Objects: []ObjectSpec{{Kind: "register"}},
-		Menu: []InvokeSpec{
-			{Obj: 0, Method: "write", Arg: "input"},
-			{Obj: 0, Method: "read"},
-		},
-		Depth:   1,
-		Actions: []string{"decide-input", "decide-last", "decide-0", "retry"},
-	}
-}
-
-// TestRunLocalMatchesFalsify pins that the cluster pipeline's local
-// mode reproduces the enumerate sweep it wraps, at any shard count.
+// TestRunLocalMatchesFalsify pins that Run reproduces the enumerate
+// sweep it wraps.
 func TestRunLocalMatchesFalsify(t *testing.T) {
 	t.Parallel()
 	sp := Thm71()
@@ -137,261 +114,16 @@ func TestRunLocalMatchesFalsify(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	one, err := Run(context.Background(), sp, Options{})
+	one, err := Run(context.Background(), sp, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	many, err := Run(context.Background(), sp, Options{Shards: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	if one.Candidates != full.Candidates || one.States != full.States ||
 		len(one.Solvers) != len(full.Solvers) || len(one.Inconclusive) != len(full.Inconclusive) {
-		t.Errorf("local run diverges from FalsifyDAC: %+v vs Report{cand %d states %d solvers %d inc %d}",
+		t.Errorf("Run diverges from FalsifyDAC: %+v vs Report{cand %d states %d solvers %d inc %d}",
 			one, full.Candidates, full.States, len(full.Solvers), len(full.Inconclusive))
 	}
 	if (one.Failure != nil) != (full.SampleFailure != nil) {
-		t.Errorf("refutation disagreement: cluster %v, falsify %v", one.Failure, full.SampleFailure)
-	}
-
-	b1, err := one.Render()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b7, err := many.Render()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b1, b7) {
-		t.Errorf("shard count leaks into the rendered report:\n%s\nvs\n%s", b1, b7)
-	}
-}
-
-// fakeWorker is an in-process stand-in for a worker dacd: the three
-// job endpoints the coordinator uses, running sweep-shard jobs on a
-// goroutine like the real pool does.
-type fakeWorker struct {
-	mu      sync.Mutex
-	n       int
-	jobs    map[string]*jobs.Job
-	results map[string][]byte
-}
-
-func newFakeWorker() *fakeWorker {
-	return &fakeWorker{jobs: map[string]*jobs.Job{}, results: map[string][]byte{}}
-}
-
-func (f *fakeWorker) handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /jobs", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Kind string          `json:"kind"`
-			Spec json.RawMessage `json:"spec"`
-		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil ||
-			(req.Kind != "sweep-shard" && req.Kind != "collections-shard") {
-			http.Error(w, "bad submit", http.StatusBadRequest)
-			return
-		}
-		run := func() (any, error) {
-			if req.Kind == "collections-shard" {
-				var cj CollectionsShardJob
-				if err := json.Unmarshal(req.Spec, &cj); err != nil {
-					return nil, err
-				}
-				return RunCollectionsShard(context.Background(), cj, nil, nil)
-			}
-			var sj ShardJob
-			if err := json.Unmarshal(req.Spec, &sj); err != nil {
-				return nil, err
-			}
-			return RunShard(context.Background(), sj, nil, nil)
-		}
-		f.mu.Lock()
-		f.n++
-		id := fmt.Sprintf("job-%06d", f.n)
-		job := &jobs.Job{ID: id, Kind: req.Kind, State: jobs.Running}
-		f.jobs[id] = job
-		// Snapshot before the run goroutine can mutate job.State: the
-		// response encodes the accepted state, not a racing live record.
-		snap := *job
-		f.mu.Unlock()
-		go func() {
-			rep, err := run()
-			f.mu.Lock()
-			defer f.mu.Unlock()
-			if err != nil {
-				job.State = jobs.Failed
-				job.Error = err.Error()
-				return
-			}
-			buf, _ := json.Marshal(rep)
-			f.results[id] = buf
-			job.State = jobs.Done
-		}()
-		w.WriteHeader(http.StatusAccepted)
-		json.NewEncoder(w).Encode(snap)
-	})
-	mux.HandleFunc("GET /jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
-		f.mu.Lock()
-		job, ok := f.jobs[r.PathValue("id")]
-		var cp jobs.Job
-		if ok {
-			cp = *job
-		}
-		f.mu.Unlock()
-		if !ok {
-			http.Error(w, "no such job", http.StatusNotFound)
-			return
-		}
-		json.NewEncoder(w).Encode(cp)
-	})
-	mux.HandleFunc("GET /jobs/{id}/result", func(w http.ResponseWriter, r *http.Request) {
-		f.mu.Lock()
-		buf, ok := f.results[r.PathValue("id")]
-		f.mu.Unlock()
-		if !ok {
-			http.Error(w, "no result", http.StatusNotFound)
-			return
-		}
-		w.Write(buf)
-	})
-	return mux
-}
-
-// TestRunClusterMatchesLocal pins the tentpole promise end to end at
-// the package level: dispatching shards to workers — one of them dead,
-// one of them throttling with 429 backpressure — renders byte-identical
-// output to the in-process run, with the retries visible in metrics.
-func TestRunClusterMatchesLocal(t *testing.T) {
-	t.Parallel()
-	sp := smallSpec()
-	local, err := Run(context.Background(), sp, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	w1 := httptest.NewServer(newFakeWorker().handler())
-	defer w1.Close()
-	// Worker 2 sends one 429 with Retry-After before accepting anything.
-	throttled := false
-	fw2 := newFakeWorker()
-	w2 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodPost && !throttled {
-			throttled = true
-			w.Header().Set("Retry-After", "1")
-			w.WriteHeader(http.StatusTooManyRequests)
-			return
-		}
-		fw2.handler().ServeHTTP(w, r)
-	}))
-	defer w2.Close()
-	// Worker 3 is dead: a closed listener, connection refused.
-	dead := httptest.NewServer(http.NotFoundHandler())
-	deadURL := dead.URL
-	dead.Close()
-
-	sink := obs.NewSink()
-	rep, err := Run(context.Background(), sp, Options{
-		Workers:     []string{w1.URL, w2.URL, deadURL},
-		Shards:      4,
-		Poll:        5 * time.Millisecond,
-		StealAfter:  -1,
-		MaxAttempts: 20,
-		Obs:         sink,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	lb, err := local.Render()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cb, err := rep.Render()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(lb, cb) {
-		t.Errorf("cluster report differs from local run:\n%s\nvs\n%s", cb, lb)
-	}
-	if got := sink.Counter("cluster.shards").Load(); got != 4 {
-		t.Errorf("cluster.shards = %d, want 4", got)
-	}
-	if sink.Counter("cluster.shards_retried").Load() == 0 {
-		t.Error("dead worker produced no retries")
-	}
-}
-
-// TestRunClusterGivesUp pins MaxAttempts: a cluster of only dead
-// workers fails with the shard error instead of hanging.
-func TestRunClusterGivesUp(t *testing.T) {
-	t.Parallel()
-	dead := httptest.NewServer(http.NotFoundHandler())
-	deadURL := dead.URL
-	dead.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	_, err := Run(ctx, smallSpec(), Options{
-		Workers:     []string{deadURL},
-		Shards:      2,
-		Poll:        time.Millisecond,
-		StealAfter:  -1,
-		MaxAttempts: 3,
-		Obs:         obs.NewSink(),
-	})
-	if err == nil {
-		t.Fatal("cluster of dead workers reported success")
-	}
-}
-
-// TestStealRescuesStraggler pins work stealing: a worker that accepts
-// a shard and then never finishes it does not stall the sweep — the
-// steal timer re-dispatches its shard to a live worker.
-func TestStealRescuesStraggler(t *testing.T) {
-	t.Parallel()
-	live := httptest.NewServer(newFakeWorker().handler())
-	defer live.Close()
-	// The black hole accepts one job and never progresses it.
-	var bhMu sync.Mutex
-	accepted := 0
-	blackhole := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		bhMu.Lock()
-		defer bhMu.Unlock()
-		if r.Method == http.MethodPost {
-			accepted++
-			w.WriteHeader(http.StatusAccepted)
-			json.NewEncoder(w).Encode(jobs.Job{ID: fmt.Sprintf("job-%06d", accepted), State: jobs.Running})
-			return
-		}
-		json.NewEncoder(w).Encode(jobs.Job{ID: "job-000001", State: jobs.Running})
-	}))
-	defer blackhole.Close()
-
-	sink := obs.NewSink()
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	rep, err := Run(ctx, smallSpec(), Options{
-		Workers:    []string{live.URL, blackhole.URL},
-		Shards:     2,
-		Poll:       5 * time.Millisecond,
-		StealAfter: 200 * time.Millisecond,
-		Obs:        sink,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	local, err := Run(context.Background(), smallSpec(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lb, _ := local.Render()
-	cb, _ := rep.Render()
-	if !bytes.Equal(lb, cb) {
-		t.Errorf("stolen sweep differs from local run:\n%s\nvs\n%s", cb, lb)
-	}
-	if sink.Counter("cluster.shards_stolen").Load() == 0 {
-		t.Error("no steal recorded despite the straggler")
+		t.Errorf("refutation disagreement: Run %v, falsify %v", one.Failure, full.SampleFailure)
 	}
 }

@@ -1,15 +1,6 @@
 package cluster
 
-import (
-	"context"
-	"encoding/json"
-	"fmt"
-	"sync"
-	"time"
-
-	"setagree/internal/collections"
-	"setagree/internal/obs"
-)
+import "setagree/internal/collections"
 
 // SATypeSpec names one (n,k)-SA type in a collections spec. N == 0
 // means unbounded participation, matching ObjectSpec.
@@ -19,9 +10,8 @@ type SATypeSpec struct {
 }
 
 // CollectionsSpec is a fully data-driven collections sweep: everything
-// a worker needs to rebuild the collection space and the verdict
-// question, in JSON. It travels inside "collections-sweep" and
-// "collections-shard" job specs.
+// needed to rebuild the collection space and the verdict question, in
+// JSON. It travels inside "collections-sweep" job specs.
 type CollectionsSpec struct {
 	// Menu and Size define the collection space (size-Size multisets
 	// over Menu).
@@ -53,7 +43,8 @@ func (sp CollectionsSpec) Task() collections.Task {
 	return collections.Task{Procs: sp.Procs, K: sp.K}
 }
 
-func (sp CollectionsSpec) sweepOptions() collections.SweepOptions {
+// Options builds the collections.SweepOptions the spec's knobs select.
+func (sp CollectionsSpec) Options() collections.SweepOptions {
 	return collections.SweepOptions{
 		Levels:       sp.Levels,
 		DisablePrune: sp.Prune != nil && !*sp.Prune,
@@ -71,155 +62,4 @@ func CollectionsRef() CollectionsSpec {
 		Procs: 4,
 		K:     2,
 	}
-}
-
-// CollectionsShardJob is the "collections-shard" job spec a
-// coordinator submits to a worker daemon: rebuild the space, decide
-// collections [Lo, Hi).
-type CollectionsShardJob struct {
-	Collections CollectionsSpec `json:"collections"`
-	Lo          int             `json:"lo"`
-	Hi          int             `json:"hi"`
-	// PaceMs sleeps after each collection — the same test knob as
-	// ShardJob.PaceMs.
-	PaceMs int `json:"pace_ms,omitempty"`
-}
-
-// engineCache shares one decision engine per spec across the shard
-// jobs hitting the same daemon, so cost tables memoized deciding one
-// shard accelerate every later shard of the same sweep. Sharing is
-// transparent: memoization never changes a verdict. Mirrors
-// preparedCache, including the reset-on-overflow policy.
-var (
-	engineMu    sync.Mutex
-	engineCache = map[string]*collections.Engine{}
-)
-
-func engineFor(sp CollectionsSpec) (*collections.Engine, error) {
-	key, err := json.Marshal(sp)
-	if err != nil {
-		return nil, err
-	}
-	engineMu.Lock()
-	defer engineMu.Unlock()
-	if e, ok := engineCache[string(key)]; ok {
-		return e, nil
-	}
-	if len(engineCache) >= preparedCacheCap {
-		engineCache = map[string]*collections.Engine{}
-	}
-	e := collections.NewEngine()
-	engineCache[string(key)] = e
-	return e, nil
-}
-
-// RunCollectionsShard decides one shard in-process: the worker half of
-// the collections cluster protocol, also used directly by dacd's
-// collections-shard runner.
-func RunCollectionsShard(ctx context.Context, job CollectionsShardJob, sink *obs.Sink, events *obs.Emitter) (*collections.RangeReport, error) {
-	eng, err := engineFor(job.Collections)
-	if err != nil {
-		return nil, err
-	}
-	opts := job.Collections.sweepOptions()
-	opts.Engine = eng
-	opts.Ctx = ctx
-	opts.Obs = sink
-	opts.Events = events
-	if job.PaceMs > 0 {
-		pace := time.Duration(job.PaceMs) * time.Millisecond
-		opts.OnProgress = func(collections.Progress) { time.Sleep(pace) }
-	}
-	return collections.CheckRange(job.Collections.Space(), job.Collections.Task(), job.Lo, job.Hi, opts)
-}
-
-// RunCollections executes the collections sweep: shard the collection
-// space, decide every shard (in-process, or dispatched across Workers
-// with retry and stealing), and merge into the canonical
-// collections.Report. The returned document is a pure function of the
-// spec — identical bytes at any worker count, shard boundary, retry,
-// or steal schedule.
-func RunCollections(ctx context.Context, sp CollectionsSpec, o Options) (*collections.Report, error) {
-	o = o.fill()
-	rep, err := runCollections(ctx, sp, o)
-	if err != nil {
-		o.Events.Emit("cluster.error", obs.Fields{"error": err.Error()})
-		return nil, err
-	}
-	o.Events.Emit("cluster.done", obs.Fields{
-		"collections": rep.Collections,
-		"pruned":      rep.Pruned,
-		"solvable":    rep.Solvable,
-		"workers":     len(o.Workers),
-	})
-	return rep, nil
-}
-
-func runCollections(ctx context.Context, sp CollectionsSpec, o Options) (*collections.Report, error) {
-	space, tsk := sp.Space(), sp.Task()
-	if err := space.Validate(); err != nil {
-		return nil, err
-	}
-	if err := tsk.Validate(); err != nil {
-		return nil, err
-	}
-	n := space.Count()
-	bounds := shardBounds(n, o.shardCount(n), 1)
-	if len(o.Workers) == 0 {
-		return runCollectionsLocal(ctx, sp, space, tsk, bounds, o)
-	}
-	proto := shardProto{
-		kind: "collections-shard",
-		job: func(lo, hi int) any {
-			return CollectionsShardJob{Collections: sp, Lo: lo, Hi: hi, PaceMs: o.PaceMs}
-		},
-		states: func(raw []byte) (int, error) {
-			var rr collections.RangeReport
-			if err := json.Unmarshal(raw, &rr); err != nil {
-				return 0, fmt.Errorf("cluster: bad collections shard result: %w", err)
-			}
-			return rr.Hi - rr.Lo, nil
-		},
-	}
-	raws, err := dispatchCluster(ctx, bounds, proto, o)
-	if err != nil {
-		return nil, err
-	}
-	shards := make([]*collections.RangeReport, len(raws))
-	for i, raw := range raws {
-		var rr collections.RangeReport
-		if err := json.Unmarshal(raw, &rr); err != nil {
-			return nil, fmt.Errorf("cluster: collections shard [%d,%d) result: %w", bounds[i][0], bounds[i][1], err)
-		}
-		shards[i] = &rr
-	}
-	return collections.MergeRanges(space, tsk, sp.Levels, shards)
-}
-
-// runCollectionsLocal decides every shard in-process, sequentially —
-// the single-daemon baseline, through the exact pipeline the cluster
-// uses, so the two render identical bytes.
-func runCollectionsLocal(ctx context.Context, sp CollectionsSpec, space collections.Space, tsk collections.Task, bounds [][2]int, o Options) (*collections.Report, error) {
-	eng := collections.NewEngine()
-	shards := make([]*collections.RangeReport, 0, len(bounds))
-	for _, b := range bounds {
-		opts := sp.sweepOptions()
-		opts.Engine = eng
-		opts.Ctx = ctx
-		opts.Obs = o.Obs
-		opts.Events = o.Events
-		if o.PaceMs > 0 {
-			pace := time.Duration(o.PaceMs) * time.Millisecond
-			opts.OnProgress = func(collections.Progress) { time.Sleep(pace) }
-		}
-		rr, err := collections.CheckRange(space, tsk, b[0], b[1], opts)
-		if err != nil {
-			return nil, err
-		}
-		shards = append(shards, rr)
-		o.Obs.Counter("cluster.shards").Inc()
-		o.Obs.Counter("cluster.candidates").Add(int64(b[1] - b[0]))
-		o.Obs.Counter("cluster.states").Add(int64(b[1] - b[0]))
-	}
-	return collections.MergeRanges(space, tsk, sp.Levels, shards)
 }

@@ -1,11 +1,13 @@
 package cluster
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"sort"
 
 	"setagree/internal/enumerate"
+	"setagree/internal/obs"
 	"setagree/internal/value"
 )
 
@@ -30,9 +32,8 @@ type ShardFailure struct {
 	Violation string        `json:"violation"`
 }
 
-// ShardReport is the serializable outcome of one candidate-range
-// shard: enumerate.RangeReport with every shape rendered, fit to
-// travel as a job result between daemons.
+// ShardReport is the serializable outcome of one candidate range:
+// enumerate.RangeReport with every shape rendered.
 type ShardReport struct {
 	Lo                int                 `json:"lo"`
 	Hi                int                 `json:"hi"`
@@ -44,6 +45,33 @@ type ShardReport struct {
 	Failure           *ShardFailure       `json:"failure,omitempty"`
 }
 
+// Run checks the whole sweep in process and merges it into the
+// canonical SweepReport. Sink and events receive the enumerate sweep's
+// metrics and event stream; either may be nil.
+func Run(ctx context.Context, sp SweepSpec, sink *obs.Sink, events *obs.Emitter) (*SweepReport, error) {
+	p, err := sp.Prepare()
+	if err != nil {
+		return nil, err
+	}
+	vectors, err := sp.Vectors()
+	if err != nil {
+		return nil, err
+	}
+	opts, err := sp.Options()
+	if err != nil {
+		return nil, err
+	}
+	opts.Ctx = ctx
+	opts.Obs = sink
+	opts.Events = events
+	n := p.Candidates()
+	rr, err := p.CheckRange(0, n, vectors, opts)
+	if err != nil {
+		return nil, err
+	}
+	return Merge(n, []*ShardReport{ShardReportOf(rr)})
+}
+
 func renderShapes(a enumerate.Assignment) []string {
 	out := make([]string, len(a.Shapes))
 	for i, s := range a.Shapes {
@@ -52,7 +80,7 @@ func renderShapes(a enumerate.Assignment) []string {
 	return out
 }
 
-// ShardReportOf renders a RangeReport for the wire.
+// ShardReportOf renders a RangeReport's shapes.
 func ShardReportOf(rr *enumerate.RangeReport) *ShardReport {
 	sr := &ShardReport{
 		Lo:                rr.Lo,
@@ -77,11 +105,9 @@ func ShardReportOf(rr *enumerate.RangeReport) *ShardReport {
 	return sr
 }
 
-// SweepReport is the merged outcome of a partitioned sweep. It is a
-// pure function of the sweep spec: no timing, worker identity, or
-// shard boundaries appear, so the same spec renders byte-identically
-// whether it ran on one daemon or was sharded across a cluster —
-// including after shard retries and speculative steals.
+// SweepReport is the merged outcome of a sweep. It is a pure function
+// of the sweep spec: no timing or range boundaries appear, so the same
+// spec renders byte-identically however its candidates were tiled.
 type SweepReport struct {
 	Candidates        int                 `json:"candidates"`
 	Pruned            int                 `json:"pruned"`
@@ -95,7 +121,7 @@ type SweepReport struct {
 
 // Merge folds shard reports into the sweep document. The shards must
 // tile [0, candidates) exactly: sorted by range, exact-duplicate
-// ranges (retry and steal leftovers) collapse to one, gaps and
+// ranges collapse to one (results are deterministic), gaps and
 // partial overlaps are errors, as is any disagreement on the
 // sweep-global pruned count. Failure is the lowest-indexed refuted
 // candidate across all shards, matching a full single sweep.
@@ -117,7 +143,7 @@ func Merge(candidates int, shards []*ShardReport) (*SweepReport, error) {
 	next := 0
 	for i, sh := range sorted {
 		if i > 0 && sh.Lo == sorted[i-1].Lo && sh.Hi == sorted[i-1].Hi {
-			continue // duplicate delivery of the same shard; results are deterministic
+			continue // the same range twice; results are deterministic
 		}
 		if sh.Lo != next {
 			if sh.Lo < next {
@@ -146,8 +172,7 @@ func Merge(candidates int, shards []*ShardReport) (*SweepReport, error) {
 	return rep, nil
 }
 
-// Render is the canonical byte encoding of the sweep document — the
-// bytes the cluster promises are identical to a single-daemon run.
+// Render is the canonical byte encoding of the sweep document.
 func (r *SweepReport) Render() ([]byte, error) {
 	buf, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {

@@ -1,16 +1,14 @@
-// Package cluster turns dacd daemons into a partitioned checking
-// cluster: a coordinator splits a falsification sweep into
-// candidate-range shards, dispatches them to worker daemons over the
-// jobs HTTP API, steals work from stragglers, retries shards lost to
-// worker death, and merges the shard reports into a document
-// byte-identical to a single-daemon run of the same sweep.
+// Package cluster holds the JSON sweep specs dacd's "sweep" and
+// "collections-sweep" jobs carry, and the canonical reports they
+// render. A SweepSpec rebuilds an enumerate candidate family from
+// data; Run checks it in process and renders a SweepReport whose bytes
+// are a pure function of the spec. CollectionsSpec does the same for a
+// set-consensus collections space.
 //
-// The whole design leans on one invariant (pinned in
-// internal/enumerate's shard tests): candidate enumeration and
-// per-candidate verdicts are deterministic, so any process that builds
-// the same SweepSpec agrees on every candidate index, and shard
-// results merge without coordination — duplicates from retries or
-// speculative steals are simply discarded.
+// Candidate enumeration and per-candidate verdicts are deterministic
+// (pinned in internal/enumerate's shard tests), so ShardReports of any
+// ranges that tile the candidate space Merge into the bytes of one
+// whole-space run.
 package cluster
 
 import (
@@ -24,9 +22,9 @@ import (
 	"setagree/internal/value"
 )
 
-// SweepSpec is a fully data-driven falsification sweep: everything a
-// worker needs to rebuild the candidate family, in JSON. It travels
-// inside "sweep" and "sweep-shard" job specs.
+// SweepSpec is a fully data-driven falsification sweep: everything
+// needed to rebuild the candidate family, in JSON. It travels inside
+// "sweep" job specs.
 type SweepSpec struct {
 	// Task selects the task the candidates are checked against.
 	Task TaskSpec `json:"task"`
@@ -51,7 +49,7 @@ type SweepSpec struct {
 	Symmetry string `json:"symmetry,omitempty"`
 	// Memo toggles cross-candidate memoization (prefix-trie scheduling,
 	// forked explorers, canonical-program dedup). Nil or true leaves it
-	// on — memoized and unmemoized shards produce byte-identical
+	// on — memoized and unmemoized sweeps produce byte-identical
 	// reports, so this is an ablation/benchmarking knob, not a
 	// correctness one. False disables it.
 	Memo *bool `json:"memo,omitempty"`
@@ -94,8 +92,8 @@ type InvokeSpec struct {
 
 // Thm71 is the Theorem 7.1 negative sweep (EXPERIMENTS E8): the
 // 1116-candidate depth-1 family over {2-consensus, register} checked
-// against 3-DAC — the heaviest committed sweep and the cluster's
-// reference workload.
+// against 3-DAC — the heaviest committed sweep and the reference
+// workload of the sweep job.
 func Thm71() SweepSpec {
 	return SweepSpec{
 		Task:    TaskSpec{Kind: "dac", N: 3},
@@ -304,9 +302,9 @@ func (sp SweepSpec) Vectors() ([][]value.Value, error) {
 	return out, nil
 }
 
-// Prepare materializes the spec's candidate list. Every process that
-// Prepares the same spec gets the same candidate order — the cluster's
-// index space.
+// Prepare materializes the spec's candidate list. Every Prepare of the
+// same spec yields the same candidate order — the index space of
+// CheckRange and Merge.
 func (sp SweepSpec) Prepare() (*enumerate.Prepared, error) {
 	fam, err := sp.Family()
 	if err != nil {

@@ -5,9 +5,9 @@ import "fmt"
 // Space is a bounded collection family: every size-Size multiset over
 // the Menu of types, enumerated in a fixed order (nondecreasing menu
 // index, lexicographic) so that every process that builds the same
-// Space agrees on every collection index — the sweep and cluster
-// layers' shared index space, the direct analogue of
-// internal/enumerate's candidate families.
+// Space agrees on every collection index — the index space CheckRange
+// and MergeRanges share, the direct analogue of internal/enumerate's
+// candidate families.
 type Space struct {
 	// Menu lists the distinct types collections draw from.
 	Menu []Type `json:"menu"`

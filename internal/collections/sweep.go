@@ -50,19 +50,8 @@ type SweepOptions struct {
 	// event stream.
 	Obs    *obs.Sink
 	Events *obs.Emitter
-	// OnProgress, when set, runs after every decided collection (any
-	// worker) — the cluster layer's pacing hook.
-	OnProgress func(Progress)
 	// Ctx cancels the sweep (nil = background).
 	Ctx context.Context
-}
-
-// Progress is one decided collection, as seen by OnProgress.
-type Progress struct {
-	// Index is the decided collection's global index.
-	Index int
-	// Decided and Pruned are running counts for this CheckRange call.
-	Decided, Pruned int
 }
 
 func (o SweepOptions) fill() SweepOptions {
@@ -105,8 +94,7 @@ type Row struct {
 
 // RangeReport is the outcome of deciding collections [Lo, Hi) of a
 // space: a pure function of (space, task, levels, range), so disjoint
-// ranges merge deterministically. It doubles as the cluster's
-// collections-shard result document.
+// ranges merge deterministically.
 type RangeReport struct {
 	Lo int `json:"lo"`
 	Hi int `json:"hi"`
@@ -235,9 +223,6 @@ func checkRange(space Space, tsk Task, lo, hi int, opts SweepOptions) (*RangeRep
 				opts.Events.Emit("collections.progress", obs.Fields{
 					"index": i, "decided": d, "pruned": p,
 				})
-				if opts.OnProgress != nil {
-					opts.OnProgress(Progress{Index: i, Decided: int(d), Pruned: int(p)})
-				}
 			}
 		}()
 	}
@@ -295,8 +280,8 @@ func Sweep(space Space, tsk Task, opts SweepOptions) (*Report, error) {
 }
 
 // MergeRanges assembles range reports tiling [0, Count()) into the
-// canonical Report. Exact duplicate ranges (cluster retries, steals)
-// collapse; gaps, overlaps, and out-of-range shards are errors.
+// canonical Report. Exact duplicate ranges collapse (results are
+// deterministic); gaps, overlaps, and out-of-range shards are errors.
 func MergeRanges(space Space, tsk Task, levels int, ranges []*RangeReport) (*Report, error) {
 	if err := space.Validate(); err != nil {
 		return nil, err

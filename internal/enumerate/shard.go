@@ -15,9 +15,9 @@ import (
 // model-check any sub-range of candidates. Candidate order depends
 // only on the family (shape enumeration order is fixed and the solo
 // prefilter is deterministic), so two processes that Prepare the same
-// family agree on every candidate index — the invariant the
-// partitioned checking cluster rests on: shards checked on different
-// machines reassemble into the Report a single full sweep produces.
+// family agree on every candidate index — the invariant range checks
+// rest on: ranges checked separately reassemble into the Report a
+// single full sweep produces.
 type Prepared struct {
 	cands  []candidate
 	objs   []spec.Spec

@@ -11,8 +11,7 @@ import (
 )
 
 // shardFamily is the Theorem 7.1 depth-1 family over {2-consensus,
-// register} — the 1116-candidate sweep the checking cluster exists to
-// partition (EXPERIMENTS E8).
+// register} — the 1116-candidate sweep (EXPERIMENTS E8).
 func shardFamily() *Family {
 	return &Family{
 		Objects: []spec.Spec{objects.NewConsensus(2), objects.NewRegister()},
@@ -43,7 +42,7 @@ func shardVectors(n int) [][]value.Value {
 	return out
 }
 
-// TestCheckRangePartitionMatchesFullSweep pins the cluster's core
+// TestCheckRangePartitionMatchesFullSweep pins the range checks' core
 // invariant: checking an uneven partition of the candidate space range
 // by range yields exactly the aggregates, solver/inconclusive sets,
 // and lowest-index sample failure of the one-shot FalsifyDAC sweep.
@@ -87,7 +86,7 @@ func TestCheckRangePartitionMatchesFullSweep(t *testing.T) {
 		}
 		merged[b[0]] = rr
 	}
-	// Fold in index order, as a coordinator merge does.
+	// Fold in index order, as cluster.Merge does.
 	for lo := 0; lo < p.Candidates(); {
 		rr, ok := merged[lo]
 		if !ok {

@@ -184,7 +184,9 @@ func TestPoolRunsAndFails(t *testing.T) {
 		ids = append(ids, j.ID)
 	}
 	bomb, _ := p.Submit("bomb", nil)
-	alien, _ := p.Submit("warp", nil)
+	if _, err := p.Submit("warp", nil); !errors.Is(err, ErrUnknownKind) {
+		t.Errorf("Submit of an unregistered kind: %v, want ErrUnknownKind", err)
+	}
 
 	for i, id := range ids {
 		waitState(t, s, id, Done)
@@ -195,8 +197,40 @@ func TestPoolRunsAndFails(t *testing.T) {
 	if j := waitState(t, s, bomb.ID, Failed); j.Error != "kaboom" {
 		t.Errorf("failed job error = %q", j.Error)
 	}
-	if j := waitState(t, s, alien.ID, Failed); j.Error == "" {
-		t.Error("unregistered kind failed without an error message")
+	if list := s.List(); len(list) != len(ids)+1 {
+		t.Errorf("store holds %d jobs, want %d: the rejected kind was journaled", len(list), len(ids)+1)
+	}
+}
+
+// TestUnknownKindInJournalFails pins the run-time path for a kind the
+// pool has no runner for: a pending job journaled by a daemon that
+// knew the kind fails with "no runner" once a pool without it claims
+// it after a restart.
+func TestUnknownKindInJournalFails(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := s.Submit("retired", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	p := NewPool(s2, 1, map[string]Runner{})
+	defer p.Drain(context.Background())
+	j := waitState(t, s2, old.ID, Failed)
+	if want := `no runner for kind "retired"`; j.Error != want {
+		t.Errorf("error = %q, want %q", j.Error, want)
 	}
 }
 

@@ -11,6 +11,10 @@ import (
 // into a running job's context; the pool records the job as Canceled.
 var ErrCancelRequested = errors.New("jobs: canceled by request")
 
+// ErrUnknownKind is returned by Pool.Submit for a job kind with no
+// registered runner; nothing is journaled.
+var ErrUnknownKind = errors.New("jobs: unknown job kind")
+
 // errDraining is the cancellation cause Drain injects; the job goes
 // back to Pending so a restarted pool resumes it from its checkpoint.
 var errDraining = errors.New("jobs: pool draining")
@@ -40,8 +44,9 @@ type Pool struct {
 }
 
 // NewPool starts `workers` goroutines serving the store's queue with
-// the given per-kind runners. Jobs of an unregistered kind fail
-// immediately. Call Drain to stop.
+// the given per-kind runners. Submit rejects unregistered kinds; jobs
+// of such a kind already in the journal fail when claimed. Call Drain
+// to stop.
 func NewPool(store *Store, workers int, runners map[string]Runner) *Pool {
 	if workers <= 0 {
 		workers = 1
@@ -61,8 +66,12 @@ func NewPool(store *Store, workers int, runners map[string]Runner) *Pool {
 	return p
 }
 
-// Submit enqueues a job and nudges an idle worker.
+// Submit enqueues a job and nudges an idle worker. A kind with no
+// runner is rejected with ErrUnknownKind.
 func (p *Pool) Submit(kind string, spec []byte) (Job, error) {
+	if _, ok := p.runners[kind]; !ok {
+		return Job{}, fmt.Errorf("%w %q", ErrUnknownKind, kind)
+	}
 	j, err := p.store.Submit(kind, spec)
 	if err != nil {
 		return Job{}, err
