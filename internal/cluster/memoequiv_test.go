@@ -104,9 +104,11 @@ func TestClusterMemoByteEquivalence(t *testing.T) {
 
 // TestShardMemoByteEquivalence pins the same promise for a single
 // interior range of the Theorem 7.1 sweep: a memoized range's JSON
-// report is byte-identical to the unmemoized one. The range
-// deliberately starts and ends off row boundaries (RowWidth 31), so
-// memoized verdict attribution is exercised at partial prefix rows.
+// report is byte-identical to the unmemoized one. The sweep's
+// candidates come in rows of 31 that share one distinguished-role
+// shape, and the range starts mid-row (index 300 lies in the row
+// starting at 279), so memoized verdict attribution is exercised at a
+// partial prefix row.
 func TestShardMemoByteEquivalence(t *testing.T) {
 	t.Parallel()
 	run := func(memo bool) []byte {

@@ -2,7 +2,7 @@ package core
 
 import (
 	"encoding/binary"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -38,13 +38,26 @@ type OPrimeState struct {
 	Components map[int]spec.State
 }
 
+// levelBuf sizes the stack buffer the O'_n key encoders collect levels
+// in; states touching more levels still encode correctly, on the heap.
+const levelBuf = 8
+
+// levels appends the keys of a level-indexed component map to buf in
+// ascending order, the canonical order of every O'_n key encoding.
+// With buf backed by a caller's stack array, encoding allocates
+// nothing.
+func levels(buf []int, m map[int]spec.State) []int {
+	for k := range m {
+		buf = append(buf, k)
+	}
+	slices.Sort(buf)
+	return buf
+}
+
 // Key implements spec.State (canonical: components in ascending k).
 func (s OPrimeState) Key() string {
-	ks := make([]int, 0, len(s.Components))
-	for k := range s.Components {
-		ks = append(ks, k)
-	}
-	sort.Ints(ks)
+	var buf [levelBuf]int
+	ks := levels(buf[:0], s.Components)
 	var b strings.Builder
 	for i, k := range ks {
 		if i > 0 {
@@ -60,11 +73,8 @@ func (s OPrimeState) Key() string {
 // AppendKey implements spec.AppendKeyer (canonical: components in
 // ascending k).
 func (s OPrimeState) AppendKey(dst []byte) []byte {
-	ks := make([]int, 0, len(s.Components))
-	for k := range s.Components {
-		ks = append(ks, k)
-	}
-	sort.Ints(ks)
+	var buf [levelBuf]int
+	ks := levels(buf[:0], s.Components)
 	dst = binary.AppendUvarint(dst, uint64(len(ks)))
 	for _, k := range ks {
 		dst = binary.AppendUvarint(dst, uint64(k))

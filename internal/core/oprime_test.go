@@ -1,6 +1,8 @@
 package core_test
 
 import (
+	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"setagree/internal/core"
@@ -179,5 +181,51 @@ func TestOPrimeNondeterministicFlag(t *testing.T) {
 	t.Parallel()
 	if spec.Deterministic(core.NewOPrime(2, nil)) {
 		t.Error("O'_n must report nondeterministic")
+	}
+}
+
+// TestOPrimeKeysAllocationFree pins the O'_n key encoders to the
+// documented bytes (level count, then each touched level in ascending
+// order with its component key) and to zero allocations, plain and
+// under a permutation, for both O'_n constructions.
+func TestOPrimeKeysAllocationFree(t *testing.T) {
+	t.Parallel()
+	ops := []value.Op{value.ProposeK(4, 3), value.ProposeK(5, 1), value.ProposeK(6, 2)}
+	perm := spec.MakePerm([]int{1, 0, 2}, map[value.Value]value.Value{4: 5, 5: 4})
+	for _, o := range []spec.Spec{core.NewOPrime(2, nil), core.NewOPrimeFromBase(2)} {
+		s := o.Init()
+		for _, op := range ops {
+			s, _ = applyOne(t, o, s, op)
+		}
+		var want []byte
+		switch st := s.(type) {
+		case core.OPrimeState:
+			want = binary.AppendUvarint(want, 3)
+			for k := 1; k <= 3; k++ {
+				want = binary.AppendUvarint(want, uint64(k))
+				want = spec.AppendStateKey(want, st.Components[k])
+			}
+		case core.OPrimeBaseState:
+			want = spec.AppendStateKey(want, st.Consensus)
+			want = binary.AppendUvarint(want, 2)
+			for k := 2; k <= 3; k++ {
+				want = binary.AppendUvarint(want, uint64(k))
+				want = spec.AppendStateKey(want, st.TwoSA[k])
+			}
+		}
+		if got := spec.AppendStateKey(nil, s); !bytes.Equal(got, want) {
+			t.Fatalf("%s: key %x, want %x", o.Name(), got, want)
+		}
+		sym := s.(spec.Symmetric)
+		if got := sym.AppendKeyUnder(nil, spec.Perm{}); !bytes.Equal(got, want) {
+			t.Fatalf("%s: identity key %x, want %x", o.Name(), got, want)
+		}
+		buf := make([]byte, 0, 256)
+		if n := testing.AllocsPerRun(100, func() { buf = spec.AppendStateKey(buf[:0], s) }); n != 0 {
+			t.Errorf("%s: AppendKey allocates %.1f times, want 0", o.Name(), n)
+		}
+		if n := testing.AllocsPerRun(100, func() { buf = sym.AppendKeyUnder(buf[:0], perm) }); n != 0 {
+			t.Errorf("%s: AppendKeyUnder allocates %.1f times, want 0", o.Name(), n)
+		}
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/binary"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -55,11 +54,8 @@ type OPrimeBaseState struct {
 
 // Key implements spec.State.
 func (s OPrimeBaseState) Key() string {
-	ks := make([]int, 0, len(s.TwoSA))
-	for k := range s.TwoSA {
-		ks = append(ks, k)
-	}
-	sort.Ints(ks)
+	var buf [levelBuf]int
+	ks := levels(buf[:0], s.TwoSA)
 	var b strings.Builder
 	b.WriteString(s.Consensus.Key())
 	for _, k := range ks {
@@ -75,11 +71,8 @@ func (s OPrimeBaseState) Key() string {
 // ascending k).
 func (s OPrimeBaseState) AppendKey(dst []byte) []byte {
 	dst = spec.AppendStateKey(dst, s.Consensus)
-	ks := make([]int, 0, len(s.TwoSA))
-	for k := range s.TwoSA {
-		ks = append(ks, k)
-	}
-	sort.Ints(ks)
+	var buf [levelBuf]int
+	ks := levels(buf[:0], s.TwoSA)
 	dst = binary.AppendUvarint(dst, uint64(len(ks)))
 	for _, k := range ks {
 		dst = binary.AppendUvarint(dst, uint64(k))

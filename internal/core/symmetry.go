@@ -9,7 +9,6 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"setagree/internal/spec"
 )
@@ -62,11 +61,8 @@ var _ spec.Symmetric = PACMState{}
 // they are id-independent and stay fixed — so only the component
 // states transform.
 func (s OPrimeState) AppendKeyUnder(dst []byte, p spec.Perm) []byte {
-	ks := make([]int, 0, len(s.Components))
-	for k := range s.Components {
-		ks = append(ks, k)
-	}
-	sort.Ints(ks)
+	var buf [levelBuf]int
+	ks := levels(buf[:0], s.Components)
 	dst = binary.AppendUvarint(dst, uint64(len(ks)))
 	for _, k := range ks {
 		dst = binary.AppendUvarint(dst, uint64(k))
@@ -81,11 +77,8 @@ var _ spec.Symmetric = OPrimeState{}
 // transformed, ascending-k order as in AppendKey).
 func (s OPrimeBaseState) AppendKeyUnder(dst []byte, p spec.Perm) []byte {
 	dst = appendComponentKeyUnder(dst, s.Consensus, p)
-	ks := make([]int, 0, len(s.TwoSA))
-	for k := range s.TwoSA {
-		ks = append(ks, k)
-	}
-	sort.Ints(ks)
+	var buf [levelBuf]int
+	ks := levels(buf[:0], s.TwoSA)
 	dst = binary.AppendUvarint(dst, uint64(len(ks)))
 	for _, k := range ks {
 		dst = binary.AppendUvarint(dst, uint64(k))

@@ -31,11 +31,6 @@ type Prepared struct {
 	// roles is the number of distinct role programs per candidate: 2
 	// for DAC sweeps (distinguished + shared peer), 1 for symmetric.
 	roles int
-	// rowWidth is the number of consecutive candidates sharing each
-	// leading (distinguished-role) shape: the q-shape count for DAC
-	// sweeps, 1 for symmetric ones. Shard ranges aligned to rowWidth
-	// keep prefix groups intact, maximizing snapshot reuse per shard.
-	rowWidth int
 	// sigmaOK marks the family's objects and task eligible for the 0↔1
 	// canonical swap; peerOK marks the task eligible for peer input-
 	// vector canonicalization (see memo.go). Both are necessary, not
@@ -93,21 +88,16 @@ func PrepareDAC(f *Family, n int, opts SweepOptions) (*Prepared, error) {
 		}
 	}
 	tsk := task.DAC{N: n, P: 0}
-	rowWidth := len(qShapes)
-	if rowWidth < 1 {
-		rowWidth = 1
-	}
 	return &Prepared{
-		cands:    cands,
-		objs:     f.Objects,
-		tsk:      tsk,
-		pruned:   (len(pFam.Shapes()) - len(pShapes)) + (len(qFam.Shapes()) - len(qShapes)),
-		depth:    f.Depth,
-		roles:    2,
-		rowWidth: rowWidth,
-		sigmaOK:  sigmaEligible(f.Objects, tsk),
-		peerOK:   task.PeerSymmetric(tsk),
-		memo:     newMemoTable(),
+		cands:   cands,
+		objs:    f.Objects,
+		tsk:     tsk,
+		pruned:  (len(pFam.Shapes()) - len(pShapes)) + (len(qFam.Shapes()) - len(qShapes)),
+		depth:   f.Depth,
+		roles:   2,
+		sigmaOK: sigmaEligible(f.Objects, tsk),
+		peerOK:  task.PeerSymmetric(tsk),
+		memo:    newMemoTable(),
 	}, nil
 }
 
@@ -134,16 +124,15 @@ func PrepareSymmetric(f *Family, tsk task.Task, opts SweepOptions) (*Prepared, e
 		cands = append(cands, candidate{asn: Assignment{Shapes: []Shape{s}}, progs: progs})
 	}
 	return &Prepared{
-		cands:    cands,
-		objs:     f.Objects,
-		tsk:      tsk,
-		pruned:   len(fam.Shapes()) - len(shapes),
-		depth:    f.Depth,
-		roles:    1,
-		rowWidth: 1,
-		sigmaOK:  sigmaEligible(f.Objects, tsk),
-		peerOK:   task.PeerSymmetric(tsk),
-		memo:     newMemoTable(),
+		cands:   cands,
+		objs:    f.Objects,
+		tsk:     tsk,
+		pruned:  len(fam.Shapes()) - len(shapes),
+		depth:   f.Depth,
+		roles:   1,
+		sigmaOK: sigmaEligible(f.Objects, tsk),
+		peerOK:  task.PeerSymmetric(tsk),
+		memo:    newMemoTable(),
 	}, nil
 }
 
@@ -153,13 +142,6 @@ func (p *Prepared) Candidates() int { return len(p.cands) }
 
 // Pruned is the number of shapes the solo prefilter rejected.
 func (p *Prepared) Pruned() int { return p.pruned }
-
-// RowWidth is the number of consecutive candidates sharing each leading
-// shape (the q-shape count of a DAC sweep, 1 for symmetric sweeps).
-// Shard boundaries aligned to multiples of RowWidth keep prefix groups
-// whole, which maximizes cross-candidate reuse within each shard;
-// alignment is an efficiency hint only — verdicts are range-independent.
-func (p *Prepared) RowWidth() int { return p.rowWidth }
 
 // Assignment returns candidate i's protocol assignment.
 func (p *Prepared) Assignment(i int) Assignment { return p.cands[i].asn }

@@ -81,6 +81,11 @@ func (c *Config) AppendKey(dst []byte) []byte {
 	for _, p := range c.Procs {
 		dst = p.AppendKey(dst)
 	}
+	return c.appendObjKeys(dst)
+}
+
+// appendObjKeys appends the object-state tail of AppendKey.
+func (c *Config) appendObjKeys(dst []byte) []byte {
 	for _, o := range c.Objs {
 		dst = spec.AppendStateKey(dst, o)
 	}
@@ -99,6 +104,11 @@ func (c *Config) AppendKeyUnder(dst []byte, p spec.Perm) []byte {
 	for j := range c.Procs {
 		dst = c.Procs[p.ProcInvIdx(j)].AppendKeyUnder(dst, p)
 	}
+	return c.appendObjKeysUnder(dst, p)
+}
+
+// appendObjKeysUnder appends the object-state tail of AppendKeyUnder.
+func (c *Config) appendObjKeysUnder(dst []byte, p spec.Perm) []byte {
 	for _, o := range c.Objs {
 		var ok bool
 		dst, ok = spec.AppendStateKeyUnder(dst, o, p)

@@ -22,9 +22,11 @@ package explore
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"setagree/internal/machine"
@@ -96,17 +98,23 @@ var (
 )
 
 // maxGroupOrder caps the materialized permutation group (8!): beyond
-// it, per-successor canonicalization would dominate any savings.
+// it, the per-successor scan over every group element (and the |G|²
+// multiplication table) would dominate any savings.
 const maxGroupOrder = 40320
 
 // group is the materialized admissible symmetry group. perms[0] is
 // always the identity (the lexicographic generation order guarantees
 // it); comp[a][b] indexes the composition a∘b, defined by
-// (a∘b)·C = a·(b·C); inv[a] indexes a's inverse.
+// (a∘b)·C = a·(b·C); inv[a] indexes a's inverse. vcls[a] indexes the
+// value map perms[a] applies among the distinct maps in vmaps (each a
+// Perm carrying only Vals); in SymmetryIDs mode every element shares
+// the single identity map.
 type group struct {
 	perms []spec.Perm
 	comp  [][]int
 	inv   []int
+	vcls  []int
+	vmaps []spec.Perm
 }
 
 // errGroupTooBig aborts group enumeration past maxGroupOrder.
@@ -278,6 +286,7 @@ func buildGroup(sys *System, tsk task.Task, mode Symmetry) (*group, error) {
 		comp:  make([][]int, len(perms)),
 		inv:   make([]int, len(perms)),
 	}
+	grp.vcls, grp.vmaps = valueClasses(perms)
 	buf := make([]int, n)
 	for a := range perms {
 		grp.comp[a] = make([]int, len(perms))
@@ -299,6 +308,38 @@ func buildGroup(sys *System, tsk task.Task, mode Symmetry) (*group, error) {
 	return grp, nil
 }
 
+// valueClasses groups perms by the value map they apply: cls[k]
+// indexes perms[k]'s map in maps, numbered in order of first use (so
+// the identity's class is 0).
+func valueClasses(perms []spec.Perm) (cls []int, maps []spec.Perm) {
+	cls = make([]int, len(perms))
+	idx := map[string]int{}
+	var vs []value.Value
+	var enc []byte
+	for k, p := range perms {
+		vs = vs[:0]
+		for v, w := range p.Vals {
+			if v != w {
+				vs = append(vs, v)
+			}
+		}
+		slices.Sort(vs)
+		enc = enc[:0]
+		for _, v := range vs {
+			enc = binary.AppendVarint(enc, int64(v))
+			enc = binary.AppendVarint(enc, int64(p.Vals[v]))
+		}
+		c, ok := idx[string(enc)]
+		if !ok {
+			c = len(maps)
+			idx[string(enc)] = c
+			maps = append(maps, spec.Perm{Vals: p.Vals})
+		}
+		cls[k] = c
+	}
+	return cls, maps
+}
+
 // checkRootStable verifies every group element fixes the initial
 // configuration — guaranteed by the admissibility constraints (equal
 // programs and compatible inputs produce identical start states up to
@@ -317,16 +358,33 @@ func (grp *group) checkRootStable(root *Config) error {
 	return nil
 }
 
-// keyScratch is the per-shard reusable key workspace: the running
-// minimum and the current candidate. Pooling it keeps successor
-// canonicalization allocation-free across shards, levels, and runs.
+// keyScratch is the per-shard reusable key workspace. Pooling it
+// keeps successor canonicalization allocation-free across shards,
+// levels, and runs.
 type keyScratch struct {
+	// best holds the key canonical returns; cand and objs hold object
+	// keys of a tied candidate and of the running minimum.
 	best []byte
 	cand []byte
+	objs []byte
+	// blocks holds the process blocks canonical has rendered this call,
+	// refs their spans and per-class ranks (indexed class*n + process),
+	// and stamp[class] == gen marks a class rendered this call.
+	blocks []byte
+	refs   []blockRef
+	stamp  []uint32
+	gen    uint32
 	// Spliced-expansion scratch (symmetry off, expandShardSpliced): the
 	// parent key and its per-component end offsets.
 	parent []byte
 	ends   []int
+}
+
+// blockRef locates one rendered process block in keyScratch.blocks;
+// rank orders it among the blocks of its value-map class (equal bytes,
+// equal rank).
+type blockRef struct {
+	lo, hi, rank int32
 }
 
 var keyScratchPool = sync.Pool{New: func() any { return new(keyScratch) }}
@@ -338,32 +396,152 @@ var keyScratchPool = sync.Pool{New: func() any { return new(keyScratch) }}
 // elements tying the minimal key, by orbit–stabilizer).
 //
 // The returned slice aliases sc; callers copy it before reuse. The
-// SteppedMask uvarint is the key's first component, so most non-minimal
-// candidates are pruned by comparing their mask prefix against the
-// running minimum before rendering the full key.
+// scan visits the group in order, exactly as a full render-and-compare
+// of every element would, but compares keys piecewise: a key is the
+// stepped-mask uvarint, then one block per process slot, then the
+// object keys, and the mask and blocks are self-delimiting, so the
+// first differing piece decides the order. The mask compares as an
+// integer. Each process's block is rendered once per value-map class,
+// with its pid register masked (every block bound for slot j carries
+// pid j+1), and ranked within its class, so a slot compares as two
+// ranks (bytes only across classes). Object keys are rendered only for
+// candidates tying on every slot, and the winner's key once, at the
+// end.
 func (grp *group) canonical(sc *keyScratch, c *Config) (key []byte, gi, orbit int) {
-	sc.best = c.AppendKey(sc.best[:0])
+	sc.reset(grp, len(c.Procs))
+	bestMask := c.SteppedMask
+	bestObjs := false // sc.objs holds the object keys under perms[gi]
 	ties := 1
-	var maskBuf [binary.MaxVarintLen64]byte
 	for k := 1; k < len(grp.perms); k++ {
-		p := grp.perms[k]
-		pre := binary.PutUvarint(maskBuf[:], permuteMask(c.SteppedMask, p))
-		if pre > len(sc.best) {
-			pre = len(sc.best)
+		mask := permuteMask(c.SteppedMask, grp.perms[k])
+		d := cmpUvarint(mask, bestMask)
+		if d == 0 {
+			d = sc.cmpProcs(grp, c, k, gi)
 		}
-		if bytes.Compare(maskBuf[:pre], sc.best[:pre]) > 0 {
-			continue
+		if d == 0 {
+			if !bestObjs {
+				sc.objs = grp.appendObjKeys(sc.objs[:0], c, gi)
+				bestObjs = true
+			}
+			sc.cand = grp.appendObjKeys(sc.cand[:0], c, k)
+			if d = bytes.Compare(sc.cand, sc.objs); d < 0 {
+				sc.objs, sc.cand = sc.cand, sc.objs
+				gi, ties = k, 1
+				continue
+			}
 		}
-		sc.cand = c.AppendKeyUnder(sc.cand[:0], p)
-		switch bytes.Compare(sc.cand, sc.best) {
-		case -1:
-			sc.best, sc.cand = sc.cand, sc.best
-			gi, ties = k, 1
-		case 0:
+		switch {
+		case d < 0:
+			gi, bestMask, ties, bestObjs = k, mask, 1, false
+		case d == 0:
 			ties++
 		}
 	}
+	if gi == 0 {
+		sc.best = c.AppendKey(sc.best[:0])
+	} else {
+		sc.best = c.AppendKeyUnder(sc.best[:0], grp.perms[gi])
+	}
 	return sc.best, gi, len(grp.perms) / ties
+}
+
+// reset starts a canonical call over an n-process configuration:
+// every class is unrendered and the block arena is empty.
+func (sc *keyScratch) reset(grp *group, n int) {
+	if sc.gen++; sc.gen == 0 {
+		clear(sc.stamp)
+		sc.gen = 1
+	}
+	if len(sc.stamp) < len(grp.vmaps) {
+		sc.stamp = make([]uint32, len(grp.vmaps))
+	}
+	if len(sc.refs) < len(grp.vmaps)*n {
+		sc.refs = make([]blockRef, len(grp.vmaps)*n)
+	}
+	sc.blocks = sc.blocks[:0]
+}
+
+// renderClass renders and ranks c's process blocks under value-map
+// class cl, once per canonical call.
+func (sc *keyScratch) renderClass(grp *group, c *Config, cl int) {
+	if sc.stamp[cl] == sc.gen {
+		return
+	}
+	sc.stamp[cl] = sc.gen
+	n := len(c.Procs)
+	refs := sc.refs[cl*n : (cl+1)*n]
+	for i := range c.Procs {
+		lo := len(sc.blocks)
+		sc.blocks = c.Procs[i].AppendKeyWithPid(sc.blocks, grp.vmaps[cl], 0)
+		refs[i] = blockRef{lo: int32(lo), hi: int32(len(sc.blocks))}
+	}
+	// A block's rank is the number of strictly smaller blocks: equal
+	// blocks share a rank and ranks order as the bytes do.
+	for i := range refs {
+		for j := i + 1; j < len(refs); j++ {
+			switch bytes.Compare(sc.block(refs[i]), sc.block(refs[j])) {
+			case -1:
+				refs[j].rank++
+			case 1:
+				refs[i].rank++
+			}
+		}
+	}
+}
+
+// block returns the rendered bytes r locates.
+func (sc *keyScratch) block(r blockRef) []byte { return sc.blocks[r.lo:r.hi] }
+
+// cmpProcs compares the process blocks of perms[a]·c and perms[b]·c
+// slot by slot: slot j holds the block of process Inv[j].
+func (sc *keyScratch) cmpProcs(grp *group, c *Config, a, b int) int {
+	ca, cb := grp.vcls[a], grp.vcls[b]
+	sc.renderClass(grp, c, ca)
+	sc.renderClass(grp, c, cb)
+	n := len(c.Procs)
+	ra, rb := sc.refs[ca*n:(ca+1)*n], sc.refs[cb*n:(cb+1)*n]
+	ia, ib := grp.perms[a].Inv, grp.perms[b].Inv
+	for j := 0; j < n; j++ {
+		x, y := ra[ia[j]], rb[ib[j]]
+		if ca == cb {
+			if x.rank != y.rank {
+				return cmp.Compare(x.rank, y.rank)
+			}
+		} else if d := bytes.Compare(sc.block(x), sc.block(y)); d != 0 {
+			return d
+		}
+	}
+	return 0
+}
+
+// appendObjKeys appends the object keys of perms[k]·c, the tail of its
+// configuration key.
+func (grp *group) appendObjKeys(dst []byte, c *Config, k int) []byte {
+	if k == 0 {
+		return c.appendObjKeys(dst)
+	}
+	return c.appendObjKeysUnder(dst, grp.perms[k])
+}
+
+// cmpUvarint orders a and b as their binary.AppendUvarint encodings
+// order bytewise.
+func cmpUvarint(a, b uint64) int {
+	for {
+		x, y := a&0x7f, b&0x7f
+		if a >= 0x80 {
+			x |= 0x80
+		}
+		if b >= 0x80 {
+			y |= 0x80
+		}
+		if x != y {
+			return cmp.Compare(x, y)
+		}
+		if a < 0x80 {
+			return 0
+		}
+		a, b = a>>7, b>>7
+	}
 }
 
 // permuteMask applies the process permutation to a stepped-bit mask;

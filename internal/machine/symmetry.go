@@ -177,13 +177,27 @@ func SamePrograms(a, b *Program) bool {
 // what guarantees r1 holds exactly the 1-based pid in every reachable
 // state, terminal states included (terminal states retain Regs).
 func (ps ProcState) AppendKeyUnder(dst []byte, p spec.Perm) []byte {
+	var pid value.Value
+	if len(ps.Regs) > int(RegID1) {
+		pid = value.Value(p.Port(int(ps.Regs[RegID1])))
+	}
+	return ps.AppendKeyWithPid(dst, p, pid)
+}
+
+// AppendKeyWithPid is AppendKeyUnder with the pid register r1 (when
+// present) rendered as pid instead of through the port map. Under any
+// admissible permutation the process landing in slot j holds pid j+1,
+// so blocks bound for the same slot compare alike whatever pid they
+// are rendered with; orbit canonicalization renders each block once
+// with a fixed pid and reuses it for every slot.
+func (ps ProcState) AppendKeyWithPid(dst []byte, p spec.Perm, pid value.Value) []byte {
 	dst = append(dst, byte(ps.Status))
 	dst = binary.AppendUvarint(dst, uint64(ps.PC))
 	dst = binary.AppendVarint(dst, int64(p.Val(ps.Decision)))
 	dst = binary.AppendUvarint(dst, uint64(len(ps.Regs)))
 	for i, r := range ps.Regs {
 		if i == int(RegID1) {
-			dst = binary.AppendVarint(dst, int64(p.Port(int(r))))
+			dst = binary.AppendVarint(dst, int64(pid))
 		} else {
 			dst = binary.AppendVarint(dst, int64(p.Val(r)))
 		}
