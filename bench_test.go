@@ -219,10 +219,9 @@ func BenchmarkModelCheckDAC(b *testing.B) {
 	// instance big enough to be representative — checkpointing exists
 	// for long runs, and on tiny graphs the per-snapshot write+fsync
 	// latency (~10ms here) swamps the levels between snapshots.
-	// BENCH_checkpoint.json (make bench-json) takes its overhead figure
-	// from the in-run ckpt_frac metric (snapshot-write ns over wall
-	// time, from the explorer's own counters); the target is
-	// ckpt_frac < 5% at every=4. The checkpoint=off row stays as a raw
+	// The overhead figure is the in-run ckpt_frac metric (snapshot-write
+	// ns over wall time, from the explorer's own counters); the target
+	// is ckpt_frac < 5% at every=4. The checkpoint=off row stays as a raw
 	// ns/op reference, not the denominator of the target.
 	for _, every := range []int{0, 1, 4} {
 		name := "off"
@@ -245,9 +244,8 @@ func BenchmarkModelCheckDAC(b *testing.B) {
 	// and both rows report report_fp, an FNV-32a fingerprint of the
 	// verdict counts, which must agree between the engines (full
 	// byte-identity, including DOT and event streams, is pinned by
-	// TestDiskStoreReportEquivalence). BENCH_store.json (make bench-json)
-	// snapshots these rows; the spill volume shows up as spilled_mb and
-	// the observed heap high-water mark as heap_max_mb.
+	// TestDiskStoreReportEquivalence). The spill volume shows up as
+	// spilled_mb and the observed heap high-water mark as heap_max_mb.
 	for _, disk := range []bool{false, true} {
 		name := "mem"
 		so := store.Options{}
@@ -263,10 +261,11 @@ func BenchmarkModelCheckDAC(b *testing.B) {
 	// n=7 instance with metrics disabled (nil sink — every counter,
 	// gauge, and histogram handle is a nil no-op) and enabled (a live
 	// sink, whose per-level explore.level_ns histogram is the heaviest
-	// hook added for the dacd ops surface). BENCH_obs.json (make
-	// bench-json) takes the min ns/op over -count runs per row and
-	// requires the on-vs-off delta under 2%; the on row also exports
-	// the histogram's quantiles, which verify's schema gate checks.
+	// hook added for the dacd ops surface). Run them with -count 6 and
+	// take the min ns/op per row: the on-vs-off delta must stay under
+	// 2%. The on row also exports the histogram's quantiles, whose
+	// plausibility (p50 > 0, p99 >= p50) TestLevelLatencyHistogram
+	// checks on a small instance.
 	for _, on := range []bool{false, true} {
 		name := "off"
 		if on {

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	experiments [-quick] [-v] [-workers N] [-symmetry off|ids|values]
-//	            [-memo=false] [-bench-sweeps out.json] [-bench-collections out.json]
+//	            [-memo=false]
 //	            [-metrics out.json] [-events out.jsonl]
 //	            [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //	            [-checkpoint run.ckpt [-checkpoint-every L]]
@@ -17,15 +17,8 @@
 // (default: GOMAXPROCS); verdicts are identical at every setting.
 // -memo=false disables cross-candidate memoization in the sweeps (an
 // ablation knob: reports are byte-identical either way, only the rate
-// changes). -bench-sweeps FILE runs only the two reference sweeps
-// (Thm 5.2 and Thm 7.1) memoized and unmemoized, writes a JSON
-// comparison — per-run timings, candidates/sec, memo counters, and an
-// in-process render byte-equality check — to FILE, and exits.
-// -bench-collections FILE does the same for the set-consensus
-// collections subsystem: a 35-collection sweep timed with dominance
-// pruning off and on (byte-identical reports either way) plus the
-// N <= 4 cross-validation matrix, written as JSON for
-// bench_collections.jq / BENCH_collections.json.
+// changes; time the sweeps with bash benchmark/run.sh --workload
+// sweep-e3).
 // -symmetry ids|values model-checks on the symmetry-reduced
 // configuration graph (verdicts are unchanged; rows whose system or
 // analysis rejects the reduction fall back to unreduced and say so —
@@ -119,18 +112,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	verbose := fs.Bool("v", false, "print each row as it finishes, with sweep progress")
 	workers := fs.Int("workers", 0, "worker goroutines per falsification sweep (default GOMAXPROCS)")
 	memo := fs.Bool("memo", true, "cross-candidate memoization in the falsification sweeps (reports are byte-identical either way)")
-	benchSweeps := fs.String("bench-sweeps", "", "run only the sweep memoization benchmark, write its JSON here, and exit")
-	benchCollections := fs.String("bench-collections", "", "run only the collections pruning benchmark + cross-validation, write its JSON here, and exit")
 	symmetry := fs.String("symmetry", "off", "symmetry reduction for the model checks: off | ids | values (rows whose system rejects it fall back to unreduced)")
 	obsF := obsflags.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-	if *benchSweeps != "" {
-		return runBenchSweeps(*benchSweeps, *workers, stderr)
-	}
-	if *benchCollections != "" {
-		return runBenchCollections(*benchCollections, *workers, stderr)
 	}
 	symMode, err := explore.ParseSymmetry(*symmetry)
 	if err != nil {

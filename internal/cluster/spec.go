@@ -114,7 +114,7 @@ func Thm71() SweepSpec {
 // Thm52 is the Theorem 5.2 positive sweep (EXPERIMENTS E5): the
 // 49-candidate depth-1 symmetric family over {2-consensus, register,
 // 2-SA} checked against 3-consensus — the small reference sweep, used
-// where per-sweep fixed costs need to stay visible (bench-gate).
+// where per-sweep fixed costs need to stay visible.
 func Thm52() SweepSpec {
 	return SweepSpec{
 		Task: TaskSpec{Kind: "consensus", N: 3},

@@ -246,59 +246,83 @@ func testSpace() (Space, Task) {
 
 // TestSweepDeterministic pins the headline invariant: sweep reports
 // are byte-identical at any worker count, with dominance pruning on or
-// off, and across any shard partition.
+// off, and across any shard partition. The second input is a
+// 35-collection space (every size-3 multiset over five types, bounded
+// and unbounded) in which pruning spares every collection a fresh
+// evaluation, so pruning on and off do very different DP work and must
+// still render the same bytes.
 func TestSweepDeterministic(t *testing.T) {
 	t.Parallel()
-	space, tsk := testSpace()
-	var baseline []byte
-	for _, cfg := range []struct {
-		name    string
-		workers int
-		prune   bool
-	}{
-		{"w1-prune", 1, true},
-		{"w4-prune", 4, true},
-		{"w1-noprune", 1, false},
-		{"w4-noprune", 4, false},
-	} {
-		rep, err := Sweep(space, tsk, SweepOptions{Workers: cfg.workers, DisablePrune: !cfg.prune})
-		if err != nil {
-			t.Fatalf("%s: %v", cfg.name, err)
-		}
-		buf, err := rep.Render()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if baseline == nil {
-			baseline = buf
-			continue
-		}
-		if !bytes.Equal(buf, baseline) {
-			t.Errorf("%s: report bytes differ from baseline", cfg.name)
-		}
+	small, smallTask := testSpace()
+	pruned := Space{
+		Menu: []Type{
+			{N: 2, K: 1}, {N: 3, K: 2}, {N: 4, K: 3},
+			{N: power.Infinite, K: 2}, {N: power.Infinite, K: 3},
+		},
+		Size: 3,
 	}
-
-	// Sharded: any tiling of the index space merges to the same bytes.
-	for _, cut := range []int{1, 3, 7} {
-		var ranges []*RangeReport
-		for lo := 0; lo < space.Count(); lo += cut {
-			hi := min(lo+cut, space.Count())
-			rr, err := CheckRange(space, tsk, lo, hi, SweepOptions{Workers: 2})
+	if got := pruned.Count(); got != 35 {
+		t.Fatalf("pruned space has %d collections, want 35", got)
+	}
+	for _, in := range []struct {
+		name  string
+		space Space
+		tsk   Task
+	}{
+		{"menu-size2", small, smallTask},
+		{"pruned-size3", pruned, Task{Procs: 6, K: 2}},
+	} {
+		space, tsk := in.space, in.tsk
+		var baseline []byte
+		for _, cfg := range []struct {
+			name    string
+			workers int
+			prune   bool
+		}{
+			{"w1-prune", 1, true},
+			{"w4-prune", 4, true},
+			{"w1-noprune", 1, false},
+			{"w4-noprune", 4, false},
+		} {
+			rep, err := Sweep(space, tsk, SweepOptions{Workers: cfg.workers, DisablePrune: !cfg.prune})
+			if err != nil {
+				t.Fatalf("%s %s: %v", in.name, cfg.name, err)
+			}
+			buf, err := rep.Render()
 			if err != nil {
 				t.Fatal(err)
 			}
-			ranges = append(ranges, rr)
+			if baseline == nil {
+				baseline = buf
+				continue
+			}
+			if !bytes.Equal(buf, baseline) {
+				t.Errorf("%s %s: report bytes differ from baseline", in.name, cfg.name)
+			}
 		}
-		rep, err := MergeRanges(space, tsk, 0, ranges)
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf, err := rep.Render()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf, baseline) {
-			t.Errorf("cut=%d: merged report differs from full sweep", cut)
+
+		// Sharded: any tiling of the index space merges to the same bytes.
+		for _, cut := range []int{1, 3, 7} {
+			var ranges []*RangeReport
+			for lo := 0; lo < space.Count(); lo += cut {
+				hi := min(lo+cut, space.Count())
+				rr, err := CheckRange(space, tsk, lo, hi, SweepOptions{Workers: 2})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ranges = append(ranges, rr)
+			}
+			rep, err := MergeRanges(space, tsk, 0, ranges)
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf, err := rep.Render()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf, baseline) {
+				t.Errorf("%s cut=%d: merged report differs from full sweep", in.name, cut)
+			}
 		}
 	}
 }

@@ -31,8 +31,10 @@ func TestCrossValidateMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(results) == 0 {
-		t.Fatal("empty matrix")
+	// 3 collections × procs 2..4, each at K = MinAgreement plus, where
+	// MinAgreement > 1, at K = MinAgreement-1: 17 verdicts, all confirmed.
+	if len(results) != 17 {
+		t.Fatalf("matrix has %d verdicts, want 17", len(results))
 	}
 	solvable, unsolvable := 0, 0
 	for _, r := range results {

@@ -8,9 +8,9 @@ import (
 // BenchmarkFalsifyDACThm71 times the Theorem 7.1 reference sweep (1116
 // candidates) with cross-candidate memoization off and on, at one
 // worker (isolating the engine from scheduling) and at the default
-// worker count. The committed BENCH_experiments.json carries the
-// headline rates; this benchmark exists for profiling and local
-// comparison.
+// worker count. It exists for profiling and local comparison; the
+// repository benchmark's sweep-e3 workload (bash benchmark/run.sh) is
+// the measured and gated sweep.
 func BenchmarkFalsifyDACThm71(b *testing.B) {
 	vectors := shardVectors(3)
 	for _, memo := range []bool{false, true} {
