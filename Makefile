@@ -3,10 +3,11 @@
 # packages that run goroutines (the parallel sweep engine in enumerate,
 # the parallel-BFS explorer it drives — whose multi-worker determinism
 # tests run under -race here — the lincheck fuzzer, the obs metrics
-# layer they all feed, and internal/cluster, whose
-# memoized-vs-unmemoized byte-equivalence suite drives the parallel
-# sweep engine's shared memo table across range cuts) + bench-gate,
-# the benchmark's exact-work and cost-ceiling check.
+# layer they all feed, and internal/sweepspec, whose pinned-digest
+# suite runs the parallel sweep engine memoized and unmemoized through
+# dacd's sweep path; memo sharing across range cuts is enumerate's
+# TestCheckRangePartitionMatchesFullSweep) + bench-gate, the
+# benchmark's exact-work and cost-ceiling check.
 
 GO ?= go
 
@@ -40,7 +41,7 @@ test:
 # an uninterrupted run) is exactly the kind of cross-goroutine
 # determinism claim -race exists to audit.
 race:
-	$(GO) test -race ./internal/enumerate ./internal/explore ./internal/lincheck ./internal/obs ./internal/store ./internal/cluster ./internal/collections
+	$(GO) test -race ./internal/enumerate ./internal/explore ./internal/lincheck ./internal/obs ./internal/store ./internal/sweepspec ./internal/collections
 	EXPLORE_SYMMETRY_WORKERS=1 $(GO) test -race -run 'TestSymmetry' ./internal/explore
 	EXPLORE_SYMMETRY_WORKERS=4 $(GO) test -race -run 'TestSymmetry' ./internal/explore
 	$(GO) test -race -count=1 -run 'TestKillResume|TestResume|TestContextCancel|TestDiskStore' ./internal/explore

@@ -11,11 +11,11 @@
 //	     [-pprof]
 //
 // Job kinds: "explore" runs one exploration; "sweep" checks a whole
-// falsification sweep (internal/cluster.SweepSpec) and
+// falsification sweep (internal/sweepspec.SweepSpec) and
 // "collections-sweep" decides every collection of a set-consensus
-// collections space (internal/cluster.CollectionsSpec). Sweeps run in
-// process and their results are the canonical report bytes, a pure
-// function of the spec. See EXPERIMENTS.md "Set-consensus
+// collections space (internal/sweepspec.CollectionsSpec). Sweeps run in
+// one pass in process and their results are the canonical report
+// bytes, a pure function of the spec. See EXPERIMENTS.md "Set-consensus
 // collections".
 //
 // API (see EXPERIMENTS.md "Durable runs" for the full catalog):

@@ -6,22 +6,21 @@ import (
 	"fmt"
 	"os"
 
-	"setagree/internal/cluster"
-	"setagree/internal/collections"
 	"setagree/internal/jobs"
 	"setagree/internal/obs"
+	"setagree/internal/sweepspec"
 )
 
 // sweepJobSpec is the JSON spec of a "sweep" job.
 type sweepJobSpec struct {
-	Sweep cluster.SweepSpec `json:"sweep"`
+	Sweep sweepspec.SweepSpec `json:"sweep"`
 }
 
 // sweepRunner returns the jobs.Runner for kind "sweep": check the
 // whole sweep in process and store the canonical SweepReport.
 func sweepRunner(reg *obs.Registry) jobs.Runner {
 	return inProcessRunner(reg, func(ctx context.Context, sp sweepJobSpec, sink *obs.Sink, events *obs.Emitter) ([]byte, error) {
-		rep, err := cluster.Run(ctx, sp.Sweep, sink, events)
+		rep, err := sweepspec.Run(ctx, sp.Sweep, sink, events)
 		if err != nil {
 			return nil, err
 		}
@@ -31,7 +30,7 @@ func sweepRunner(reg *obs.Registry) jobs.Runner {
 
 // collectionsJobSpec is the JSON spec of a "collections-sweep" job.
 type collectionsJobSpec struct {
-	Collections cluster.CollectionsSpec `json:"collections"`
+	Collections sweepspec.CollectionsSpec `json:"collections"`
 }
 
 // collectionsRunner returns the jobs.Runner for kind
@@ -39,11 +38,7 @@ type collectionsJobSpec struct {
 // and store the canonical collections.Report.
 func collectionsRunner(reg *obs.Registry) jobs.Runner {
 	return inProcessRunner(reg, func(ctx context.Context, sp collectionsJobSpec, sink *obs.Sink, events *obs.Emitter) ([]byte, error) {
-		opts := sp.Collections.Options()
-		opts.Ctx = ctx
-		opts.Obs = sink
-		opts.Events = events
-		rep, err := collections.Sweep(sp.Collections.Space(), sp.Collections.Task(), opts)
+		rep, err := sweepspec.RunCollections(ctx, sp.Collections, sink, events)
 		if err != nil {
 			return nil, err
 		}

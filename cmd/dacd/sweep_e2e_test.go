@@ -10,9 +10,9 @@ import (
 	"testing"
 	"time"
 
-	"setagree/internal/cluster"
 	"setagree/internal/collections"
 	"setagree/internal/jobs"
+	"setagree/internal/sweepspec"
 )
 
 // submitJob posts a job of any kind and requires acceptance.
@@ -51,7 +51,7 @@ func TestSweepJobE2E(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess e2e")
 	}
-	rep, err := cluster.Run(context.Background(), cluster.Thm71(), nil, nil)
+	rep, err := sweepspec.Run(context.Background(), sweepspec.Thm71(), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestSweepJobE2E(t *testing.T) {
 	}
 
 	d := startDaemon(t, t.TempDir())
-	j := submitJob(t, d.base, "sweep", map[string]any{"sweep": cluster.Thm71()})
+	j := submitJob(t, d.base, "sweep", map[string]any{"sweep": sweepspec.Thm71()})
 	if done := waitJob(t, d.base, j.ID, jobs.Done, 2*time.Minute); done.Error != "" {
 		t.Fatalf("sweep finished with error %q", done.Error)
 	}
@@ -83,7 +83,7 @@ func TestCollectionsSweepE2E(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess e2e")
 	}
-	sp := cluster.CollectionsRef()
+	sp := sweepspec.CollectionsRef()
 	rep, err := collections.Sweep(sp.Space(), sp.Task(), sp.Options())
 	if err != nil {
 		t.Fatal(err)

@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"time"
 
-	"setagree/internal/cluster"
 	"setagree/internal/collections"
 	"setagree/internal/power"
+	"setagree/internal/sweepspec"
 )
 
 // collectionsCrossMenu is the size-1 cross-validation space: each
@@ -32,7 +32,7 @@ func (r *runner) e16Collections() {
 		return
 	}
 	start := time.Now()
-	sp := cluster.CollectionsRef()
+	sp := sweepspec.CollectionsRef()
 	space, tsk := sp.Space(), sp.Task()
 	var base []byte
 	identical := true

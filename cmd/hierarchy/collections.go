@@ -10,7 +10,7 @@ import (
 )
 
 // collectionsMenu is the reference menu the -collections tables range
-// over: the same three types as cluster.CollectionsRef, spanning a
+// over: the same three types as sweepspec.CollectionsRef, spanning a
 // consensus object, a bounded SA type, and an unbounded one.
 func collectionsMenu() []collections.Type {
 	return []collections.Type{

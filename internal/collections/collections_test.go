@@ -245,8 +245,8 @@ func testSpace() (Space, Task) {
 }
 
 // TestSweepDeterministic pins the headline invariant: sweep reports
-// are byte-identical at any worker count, with dominance pruning on or
-// off, and across any shard partition. The second input is a
+// are byte-identical at any worker count and with dominance pruning on
+// or off. The second input is a
 // 35-collection space (every size-3 multiset over five types, bounded
 // and unbounded) in which pruning spares every collection a fresh
 // evaluation, so pruning on and off do very different DP work and must
@@ -300,30 +300,6 @@ func TestSweepDeterministic(t *testing.T) {
 				t.Errorf("%s %s: report bytes differ from baseline", in.name, cfg.name)
 			}
 		}
-
-		// Sharded: any tiling of the index space merges to the same bytes.
-		for _, cut := range []int{1, 3, 7} {
-			var ranges []*RangeReport
-			for lo := 0; lo < space.Count(); lo += cut {
-				hi := min(lo+cut, space.Count())
-				rr, err := CheckRange(space, tsk, lo, hi, SweepOptions{Workers: 2})
-				if err != nil {
-					t.Fatal(err)
-				}
-				ranges = append(ranges, rr)
-			}
-			rep, err := MergeRanges(space, tsk, 0, ranges)
-			if err != nil {
-				t.Fatal(err)
-			}
-			buf, err := rep.Render()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(buf, baseline) {
-				t.Errorf("%s cut=%d: merged report differs from full sweep", in.name, cut)
-			}
-		}
 	}
 }
 
@@ -359,37 +335,6 @@ func TestSweepVerdicts(t *testing.T) {
 	}
 }
 
-func TestMergeRangesValidation(t *testing.T) {
-	t.Parallel()
-	space, tsk := testSpace()
-	full, err := CheckRange(space, tsk, 0, space.Count(), SweepOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := CheckRange(space, tsk, 0, 4, SweepOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := CheckRange(space, tsk, 4, space.Count(), SweepOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := MergeRanges(space, tsk, 0, []*RangeReport{a, b, a}); err != nil {
-		t.Errorf("duplicate shard rejected: %v", err)
-	}
-	if _, err := MergeRanges(space, tsk, 0, []*RangeReport{a}); err == nil {
-		t.Error("gap accepted")
-	}
-	if _, err := MergeRanges(space, tsk, 0, []*RangeReport{full, a}); err == nil {
-		t.Error("overlap accepted")
-	}
-	bad := *a
-	bad.Rows = bad.Rows[:1]
-	if _, err := MergeRanges(space, tsk, 0, []*RangeReport{&bad, b}); err == nil {
-		t.Error("truncated shard accepted")
-	}
-}
-
 func TestSweepRejectsBadInputs(t *testing.T) {
 	t.Parallel()
 	space, _ := testSpace()
@@ -398,8 +343,5 @@ func TestSweepRejectsBadInputs(t *testing.T) {
 	}
 	if _, err := Sweep(Space{Menu: []Type{{N: 0, K: 0}}, Size: 1}, Task{Procs: 2, K: 1}, SweepOptions{}); err == nil {
 		t.Error("invalid menu accepted")
-	}
-	if _, err := CheckRange(space, Task{Procs: 2, K: 1}, 3, 99, SweepOptions{}); err == nil {
-		t.Error("out-of-range shard accepted")
 	}
 }

@@ -4,10 +4,10 @@ import "fmt"
 
 // Space is a bounded collection family: every size-Size multiset over
 // the Menu of types, enumerated in a fixed order (nondecreasing menu
-// index, lexicographic) so that every process that builds the same
-// Space agrees on every collection index — the index space CheckRange
-// and MergeRanges share, the direct analogue of internal/enumerate's
-// candidate families.
+// index, lexicographic) so that every Space built from the same menu
+// and size agrees on every collection index — report rows carry these
+// indices, the direct analogue of internal/enumerate's candidate
+// families.
 type Space struct {
 	// Menu lists the distinct types collections draw from.
 	Menu []Type `json:"menu"`

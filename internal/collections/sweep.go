@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -44,8 +43,6 @@ type SweepOptions struct {
 	// multisets and the memo loses cross-collection sharing. Verdicts
 	// and report bytes are unchanged — pinned by tests.
 	DisablePrune bool
-	// Engine is the (shared) decision engine; nil uses a fresh one.
-	Engine *Engine
 	// Obs receives collections.* counters; Events the collections.*
 	// event stream.
 	Obs    *obs.Sink
@@ -60,9 +57,6 @@ func (o SweepOptions) fill() SweepOptions {
 	}
 	if o.Levels < 1 {
 		o.Levels = 4
-	}
-	if o.Engine == nil {
-		o.Engine = NewEngine()
 	}
 	if o.Ctx == nil {
 		o.Ctx = context.Background()
@@ -92,19 +86,6 @@ type Row struct {
 	Pruned bool `json:"pruned"`
 }
 
-// RangeReport is the outcome of deciding collections [Lo, Hi) of a
-// space: a pure function of (space, task, levels, range), so disjoint
-// ranges merge deterministically.
-type RangeReport struct {
-	Lo int `json:"lo"`
-	Hi int `json:"hi"`
-	// Pruned and Solvable count rows in the range with the flag set.
-	Pruned   int `json:"pruned"`
-	Solvable int `json:"solvable"`
-	// Rows holds per-collection verdicts in index order.
-	Rows []Row `json:"rows"`
-}
-
 // Report is the sweep's canonical document.
 type Report struct {
 	// Space and Task echo the sweep parameters.
@@ -131,25 +112,24 @@ func (r *Report) Render() ([]byte, error) {
 	return append(buf, '\n'), nil
 }
 
-// CheckRange decides collections [lo, hi) of the space. Verdicts are
-// identical to a full Sweep's (same engine DP, same options), so
-// deciding a partition of [0, Count()) range by range and merging with
-// MergeRanges reproduces the full sweep's Report exactly.
-func CheckRange(space Space, tsk Task, lo, hi int, opts SweepOptions) (*RangeReport, error) {
+// Sweep decides every collection in the space and returns the
+// canonical Report — a pure function of (space, task, levels),
+// byte-identical at any worker count and with pruning on or off.
+func Sweep(space Space, tsk Task, opts SweepOptions) (*Report, error) {
 	opts = opts.fill()
-	rr, err := checkRange(space, tsk, lo, hi, opts)
+	rep, err := sweep(space, tsk, opts)
 	if err != nil {
 		opts.Events.Emit("collections.error", obs.Fields{"error": err.Error()})
 		return nil, err
 	}
 	opts.Events.Emit("collections.done", obs.Fields{
-		"lo": rr.Lo, "hi": rr.Hi,
-		"decided": rr.Hi - rr.Lo, "pruned": rr.Pruned, "solvable": rr.Solvable,
+		"lo": 0, "hi": rep.Collections,
+		"decided": rep.Collections, "pruned": rep.Pruned, "solvable": rep.Solvable,
 	})
-	return rr, nil
+	return rep, nil
 }
 
-func checkRange(space Space, tsk Task, lo, hi int, opts SweepOptions) (*RangeReport, error) {
+func sweep(space Space, tsk Task, opts SweepOptions) (*Report, error) {
 	if err := space.Validate(); err != nil {
 		return nil, err
 	}
@@ -157,14 +137,10 @@ func checkRange(space Space, tsk Task, lo, hi int, opts SweepOptions) (*RangeRep
 		return nil, err
 	}
 	total := space.Count()
-	if lo < 0 || hi > total || lo > hi {
-		return nil, fmt.Errorf("collections: range [%d,%d) outside space [0,%d)", lo, hi, total)
-	}
-	// First appearance of each canonical form among collections
-	// [0, hi): makes Row.Pruned a function of the space, independent of
-	// shard boundaries and scheduling.
+	// First appearance of each canonical form: makes Row.Pruned a
+	// function of the space, independent of scheduling.
 	firstSeen := make(map[string]int)
-	for i := 0; i < hi; i++ {
+	for i := 0; i < total; i++ {
 		c, err := space.At(i)
 		if err != nil {
 			return nil, err
@@ -175,7 +151,8 @@ func checkRange(space Space, tsk Task, lo, hi int, opts SweepOptions) (*RangeRep
 		}
 	}
 
-	rows := make([]Row, hi-lo)
+	eng := NewEngine()
+	rows := make([]Row, total)
 	var (
 		next            atomic.Int64
 		decided, pruned atomic.Int64
@@ -183,7 +160,6 @@ func checkRange(space Space, tsk Task, lo, hi int, opts SweepOptions) (*RangeRep
 		errMu           sync.Mutex
 		firstErr        error
 	)
-	next.Store(int64(lo))
 	fail := func(err error) {
 		errMu.Lock()
 		if firstErr == nil {
@@ -197,19 +173,19 @@ func checkRange(space Space, tsk Task, lo, hi int, opts SweepOptions) (*RangeRep
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= hi {
+				if i >= total {
 					return
 				}
 				if err := opts.Ctx.Err(); err != nil {
 					fail(err)
 					return
 				}
-				row, err := decideOne(space, tsk, i, firstSeen, opts)
+				row, err := decideOne(space, tsk, i, firstSeen, eng, opts)
 				if err != nil {
 					fail(err)
 					return
 				}
-				rows[i-lo] = row
+				rows[i] = row
 				d := decided.Add(1)
 				p := pruned.Load()
 				if row.Pruned {
@@ -230,29 +206,29 @@ func checkRange(space Space, tsk Task, lo, hi int, opts SweepOptions) (*RangeRep
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	rr := &RangeReport{Lo: lo, Hi: hi, Rows: rows}
+	rep := &Report{Space: space, Task: tsk, Levels: opts.Levels, Collections: total, Rows: rows}
 	for _, row := range rows {
 		if row.Pruned {
-			rr.Pruned++
+			rep.Pruned++
 		}
 		if row.Solvable {
-			rr.Solvable++
+			rep.Solvable++
 		}
 	}
-	return rr, nil
+	return rep, nil
 }
 
-func decideOne(space Space, tsk Task, i int, firstSeen map[string]int, opts SweepOptions) (Row, error) {
+func decideOne(space Space, tsk Task, i int, firstSeen map[string]int, eng *Engine, opts SweepOptions) (Row, error) {
 	c, err := space.At(i)
 	if err != nil {
 		return Row{}, err
 	}
 	canon := c.Canonical()
-	ma, err := opts.Engine.minAgreement(c, tsk.Procs, !opts.DisablePrune, opts.Obs)
+	ma, err := eng.minAgreement(c, tsk.Procs, !opts.DisablePrune, opts.Obs)
 	if err != nil {
 		return Row{}, err
 	}
-	seq, err := opts.Engine.powerSeq(c, !opts.DisablePrune)
+	seq, err := eng.powerSeq(c, !opts.DisablePrune)
 	if err != nil {
 		return Row{}, err
 	}
@@ -265,67 +241,4 @@ func decideOne(space Space, tsk Task, i int, firstSeen map[string]int, opts Swee
 		Solvable:     ma <= tsk.K,
 		Pruned:       canon.Key() != c.Key() || firstSeen[canon.Key()] < i,
 	}, nil
-}
-
-// Sweep decides every collection in the space and returns the
-// canonical Report — a pure function of (space, task, levels),
-// byte-identical at any worker count and with pruning on or off.
-func Sweep(space Space, tsk Task, opts SweepOptions) (*Report, error) {
-	opts = opts.fill()
-	rr, err := CheckRange(space, tsk, 0, space.Count(), opts)
-	if err != nil {
-		return nil, err
-	}
-	return MergeRanges(space, tsk, opts.Levels, []*RangeReport{rr})
-}
-
-// MergeRanges assembles range reports tiling [0, Count()) into the
-// canonical Report. Exact duplicate ranges collapse (results are
-// deterministic); gaps, overlaps, and out-of-range shards are errors.
-func MergeRanges(space Space, tsk Task, levels int, ranges []*RangeReport) (*Report, error) {
-	if err := space.Validate(); err != nil {
-		return nil, err
-	}
-	if err := tsk.Validate(); err != nil {
-		return nil, err
-	}
-	if levels < 1 {
-		levels = 4
-	}
-	total := space.Count()
-	sorted := append([]*RangeReport(nil), ranges...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Lo != sorted[j].Lo {
-			return sorted[i].Lo < sorted[j].Lo
-		}
-		return sorted[i].Hi < sorted[j].Hi
-	})
-	rep := &Report{Space: space, Task: tsk, Levels: levels, Collections: total, Rows: []Row{}}
-	want := 0
-	for i, rr := range sorted {
-		if i > 0 && rr.Lo == sorted[i-1].Lo && rr.Hi == sorted[i-1].Hi {
-			// Duplicate shard: results are deterministic, drop it.
-			continue
-		}
-		if rr.Lo != want {
-			if rr.Lo < want {
-				return nil, fmt.Errorf("collections: merge: shard [%d,%d) overlaps previous end %d", rr.Lo, rr.Hi, want)
-			}
-			return nil, fmt.Errorf("collections: merge: gap [%d,%d) not covered", want, rr.Lo)
-		}
-		if rr.Hi > total {
-			return nil, fmt.Errorf("collections: merge: shard [%d,%d) outside space [0,%d)", rr.Lo, rr.Hi, total)
-		}
-		if len(rr.Rows) != rr.Hi-rr.Lo {
-			return nil, fmt.Errorf("collections: merge: shard [%d,%d) carries %d rows", rr.Lo, rr.Hi, len(rr.Rows))
-		}
-		rep.Rows = append(rep.Rows, rr.Rows...)
-		rep.Pruned += rr.Pruned
-		rep.Solvable += rr.Solvable
-		want = rr.Hi
-	}
-	if want != total {
-		return nil, fmt.Errorf("collections: merge: shards cover [0,%d) of [0,%d)", want, total)
-	}
-	return rep, nil
 }

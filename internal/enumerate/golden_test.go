@@ -11,13 +11,13 @@ import (
 // TestPrepareDACGoldenOrder pins the prepared-candidate enumeration
 // order of the Theorem 7.1 reference family byte for byte. Everything
 // downstream leans on this order being frozen: CheckRange ranges
-// address candidates by global index, RangeReports merge by
-// index, event streams carry indices, and the memoizer attributes
-// equivalence-class verdicts back to indices. A change that reorders
-// enumeration (reordering Family.Shapes, the solo prefilter, or the
-// p×q nesting in PrepareDAC) is not necessarily wrong — but it is a
-// wire-format break for any stored range report, so it must show up
-// here and be made deliberately.
+// address candidates by global index, sweep reports and event streams
+// carry indices, and the memoizer attributes equivalence-class
+// verdicts back to indices. A change that reorders enumeration
+// (reordering Family.Shapes, the solo prefilter, or the p×q nesting in
+// PrepareDAC) is not necessarily wrong — but it changes the index of
+// every candidate in a sweep job's result, so it must show up here and
+// be made deliberately.
 func TestPrepareDACGoldenOrder(t *testing.T) {
 	t.Parallel()
 	p, err := PrepareDAC(shardFamily(), 3, SweepOptions{})

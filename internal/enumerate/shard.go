@@ -14,10 +14,9 @@ import (
 // candidate list of a FalsifyDAC or FalsifySymmetric call, reusable to
 // model-check any sub-range of candidates. Candidate order depends
 // only on the family (shape enumeration order is fixed and the solo
-// prefilter is deterministic), so two processes that Prepare the same
-// family agree on every candidate index — the invariant range checks
-// rest on: ranges checked separately reassemble into the Report a
-// single full sweep produces.
+// prefilter is deterministic), so every Prepare of the same family
+// agrees on every candidate index, and ranges checked separately
+// agree with the Report a single full sweep produces.
 type Prepared struct {
 	cands  []candidate
 	objs   []spec.Spec
@@ -181,14 +180,11 @@ type RangeFailure struct {
 
 // RangeReport is the outcome of checking candidates [Lo, Hi) of a
 // prepared sweep. It is a pure function of (family, task, vectors,
-// range, check options) — no timing or host identity — and carries
-// global candidate indices, so disjoint ranges merge deterministically.
+// range, check options) — no timing — and carries global candidate
+// indices.
 type RangeReport struct {
 	// Lo and Hi bound the checked range, [Lo, Hi).
 	Lo, Hi int
-	// Pruned is the sweep-global prefilter count (identical in every
-	// range of the same prepared sweep; carried for merge validation).
-	Pruned int
 	// States is the total number of configurations explored checking
 	// this range.
 	States int
@@ -210,8 +206,9 @@ type RangeReport struct {
 // and returns the range's outcome. The per-candidate verdicts are
 // identical to the ones a full FalsifyDAC/FalsifySymmetric sweep
 // computes (the same checkCandidate runs with the same options), so
-// checking a partition of [0, Candidates()) range by range and merging
-// reproduces the full sweep's Report exactly. Metrics, events (with
+// checking a partition of [0, Candidates()) range by range and folding
+// the ranges in index order reproduces the full sweep's Report
+// exactly. Metrics, events (with
 // global candidate indices), progress callbacks, and cancellation all
 // behave as in a full sweep; one terminal event (sweep.done or
 // sweep.error) is emitted per call.
@@ -224,7 +221,7 @@ func (p *Prepared) CheckRange(lo, hi int, inputVectors [][]value.Value, opts Swe
 	if err != nil {
 		return nil, err
 	}
-	rr := &RangeReport{Lo: lo, Hi: hi, Pruned: p.pruned}
+	rr := &RangeReport{Lo: lo, Hi: hi}
 	var sample *outcome
 	sampleIdx := -1
 	for i := range outcomes {

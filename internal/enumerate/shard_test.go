@@ -86,7 +86,7 @@ func TestCheckRangePartitionMatchesFullSweep(t *testing.T) {
 		}
 		merged[b[0]] = rr
 	}
-	// Fold in index order, as cluster.Merge does.
+	// Fold in index order.
 	for lo := 0; lo < p.Candidates(); {
 		rr, ok := merged[lo]
 		if !ok {
@@ -129,6 +129,37 @@ func TestCheckRangePartitionMatchesFullSweep(t *testing.T) {
 			failure.Violation != full.SampleFailure.Violation.Error() {
 			t.Errorf("merged sample failure differs:\n%+v\nvs\n%+v", failure, full.SampleFailure)
 		}
+	}
+}
+
+// TestShardMemoByteEquivalence pins the memoizer's transparency
+// promise for a single interior range of the Theorem 7.1 sweep: the
+// memoized range report equals the unmemoized one. The sweep's
+// candidates come in rows of 31 that share one distinguished-role
+// shape, and the range starts mid-row (index 300 lies in the row
+// starting at 279), so memoized verdict attribution is exercised at a
+// partial prefix row.
+func TestShardMemoByteEquivalence(t *testing.T) {
+	t.Parallel()
+	vectors := shardVectors(3)
+	run := func(disableMemo bool) *RangeReport {
+		opts := SweepOptions{DisableMemo: disableMemo}
+		p, err := PrepareDAC(shardFamily(), 3, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rr, err := p.CheckRange(300, 651, vectors, opts)
+		if err != nil {
+			t.Fatalf("disableMemo=%v: %v", disableMemo, err)
+		}
+		return rr
+	}
+	on, off := run(false), run(true)
+	if on.Failure == nil || on.States == 0 {
+		t.Fatalf("range [300,651) checked nothing: %+v", on)
+	}
+	if !reflect.DeepEqual(on, off) {
+		t.Errorf("memoized range report differs:\n%+v\nvs\n%+v", on, off)
 	}
 }
 
