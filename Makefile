@@ -34,9 +34,10 @@ test:
 # (reduced-vs-unreduced verdict equality + witness replay) under the
 # race detector at exactly Workers=1 and Workers=4; the unpinned
 # ./internal/explore run above already covers the default {1,2,8} set.
-# The final line re-runs the durable-runs suite — checkpoint
-# kill-resume byte-equality, the jobs store/pool, and the dacd daemon's
-# kill -9 e2e — under the race detector with caching disabled, since
+# The final lines re-run the durable-runs suite — checkpoint
+# kill-resume byte-equality, the store-backend equivalence and pinned
+# output digests, the jobs store/pool, and the dacd daemon's kill -9
+# e2e — under the race detector with caching disabled, since
 # the kill-resume invariant (resumed report + event stream identical to
 # an uninterrupted run) is exactly the kind of cross-goroutine
 # determinism claim -race exists to audit.
@@ -44,7 +45,7 @@ race:
 	$(GO) test -race ./internal/enumerate ./internal/explore ./internal/lincheck ./internal/obs ./internal/store ./internal/sweepspec ./internal/collections
 	EXPLORE_SYMMETRY_WORKERS=1 $(GO) test -race -run 'TestSymmetry' ./internal/explore
 	EXPLORE_SYMMETRY_WORKERS=4 $(GO) test -race -run 'TestSymmetry' ./internal/explore
-	$(GO) test -race -count=1 -run 'TestKillResume|TestResume|TestContextCancel|TestDiskStore' ./internal/explore
+	$(GO) test -race -count=1 -run 'TestKillResume|TestResume|TestContextCancel|TestDiskStore|TestStoreDigests' ./internal/explore
 	$(GO) test -race -count=1 ./internal/checkpoint ./internal/jobs ./cmd/dacd
 
 bench:

@@ -237,12 +237,12 @@ func BenchmarkModelCheckDAC(b *testing.B) {
 			benchModelCheckDACCkpt(b, 7, sim.Inputs(7, 1, 0), 1, explore.SymmetryOff, ckpt)
 		})
 	}
-	// The store rows compare the in-memory engine against the disk-backed
-	// out-of-core store (internal/store) on the same n=7 instance. The
+	// The store rows compare the heap-backed configuration store against
+	// the directory-backed one (internal/store) on the same n=7 instance. The
 	// disk row runs under a 1.5 GiB live-heap budget — exceeding it would
 	// fail the row, so a passing run is itself the acceptance evidence —
 	// and both rows report report_fp, an FNV-32a fingerprint of the
-	// verdict counts, which must agree between the engines (full
+	// verdict counts, which must agree between the backends (full
 	// byte-identity, including DOT and event streams, is pinned by
 	// TestDiskStoreReportEquivalence). The spill volume shows up as
 	// spilled_mb and the observed heap high-water mark as heap_max_mb.

@@ -32,6 +32,15 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// TestJournalMaxRejectsNaN: a -journal-max that parses to no finite
+// size is a usage error, not a silently disabled compaction bound.
+func TestJournalMaxRejectsNaN(t *testing.T) {
+	var stderr bytes.Buffer
+	if code := run([]string{"-data", t.TempDir(), "-journal-max", "NaN"}, io.Discard, &stderr); code != 2 {
+		t.Fatalf("exit code %d, want 2 (stderr %q)", code, stderr.String())
+	}
+}
+
 func postJSON(t *testing.T, url string, body any) *http.Response {
 	t.Helper()
 	buf, err := json.Marshal(body)

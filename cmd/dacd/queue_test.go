@@ -91,7 +91,7 @@ func TestSubmitBackpressure(t *testing.T) {
 }
 
 // TestExploreJobDiskStore runs an explore job with the out-of-core
-// store and checks its verdict matches an in-memory job's, the arena
+// store and checks its verdict matches a heap-backed job's, the arena
 // files are cleaned out of the job directory, and budget misuse in the
 // spec fails the job up front.
 func TestExploreJobDiskStore(t *testing.T) {

@@ -46,7 +46,7 @@ type exploreSpec struct {
 	PaceMs int `json:"pace_ms,omitempty"`
 	// Store spills the configuration store to a "store" subdirectory of
 	// the job's working directory (out-of-core exploration); reports and
-	// event streams stay byte-identical to in-memory runs.
+	// event streams stay byte-identical to runs without it.
 	Store bool `json:"store,omitempty"`
 	// StoreBudget bounds the live heap of a Store run, in the CLI
 	// -store budget syntax (e.g. "1.5GB"); exceeding it fails the job at

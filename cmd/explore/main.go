@@ -42,12 +42,13 @@
 // byte-continuous event stream across kills is the dacd daemon's job.
 // See EXPERIMENTS.md "Durable runs" for the container format.
 //
-// Out-of-core runs: -store <dir>[:<budget>] spills the configuration
-// store to mmap'd append-only arenas under dir, keeping only the
-// active BFS frontier hot; an optional budget (e.g. 1.5GB) bounds the
-// live heap, aborting at a level barrier with a final checkpoint when
-// exceeded. Reports, witnesses, valency labels, DOT output, and event
-// streams are byte-identical to an in-memory run. See EXPERIMENTS.md
+// Out-of-core runs: -store <dir>[:<budget>] keeps the configuration
+// store's append-only arenas in mmap'd files under dir instead of on
+// the heap; either way only the active BFS frontier stays hot. An
+// optional budget (e.g. 1.5GB) bounds the live heap, aborting at a
+// level barrier with a final checkpoint when exceeded. Reports,
+// witnesses, valency labels, DOT output, and event streams are
+// byte-identical to a run without -store. See EXPERIMENTS.md
 // "Out-of-core exploration".
 //
 // Exploration runs a level-synchronized parallel BFS; -workers sets
@@ -128,7 +129,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&c.maxStates, "max-states", 1<<21, "state cap")
 	fs.IntVar(&c.workers, "workers", 0, "BFS worker goroutines (0 = GOMAXPROCS; output is byte-identical at any setting)")
 	fs.StringVar(&c.symmetry, "symmetry", "off", "symmetry reduction: off | ids | values (intern orbit representatives; verdicts match -symmetry off)")
-	fs.StringVar(&c.storeFlag, "store", "", "out-of-core exploration: spill the configuration store to this directory, optionally with an in-memory budget, e.g. ./run-store or ./run-store:1.5GB (output is byte-identical to an in-memory run)")
+	fs.StringVar(&c.storeFlag, "store", "", "out-of-core exploration: spill the configuration store to this directory, optionally with an in-memory budget, e.g. ./run-store or ./run-store:1.5GB (output is byte-identical to a run without -store)")
 	obsF := obsflags.Register(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -192,7 +193,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	start := time.Now()
 	var rep *explore.Report
-	// Close releases the disk-backed store (no-op for in-memory runs)
+	// Close releases the store's arena files (no-op without -store)
 	// after every report artifact — witnesses, valency, DOT — has been
 	// rendered.
 	defer func() {

@@ -89,7 +89,7 @@ func fingerprintOperand(f checkpoint.Fingerprint, o machine.Operand) checkpoint.
 
 // writeCheckpoint persists the barrier snapshot to
 // Options.Checkpoint.Path. The delta encode runs at the barrier (the
-// section caches are single-threaded), but the container commit —
+// tree-section cache is single-threaded), but the container commit —
 // dominated by write+fsync of the whole payload — runs on a background
 // goroutine so the next levels explore while the snapshot lands on
 // disk. At most one write is ever in flight: every caller drains the
@@ -166,15 +166,16 @@ func (st *search) addCkptNs(d time.Duration) {
 //
 // Both payload sections only grow between barriers — configurations
 // are interned append-only and a configuration's edge list is final
-// once its level is expanded — so the encoded section bytes are cached
-// on the search and each snapshot encodes just the delta since the
-// previous one. The sections are returned by reference for
-// checkpoint.WriteV, not assembled into one payload: the background
-// writer reads them while the BFS explores on, which is safe because
-// only the next encodeSnapshot call appends to them and every caller
-// drains the in-flight write first (see writeCheckpoint). The file is
-// still rewritten whole — the snapshot stays one atomic,
-// self-checksummed unit.
+// once its level is expanded. The encoded tree section is cached on the
+// search, so each snapshot encodes just the delta since the previous
+// one; the edge section is the Edges arena's durable prefix itself. The
+// sections are returned by reference for checkpoint.WriteV, not
+// assembled into one payload: the background writer reads them while
+// the BFS explores on, which is safe because only the next
+// encodeSnapshot call appends to the tree cache, merges append to the
+// arena only past edgeDurable, and every caller drains the in-flight
+// write first (see writeCheckpoint). The file is still rewritten whole
+// — the snapshot stays one atomic, self-checksummed unit.
 func (st *search) encodeSnapshot() [][]byte {
 	g := st.g
 	buf := st.ckptTree
@@ -189,23 +190,6 @@ func (st *search) encodeSnapshot() [][]byte {
 		buf = buf[:putStep(buf, i, g.parentE[id])]
 	}
 	st.ckptTree, st.ckptTreeN = buf, len(g.configs)
-	if g.disk == nil {
-		buf = st.ckptEdges
-		for id := st.ckptEdgeN; id < st.expanded; id++ {
-			es := g.edges[id]
-			n := len(buf)
-			rec := binary.MaxVarintLen64 + len(es)*edgeRecMax
-			buf = slices.Grow(buf, rec)[:n+rec]
-			i := putV(buf, n, int64(len(es)))
-			for _, en := range es {
-				i = putV(buf, i, int64(en.to))
-				i = putStep(buf, i, en.step)
-				i = putV(buf, i, int64(en.g))
-			}
-			buf = buf[:i]
-		}
-		st.ckptEdges, st.ckptEdgeN = buf, st.expanded
-	}
 
 	e := checkpoint.Enc{Buf: st.ckptBuf[:0]}
 	e.Byte(byte(st.opts.Symmetry))
@@ -225,15 +209,12 @@ func (st *search) encodeSnapshot() [][]byte {
 	e.Varint(st.opts.Events.Seq())
 	e.Int(len(g.configs))
 	st.ckptBuf = e.Buf
-	if d := g.disk; d != nil {
-		// The Edges arena already holds the expanded configurations'
-		// edge lists in exactly this section's encoding; serve the
-		// durable prefix zero-copy. The chunk views stay stable while
-		// the background writer reads them: later merges only append at
-		// or beyond edgeDurable.
-		return append([][]byte{e.Buf, st.ckptTree}, d.s.Edges.Sections(d.edgeDurable)...)
-	}
-	return [][]byte{e.Buf, st.ckptTree, st.ckptEdges}
+	// The Edges arena already holds the expanded configurations' edge
+	// lists in exactly this section's encoding; serve the durable prefix
+	// zero-copy. The views stay stable while the background writer reads
+	// them: later merges only append at or beyond edgeDurable.
+	d := g.disk
+	return append([][]byte{e.Buf, st.ckptTree}, d.s.Edges.Sections(d.edgeDurable)...)
 }
 
 // Upper bounds on one encoded record, for the single capacity
@@ -263,7 +244,7 @@ func putV(buf []byte, i int, v int64) int {
 }
 
 // putStep writes s at buf[i:] and returns the end offset, producing
-// exactly the bytes decodeStep reads back.
+// exactly the bytes decodeStep (and recDec.step) reads back.
 func putStep(buf []byte, i int, s Step) int {
 	buf[i] = byte(s.Op.Method)
 	i++
@@ -274,6 +255,16 @@ func putStep(buf []byte, i int, s Step) int {
 	i = putV(buf, i, int64(s.Obj))
 	i = putV(buf, i, int64(s.Branch))
 	return i
+}
+
+// appendEdge appends one edge record — target, step, group index — in
+// the snapshot's edge-section encoding.
+func appendEdge(buf []byte, to int, s Step, gi int) []byte {
+	n := len(buf)
+	buf = slices.Grow(buf, edgeRecMax)[:n+edgeRecMax]
+	i := putV(buf, n, int64(to))
+	i = putStep(buf, i, s)
+	return buf[:putV(buf, i, int64(gi))]
 }
 
 func decodeStep(d *checkpoint.Dec) Step {
@@ -398,7 +389,7 @@ func (st *search) restore(path string) error {
 			sc.best = nc.AppendKey(sc.best[:0])
 			key = sc.best
 		}
-		if _, dup := g.lookup(key); dup {
+		if _, dup := g.disk.s.Lookup(key); dup {
 			return corruptf("config %d: duplicate configuration in spanning tree", id)
 		}
 		if _, err := g.intern(key, nc, parent, s, gi); err != nil {
@@ -406,9 +397,9 @@ func (st *search) restore(path string) error {
 		}
 	}
 	for id := 0; id < expanded; id++ {
-		// In disk mode the validated record bytes — already in the edge
-		// arena's encoding — are appended to it verbatim at the end of
-		// this iteration.
+		// The validated record bytes — already in the edge arena's
+		// encoding — are appended to it verbatim at the end of this
+		// iteration.
 		recStart := len(payload) - d.Len()
 		cnt := d.Int()
 		if err := d.Err(); err != nil {
@@ -419,7 +410,7 @@ func (st *search) restore(path string) error {
 		}
 		for k := 0; k < cnt; k++ {
 			to := d.Int()
-			s := decodeStep(d)
+			decodeStep(d)
 			gi := d.Int()
 			if err := d.Err(); err != nil {
 				return err
@@ -430,17 +421,12 @@ func (st *search) restore(path string) error {
 			if gi < 0 || gi >= max(order, 1) {
 				return corruptf("config %d: edge group index %d out of range", id, gi)
 			}
-			if g.disk == nil {
-				g.edges[id] = append(g.edges[id], edge{to: to, step: s, g: gi})
-			}
 		}
-		if dk := g.disk; dk != nil {
-			off, err := dk.s.Edges.Append(payload[recStart : len(payload)-d.Len()])
-			if err != nil {
-				return err
-			}
-			dk.edgeOff = append(dk.edgeOff, off)
+		off, err := g.disk.s.Edges.Append(payload[recStart : len(payload)-d.Len()])
+		if err != nil {
+			return err
 		}
+		g.disk.edgeOff = append(g.disk.edgeOff, off)
 	}
 	if err := d.Err(); err != nil {
 		return err
@@ -448,10 +434,8 @@ func (st *search) restore(path string) error {
 	if d.Len() != 0 {
 		return corruptf("%d trailing payload bytes", d.Len())
 	}
-	if dk := g.disk; dk != nil {
-		dk.edgeDurable = dk.s.Edges.Len()
-		g.spillExpanded(1, expanded)
-	}
+	g.disk.edgeDurable = g.disk.s.Edges.Len()
+	g.spillExpanded(1, expanded)
 
 	st.level = level
 	st.expanded = expanded

@@ -90,15 +90,16 @@ type Options struct {
 	// Checkpoint configures durable snapshots of the BFS (see
 	// CheckpointOptions); the zero value disables them.
 	Checkpoint CheckpointOptions
-	// Store, when enabled, spills the interning table, per-configuration
-	// outcome metadata, and the edge lists of completed BFS levels to
-	// the disk-backed configuration store (see internal/store), keeping
-	// only the active frontier hot in memory. Reports, witnesses,
-	// valency labels, DOT output, events, and checkpoint files are
-	// byte-identical to the in-memory engine at any worker count; only
-	// the store.* observability counters differ. The zero value keeps
-	// everything in memory. Callers of a disk-backed exploration own the
-	// returned Report's store and must Close it.
+	// Store configures the configuration store (see internal/store) that
+	// holds the interning table, per-configuration outcome metadata, and
+	// the edge lists of completed BFS levels, while only the active
+	// frontier stays live. The zero value keeps the store on the heap;
+	// with Store.Dir set its arenas are mmap'd files there. Reports,
+	// witnesses, valency labels, DOT output, events, and checkpoint
+	// files are byte-identical in both backends at any worker count;
+	// only a directory store records the store.* observability metrics.
+	// Callers of a directory-backed exploration own the returned
+	// Report's store and must Close it.
 	Store store.Options
 	// Cover, when non-nil, records which guarded branches each process
 	// exercised (see CoverRequest); the result lands in Report.Cover.
@@ -247,29 +248,20 @@ type Report struct {
 func (r *Report) Solved() bool { return len(r.Violations) == 0 }
 
 // graph is the explored configuration graph. Configurations are
-// interned by their compact binary key (Config.AppendKey); in-memory
-// map lookups go through string(bytes), which the compiler compiles to
-// a zero-copy probe, so only fresh configurations allocate a key. With
-// a disk store (disk != nil) the ids map and edges lists are unused:
-// keys live in the store's hash table, edge lists in its Edges arena,
+// interned by their compact binary key (Config.AppendKey) in the
+// configuration store (see store.go): keys live in its hash table,
+// outcome records in its Meta arena, edge lists in its Edges arena,
 // and expanded configs entries are nil after their level's spill.
 type graph struct {
 	sys     *System
 	tsk     task.Task
 	configs []*Config
-	ids     map[string]int
-	// baseIDs, on a forked graph (see fork.go), is the parent
-	// snapshot's frozen interning table; lookups fall through to it and
-	// fresh interns land in ids, so the parent table is shared
-	// copy-on-write between any number of concurrent forks.
-	baseIDs map[string]int
-	edges   [][]edge   // adjacency: edges[from] (in-memory mode)
 	parent  []int      // BFS tree: parent config id (-1 for root)
 	parentE []Step     // BFS tree: step from parent
 	valence []Valence  // per-config valence, populated by valency()
 	grp     *group     // symmetry group, nil when Options.Symmetry is off
 	canon   []int      // per config: group index g with perms[g]·config canonical
-	disk    *diskState // disk-backed store, nil when Options.Store is off
+	disk    *diskState // configuration store
 }
 
 type edge struct {
@@ -353,15 +345,11 @@ func newSearch(sys *System, tsk task.Task, opts *Options) (*search, *Report, err
 		return nil, rep, err
 	}
 
-	if opts.Store.Enabled() {
-		s, err := store.Open(opts.Store, opts.Obs)
-		if err != nil {
-			return fail(err)
-		}
-		g.disk = &diskState{s: s}
-	} else {
-		g.ids = make(map[string]int)
+	s, err := store.Open(opts.Store, opts.Obs)
+	if err != nil {
+		return fail(err)
 	}
+	g.disk = &diskState{s: s}
 
 	root, err := initialConfig(sys)
 	if err != nil {
@@ -449,14 +437,11 @@ type search struct {
 	fp          uint64 // memoized system fingerprint (see fingerprint)
 	fpSet       bool
 
-	// Append-only snapshot section caches (see encodeSnapshot): the
-	// encoded spanning-tree entries for ids [1, ckptTreeN), the encoded
-	// edge lists for ids [0, ckptEdgeN), and the counters-section
-	// scratch reused across snapshots.
+	// Append-only snapshot section cache (see encodeSnapshot): the
+	// encoded spanning-tree entries for ids [1, ckptTreeN), and the
+	// counters-section scratch reused across snapshots.
 	ckptTree  []byte
 	ckptTreeN int
-	ckptEdges []byte
-	ckptEdgeN int
 	ckptBuf   []byte
 
 	// levelHist, when metrics are enabled, receives each level's
@@ -524,12 +509,10 @@ func (st *search) bfs() error {
 			st.levelHist.ObserveDuration(time.Since(levelT0))
 		}
 		st.expanded = levelEnd
-		if d := g.disk; d != nil {
-			// The Edges arena now holds exactly the records of the
-			// expanded configurations; snapshots serialize this prefix
-			// while later merges append beyond it.
-			d.edgeDurable = d.s.Edges.Len()
-		}
+		// The Edges arena now holds exactly the records of the expanded
+		// configurations; snapshots serialize this prefix while later
+		// merges append beyond it.
+		g.disk.edgeDurable = g.disk.s.Edges.Len()
 		if frontier := len(g.configs) - st.expanded; frontier > st.frontierMax {
 			st.frontierMax = frontier
 		}
@@ -540,14 +523,12 @@ func (st *search) bfs() error {
 		if err := st.maybeCheckpoint(); err != nil {
 			return flushCkpt(st, err)
 		}
-		if d := g.disk; d != nil {
-			// Spill after the snapshot is encoded, then hold the run to
-			// its in-memory budget — so a budget failure surfaces only
-			// after this barrier's snapshot is on its way to disk.
-			g.spillExpanded(levelStart, levelEnd)
-			if err := d.s.CheckBudget(); err != nil {
-				return flushCkpt(st, err)
-			}
+		// Spill after the snapshot is encoded, then hold the run to its
+		// in-memory budget — so a budget failure surfaces only after this
+		// barrier's snapshot is on its way to disk.
+		g.spillExpanded(levelStart, levelEnd)
+		if err := g.disk.s.CheckBudget(); err != nil {
+			return flushCkpt(st, err)
 		}
 		if st.stopLevels > 0 && st.level >= st.stopLevels {
 			// Snapshot-prefix mode (see fork.go): leave the frontier
@@ -699,7 +680,7 @@ func (st *search) expandShard(start, end int) *shardOut {
 				if rec.gi != 0 {
 					out.symHits++
 				}
-				if id, ok := g.lookup(key); ok {
+				if id, ok := g.disk.s.Lookup(key); ok {
 					rec.id = id
 				} else {
 					rec.cfg = nc
@@ -725,7 +706,7 @@ func (st *search) expandShard(start, end int) *shardOut {
 // offsets; only successors the table has never seen (the ones the
 // merge will intern) then build a real Config. Since most successors
 // at a level are duplicates, this keeps the dominant share of
-// expansion work allocation-free in both backends.
+// expansion work allocation-free.
 //
 // The successor enumeration mirrors successors() exactly — same
 // ordering, same error values at the same points — so reports and
@@ -793,7 +774,7 @@ func (st *search) expandShardSpliced(out *shardOut, sc *keyScratch, start, end i
 					step: Step{Proc: i, Obj: jo, Op: poise.Op, Resp: t.Resp, Branch: b},
 					id:   -1,
 				}
-				if id, ok := g.lookup(cand); ok {
+				if id, ok := g.disk.s.Lookup(cand); ok {
 					rec.id = id
 				} else {
 					nc := &Config{
@@ -836,8 +817,7 @@ func (st *search) mergeLevel(outs []*shardOut) error {
 	if firstErr != nil {
 		return firstErr
 	}
-	g, rep := st.g, st.rep
-	d := g.disk
+	g, rep, d := st.g, st.rep, st.g.disk
 	for _, out := range outs {
 		st.symHits += out.symHits
 		if out.orbitMax > st.orbitMax {
@@ -853,17 +833,14 @@ func (st *search) mergeLevel(outs []*shardOut) error {
 				rep.Quiescent++
 			}
 			batch += len(exp.succs)
-			var rec []byte
-			if d != nil {
-				rec = d.edgeRec[:0]
-			}
+			rec := d.edgeRec[:0]
 			merged := 0
 			var stop error
 			for _, s := range exp.succs {
 				if st.cover != nil && g.configs[at].Procs[s.step.Proc].PC == st.coverPC {
 					// The parent configuration of the currently merging
 					// level is always resident (spilling runs after the
-					// merge), so this read is safe in both backends.
+					// merge).
 					if s.step.Resp == value.Bottom {
 						st.cover[s.step.Proc].Bottom = true
 					} else {
@@ -873,7 +850,7 @@ func (st *search) mergeLevel(outs []*shardOut) error {
 				id, fresh := s.id, false
 				if id < 0 {
 					key := out.arena[s.off:s.end]
-					if known, ok := g.lookup(key); ok {
+					if known, ok := g.disk.s.Lookup(key); ok {
 						id = known
 					} else {
 						var err error
@@ -890,13 +867,7 @@ func (st *search) mergeLevel(outs []*shardOut) error {
 					// so D = perms[inv(s.gi) ∘ canon[id]]·R_id.
 					gi = g.grp.comp[g.grp.inv[s.gi]][g.canon[id]]
 				}
-				if d != nil {
-					rec = appendV(rec, int64(id))
-					rec = appendStep(rec, s.step)
-					rec = appendV(rec, int64(gi))
-				} else {
-					g.edges[at] = append(g.edges[at], edge{to: id, step: s.step, g: gi})
-				}
+				rec = appendEdge(rec, id, s.step, gi)
 				merged++
 				rep.Transitions++
 				if fresh && len(g.configs) > st.opts.MaxStates {
@@ -907,25 +878,22 @@ func (st *search) mergeLevel(outs []*shardOut) error {
 					break
 				}
 			}
-			if d != nil {
-				// One arena append per configuration — the whole edge
-				// batch, count-prefixed in the checkpoint section format
-				// — rather than one write per successor. On an aborted
-				// merge the truncated record still lands, so the partial
-				// graph matches the in-memory engine's edge for edge; it
-				// never enters a snapshot (edgeDurable only advances at
-				// completed barriers).
-				d.edgeRec = rec
-				var hdr [binary.MaxVarintLen64]byte
-				off, err := d.s.Edges.Append(hdr[:binary.PutVarint(hdr[:], int64(merged))])
-				if err == nil {
-					_, err = d.s.Edges.Append(rec)
-				}
-				if err != nil {
-					return err
-				}
-				d.edgeOff = append(d.edgeOff, off)
+			// One arena append per configuration — the whole edge batch,
+			// count-prefixed in the checkpoint section format — rather
+			// than one write per successor. On an aborted merge the
+			// truncated record still lands, so the partial graph keeps
+			// every merged edge; it never enters a snapshot (edgeDurable
+			// only advances at completed barriers).
+			d.edgeRec = rec
+			var hdr [binary.MaxVarintLen64]byte
+			off, err := d.s.Edges.Append(hdr[:putV(hdr[:], 0, int64(merged))])
+			if err == nil {
+				_, err = d.s.Edges.Append(rec)
 			}
+			if err != nil {
+				return err
+			}
+			d.edgeOff = append(d.edgeOff, off)
 			if stop != nil {
 				return stop
 			}

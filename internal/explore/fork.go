@@ -9,11 +9,11 @@
 // <= Depth-1 was produced exclusively by instructions the whole group
 // shares. SnapshotPrefix freezes the search at that barrier; Fork
 // resumes it per candidate as a copy-on-write view over the frozen
-// tables (shared *Config pointers, cap-clamped BFS-tree columns, an
-// interning-table overlay), producing a Report byte-identical to a
-// from-scratch run of the forked system.
+// tables (shared *Config pointers, cap-clamped BFS-tree columns, a
+// clone of the heap-backed store), producing a Report byte-identical
+// to a from-scratch run of the forked system.
 //
-// Restrictions: in-memory engine, symmetry off, no valency, no
+// Restrictions: heap-backed store, symmetry off, no valency, no
 // checkpointing — exactly the configuration falsification sweeps run.
 package explore
 
@@ -21,13 +21,14 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 
 	"setagree/internal/task"
 )
 
 // ErrForkUnsupported reports a SnapshotPrefix or Fork option outside
-// the supported envelope (symmetry, valency, disk store, checkpoints,
-// or a mismatched forked system).
+// the supported envelope (symmetry, valency, store directory,
+// checkpoints, or a mismatched forked system).
 var ErrForkUnsupported = errors.New("explore: fork does not support this configuration")
 
 // ProbeSymmetry replays exactly the pre-BFS admissibility pipeline of
@@ -74,7 +75,7 @@ func (s *Snapshot) States() int { return len(s.g.configs) }
 
 // SnapshotPrefix explores sys for exactly `levels` BFS levels and
 // freezes the search at that barrier. The run is silent (no metrics,
-// events, or checkpoints) and supports only the plain in-memory
+// events, or checkpoints) and supports only the plain heap-backed
 // symmetry-off engine. Callers guarantee that every system later
 // passed to Fork executes instructions identical to sys's over the
 // snapshot's levels; the prefix levels of enumerate's candidate
@@ -85,7 +86,7 @@ func SnapshotPrefix(sys *System, tsk task.Task, levels int, opts Options) (*Snap
 	}
 	if opts.Symmetry != SymmetryOff || opts.Valency || opts.Store.Enabled() ||
 		opts.Checkpoint.Path != "" || opts.Cover != nil {
-		return nil, fmt.Errorf("explore: snapshot prefixes support only the plain in-memory engine: %w", ErrForkUnsupported)
+		return nil, fmt.Errorf("explore: snapshot prefixes support only the plain heap-backed engine: %w", ErrForkUnsupported)
 	}
 	opts.Obs = nil
 	opts.Events = nil
@@ -114,9 +115,10 @@ func SnapshotPrefix(sys *System, tsk task.Task, levels int, opts Options) (*Snap
 // objects, and inputs; programs that agree with the snapshot's over
 // every instruction executed in the prefix — and drives the search to
 // completion. The forked graph is a copy-on-write view: the prefix
-// configuration table, BFS-tree columns, and interning entries are
-// shared read-only with the snapshot (and with every concurrent fork),
-// and only post-fork growth allocates. Because the prefix executions
+// configurations, BFS-tree columns, and store arenas are shared
+// read-only with the snapshot (and with every concurrent fork); the
+// fork copies only the store's hash table and the configuration
+// pointers, which its spills overwrite. Because the prefix executions
 // are identical by the caller's guarantee and the merge order is
 // canonical, the returned Report — ids, counts, violations, witnesses
 // — is byte-identical to a from-scratch Check of the forked system;
@@ -143,7 +145,7 @@ func (s *Snapshot) Fork(sys *System, opts Options) (*Report, error) {
 			opts.MaxStates, s.maxStates, ErrForkUnsupported)
 	}
 	if opts.Symmetry != SymmetryOff || opts.Valency || opts.Store.Enabled() || opts.Checkpoint.Path != "" {
-		return nil, fmt.Errorf("explore: forks support only the plain in-memory engine: %w", ErrForkUnsupported)
+		return nil, fmt.Errorf("explore: forks support only the plain heap-backed engine: %w", ErrForkUnsupported)
 	}
 	if opts.HeartbeatEvery == 0 {
 		opts.HeartbeatEvery = 1 << 15
@@ -153,18 +155,14 @@ func (s *Snapshot) Fork(sys *System, opts Options) (*Report, error) {
 	}
 
 	n := len(base.configs)
-	edges := make([][]edge, n)
-	copy(edges, base.edges)
 	g := &graph{
 		sys:     sys,
 		tsk:     base.tsk,
-		configs: base.configs[:n:n],
-		ids:     make(map[string]int),
-		baseIDs: base.ids,
-		edges:   edges,
+		configs: slices.Clone(base.configs),
 		parent:  base.parent[:n:n],
 		parentE: base.parentE[:n:n],
 		canon:   base.canon[:n:n],
+		disk:    base.disk.clone(),
 	}
 	rep := &Report{g: g, Transitions: s.transitions, Quiescent: s.quiescent}
 	st := &search{

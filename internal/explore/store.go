@@ -1,15 +1,15 @@
-// Out-of-core exploration: the disk-backed configuration store.
+// The configuration store.
 //
-// With Options.Store set, the explorer keeps the active BFS frontier
-// hot in memory while everything only the post-exploration analyses
-// need — the interning table, per-configuration outcome metadata, and
-// the encoded edge lists of completed levels — lives in the mmap'd
-// append-only arenas of internal/store. Spilled state is written in
-// exactly the delta-encoded section format the checkpoint package
-// persists, so a snapshot's edge section is served zero-copy from the
-// arena's committed prefix, and the completed run's Report, witnesses,
-// valency labels, DOT output, and event stream stay byte-identical to
-// the in-memory engine at any worker count.
+// The explorer keeps the active BFS frontier live in memory while
+// everything only the post-exploration analyses need — the interning
+// table, per-configuration outcome metadata, and the encoded edge lists
+// of completed levels — lives in the append-only arenas of
+// internal/store: on the heap, or mmap'd under Options.Store.Dir.
+// Edge lists are written in exactly the delta-encoded section format
+// the checkpoint package persists, so a snapshot's edge section is
+// served zero-copy from the arena's committed prefix, and the two
+// backends produce byte-identical Reports, witnesses, valency labels,
+// DOT output, event streams, and snapshots at any worker count.
 //
 // What stays resident per configuration: the BFS tree columns (parent
 // id + Step), the canon column, one (nil after spill) *Config pointer,
@@ -27,7 +27,7 @@ import (
 	"setagree/internal/value"
 )
 
-// diskState is the explorer's view of an open configuration store.
+// diskState is the explorer's view of its configuration store.
 type diskState struct {
 	s *store.Store
 	// metaOff[id] and edgeOff[id] locate config id's outcome record in
@@ -46,51 +46,40 @@ type diskState struct {
 	metaRec []byte
 }
 
-// lookup probes the interning table for a configuration key. Forked
-// graphs (fork.go) probe their own overlay first, then fall through to
-// the parent snapshot's frozen table; the two are disjoint, so the
-// order only matters for performance (fresh keys dominate post-fork).
-func (g *graph) lookup(key []byte) (int, bool) {
-	if g.disk != nil {
-		return g.disk.s.Lookup(key)
+// clone returns a copy-on-write view of a heap-backed store's state for
+// a fork (see fork.go): the fork appends past the shared prefix without
+// disturbing d or any sibling fork.
+func (d *diskState) clone() *diskState {
+	return &diskState{
+		s:           d.s.Clone(),
+		metaOff:     d.metaOff[:len(d.metaOff):len(d.metaOff)],
+		edgeOff:     d.edgeOff[:len(d.edgeOff):len(d.edgeOff)],
+		edgeDurable: d.edgeDurable,
 	}
-	if id, ok := g.ids[string(key)]; ok {
-		return id, true
-	}
-	if g.baseIDs != nil {
-		id, ok := g.baseIDs[string(key)]
-		return id, ok
-	}
-	return 0, false
 }
 
 // intern adds a fresh configuration under its binary key (the
 // canonical orbit key when symmetry is on; the stored configuration
 // stays concrete), recording its BFS parent and the group index gi
 // that canonicalizes it, and returns the new id. The caller has
-// already verified the key is absent. In-memory the string conversion
-// here is the single per-state key allocation; on the disk store the
-// key and the outcome metadata record go to the arenas instead.
+// already verified the key is absent. The key and the outcome metadata
+// record go to the store's arenas.
 func (g *graph) intern(key []byte, c *Config, parent int, via Step, gi int) (int, error) {
 	id := len(g.configs)
-	if d := g.disk; d != nil {
-		sid, err := d.s.Intern(key)
-		if err != nil {
-			return 0, err
-		}
-		if sid != id {
-			return 0, fmt.Errorf("explore: internal: store assigned id %d to configuration %d", sid, id)
-		}
-		d.metaRec = appendMeta(d.metaRec[:0], g.sys, c)
-		off, err := d.s.Meta.Append(d.metaRec)
-		if err != nil {
-			return 0, err
-		}
-		d.metaOff = append(d.metaOff, off)
-	} else {
-		g.ids[string(key)] = id
-		g.edges = append(g.edges, nil)
+	d := g.disk
+	sid, err := d.s.Intern(key)
+	if err != nil {
+		return 0, err
 	}
+	if sid != id {
+		return 0, fmt.Errorf("explore: internal: store assigned id %d to configuration %d", sid, id)
+	}
+	d.metaRec = appendMeta(d.metaRec[:0], g.sys, c)
+	off, err := d.s.Meta.Append(d.metaRec)
+	if err != nil {
+		return 0, err
+	}
+	d.metaOff = append(d.metaOff, off)
 	g.configs = append(g.configs, c)
 	g.parent = append(g.parent, parent)
 	g.parentE = append(g.parentE, via)
@@ -104,21 +93,16 @@ func (g *graph) intern(key []byte, c *Config, parent int, via Step, gi int) (int
 // configAt). The root (id 0) always stays resident: the snapshot
 // fingerprint and the symmetry root-stability check key it directly.
 func (g *graph) spillExpanded(start, end int) {
-	if g.disk == nil {
-		return
-	}
-	if start < 1 {
-		start = 1
-	}
-	for id := start; id < end; id++ {
+	for id := max(start, 1); id < end; id++ {
 		g.configs[id] = nil
 	}
 }
 
 // configAt returns the concrete configuration with the given id,
 // replaying the BFS tree from the nearest resident ancestor when it
-// was spilled. Replay is witness-extraction machinery (stabilizer
-// checks), never the hot path.
+// was spilled. Replayed configurations stay resident, so later replays
+// through them start there. Replay is witness-extraction machinery
+// (stabilizer checks), never the hot path.
 func (g *graph) configAt(id int) *Config {
 	if c := g.configs[id]; c != nil {
 		return c
@@ -140,6 +124,7 @@ func (g *graph) configAt(id int) *Config {
 			panic(fmt.Sprintf("explore: internal: spilled configuration %d does not replay", chain[k]))
 		}
 		c = nexts[s.Branch]
+		g.configs[chain[k]] = c
 	}
 	return c
 }
@@ -170,9 +155,9 @@ func appendMeta(dst []byte, sys *System, c *Config) []byte {
 	return dst
 }
 
-// metaAt fills m with config id's outcome record, decoding it from the
-// meta arena when the configuration was spilled. m's slices are reused
-// across calls; callers keep one metaRec per scan.
+// metaAt fills m with config id's outcome record, decoded from the meta
+// arena. m's slices are reused across calls; callers keep one metaRec
+// per scan.
 func (g *graph) metaAt(id int, m *metaRec) {
 	n := g.sys.Procs()
 	if len(m.status) != n {
@@ -180,32 +165,25 @@ func (g *graph) metaAt(id int, m *metaRec) {
 		m.decision = make([]value.Value, n)
 		m.poised = make([]int, n)
 	}
-	if c := g.configs[id]; c != nil {
-		m.mask = c.SteppedMask
-		for i := range c.Procs {
-			m.status[i] = c.Procs[i].Status
-			m.decision[i] = c.Procs[i].Decision
-			m.poised[i] = -1
-			if poise, ok := machine.Poised(g.sys.Programs[i], c.Procs[i]); ok {
-				m.poised[i] = poise.Obj
-			}
-		}
-		return
-	}
 	d := g.disk
-	start := d.metaOff[id]
-	end := d.s.Meta.Len()
-	if id+1 < len(d.metaOff) {
-		end = d.metaOff[id+1]
-	}
-	d.s.Meta.FaultSpan(start, end)
-	dec := arenaDec{a: d.s.Meta, off: start}
+	dec := recDec{b: record(d.s.Meta, d.metaOff, id)}
 	m.mask = dec.uvarint()
 	for i := 0; i < n; i++ {
 		m.status[i] = machine.Status(dec.byte())
 		m.decision[i] = value.Value(dec.varint())
 		m.poised[i] = int(dec.varint())
 	}
+}
+
+// record returns record id of an arena whose records start at offs and
+// are laid out in id order, each ending where the next one starts (or
+// at the arena's end, for the last).
+func record(a *store.Arena, offs []int64, id int) []byte {
+	end := a.Len()
+	if id+1 < len(offs) {
+		end = offs[id+1]
+	}
+	return a.Span(offs[id], end)
 }
 
 // live reports whether process i is poised to take a step.
@@ -237,46 +215,40 @@ func (m *metaRec) outcome(inputs []value.Value) task.Outcome {
 	return o
 }
 
-// arenaDec decodes store-arena records in place. The records are the
-// explorer's own write-once bytes, so there is no error path: a
-// malformed record indicates memory corruption and panics via the
-// arena's bounds check.
-type arenaDec struct {
-	a   *store.Arena
-	off int64
+// recDec decodes one arena record. The records are the explorer's own
+// write-once bytes, so there is no error path: a malformed record
+// indicates memory corruption and panics via the bounds check.
+type recDec struct {
+	b []byte
+	i int
 }
 
-func (d *arenaDec) byte() byte {
-	b := d.a.Byte(d.off)
-	d.off++
+func (d *recDec) byte() byte {
+	b := d.b[d.i]
+	d.i++
 	return b
 }
 
-func (d *arenaDec) uvarint() uint64 {
-	var x uint64
-	var s uint
-	for {
-		b := d.byte()
-		if b < 0x80 {
-			return x | uint64(b)<<s
-		}
-		x |= uint64(b&0x7f) << s
-		s += 7
+// uvarint decodes an unsigned varint, with the dominant one-byte case
+// first.
+func (d *recDec) uvarint() uint64 {
+	if b := d.b[d.i]; b < 0x80 {
+		d.i++
+		return uint64(b)
 	}
-}
-
-func (d *arenaDec) varint() int64 {
-	ux := d.uvarint()
-	x := int64(ux >> 1)
-	if ux&1 != 0 {
-		x = ^x
-	}
+	x, n := binary.Uvarint(d.b[d.i:])
+	d.i += n
 	return x
 }
 
-// step decodes exactly the bytes appendStep (and the checkpoint
-// encoder's putStep) writes.
-func (d *arenaDec) step() Step {
+// varint decodes a zigzag-encoded signed varint.
+func (d *recDec) varint() int64 {
+	ux := d.uvarint()
+	return int64(ux>>1) ^ -int64(ux&1)
+}
+
+// step decodes exactly the bytes putStep writes.
+func (d *recDec) step() Step {
 	var s Step
 	s.Op.Method = value.Method(d.byte())
 	s.Op.Arg = value.Value(d.varint())
@@ -288,68 +260,26 @@ func (d *arenaDec) step() Step {
 	return s
 }
 
-// appendV and appendStep are the append-style twins of the checkpoint
-// encoder's putV/putStep, producing byte-identical records — which is
-// what lets a snapshot serve its edge section straight from the arena.
-func appendV(dst []byte, v int64) []byte {
-	return binary.AppendVarint(dst, v)
-}
-
-func appendStep(dst []byte, s Step) []byte {
-	dst = append(dst, byte(s.Op.Method))
-	dst = appendV(dst, int64(s.Op.Arg))
-	dst = appendV(dst, int64(s.Op.Label))
-	dst = appendV(dst, int64(s.Resp))
-	dst = appendV(dst, int64(s.Proc))
-	dst = appendV(dst, int64(s.Obj))
-	dst = appendV(dst, int64(s.Branch))
-	return dst
-}
-
-// edgeIter walks one configuration's outgoing edges, from the
-// in-memory adjacency list or by decoding the configuration's edge
-// record in the Edges arena. Iteration order is identical in both
-// modes: the canonical merge order the record was written in.
+// edgeIter walks one configuration's outgoing edges by decoding its
+// record in the Edges arena, in the canonical merge order the record
+// was written in.
 type edgeIter struct {
-	es  []edge // in-memory mode
-	i   int
-	rem int // remaining records in disk mode; -1 flags in-memory mode
-	dec arenaDec
+	rem int // edges left to decode
+	dec recDec
 }
 
 // edgeIter returns an iterator over config id's outgoing edges.
 // Unexpanded configurations (frontier at an aborted run) have none.
 func (g *graph) edgeIter(id int) edgeIter {
 	d := g.disk
-	if d == nil {
-		if id >= len(g.edges) {
-			return edgeIter{rem: 0}
-		}
-		return edgeIter{es: g.edges[id], rem: -1}
-	}
 	if id >= len(d.edgeOff) {
-		return edgeIter{rem: 0}
+		return edgeIter{}
 	}
-	start := d.edgeOff[id]
-	end := d.s.Edges.Len()
-	if id+1 < len(d.edgeOff) {
-		end = d.edgeOff[id+1]
-	}
-	d.s.Edges.FaultSpan(start, end)
-	dec := arenaDec{a: d.s.Edges, off: start}
-	rem := int(dec.varint())
-	return edgeIter{rem: rem, dec: dec}
+	dec := recDec{b: record(d.s.Edges, d.edgeOff, id)}
+	return edgeIter{rem: int(dec.varint()), dec: dec}
 }
 
 func (it *edgeIter) next() (edge, bool) {
-	if it.rem < 0 {
-		if it.i >= len(it.es) {
-			return edge{}, false
-		}
-		e := it.es[it.i]
-		it.i++
-		return e, true
-	}
 	if it.rem == 0 {
 		return edge{}, false
 	}
@@ -361,16 +291,15 @@ func (it *edgeIter) next() (edge, bool) {
 	return e, true
 }
 
-// Close releases the report's disk-backed configuration store,
-// unmapping and removing its arena files. It is a no-op (and nil-safe)
-// for in-memory explorations, and idempotent. After Close the report's
-// counts, violations, and valency summary remain valid, but the graph
-// walks — WriteDOT, Adversary — must not be called.
+// Close releases the report's configuration store, unmapping and
+// removing the arena files of a directory store. It is a no-op for
+// heap-backed stores, nil-safe, and idempotent. After Close on a
+// directory store the report's counts, violations, and valency summary
+// remain valid, but the graph walks — WriteDOT, Adversary — must not be
+// called.
 func (r *Report) Close() error {
 	if r == nil || r.g == nil || r.g.disk == nil {
 		return nil
 	}
-	d := r.g.disk
-	r.g.disk = nil
-	return d.s.Close()
+	return r.g.disk.s.Close()
 }

@@ -2,24 +2,29 @@ package explore_test
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"setagree/internal/explore"
 	"setagree/internal/obs"
+	"setagree/internal/programs"
 	"setagree/internal/store"
+	"setagree/internal/task"
+	"setagree/internal/value"
 )
 
 // TestDiskStoreReportEquivalence pins the out-of-core contract: a
-// disk-backed exploration produces a Report, witness set, valency
+// directory-backed exploration produces a Report, witness set, valency
 // analysis, DOT rendering, and event stream byte-identical to the
-// in-memory engine's, at every worker count and symmetry mode. It also
-// checks the store actually spilled (the equivalence would be vacuous
-// if everything stayed resident) and that Close is idempotent and
-// removes the arena files.
+// heap-backed store's, at every worker count and symmetry mode. It
+// also checks the directory store actually spilled (the equivalence
+// would be vacuous if nothing reached the files) and that Close is
+// idempotent and removes the arena files.
 func TestDiskStoreReportEquivalence(t *testing.T) {
 	t.Parallel()
 	for _, workers := range []int{1, 4} {
@@ -40,7 +45,7 @@ func TestDiskStoreReportEquivalence(t *testing.T) {
 				memOpts.Events = obs.NewEmitterAt(&memEvents, fixedClock)
 				memRep, err := explore.Check(sys, tsk, memOpts)
 				if err != nil {
-					t.Fatalf("in-memory Check: %v", err)
+					t.Fatalf("heap-backed Check: %v", err)
 				}
 
 				dir := t.TempDir()
@@ -54,9 +59,9 @@ func TestDiskStoreReportEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("disk-backed Check: %v", err)
 				}
-				sameReport(t, "disk vs memory", diskRep, memRep)
+				sameReport(t, "disk vs heap", diskRep, memRep)
 				if !bytes.Equal(diskEvents.Bytes(), memEvents.Bytes()) {
-					t.Errorf("disk-backed event stream differs from in-memory run")
+					t.Errorf("disk-backed event stream differs from heap-backed run")
 				}
 				snap := sink.Snapshot()
 				if snap.Counters["store.spilled_bytes"] == 0 {
@@ -88,10 +93,10 @@ func TestDiskStoreReportEquivalence(t *testing.T) {
 	}
 }
 
-// TestDiskStoreCheckpointBytesIdentical requires the disk-backed
-// engine's level snapshots to be byte-for-byte the in-memory engine's:
-// the Edges arena serves the checkpoint edge section zero-copy, and
-// this pins that the arena records really are the checkpoint encoding.
+// TestDiskStoreCheckpointBytesIdentical requires a directory-backed
+// run's level snapshots to be byte-for-byte a heap-backed run's: both
+// serve the checkpoint edge section zero-copy from the Edges arena, so
+// this pins that the mmap'd chunks reassemble the heap arena's bytes.
 func TestDiskStoreCheckpointBytesIdentical(t *testing.T) {
 	t.Parallel()
 	sys, tsk := durableInstance(t)
@@ -135,7 +140,7 @@ func TestDiskStoreCheckpointBytesIdentical(t *testing.T) {
 			continue
 		}
 		if !bytes.Equal(got, want) {
-			t.Errorf("level-%d snapshot differs between disk and memory engines (%d vs %d bytes)",
+			t.Errorf("level-%d snapshot differs between disk and heap stores (%d vs %d bytes)",
 				level, len(got), len(want))
 		}
 	}
@@ -144,7 +149,7 @@ func TestDiskStoreCheckpointBytesIdentical(t *testing.T) {
 // TestKillResumeDiskStore extends the kill-resume suite to the
 // disk-backed engine: every level snapshot of a disk-backed run must
 // resume — into a fresh disk store — to a Report and event stream
-// byte-identical to the uninterrupted in-memory run's.
+// byte-identical to the uninterrupted heap-backed run's.
 func TestKillResumeDiskStore(t *testing.T) {
 	t.Parallel()
 	for _, workers := range []int{1, 4} {
@@ -257,7 +262,7 @@ func TestDiskStoreBudgetExceeded(t *testing.T) {
 		t.Errorf("store.heap_bytes_max gauge not recorded")
 	}
 
-	// The abort left a snapshot; it resumes (in-memory here) to the
+	// The abort left a snapshot; it resumes (heap-backed here) to the
 	// uninterrupted verdict.
 	refRep, err := explore.Check(sys, tsk, explore.Options{Workers: 2})
 	if err != nil {
@@ -268,4 +273,127 @@ func TestDiskStoreBudgetExceeded(t *testing.T) {
 		t.Fatalf("Resume after budget abort: %v", err)
 	}
 	sameReport(t, "resume after budget abort", resRep, refRep)
+}
+
+// digestCase is one instance TestStoreDigests pins.
+type digestCase struct {
+	name    string
+	sys     *explore.System
+	tsk     task.Task
+	valency bool
+}
+
+// digestCases are the kill-resume instance plus the three
+// TestWorkersDeterminism protocols, which between them carry valency
+// labels, critical configurations, a safety witness, and liveness
+// witnesses with cycles.
+func digestCases(t *testing.T) []digestCase {
+	t.Helper()
+	durSys, durTsk := durableInstance(t)
+	cases := []digestCase{{name: "durable", sys: durSys, tsk: durTsk, valency: true}}
+	for _, p := range []struct {
+		name    string
+		prot    programs.Protocol
+		inputs  []value.Value
+		tsk     task.Task
+		valency bool
+	}{
+		{"algorithm2-dac", programs.Algorithm2(3, 1), []value.Value{1, 0, 0}, task.DAC{N: 3, P: 0}, true},
+		{"naive-2sa-safety", programs.NaiveTwoSAConsensus(2), []value.Value{0, 1}, task.Consensus{N: 2}, false},
+		{"oversubscribed-liveness", programs.OverSubscribedConsensus(2), []value.Value{0, 1, 2}, task.Consensus{N: 3}, false},
+	} {
+		sys, err := p.prot.System(p.inputs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, digestCase{name: p.name, sys: sys, tsk: p.tsk, valency: p.valency})
+	}
+	return cases
+}
+
+// renderReport renders every observable field of a report — counts,
+// violations with their witnesses and cycles, and the valency analysis
+// — in Go syntax, so no field hides behind a String method.
+func renderReport(rep *explore.Report) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "states=%d transitions=%d quiescent=%d\n", rep.States, rep.Transitions, rep.Quiescent)
+	for _, v := range rep.Violations {
+		fmt.Fprintf(&b, "violation kind=%d proc=%d err=%q\nwitness=%#v\ncycle=%#v\n",
+			v.Kind, v.Proc, v.Err.Error(), v.Witness, v.Cycle)
+	}
+	if rep.Valency != nil {
+		fmt.Fprintf(&b, "valency=%#v\n", *rep.Valency)
+	}
+	return b.String()
+}
+
+// TestStoreDigests pins SHA-256 digests of every output an exploration
+// produces — the rendered report, WriteDOT, the fixed-clock event
+// stream, and the final checkpoint file — for each digest case at
+// Workers 1 and 4 and symmetry off and ids, with and without a store
+// directory. The digests were recorded from the map-interning engine
+// the configuration store replaced, so they hold both store backends
+// to its bytes.
+func TestStoreDigests(t *testing.T) {
+	t.Parallel()
+	// want maps case/workers/symmetry to the report, DOT, events, and
+	// checkpoint digests. Only the events digest depends on Workers (the
+	// stream carries a workers field).
+	want := map[string][4]string{
+		"algorithm2-dac/workers=1/symmetry=ids":          {"c4809cf68db9c55721eabba9a5ae61bf56c8f72077c876fca916571a93af07cd", "15c3d6ae0d5dc396918e211f4d919eaf79450c98cd6e89c0d25d5b198f6cb37d", "b08391d373aad1f658c5f188df96e26db54e900a683ed537dffe79abc55dd49a", "54518ffb8d113615326cee70988da832c5fe0010cdb17ccdf4af39eb1b29f08c"},
+		"algorithm2-dac/workers=1/symmetry=off":          {"f2f5e1e246e10ae0c5b9a489577cf121b6c4104f24423708816e19cae32ef4b0", "5477593c9bac201ab290f41a91ab26b7fb148f116ca4c65e4815ab795b09a49e", "e8f18519632437649337fd830b68f9b807a5fb7236786e44f93605e2ff744ae5", "9dfc9b4decdc3bffca63abe590d0d173b437f89d63da21fcec6eb37febac6a78"},
+		"algorithm2-dac/workers=4/symmetry=ids":          {"c4809cf68db9c55721eabba9a5ae61bf56c8f72077c876fca916571a93af07cd", "15c3d6ae0d5dc396918e211f4d919eaf79450c98cd6e89c0d25d5b198f6cb37d", "9d702ac25e013cccafbd3c13513fe4ddafede0afac884925bde9518d2df1d329", "54518ffb8d113615326cee70988da832c5fe0010cdb17ccdf4af39eb1b29f08c"},
+		"algorithm2-dac/workers=4/symmetry=off":          {"f2f5e1e246e10ae0c5b9a489577cf121b6c4104f24423708816e19cae32ef4b0", "5477593c9bac201ab290f41a91ab26b7fb148f116ca4c65e4815ab795b09a49e", "4a81b6bc601d2c0c1c3d9aa9f150a68217556d650967ba8a829d8b23e6a6fe83", "9dfc9b4decdc3bffca63abe590d0d173b437f89d63da21fcec6eb37febac6a78"},
+		"durable/workers=1/symmetry=ids":                 {"89f292cbe7e3c1fd5ef0c6db9bcbcf0d1091dc4152b5d3c9cffdb1142dbb422e", "922efd90b316c0de91dc4348a9e7e578ea83a1e502f1f9acfd42603c8744f2ac", "2bb30d49e5e5a8bdc058d3c1eafba8227808ad7726cf64c17439ade15ede9eae", "d9ae453b9cc74ca4cc344b0dd8f5d41213c8a8008fd15d7d1eeede109dea4f0d"},
+		"durable/workers=1/symmetry=off":                 {"d9bff20f4b018ca2f2d0fb34c3f68bbf3095af6886299b0f2f9b8fdd859a245c", "93fc74e00e09124d8e7ed2e003727a43b88b58e15605151e6ebd4d89cb43fa70", "7fbeb63838b7ece88b841f1d07cd9469645ee2498a215d22c81a1b399a929e33", "f5ad5f812106c1345ef1ce80e9c32ee1108b8540c953ebc09974542dc924df06"},
+		"durable/workers=4/symmetry=ids":                 {"89f292cbe7e3c1fd5ef0c6db9bcbcf0d1091dc4152b5d3c9cffdb1142dbb422e", "922efd90b316c0de91dc4348a9e7e578ea83a1e502f1f9acfd42603c8744f2ac", "e840eaf30fda244ecd11ec149921382f8a7cae677dfdd5af285354f9a21c351f", "d9ae453b9cc74ca4cc344b0dd8f5d41213c8a8008fd15d7d1eeede109dea4f0d"},
+		"durable/workers=4/symmetry=off":                 {"d9bff20f4b018ca2f2d0fb34c3f68bbf3095af6886299b0f2f9b8fdd859a245c", "93fc74e00e09124d8e7ed2e003727a43b88b58e15605151e6ebd4d89cb43fa70", "7a45774b0e63b015deaf95ee668cbf29288a3d3f80766104347394896d55d86d", "f5ad5f812106c1345ef1ce80e9c32ee1108b8540c953ebc09974542dc924df06"},
+		"naive-2sa-safety/workers=1/symmetry=ids":        {"86af110b21e1f52624fba9e90d82b75045bd1fa45692f2ee155cc0d070ae0a60", "78117da7cb0286f47bf1d424b0891d26aaf4c2a893ac59cf339b50b554d9951a", "5cfd7ef802ba81dfbb19f7ee90d6d0a00ded2199793f3171a4576d3b4d3ba69e", "6e4174cb43f204f3e1285113e0d6d4aac37ec105a91f0fc86f27ea04021220d6"},
+		"naive-2sa-safety/workers=1/symmetry=off":        {"86af110b21e1f52624fba9e90d82b75045bd1fa45692f2ee155cc0d070ae0a60", "78117da7cb0286f47bf1d424b0891d26aaf4c2a893ac59cf339b50b554d9951a", "7560858b32918af3fa26b2af9a03fa263a562e2cd202b704d52bd7414651e172", "1d99da05ab4211eec8ea4348a7a194aa2ba04ee6798c2a1bfca3adb8b7acbe86"},
+		"naive-2sa-safety/workers=4/symmetry=ids":        {"86af110b21e1f52624fba9e90d82b75045bd1fa45692f2ee155cc0d070ae0a60", "78117da7cb0286f47bf1d424b0891d26aaf4c2a893ac59cf339b50b554d9951a", "f1194d40b243aeed402cc8fad0c300edf3a2fea09c2b9f757b8e6d124d8dcb70", "6e4174cb43f204f3e1285113e0d6d4aac37ec105a91f0fc86f27ea04021220d6"},
+		"naive-2sa-safety/workers=4/symmetry=off":        {"86af110b21e1f52624fba9e90d82b75045bd1fa45692f2ee155cc0d070ae0a60", "78117da7cb0286f47bf1d424b0891d26aaf4c2a893ac59cf339b50b554d9951a", "42edf8481d9bf4a7568e11ce1015d35276d39b8335f6047db97a3241d213f856", "1d99da05ab4211eec8ea4348a7a194aa2ba04ee6798c2a1bfca3adb8b7acbe86"},
+		"oversubscribed-liveness/workers=1/symmetry=ids": {"521351411d220e523676f7ef980ba764a09660df29bfe0ac9d019941927d45d5", "22bfc5dee67d203b2e298b3aa382736631d6aff685b6e50224d6d2cae8c0b6d8", "30885130574376c7366471574ccfd9b7d3daeda92e3a7db6b0411bacaa8ce7bc", "803dbc4c5a075a1928b4c9585122e257c44cc343472b1059c06beb50039e8b42"},
+		"oversubscribed-liveness/workers=1/symmetry=off": {"521351411d220e523676f7ef980ba764a09660df29bfe0ac9d019941927d45d5", "22bfc5dee67d203b2e298b3aa382736631d6aff685b6e50224d6d2cae8c0b6d8", "1c59e058ff9ea2d4f458a8287ccba80593f0ef3cd4bf4fa65c5a7af65f0a52f0", "0ceb7326bf8467399eb54d8661b354d9ebfac8c6ebf8a4ef481dfc4418668278"},
+		"oversubscribed-liveness/workers=4/symmetry=ids": {"521351411d220e523676f7ef980ba764a09660df29bfe0ac9d019941927d45d5", "22bfc5dee67d203b2e298b3aa382736631d6aff685b6e50224d6d2cae8c0b6d8", "cb27ff594ef936555ed31544119c96ee1281c956f55a783b1b06b1255249f7c6", "803dbc4c5a075a1928b4c9585122e257c44cc343472b1059c06beb50039e8b42"},
+		"oversubscribed-liveness/workers=4/symmetry=off": {"521351411d220e523676f7ef980ba764a09660df29bfe0ac9d019941927d45d5", "22bfc5dee67d203b2e298b3aa382736631d6aff685b6e50224d6d2cae8c0b6d8", "d40488f64d0c1d4b68b3b865e949519fc53c67cde1ac2af55ff3105959858f80", "0ceb7326bf8467399eb54d8661b354d9ebfac8c6ebf8a4ef481dfc4418668278"},
+	}
+	for _, c := range digestCases(t) {
+		for _, workers := range []int{1, 4} {
+			for _, sym := range []explore.Symmetry{explore.SymmetryOff, explore.SymmetryIDs} {
+				for _, onDisk := range []bool{false, true} {
+					name := fmt.Sprintf("%s/workers=%d/symmetry=%s", c.name, workers, sym)
+					dir := t.TempDir()
+					ckptPath := filepath.Join(dir, "run.ckpt")
+					var events bytes.Buffer
+					opts := explore.Options{
+						Workers:        workers,
+						Symmetry:       sym,
+						Valency:        c.valency,
+						HeartbeatEvery: 16,
+						Events:         obs.NewEmitterAt(&events, fixedClock),
+						Checkpoint:     explore.CheckpointOptions{Path: ckptPath},
+					}
+					if onDisk {
+						opts.Store = store.Options{Dir: filepath.Join(dir, "store")}
+					}
+					rep, err := explore.Check(c.sys, c.tsk, opts)
+					if err != nil {
+						t.Fatalf("%s (store dir %v): %v", name, onDisk, err)
+					}
+					ckpt, err := os.ReadFile(ckptPath)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sum := func(b []byte) string { return fmt.Sprintf("%x", sha256.Sum256(b)) }
+					d := [4]string{sum([]byte(renderReport(rep))), sum([]byte(dotOf(t, rep))), sum(events.Bytes()), sum(ckpt)}
+					if err := rep.Close(); err != nil {
+						t.Fatal(err)
+					}
+					if w := want[name]; d != w {
+						t.Errorf("%s (store dir %v): digests\n got %q\nwant %q", name, onDisk, d, w)
+					}
+				}
+			}
+		}
+	}
 }

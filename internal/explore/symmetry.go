@@ -585,9 +585,13 @@ type liftNode struct {
 }
 
 // stabChecker memoizes membership in the stabilizer of one stored
-// configuration (whether perms[h] fixes it), keyed by group index.
+// configuration (whether perms[h] fixes it), keyed by group index. The
+// configuration is rebuilt (see configAt) only when a non-identity
+// element is first tested, which many lifted walks never do: the
+// identity needs no check.
 type stabChecker struct {
-	grp   *group
+	g     *graph
+	id    int
 	cfg   *Config
 	ref   []byte
 	buf   []byte
@@ -595,20 +599,18 @@ type stabChecker struct {
 }
 
 func (g *graph) stabilizerOf(id int) *stabChecker {
-	c := g.configAt(id)
-	return &stabChecker{
-		grp:   g.grp,
-		cfg:   c,
-		ref:   c.AppendKey(nil),
-		known: map[int]bool{0: true},
-	}
+	return &stabChecker{g: g, id: id, known: map[int]bool{0: true}}
 }
 
 func (s *stabChecker) contains(h int) bool {
 	if in, ok := s.known[h]; ok {
 		return in
 	}
-	s.buf = s.cfg.AppendKeyUnder(s.buf[:0], s.grp.perms[h])
+	if s.cfg == nil {
+		s.cfg = s.g.configAt(s.id)
+		s.ref = s.cfg.AppendKey(nil)
+	}
+	s.buf = s.cfg.AppendKeyUnder(s.buf[:0], s.g.grp.perms[h])
 	in := bytes.Equal(s.buf, s.ref)
 	s.known[h] = in
 	return in

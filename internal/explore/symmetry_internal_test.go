@@ -200,7 +200,8 @@ func TestSymmetryEquivariance(t *testing.T) {
 			root := g.configs[0]
 			sc, sc2 := &keyScratch{}, &keyScratch{}
 			var naive, under []byte
-			for id, c := range g.configs {
+			for id := range g.configs {
+				c := g.configAt(id)
 				sched := g.pathTo(id)
 				aliased, gi, orbit := grp.canonical(sc, c)
 				// canonical's result aliases its scratch; keep a stable copy.

@@ -1,12 +1,14 @@
 package explore
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"testing"
 
 	"setagree/internal/machine"
 	"setagree/internal/objects"
 	"setagree/internal/spec"
+	"setagree/internal/store"
 	"setagree/internal/value"
 )
 
@@ -15,10 +17,13 @@ import (
 // comes entirely from the seeded outcomes and the edge structure (and
 // describeCritical never needs a real program). Node 0 is the root;
 // every other node gets a tree parent among its predecessors plus
-// random extra edges, which freely create cycles and diamonds.
-func synthGraph(rng *rand.Rand) *graph {
+// random extra edges, which freely create cycles and diamonds. The
+// adjacency lists are returned alongside for reference checks.
+func synthGraph(t *testing.T, rng *rand.Rand) (*graph, [][]edge) {
 	n := 2 + rng.Intn(24)
-	g := &graph{sys: &System{Programs: []*machine.Program{nil}}}
+	var configs []*Config
+	var parents []int
+	adj := make([][]edge, n)
 	for i := 0; i < n; i++ {
 		ps := machine.ProcState{Status: machine.StatusHalted, Decision: value.None}
 		switch rng.Intn(10) {
@@ -36,25 +41,53 @@ func synthGraph(rng *rand.Rand) *graph {
 		if i > 0 {
 			parent = rng.Intn(i)
 		}
-		g.configs = append(g.configs, c)
-		g.edges = append(g.edges, nil)
-		g.parent = append(g.parent, parent)
-		g.parentE = append(g.parentE, Step{})
+		configs = append(configs, c)
+		parents = append(parents, parent)
 		if parent >= 0 {
-			g.edges[parent] = append(g.edges[parent], edge{to: i})
+			adj[parent] = append(adj[parent], edge{to: i})
 		}
 	}
 	for m := rng.Intn(2 * n); m > 0; m-- {
 		from, to := rng.Intn(n), rng.Intn(n)
-		g.edges[from] = append(g.edges[from], edge{to: to})
+		adj[from] = append(adj[from], edge{to: to})
 	}
-	return g
+	return storedGraph(t, &System{Programs: []*machine.Program{nil}}, configs, parents, adj), adj
+}
+
+// storedGraph returns the graph over configs with BFS tree parents and
+// adjacency lists adj, writing their meta and edge records in id order
+// into a heap-backed store, as an exploration's merge does.
+func storedGraph(t *testing.T, sys *System, configs []*Config, parents []int, adj [][]edge) *graph {
+	t.Helper()
+	s, err := store.Open(store.Options{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := &diskState{s: s}
+	for id, c := range configs {
+		rec := binary.AppendVarint(nil, int64(len(adj[id])))
+		for _, e := range adj[id] {
+			rec = appendEdge(rec, e.to, e.step, e.g)
+		}
+		metaOff, err := s.Meta.Append(appendMeta(nil, sys, c))
+		if err != nil {
+			t.Fatal(err)
+		}
+		edgeOff, err := s.Edges.Append(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.metaOff = append(d.metaOff, metaOff)
+		d.edgeOff = append(d.edgeOff, edgeOff)
+	}
+	d.edgeDurable = s.Edges.Len()
+	return &graph{sys: sys, configs: configs, parent: parents, parentE: make([]Step, len(configs)), disk: d}
 }
 
 // naiveValence is the obviously-correct reference: seed each
 // configuration's mask from its immediate outcomes, then run the
 // reachability fixpoint edge by edge until nothing changes.
-func naiveValence(g *graph) []Valence {
+func naiveValence(g *graph, adj [][]edge) []Valence {
 	masks := make([]Valence, len(g.configs))
 	for id, c := range g.configs {
 		for _, ps := range c.Procs {
@@ -73,7 +106,7 @@ func naiveValence(g *graph) []Valence {
 	for changed := true; changed; {
 		changed = false
 		for id := range g.configs {
-			for _, e := range g.edges[id] {
+			for _, e := range adj[id] {
 				if m := masks[id] | masks[e.to]; m != masks[id] {
 					masks[id] = m
 					changed = true
@@ -93,12 +126,12 @@ func TestValencyMatchesNaiveFixpoint(t *testing.T) {
 	t.Parallel()
 	for seed := int64(0); seed < 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		g := synthGraph(rng)
+		g, adj := synthGraph(t, rng)
 		rep, err := g.valency()
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		want := naiveValence(g)
+		want := naiveValence(g, adj)
 		census := [4]int{} // bivalent, 0-valent, 1-valent, null
 		criticals := 0
 		for id, v := range want {
@@ -116,9 +149,9 @@ func TestValencyMatchesNaiveFixpoint(t *testing.T) {
 			default:
 				census[3]++
 			}
-			if v.Bivalent() && len(g.edges[id]) > 0 {
+			if v.Bivalent() && len(adj[id]) > 0 {
 				critical := true
-				for _, e := range g.edges[id] {
+				for _, e := range adj[id] {
 					if want[e.to].Bivalent() {
 						critical = false
 						break
@@ -150,16 +183,12 @@ func TestValencyMatchesNaiveFixpoint(t *testing.T) {
 // be false (common stays -1) rather than indexing Objects[-1].
 func TestDescribeCriticalAllTerminated(t *testing.T) {
 	t.Parallel()
-	g := &graph{
-		sys: &System{Programs: []*machine.Program{nil, nil}},
-		configs: []*Config{{Procs: []machine.ProcState{
+	g := storedGraph(t, &System{Programs: []*machine.Program{nil, nil}},
+		[]*Config{{Procs: []machine.ProcState{
 			{Status: machine.StatusHalted, Decision: value.None},
 			{Status: machine.StatusDecided, Decision: 1},
 		}}},
-		edges:   [][]edge{nil},
-		parent:  []int{-1},
-		parentE: []Step{{}},
-	}
+		[]int{-1}, [][]edge{nil})
 	cc := g.describeCritical(0)
 	if cc.SameObject {
 		t.Fatal("all-terminated configuration reported SameObject")
@@ -200,7 +229,8 @@ func TestBinaryKeyMatchesStringKey(t *testing.T) {
 	}
 	stringKeys := make(map[string]bool, rep.States)
 	binaryKeys := make(map[string]bool, rep.States)
-	for _, c := range rep.g.configs {
+	for id := range rep.g.configs {
+		c := rep.g.configAt(id)
 		stringKeys[c.Key()] = true
 		binaryKeys[string(c.AppendKey(nil))] = true
 	}

@@ -10,12 +10,18 @@ import (
 	"setagree/internal/obs"
 )
 
-// Arena is an append-only byte log backed by fixed-size mmap'd chunks
-// of one file. Chunks never move once mapped, so readers (including the
-// checkpoint writer's background goroutine) hold stable views of the
-// committed prefix while the single appender extends the tail. Records
-// are not padded to chunk boundaries; a record straddling one is read
-// across chunks and counted on the store.arena_faults counter.
+// Arena is an append-only byte log. A directory store's arenas are
+// backed by fixed-size mmap'd chunks of one file; chunks never move once
+// mapped, so readers (including the checkpoint writer's background
+// goroutine) hold stable views of the committed prefix while the single
+// appender extends the tail. Records are not padded to chunk
+// boundaries; a record straddling one is read across chunks and counted
+// on the store.arena_faults counter.
+//
+// A heap arena is one slice grown by append, addressed as a single
+// chunk (shift 63), so reads share the mmap code path. Appending may
+// move the slice, but the bytes already handed out stay valid and are
+// never rewritten.
 type Arena struct {
 	f      *os.File
 	path   string
@@ -45,12 +51,30 @@ func newArena(path string, chunkBytes int64, spilled, faults *obs.Counter) (*Are
 	}, nil
 }
 
+// newHeapArena returns an empty heap-backed arena.
+func newHeapArena() *Arena {
+	return &Arena{chunks: [][]byte{nil}, shift: 63, mask: 1<<63 - 1}
+}
+
+// clone returns a heap arena sharing a's bytes, capacity-clamped so the
+// clone's first append copies them instead of writing into a's slice.
+func (a *Arena) clone() *Arena {
+	c := *a
+	c.chunks = [][]byte{a.chunks[0][:a.size:a.size]}
+	return &c
+}
+
 // Len returns the number of bytes appended so far.
 func (a *Arena) Len() int64 { return a.size }
 
 // Append writes b at the end of the arena and returns its start offset.
 func (a *Arena) Append(b []byte) (int64, error) {
 	off := a.size
+	if a.f == nil {
+		a.chunks[0] = append(a.chunks[0], b...)
+		a.size += int64(len(b))
+		return off, nil
+	}
 	if len(b) == 0 {
 		return off, nil
 	}
@@ -86,11 +110,19 @@ func (a *Arena) addChunk() error {
 	return nil
 }
 
-// Byte returns the byte at off. The offset must be < Len(); the arena
-// is the explorer's own write-once data, so a bad offset is an internal
-// invariant failure and panics via the bounds check.
-func (a *Arena) Byte(off int64) byte {
-	return a.chunks[off>>a.shift][off&a.mask]
+// Span returns the bytes at [start, end): a view into the arena, or a
+// copy when the range straddles a chunk boundary. The range must lie
+// below Len(); the arena is the explorer's own write-once data, so a
+// bad range is an internal invariant failure and panics via the bounds
+// check.
+func (a *Arena) Span(start, end int64) []byte {
+	c := a.chunks[start>>a.shift]
+	co := start & a.mask
+	if n := end - start; co+n <= int64(len(c)) {
+		return c[co : co+n : co+n]
+	}
+	a.faults.Inc()
+	return bytes.Join(a.views(start, end), nil)
 }
 
 // Equal reports whether the bytes at [off, off+len(key)) equal key,
@@ -113,27 +145,18 @@ func (a *Arena) Equal(off int64, key []byte) bool {
 	return true
 }
 
-// FaultSpan counts a chunk-boundary fault when the record at
-// [start, end) straddles one. Callers decoding records byte-wise report
-// the span once per record instead of per byte.
-func (a *Arena) FaultSpan(start, end int64) {
-	if end > start && start>>a.shift != (end-1)>>a.shift {
-		a.faults.Inc()
-	}
-}
-
 // Sections returns chunk-backed views covering [0, upTo), suitable for
 // checkpoint.WriteV: zero-copy, and stable while the appender only
 // writes at or beyond upTo.
-func (a *Arena) Sections(upTo int64) [][]byte {
+func (a *Arena) Sections(upTo int64) [][]byte { return a.views(0, upTo) }
+
+// views returns chunk-backed views covering [start, end).
+func (a *Arena) views(start, end int64) [][]byte {
 	var out [][]byte
-	for off := int64(0); off < upTo; {
+	for off := start; off < end; {
 		c := a.chunks[off>>a.shift]
 		co := off & a.mask
-		n := int64(len(c)) - co
-		if off+n > upTo {
-			n = upTo - off
-		}
+		n := min(int64(len(c))-co, end-off)
 		out = append(out, c[co:co+n])
 		off += n
 	}

@@ -1,14 +1,18 @@
-// Package store is the explorer's disk-backed configuration store: a
-// partitioned hash table over mmap'd, append-only arenas. The explorer
-// spills everything a level-synchronized BFS only reads back rarely —
-// interned configuration keys, per-configuration outcome records, and
-// the edge lists of completed levels — while the active frontier stays
-// hot in memory.
+// Package store is the explorer's configuration store: one hash table
+// over append-only arenas. The explorer keeps everything a
+// level-synchronized BFS only reads back rarely — interned
+// configuration keys, per-configuration outcome records, and the edge
+// lists of completed levels — in the store, while the active frontier
+// stays live in memory.
 //
-// The store is SCRATCH, not durable state: arena files are truncated on
-// Open and removed on Close, and a resumed run rebuilds them from the
-// checkpoint container (which remains the single durable artifact).
-// Leftover files from a crashed run are therefore harmless.
+// A store is heap-backed unless Options.Dir names a directory; then
+// its arenas are mmap'd files there, which the kernel may evict under
+// memory pressure. Both backends hold the same table and the same
+// record bytes. A directory store is SCRATCH, not durable state: arena
+// files are truncated on Open and removed on Close, and a resumed run
+// rebuilds them from the checkpoint container (which remains the
+// single durable artifact). Leftover files from a crashed run are
+// therefore harmless.
 //
 // Concurrency contract: the explorer alternates between an expand phase
 // (the table is frozen; Lookup may run from any number of goroutines)
@@ -19,9 +23,11 @@ package store
 import (
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -32,25 +38,21 @@ import (
 // configured in-memory budget at a level barrier.
 var ErrBudget = errors.New("store: in-memory budget exceeded")
 
-// Options configures a disk-backed configuration store. The zero value
-// disables it (fully in-memory exploration).
+// Options configures a configuration store. The zero value selects a
+// heap-backed store with no budget.
 type Options struct {
-	// Dir is the directory holding the store's arena files; empty
-	// disables the store. The directory is created if absent; existing
-	// arena files in it are truncated (the store is scratch).
+	// Dir is the directory holding the store's arena files; empty keeps
+	// the arenas on the heap. The directory is created if absent;
+	// existing arena files in it are truncated (the store is scratch).
 	Dir string
 	// Budget, when > 0, bounds the explorer's live heap in bytes,
 	// checked at every level barrier: if the heap is still over budget
 	// after a forced GC, the run fails with an error wrapping
 	// ErrBudget. Zero means no bound.
 	Budget int64
-	// ChunkBytes overrides the arena chunk size (rounded up to a power
-	// of two, minimum 4 KiB; 0 means the 16 MiB default). Small chunks
-	// exist for tests that need to exercise chunk-boundary straddling.
-	ChunkBytes int64
 }
 
-// Enabled reports whether the options select a disk-backed store.
+// Enabled reports whether the options name a store directory.
 func (o Options) Enabled() bool { return o.Dir != "" }
 
 // ParseFlag parses the CLI form "dir" or "dir:budget" (e.g.
@@ -74,7 +76,8 @@ func ParseFlag(s string) (Options, error) {
 
 // ParseBudget parses a byte count: a number (decimals allowed) with an
 // optional suffix B, K/KB/KiB, M/MB/MiB, or G/GB/GiB. All multiples are
-// binary (1K = 1024 bytes).
+// binary (1K = 1024 bytes). Negative, non-finite, and ≥ 2⁶³-byte counts
+// are rejected.
 func ParseBudget(s string) (int64, error) {
 	num := strings.TrimRight(s, "BbKkMmGgIi")
 	mult := float64(1)
@@ -90,36 +93,34 @@ func ParseBudget(s string) (int64, error) {
 		return 0, fmt.Errorf("bad byte suffix %q", s[len(num):])
 	}
 	v, err := strconv.ParseFloat(num, 64)
-	if err != nil || v < 0 {
+	if err != nil || !(v >= 0) || v*mult >= 1<<63 {
 		return 0, fmt.Errorf("bad byte count %q", s)
 	}
 	return int64(v * mult), nil
 }
 
-const (
-	defaultChunkBytes = 1 << 24 // 16 MiB
-	minChunkBytes     = 1 << 12
-	numShards         = 256
-)
+// defaultChunkBytes is the mmap chunk size of a directory store's
+// arenas.
+const defaultChunkBytes = 1 << 24 // 16 MiB
 
-// slot is one open-addressing table entry: the key's full hash, its
-// bytes in the key arena, and the interned id. klen == 0 marks an
-// empty slot (interned keys are never empty). In-memory index cost:
-// 24 B per slot, ≤ 2 slots per key at the 0.75 maximum load factor.
+// castagnoli selects CRC-32C, which hash/crc32 computes with the CPU's
+// CRC instruction where there is one. Unlike hash/maphash it is
+// unseeded, so identical explorations build identical stores.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// slot is one open-addressing table entry: the key's hash, its bytes in
+// the key arena, and the interned id. klen == 0 marks an empty slot
+// (interned keys are never empty). In-memory index cost: 24 B per slot,
+// ≤ 2 slots per key at the 0.75 maximum load factor.
 type slot struct {
-	hash uint64
 	off  int64
 	klen uint32
+	hash uint32
 	id   int32
 }
 
-type shard struct {
-	slots []slot
-	n     int
-}
-
-// Store owns the three arenas and the partitioned key table. Open one
-// per exploration; it is not reusable after Close.
+// Store owns the three arenas and the key table. Open one per
+// exploration; a directory store is not reusable after Close.
 type Store struct {
 	dir    string
 	budget int64
@@ -132,35 +133,30 @@ type Store struct {
 	Meta  *Arena
 	Edges *Arena
 
-	shards  [numShards]shard
+	slots   []slot
 	count   int
 	heapMax *obs.Gauge
 }
 
-// Open creates (or truncates) the store's arena files under opts.Dir.
-// Metrics go to sink (nil disables them): the store.spilled_bytes
-// counter totals bytes appended to the arenas, store.arena_faults
-// counts appends/reads that straddled a chunk boundary, and the
-// store.heap_bytes_max gauge high-water-marks the heap seen by budget
-// checks.
+// Open creates a store. With opts.Dir empty the arenas live on the heap
+// and sink is ignored. Otherwise Open creates (or truncates) the arena
+// files under opts.Dir, and metrics go to sink (nil disables them): the
+// store.spilled_bytes counter totals bytes appended to the arenas,
+// store.arena_faults counts appends and reads that straddled a chunk
+// boundary, and the store.heap_bytes_max gauge high-water-marks the
+// heap seen by budget checks.
 func Open(opts Options, sink *obs.Sink) (*Store, error) {
 	if !opts.Enabled() {
-		return nil, errors.New("store: no directory configured")
+		return &Store{budget: opts.Budget, Keys: newHeapArena(), Meta: newHeapArena(), Edges: newHeapArena()}, nil
 	}
+	return openDir(opts, defaultChunkBytes, sink)
+}
+
+// openDir opens a directory store whose arenas map power-of-two
+// chunkBytes chunks.
+func openDir(opts Options, chunkBytes int64, sink *obs.Sink) (*Store, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
-	}
-	chunk := opts.ChunkBytes
-	if chunk <= 0 {
-		chunk = defaultChunkBytes
-	}
-	if chunk < minChunkBytes {
-		chunk = minChunkBytes
-	}
-	// Round up to a power of two so arena addressing is shift+mask.
-	for chunk&(chunk-1) != 0 {
-		chunk &= chunk - 1
-		chunk <<= 1
 	}
 	spilled := sink.Counter("store.spilled_bytes")
 	faults := sink.Counter("store.arena_faults")
@@ -173,7 +169,7 @@ func Open(opts Options, sink *obs.Sink) (*Store, error) {
 		dst  **Arena
 		name string
 	}{{&s.Keys, "keys.arena"}, {&s.Meta, "meta.arena"}, {&s.Edges, "edges.arena"}} {
-		ar, err := newArena(filepath.Join(opts.Dir, a.name), chunk, spilled, faults)
+		ar, err := newArena(filepath.Join(opts.Dir, a.name), chunkBytes, spilled, faults)
 		if err != nil {
 			s.Close()
 			return nil, err
@@ -183,8 +179,22 @@ func Open(opts Options, sink *obs.Sink) (*Store, error) {
 	return s, nil
 }
 
-// Close unmaps and removes the arena files. Idempotent.
+// Clone returns a copy of a heap-backed store that shares s's bytes
+// copy-on-write: appends to the clone never reach s, and s must not be
+// appended to afterwards. Lookups on s stay safe while clones run.
+func (s *Store) Clone() *Store {
+	c := *s
+	c.slots = slices.Clone(s.slots)
+	c.Keys, c.Meta, c.Edges = s.Keys.clone(), s.Meta.clone(), s.Edges.clone()
+	return &c
+}
+
+// Close unmaps and removes a directory store's arena files. Idempotent;
+// a no-op for heap-backed stores, whose arenas stay readable.
 func (s *Store) Close() error {
+	if s.dir == "" {
+		return nil
+	}
 	var err error
 	for _, a := range []**Arena{&s.Keys, &s.Meta, &s.Edges} {
 		if *a != nil {
@@ -201,14 +211,13 @@ func (s *Store) Count() int { return s.count }
 // Lookup probes the table for key. Safe for concurrent use while no
 // Intern is running (the explorer's expand phase).
 func (s *Store) Lookup(key []byte) (int, bool) {
-	h := hash64(key)
-	sh := &s.shards[h&(numShards-1)]
-	if len(sh.slots) == 0 {
+	if len(s.slots) == 0 {
 		return 0, false
 	}
-	mask := uint64(len(sh.slots) - 1)
-	for i := (h >> 8) & mask; ; i = (i + 1) & mask {
-		sl := &sh.slots[i]
+	h := crc32.Checksum(key, castagnoli)
+	mask := uint32(len(s.slots) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		sl := &s.slots[i]
 		if sl.klen == 0 {
 			return 0, false
 		}
@@ -232,50 +241,35 @@ func (s *Store) Intern(key []byte) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	h := hash64(key)
-	sh := &s.shards[h&(numShards-1)]
-	if 4*(sh.n+1) > 3*len(sh.slots) {
-		sh.grow()
+	if 4*(s.count+1) > 3*len(s.slots) {
+		s.grow()
 	}
 	id := s.count
-	sh.insert(slot{hash: h, off: off, klen: uint32(len(key)), id: int32(id)})
-	sh.n++
+	s.insert(slot{off: off, klen: uint32(len(key)), hash: crc32.Checksum(key, castagnoli), id: int32(id)})
 	s.count++
 	return id, nil
 }
 
-func (sh *shard) insert(sl slot) {
-	mask := uint64(len(sh.slots) - 1)
-	for i := (sl.hash >> 8) & mask; ; i = (i + 1) & mask {
-		if sh.slots[i].klen == 0 {
-			sh.slots[i] = sl
+func (s *Store) insert(sl slot) {
+	mask := uint32(len(s.slots) - 1)
+	for i := sl.hash & mask; ; i = (i + 1) & mask {
+		if s.slots[i].klen == 0 {
+			s.slots[i] = sl
 			return
 		}
 	}
 }
 
-func (sh *shard) grow() {
-	old := sh.slots
-	n := 2 * len(old)
-	if n == 0 {
-		n = 256
-	}
-	sh.slots = make([]slot, n)
+// grow doubles the table, starting at 8 slots: a sweep opens one store
+// per candidate check, most of them a few dozen keys.
+func (s *Store) grow() {
+	old := s.slots
+	s.slots = make([]slot, max(2*len(old), 8))
 	for _, sl := range old {
 		if sl.klen != 0 {
-			sh.insert(sl)
+			s.insert(sl)
 		}
 	}
-}
-
-// hash64 is FNV-1a over the key bytes.
-func hash64(b []byte) uint64 {
-	h := uint64(0xcbf29ce484222325)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 0x00000100000001b3
-	}
-	return h
 }
 
 // CheckBudget enforces Options.Budget against the current live heap: if

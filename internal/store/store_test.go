@@ -46,7 +46,8 @@ func TestParseFlag(t *testing.T) {
 }
 
 func TestParseBudgetRejects(t *testing.T) {
-	for _, in := range []string{"", "GB", "-1", "1TB", "1.2.3MB"} {
+	for _, in := range []string{"", "GB", "-1", "1TB", "1.2.3MB",
+		"NaN", "Inf", "+Inf", "-Inf", "1e30G", "16e18B", "8589934592G"} {
 		if v, err := ParseBudget(in); err == nil {
 			t.Errorf("ParseBudget(%q) = %d, want error", in, v)
 		}
@@ -54,20 +55,18 @@ func TestParseBudgetRejects(t *testing.T) {
 }
 
 // TestArenaStraddle exercises records crossing chunk boundaries with a
-// minimum-size chunk: appends, byte reads, chunked compares, and the
+// minimum-size 4 KiB chunk: appends, spans, chunked compares, and the
 // fault counter.
 func TestArenaStraddle(t *testing.T) {
 	sink := obs.NewSink()
-	s, err := Open(Options{Dir: t.TempDir(), ChunkBytes: 1}, sink)
+	s, err := openDir(Options{Dir: t.TempDir()}, 4<<10, sink)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if got := s.Keys.mask + 1; got != minChunkBytes {
-		t.Fatalf("chunk size %d, want clamped to %d", got, minChunkBytes)
-	}
 
 	var want []byte
+	var offs []int64
 	rec := make([]byte, 100+19*90)
 	for i := 0; i < 20; i++ {
 		for j := range rec {
@@ -80,15 +79,20 @@ func TestArenaStraddle(t *testing.T) {
 		if off != int64(len(want)) {
 			t.Fatalf("append %d: offset %d, want %d", i, off, len(want))
 		}
+		offs = append(offs, off)
 		want = append(want, rec[:100+i*90]...)
 	}
 	if s.Keys.Len() != int64(len(want)) {
 		t.Fatalf("Len() = %d, want %d", s.Keys.Len(), len(want))
 	}
-	for i, b := range want {
-		if got := s.Keys.Byte(int64(i)); got != b {
-			t.Fatalf("Byte(%d) = %d, want %d", i, got, b)
+	offs = append(offs, s.Keys.Len())
+	for i := 0; i+1 < len(offs); i++ {
+		if got := s.Keys.Span(offs[i], offs[i+1]); !bytes.Equal(got, want[offs[i]:offs[i+1]]) {
+			t.Fatalf("Span of record %d differs", i)
 		}
+	}
+	if !bytes.Equal(s.Keys.Span(0, s.Keys.Len()), want) {
+		t.Fatal("Span over the whole straddled arena differs")
 	}
 	if !s.Keys.Equal(0, want) {
 		t.Fatal("Equal over the whole straddled arena = false")
@@ -112,14 +116,47 @@ func TestArenaStraddle(t *testing.T) {
 	}
 }
 
+// TestHeapClone: a clone sees its source's keys and records, and what
+// it appends never reaches the source.
+func TestHeapClone(t *testing.T) {
+	s, err := Open(Options{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"a", "bb", "ccc"} {
+		if _, err := s.Intern([]byte(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := s.Clone()
+	if id, err := c.Intern([]byte("dddd")); err != nil || id != 3 {
+		t.Fatalf("clone Intern = %d, %v; want 3", id, err)
+	}
+	if id, ok := c.Lookup([]byte("bb")); !ok || id != 1 {
+		t.Fatalf("clone Lookup(bb) = %d, %v", id, ok)
+	}
+	if _, ok := s.Lookup([]byte("dddd")); ok || s.Count() != 3 || s.Keys.Len() != 6 {
+		t.Fatalf("clone's intern reached the source: count %d, %d key bytes", s.Count(), s.Keys.Len())
+	}
+	if got := string(c.Keys.Span(0, c.Keys.Len())); got != "abbcccdddd" {
+		t.Fatalf("clone keys %q", got)
+	}
+}
+
 func TestTableInternLookupGrow(t *testing.T) {
-	s, err := Open(Options{Dir: t.TempDir()}, nil)
+	for _, opts := range []Options{{}, {Dir: t.TempDir()}} {
+		testInternLookupGrow(t, opts)
+	}
+}
+
+func testInternLookupGrow(t *testing.T, opts Options) {
+	s, err := Open(opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 
-	// Enough keys to force shard growth past the initial 256 slots.
+	// Enough keys to grow the table many times over.
 	const n = 200000
 	key := func(i int) []byte { return []byte(fmt.Sprintf("key-%d-%d", i, i*i)) }
 	for i := 0; i < n; i++ {
