@@ -1,6 +1,7 @@
 package explore_test
 
 import (
+	"fmt"
 	"testing"
 
 	"setagree/internal/core"
@@ -21,7 +22,10 @@ type canonCase struct {
 	// order and classes pin the group order and its number of distinct
 	// value maps, so a case cannot silently degenerate.
 	order, classes int
-	slow           bool
+	// slow cases take seconds to scan and are skipped under -short;
+	// heavy ones take minutes under the race detector, which has
+	// nothing to check in the single-goroutine scan, and skip there.
+	slow, heavy bool
 }
 
 func dacInputs(n int) []value.Value {
@@ -41,6 +45,8 @@ var canonCases = []canonCase{
 		mode: explore.SymmetryValues, order: 24, classes: 1},
 	{name: "alg2-n7-ids", prot: programs.Algorithm2(7, 1), inputs: dacInputs(7), tsk: task.DAC{N: 7, P: 0},
 		mode: explore.SymmetryIDs, order: 720, classes: 1, slow: true},
+	{name: "alg2-n8-ids", prot: programs.Algorithm2(8, 1), inputs: dacInputs(8), tsk: task.DAC{N: 8, P: 0},
+		mode: explore.SymmetryIDs, order: 5040, classes: 1, slow: true, heavy: true},
 	// Two program classes (processes 0, 2, 4 and 1, 3) with mixed
 	// inputs: value maps swap 4 and 6 alongside processes 1 and 3.
 	{name: "partition-uneven-values", prot: programs.PartitionUneven(5, 2, 2), inputs: []value.Value{3, 4, 3, 6, 3},
@@ -95,7 +101,10 @@ func TestSymmetryCanonicalMatchesScan(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.slow && testing.Short() {
-				t.Skip("the reference scan over alg2 n=7 takes seconds")
+				t.Skip("the reference scan takes seconds")
+			}
+			if tc.heavy && raceEnabled {
+				t.Skip("the reference scan takes minutes under the race detector")
 			}
 			t.Parallel()
 			s := tc.suite(t)
@@ -108,6 +117,39 @@ func TestSymmetryCanonicalMatchesScan(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSymmetryCanonicalMaskByteOrder runs the differential test past
+// one mask byte. Alg2 at n=9 with inputs 1,0,0,0,0,1,1,1,1 has classes
+// {1..4} and {5..8} (order 576); when three of processes 5..8 have
+// stepped, slots {5,7,8} (mask bytes a0 03) beat the lowest slots
+// {5,6,7} (e0 01). The reachable graph (81,430 states) is too large
+// for a test, so the configurations come from random walks, and the
+// test fails if none of them exercises that case.
+func TestSymmetryCanonicalMaskByteOrder(t *testing.T) {
+	t.Parallel()
+	inputs := []value.Value{1, 0, 0, 0, 0, 1, 1, 1, 1}
+	sys, err := programs.Algorithm2(9, 1).System(inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := explore.NewWalkSuite(sys, task.DAC{N: 9, P: 0}, explore.SymmetryIDs, 60, 40, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.GroupOrder() != 576 {
+		t.Fatalf("group order %d, want 576", s.GroupOrder())
+	}
+	moved, err := s.MatchScan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	beyond := s.BeyondLowestSlots()
+	if moved == 0 || beyond == 0 {
+		t.Fatalf("%d configurations: %d moved, %d with a mask beyond the lowest slots; the walk is vacuous",
+			s.Len(), moved, beyond)
+	}
+	t.Logf("%d configurations: %d moved, %d with a mask beyond the lowest slots", s.Len(), moved, beyond)
 }
 
 // TestSymmetryCanonicalAllocs pins canonical allocation-free once its
@@ -134,14 +176,20 @@ func TestSymmetryCanonicalAllocs(t *testing.T) {
 var canonSink int
 
 // BenchmarkCanonical times orbit canonicalization alone over the
-// successors of alg2 n=7 under ids symmetry (group order 720): one op
-// is one successor.
+// successors of alg2 under ids symmetry at n=7 (group order 720) and
+// n=8 (5,040): one op is one successor. Canonicalization sorts instead
+// of scanning the group, so the cost per successor tracks n, not the
+// group order.
 func BenchmarkCanonical(b *testing.B) {
-	s := canonSuite(b, "alg2-n7-ids")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, gi, _ := s.Canonical(i % s.Len())
-		canonSink += gi
+	for _, n := range []int{7, 8} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			s := canonSuite(b, fmt.Sprintf("alg2-n%d-ids", n))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				_, gi, _ := s.Canonical(i % s.Len())
+				canonSink += gi
+			}
+		})
 	}
 }

@@ -195,7 +195,7 @@ func (st *search) encodeSnapshot() [][]byte {
 	e.Byte(byte(st.opts.Symmetry))
 	order := 0
 	if g.grp != nil {
-		order = len(g.grp.perms)
+		order = g.grp.order
 	}
 	e.Int(order)
 	e.Int(st.level)
@@ -342,7 +342,7 @@ func (st *search) restore(path string) error {
 	}
 	wantOrder := 0
 	if g.grp != nil {
-		wantOrder = len(g.grp.perms)
+		wantOrder = g.grp.order
 	}
 	if order != wantOrder {
 		return corruptf("group order %d, rebuilt group has %d", order, wantOrder)
@@ -353,7 +353,7 @@ func (st *search) restore(path string) error {
 		return corruptf("implausible configuration count %d (%d payload bytes left)", numConfigs, d.Len())
 	}
 	if expanded < 0 || expanded > numConfigs || level < 0 ||
-		transitions < 0 || quiescent < 0 || frontierMax < 0 ||
+		transitions < 0 || quiescent < 0 || frontierMax < 0 || hbNext < 0 ||
 		symHits < 0 || orbitMax < 0 || eventSeq < 0 {
 		return corruptf("negative or inconsistent counters")
 	}
@@ -458,7 +458,7 @@ type CheckpointInfo struct {
 	// does.
 	Fingerprint uint64
 	// Symmetry is the snapshot's reduction mode; GroupOrder the
-	// materialized group's order (0 when off).
+	// symmetry group's order (0 when off).
 	Symmetry   Symmetry
 	GroupOrder int
 	// Level is the number of completed BFS levels; States the interned

@@ -3,11 +3,14 @@ package explore_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -23,7 +26,7 @@ import (
 // durableInstance is the pinned kill-resume instance: Algorithm 2 at
 // n=4 with a mixed input vector, so the graph has nontrivial depth,
 // both decision values, and (for symmetry=ids) a nontrivial group.
-func durableInstance(t *testing.T) (*explore.System, task.Task) {
+func durableInstance(t testing.TB) (*explore.System, task.Task) {
 	t.Helper()
 	prot := programs.Algorithm2(4, 1)
 	sys, err := prot.System([]value.Value{0, 1, 0, 1})
@@ -332,7 +335,8 @@ func TestContextCancelWritesFinalCheckpoint(t *testing.T) {
 // TestResumeRejections pins every refusal class of explore.Resume: a
 // snapshot from different inputs or a different symmetry mode
 // (fingerprint), damaged or truncated bytes, a foreign magic number, a
-// future payload version, and a wrong kind. Each rejected resume still
+// future payload version, a wrong kind, and a CRC-valid payload with a
+// negative heartbeat boundary. Each rejected resume still
 // honours the terminal-event contract.
 func TestResumeRejections(t *testing.T) {
 	t.Parallel()
@@ -420,6 +424,31 @@ func TestResumeRejections(t *testing.T) {
 		t.Errorf("foreign kind: %v, want ErrKind", err)
 	}
 
+	// A CRC-valid payload whose heartbeat boundary is negative: a
+	// resumed run with events would step it up to the expanded count
+	// one heartbeat at a time.
+	_, payload, err := checkpoint.ReadUnverified(ckptPath, h.Kind, h.Version)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := checkpoint.NewDec(payload)
+	d.Byte() // symmetry mode
+	for range 6 {
+		d.Int() // group order, level, expanded, transitions, quiescent, frontier max
+	}
+	at := len(payload) - d.Len()
+	d.Int() // heartbeat boundary
+	neg := binary.AppendVarint(slices.Clone(payload[:at]), -1<<40)
+	neg = append(neg, payload[len(payload)-d.Len():]...)
+	negPath := filepath.Join(dir, "neg.ckpt")
+	if err := checkpoint.Write(negPath, h, neg); err != nil {
+		t.Fatal(err)
+	}
+	negOpts := explore.Options{Events: obs.NewEmitterAt(io.Discard, fixedClock), HeartbeatEvery: 64}
+	if _, err := explore.Resume(negPath, sys, tsk, negOpts); !errors.Is(err, checkpoint.ErrCorrupt) {
+		t.Errorf("negative heartbeat boundary: %v, want ErrCorrupt", err)
+	}
+
 	// A rejected snapshot must also fail PeekCheckpoint cleanly.
 	if _, err := explore.PeekCheckpoint(write("peek.ckpt", flipped)); !errors.Is(err, checkpoint.ErrCorrupt) {
 		t.Errorf("PeekCheckpoint on damage: %v, want ErrCorrupt", err)
@@ -469,4 +498,65 @@ func TestResumeAcrossWorkerCounts(t *testing.T) {
 		t.Fatalf("Resume at workers=1 of a workers=4 snapshot: %v", err)
 	}
 	sameReport(t, "cross-worker resume", resRep, refRep)
+}
+
+// FuzzResume feeds mutated snapshot payloads to Resume. Each input is
+// re-wrapped with checkpoint.Write under the header of the snapshot
+// mode its first byte names (off or ids; any other byte gets off's and
+// is rejected as a mode mismatch), so a mutation passes the
+// container's CRC and reaches the explorer's own decoder. The seeds
+// are level-3 snapshots of durableInstance at symmetry off and ids,
+// whose edge records carry group indices; the resumed run emits events
+// with heartbeats, so the restored counters are exercised too. The
+// contract is a report or a typed error, never a panic or a hang. Resume validates the spanning tree by
+// replay but accepts any in-range edge record, so a mutated edge can
+// still change the verdict; only crashes and untyped errors fail here.
+func FuzzResume(f *testing.F) {
+	sys, tsk := durableInstance(f)
+	dir := f.TempDir()
+	headers := map[explore.Symmetry]checkpoint.Header{}
+	for _, sym := range []explore.Symmetry{explore.SymmetryOff, explore.SymmetryIDs} {
+		path := filepath.Join(dir, sym.String()+".ckpt")
+		opts := explore.Options{Workers: 1, Symmetry: sym, Checkpoint: explore.CheckpointOptions{
+			Path: path,
+			After: func(level int) error {
+				if level == 3 {
+					return errKilled
+				}
+				return nil
+			},
+		}}
+		if _, err := explore.Check(sys, tsk, opts); !errors.Is(err, errKilled) {
+			f.Fatalf("%v: snapshot run returned %v, want errKilled", sym, err)
+		}
+		h, payload, err := checkpoint.ReadUnverified(path, "explore.bfs", 1)
+		if err != nil {
+			f.Fatal(err)
+		}
+		headers[sym] = h
+		f.Add(payload)
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		sym := explore.SymmetryOff
+		if len(payload) > 0 && explore.Symmetry(payload[0]) == explore.SymmetryIDs {
+			sym = explore.SymmetryIDs
+		}
+		path := filepath.Join(t.TempDir(), "run.ckpt")
+		if err := checkpoint.Write(path, headers[sym], payload); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := explore.Resume(path, sys, tsk, explore.Options{
+			Workers:        1,
+			Symmetry:       sym,
+			MaxStates:      1 << 14,
+			Events:         obs.NewEmitterAt(io.Discard, fixedClock),
+			HeartbeatEvery: 64,
+		})
+		if rep != nil {
+			defer rep.Close()
+		}
+		if err != nil && !errors.Is(err, checkpoint.ErrCorrupt) && !errors.Is(err, explore.ErrStateLimit) {
+			t.Fatalf("untyped error: %v", err)
+		}
+	})
 }

@@ -260,7 +260,7 @@ type graph struct {
 	parentE []Step     // BFS tree: step from parent
 	valence []Valence  // per-config valence, populated by valency()
 	grp     *group     // symmetry group, nil when Options.Symmetry is off
-	canon   []int      // per config: group index g with perms[g]·config canonical
+	canon   []int      // per config: index of the group element g with g·config canonical
 	disk    *diskState // configuration store
 }
 
@@ -268,7 +268,7 @@ type edge struct {
 	to   int
 	step Step
 	// g is the group index relating the concrete successor D the step
-	// produces to the stored representative: D = perms[g]·configs[to].
+	// produces to the stored representative: D = g·configs[to].
 	// Always 0 when symmetry is off, and on BFS tree edges (the stored
 	// representative IS the first-discovered concrete successor).
 	g int
@@ -863,9 +863,9 @@ func (st *search) mergeLevel(outs []*shardOut) error {
 				gi := 0
 				if g.grp != nil {
 					// The concrete successor D satisfies
-					// perms[s.gi]·D = canonical = perms[canon[id]]·R_id,
-					// so D = perms[inv(s.gi) ∘ canon[id]]·R_id.
-					gi = g.grp.comp[g.grp.inv[s.gi]][g.canon[id]]
+					// s.gi·D = canonical = canon[id]·R_id, so
+					// D = (s.gi⁻¹ ∘ canon[id])·R_id.
+					gi = g.grp.relate(s.gi, g.canon[id])
 				}
 				rec = appendEdge(rec, id, s.step, gi)
 				merged++
@@ -975,7 +975,7 @@ func (st *search) flush(event string, err error) {
 		}
 		if st.g.grp != nil {
 			fields["symmetry"] = opts.Symmetry.String()
-			fields["group_order"] = len(st.g.grp.perms)
+			fields["group_order"] = st.g.grp.order
 			fields["symmetry_hits"] = st.symHits
 			fields["orbit_size_max"] = st.orbitMax
 		}

@@ -3,6 +3,10 @@ package explore
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"maps"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"setagree/internal/machine"
@@ -69,9 +73,61 @@ func (s testConsState) AppendKeyUnder(dst []byte, p spec.Perm) []byte {
 	return append(dst, []byte(p.Val(s.val).String())...)
 }
 
+// checkAgainstReference checks grp's element naming against the
+// materialized reference group: for every element k, rank(unrank(k))
+// is k and unrank(k) is the reference's element k, and for every pair
+// the composition and the a⁻¹∘b relation agree with brute-force
+// products looked up in the reference list.
+func checkAgainstReference(t *testing.T, grp *group, perms []spec.Perm) {
+	t.Helper()
+	if grp.order != len(perms) {
+		t.Fatalf("group order %d, reference has %d elements", grp.order, len(perms))
+	}
+	if !perms[0].Identity() {
+		t.Fatal("reference element 0 is not the identity")
+	}
+	index := make(map[string]int, len(perms))
+	procKey := func(proc []int) string { return fmt.Sprint(proc) }
+	for k, p := range perms {
+		index[procKey(p.Proc)] = k
+		got := grp.element(k)
+		if !slices.Equal(got.Proc, p.Proc) || !slices.Equal(got.Inv, p.Inv) || !maps.Equal(got.Vals, p.Vals) {
+			t.Fatalf("unrank(%d) = %v %v, reference has %v %v", k, got.Proc, got.Vals, p.Proc, p.Vals)
+		}
+		if r := grp.rank(got.Proc); r != k {
+			t.Fatalf("rank(unrank(%d)) = %d", k, r)
+		}
+	}
+	prod := make([]int, grp.n)
+	for a, pa := range perms {
+		for b, pb := range perms {
+			for i := range prod {
+				prod[i] = pa.Proc[pb.Proc[i]]
+			}
+			want, ok := index[procKey(prod)]
+			if !ok {
+				t.Fatalf("reference group not closed: %v ∘ %v", pa.Proc, pb.Proc)
+			}
+			if got := grp.compose(pa, pb); got != want {
+				t.Fatalf("compose(%d, %d) = %d, want %d", a, b, got, want)
+			}
+			for i := range prod {
+				prod[i] = pa.Inv[pb.Proc[i]]
+			}
+			if got, want := grp.relate(a, b), index[procKey(prod)]; got != want {
+				t.Fatalf("relate(%d, %d) = %d, want %d", a, b, got, want)
+			}
+		}
+		if inv := grp.relate(a, 0); !slices.Equal(perms[inv].Proc, pa.Inv) {
+			t.Fatalf("inverse of %d is %v, want %v", a, perms[inv].Proc, pa.Inv)
+		}
+	}
+}
+
 // TestBuildGroupOrders pins the admissible group orders: ids mode
 // groups processes by (program, input); values mode additionally
-// matches inputs up to a bijection.
+// matches inputs up to a bijection. Every group's element naming is
+// checked against the materialized reference.
 func TestBuildGroupOrders(t *testing.T) {
 	t.Parallel()
 	cases := []struct {
@@ -85,6 +141,10 @@ func TestBuildGroupOrders(t *testing.T) {
 		{"ids-distinct", []value.Value{7, 8, 9}, SymmetryIDs, 1},
 		{"values-distinct", []value.Value{7, 8, 9}, SymmetryValues, 6},
 		{"values-multiset", []value.Value{7, 7, 8}, SymmetryValues, 2},
+		// Interleaved classes, and two value maps whose cosets interleave
+		// in the lexicographic order.
+		{"ids-interleaved", []value.Value{7, 8, 7, 8, 7}, SymmetryIDs, 12},
+		{"values-interleaved", []value.Value{8, 7, 9, 7, 8}, SymmetryValues, 8},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -95,17 +155,14 @@ func TestBuildGroupOrders(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(grp.perms) != tc.order {
-				t.Fatalf("group order %d, want %d", len(grp.perms), tc.order)
+			if grp.order != tc.order {
+				t.Fatalf("group order %d, want %d", grp.order, tc.order)
 			}
-			if !grp.perms[0].Identity() {
-				t.Fatal("perms[0] is not the identity")
+			perms, err := referenceGroup(sys, nil, tc.mode)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for a := range grp.perms {
-				if grp.comp[a][grp.inv[a]] != 0 || grp.comp[grp.inv[a]][a] != 0 {
-					t.Fatalf("inv[%d] = %d is not a two-sided inverse", a, grp.inv[a])
-				}
-			}
+			checkAgainstReference(t, grp, perms)
 		})
 	}
 }
@@ -116,29 +173,46 @@ func TestBuildGroupOrders(t *testing.T) {
 func TestBuildGroupFixesDACDistinguished(t *testing.T) {
 	t.Parallel()
 	sys := symSystem(t, 0, 0, 0)
-	grp, err := buildGroup(sys, task.DAC{N: 3, P: 1}, SymmetryIDs)
+	tsk := task.DAC{N: 3, P: 1}
+	grp, err := buildGroup(sys, tsk, SymmetryIDs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(grp.perms) != 2 {
-		t.Fatalf("group order %d, want 2 (procs 0 and 2 exchangeable)", len(grp.perms))
+	if grp.order != 2 {
+		t.Fatalf("group order %d, want 2 (procs 0 and 2 exchangeable)", grp.order)
 	}
-	for k, p := range grp.perms {
-		if p.ProcIdx(1) != 1 {
-			t.Fatalf("perm %d moves the distinguished process: %v", k, p.Proc)
+	perms, err := referenceGroup(sys, tsk, SymmetryIDs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAgainstReference(t, grp, perms)
+	for k := range grp.order {
+		if p := grp.element(k); p.ProcIdx(1) != 1 {
+			t.Fatalf("element %d moves the distinguished process: %v", k, p.Proc)
 		}
 	}
 }
 
-// TestBuildGroupOrderCap: past maxGroupOrder the group is rejected with
-// ErrSymmetryUnsupported instead of materializing a huge table.
+// TestBuildGroupOrderCap: the group is never materialized, so its
+// order is bounded only by an int. Nine identical processes (9!, past
+// the old 8! cap) are accepted; 22 (22! > 2⁶³) are rejected with
+// ErrSymmetryUnsupported rather than a wrapped order.
 func TestBuildGroupOrderCap(t *testing.T) {
 	t.Parallel()
-	inputs := make([]value.Value, 9)
-	sys := symSystem(t, inputs...)
-	_, err := buildGroup(sys, nil, SymmetryIDs)
+	grp, err := buildGroup(symSystem(t, make([]value.Value, 9)...), nil, SymmetryIDs)
+	if err != nil {
+		t.Fatalf("9 identical processes rejected: %v", err)
+	}
+	if grp.order != 362880 {
+		t.Fatalf("9 identical processes: order %d, want 362880", grp.order)
+	}
+	grp, err = buildGroup(symSystem(t, make([]value.Value, 22)...), nil, SymmetryIDs)
 	if !errors.Is(err, ErrSymmetryUnsupported) {
-		t.Fatalf("9 identical processes (9! orbits) accepted: %v", err)
+		order := 0
+		if grp != nil {
+			order = grp.order
+		}
+		t.Fatalf("22 identical processes (22! orbits) accepted with order %d: %v", order, err)
 	}
 }
 
@@ -187,8 +261,12 @@ func TestSymmetryEquivariance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(grp.perms) < 2 {
-				t.Fatalf("trivial group (order %d) makes this test vacuous", len(grp.perms))
+			perms, err := referenceGroup(sys, nil, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(perms) < 2 {
+				t.Fatalf("trivial group (order %d) makes this test vacuous", len(perms))
 			}
 			// Collect every reachable configuration with its discovery
 			// schedule via an unreduced exploration.
@@ -208,8 +286,8 @@ func TestSymmetryEquivariance(t *testing.T) {
 				key := append([]byte(nil), aliased...)
 				// Pruned minimum == naive minimum over the full group.
 				naive = c.AppendKey(naive[:0])
-				for k := 1; k < len(grp.perms); k++ {
-					under = c.AppendKeyUnder(under[:0], grp.perms[k])
+				for k := 1; k < len(perms); k++ {
+					under = c.AppendKeyUnder(under[:0], perms[k])
 					if bytes.Compare(under, naive) < 0 {
 						naive = append(naive[:0], under...)
 					}
@@ -217,16 +295,16 @@ func TestSymmetryEquivariance(t *testing.T) {
 				if !bytes.Equal(key, naive) {
 					t.Fatalf("config %d: canonical() != naive group minimum", id)
 				}
-				if orbit < 1 || len(grp.perms)%orbit != 0 {
+				if orbit < 1 || len(perms)%orbit != 0 {
 					t.Fatalf("config %d: orbit size %d does not divide group order %d",
-						id, orbit, len(grp.perms))
+						id, orbit, len(perms))
 				}
-				under = c.AppendKeyUnder(under[:0], grp.perms[gi])
+				under = c.AppendKeyUnder(under[:0], perms[gi])
 				if !bytes.Equal(under, key) {
 					t.Fatalf("config %d: reported minimizer %d does not realize the canonical key", id, gi)
 				}
-				for k := 1; k < len(grp.perms); k++ {
-					p := grp.perms[k]
+				for k := 1; k < len(perms); k++ {
+					p := perms[k]
 					// Equivariance: the permuted schedule is executable and
 					// lands on the configuration the encoder claims.
 					perm := make([]Step, len(sched))
@@ -266,5 +344,67 @@ func TestPermuteMask(t *testing.T) {
 	}
 	if got := permuteMask(0b111, spec.Perm{}); got != 0b111 {
 		t.Fatalf("identity mask changed: %b", got)
+	}
+}
+
+// pairState is a synthetic object state holding unordered pairs of
+// port labels. Its stabilizer contains double transpositions that swap
+// whole pairs, so distinct placements of interchangeable processes can
+// tie on the whole key.
+type pairState struct{ pairs [][2]int }
+
+func (s pairState) Key() string                 { return fmt.Sprintf("%x", s.AppendKey(nil)) }
+func (s pairState) AppendKey(dst []byte) []byte { return s.AppendKeyUnder(dst, spec.Perm{}) }
+func (s pairState) AppendKeyUnder(dst []byte, p spec.Perm) []byte {
+	img := make([][2]int, len(s.pairs))
+	for k, pr := range s.pairs {
+		a, b := p.Port(pr[0]), p.Port(pr[1])
+		img[k] = [2]int{min(a, b), max(a, b)}
+	}
+	slices.SortFunc(img, func(x, y [2]int) int { return slices.Compare(x[:], y[:]) })
+	dst = append(dst, byte(len(img)))
+	for _, pr := range img {
+		dst = append(dst, byte(pr[0]), byte(pr[1]))
+	}
+	return dst
+}
+
+// TestSymmetryCanonicalTieBreak checks canonical against the reference
+// scan on configurations whose object state ties distinct placements:
+// six interchangeable processes, random stepped masks, and random pair
+// sets as the object. The reported element must be the first
+// minimizer in the reference order, not merely a minimizer.
+func TestSymmetryCanonicalTieBreak(t *testing.T) {
+	t.Parallel()
+	sys := symSystem(t, 0, 0, 0, 0, 0, 0)
+	grp, err := buildGroup(sys, nil, SymmetryIDs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perms, err := referenceGroup(sys, nil, SymmetryIDs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, err := initialConfig(sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	sc := &keyScratch{}
+	for trial := 0; trial < 500; trial++ {
+		var st pairState
+		for k := rng.Intn(4); k > 0; k-- {
+			a, b := 1+rng.Intn(6), 1+rng.Intn(6)
+			if a != b {
+				st.pairs = append(st.pairs, [2]int{a, b})
+			}
+		}
+		c := &Config{Procs: root.Procs, Objs: []spec.State{st}, SteppedMask: uint64(rng.Intn(64))}
+		key, gi, orbit := grp.canonical(sc, c)
+		wkey, wgi, worbit := scanCanonical(perms, c)
+		if !bytes.Equal(key, wkey) || gi != wgi || orbit != worbit {
+			t.Fatalf("pairs %v, mask %06b: canonical gives gi %d, orbit %d, key %x; scan gives gi %d, orbit %d, key %x",
+				st.pairs, c.SteppedMask, gi, orbit, key, wgi, worbit, wkey)
+		}
 	}
 }
