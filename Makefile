@@ -65,16 +65,18 @@ bench:
 # reports "correct":true and "failed":0, and unless its unit_cost_refs
 # (unit CPU time over a reference computation run alongside, so the
 # figure does not drift with host load) is at most the workload's
-# ceiling in BENCH_CEILINGS. Each ceiling is about twice the median
-# unit_cost_refs measured at commit 85a93e5 (ranked-block orbit
-# canonicalization), except explore-n7-ids's: about twice the median of
-# 148 measured with orbit canonicalization by sorting, the commit after
-# cc4277e. So a ceiling trips on a lost fast path, not on noise.
+# ceiling in BENCH_CEILINGS. Each ceiling is about twice a measured
+# median unit_cost_refs: dacd-jobs's at commit 85a93e5 (ranked-block
+# orbit canonicalization); explore-n7-ids's of 148 with orbit
+# canonicalization by sorting, the commit after cc4277e; explore-n7's
+# of 6,172 and sweep-e3's of 6,272 with successors deduplicated within
+# a BFS level, the commit after a2f14e2. So a ceiling trips on a lost
+# fast path, not on noise.
 # Lower a ceiling in the same commit as a measured speed-up it should
 # hold.
 # encoding/json writes the metrics map with sorted keys, so sed can
 # read the value without a JSON tool.
-BENCH_CEILINGS = explore-n7:22600 explore-n7-ids:300 sweep-e3:13500 dacd-jobs:515
+BENCH_CEILINGS = explore-n7:12400 explore-n7-ids:300 sweep-e3:12600 dacd-jobs:515
 bench-gate:
 	@for wc in $(BENCH_CEILINGS); do \
 		w=$${wc%%:*}; ceiling=$${wc#*:}; \

@@ -95,6 +95,11 @@ func NewPAC(n int) PAC { return PAC{N: n} }
 // Name implements spec.Spec.
 func (p PAC) Name() string { return strconv.Itoa(p.N) + "-PAC" }
 
+// Ports implements spec.Ported: V has one slot per label.
+func (p PAC) Ports() int { return p.N }
+
+var _ spec.Ported = PAC{}
+
 // Init implements spec.Spec.
 func (p PAC) Init() spec.State {
 	v := make([]value.Value, p.N)

@@ -62,6 +62,11 @@ func (p PACM) Name() string {
 func (p PACM) pacSpec() PAC                     { return NewPAC(p.N) }
 func (p PACM) consensusSpec() objects.Consensus { return objects.NewConsensus(p.M) }
 
+// Ports implements spec.Ported: the n-PAC component is port-indexed.
+func (p PACM) Ports() int { return p.N }
+
+var _ spec.Ported = PACM{}
+
 // Init implements spec.Spec.
 func (p PACM) Init() spec.State {
 	return PACMState{P: p.pacSpec().Init(), C: p.consensusSpec().Init()}

@@ -58,6 +58,10 @@ var canonCases = []canonCase{
 		mode: explore.SymmetryIDs, order: 6, classes: 1},
 	{name: "oprime-kset-values", prot: programs.KSetFromOPrime(core.NewOPrime(2, nil), 2, 4), inputs: []value.Value{3, 3, 5, 7},
 		tsk: task.KSetAgreement{N: 4, K: 2}, mode: explore.SymmetryValues, order: 4, classes: 2},
+	// Processes 2 and 3 share program and input, but only 2 owns a
+	// port of the (3,2)-PACs: the group swaps 0 and 1 alone.
+	{name: "partition-on-narrow-pac-ids", prot: programs.PartitionObjectO(2, 2), inputs: []value.Value{3, 3, 5, 5},
+		tsk: task.KSetAgreement{N: 4, K: 2}, mode: explore.SymmetryIDs, order: 2, classes: 1},
 	{name: "oprime-base-kset-ids", prot: programs.KSetFromOPrimeBase(2, 2, 4), inputs: []value.Value{3, 3, 3, 5},
 		tsk: task.KSetAgreement{N: 4, K: 2}, mode: explore.SymmetryIDs, order: 6, classes: 1},
 }

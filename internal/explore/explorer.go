@@ -387,7 +387,10 @@ func (st *search) run() (*Report, error) {
 		return rep, err
 	}
 
-	if err := st.bfs(); err != nil {
+	err := st.bfs()
+	// The analyses below expand nothing; let the shard buffers go.
+	st.shards = nil
+	if err != nil {
 		rep.States = len(g.configs)
 		if errors.Is(err, ErrStateLimit) {
 			st.flush("explore.statelimit", err)
@@ -451,35 +454,77 @@ type search struct {
 	// Result channel of the in-flight background snapshot write; nil
 	// when none. See writeCheckpoint/ckptWait.
 	ckptPending chan error
+
+	// shards holds one expansion buffer per worker, reset at every level
+	// (see expandLevel).
+	shards []*shardOut
 }
 
 // succRec is one successor produced by a worker, in canonical (proc,
 // branch) order within its parent's expansion.
 type succRec struct {
-	cfg      *Config // retained only when the successor was not yet interned
-	step     Step
-	id       int // interned id when >= 0 (already in the global table)
-	off, end int // key bytes in the shard's arena when id < 0
-	gi       int // group index minimizing the key (0 when symmetry off)
+	step Step
+	id   int // global id when >= 0 (interned before this level), else -1
+	lid  int // level-local id in the shard's table when id < 0
+	gi   int // group index minimizing the key (0 when symmetry off)
 }
 
-// expansion is the full successor set of one expanded configuration.
+// expansion is one expanded configuration's entry in its shard: its
+// successors are the shard's succs from the previous expansion's end up
+// to end.
 type expansion struct {
 	quiescent bool
-	succs     []succRec
+	end       int
 }
 
 // shardOut is one worker's result for a contiguous shard of a BFS
-// level. The shard's key arena keeps candidate keys alive without one
-// allocation per successor.
+// level. Successors the frozen global table misses are interned into
+// the shard's level-local table, so a configuration several parents
+// reach in one level costs one key copy and one Config: only its first
+// occurrence in the shard builds one. A search keeps one shardOut per
+// worker and resets it at every level.
 type shardOut struct {
 	start    int // first config id of the shard
 	exps     []expansion
-	arena    []byte
+	succs    []succRec
+	local    *store.Store // level-local table of keys the global one missed
+	koff     []int64      // by local id: the key's offset in local.Keys
+	cfgs     []*Config    // by local id: the first occurrence's configuration
+	gids     []int        // merge scratch: global id by local id, -1 until merged
 	err      error
 	errAt    int // config id whose expansion failed
 	symHits  int // successors canonicalized to a different key
 	orbitMax int // largest successor orbit in the shard
+}
+
+// reset empties out for the shard starting at config id start, keeping
+// its buffers' capacity. Clearing cfgs drops the configurations the
+// last merge discarded, and keeps spilled ones collectable.
+func (out *shardOut) reset(start int) {
+	out.local.Reset()
+	clear(out.cfgs)
+	*out = shardOut{
+		start: start,
+		exps:  out.exps[:0],
+		succs: out.succs[:0],
+		local: out.local,
+		koff:  out.koff[:0],
+		cfgs:  out.cfgs[:0],
+		gids:  out.gids[:0],
+	}
+}
+
+// intern adds the first occurrence of key in the shard to the
+// level-local table, keeping its configuration c, and returns the
+// local id.
+func (out *shardOut) intern(key []byte, c *Config) (int, error) {
+	out.koff = append(out.koff, out.local.Keys.Len())
+	lid, err := out.local.Intern(key)
+	if err != nil {
+		return 0, err
+	}
+	out.cfgs = append(out.cfgs, c)
+	return lid, nil
 }
 
 // bfs runs the level-synchronized exploration: workers expand disjoint
@@ -610,64 +655,65 @@ func (st *search) maybeCheckpoint() error {
 
 // expandLevel fans the level's configurations out to contiguous shards,
 // one goroutine each; levels too narrow to amortize a barrier are
-// expanded inline.
+// expanded inline. The returned shards are the search's reused buffers,
+// valid until the next level's expansion.
 func (st *search) expandLevel(levelStart, levelEnd int) []*shardOut {
 	size := levelEnd - levelStart
-	shards := st.opts.Workers
-	if max := (size + minShardConfigs - 1) / minShardConfigs; shards > max {
-		shards = max
+	shards := max(min(st.opts.Workers, (size+minShardConfigs-1)/minShardConfigs), 1)
+	for len(st.shards) < shards {
+		local, _ := store.Open(store.Options{}, nil) // a heap store cannot fail to open
+		st.shards = append(st.shards, &shardOut{local: local})
 	}
-	if shards <= 1 {
-		return []*shardOut{st.expandShard(levelStart, levelEnd)}
+	outs := st.shards[:shards]
+	if shards == 1 {
+		st.expandShard(outs[0], levelStart, levelEnd)
+		return outs
 	}
 	chunk := (size + shards - 1) / shards
-	outs := make([]*shardOut, shards)
 	var wg sync.WaitGroup
-	for w := 0; w < shards; w++ {
+	for w, out := range outs {
 		start := levelStart + w*chunk
-		end := start + chunk
-		if end > levelEnd {
-			end = levelEnd
-		}
+		end := min(start+chunk, levelEnd)
 		wg.Add(1)
-		go func(w, start, end int) {
+		go func() {
 			defer wg.Done()
-			outs[w] = st.expandShard(start, end)
-		}(w, start, end)
+			st.expandShard(out, start, end)
+		}()
 	}
 	wg.Wait()
 	return outs
 }
 
-// expandShard expands configurations [start, end) against the frozen
-// global table (read-only during a level, so lock-free). Successor keys
-// are built in pooled scratch buffers that persist across shards and
-// levels; already-interned successors cost no allocation at all, fresh
-// ones are copied into the shard arena for the merge. Under symmetry
-// the probed key is the canonical orbit minimum rather than the
-// concrete key; without it the key is spliced from the parent's
-// (see expandShardSpliced).
-func (st *search) expandShard(start, end int) *shardOut {
+// expandShard expands configurations [start, end) into out against the
+// frozen global table (read-only during a level, so lock-free).
+// Successor keys are built in pooled scratch buffers; already-interned
+// successors cost no allocation at all. The global table cannot see
+// this level's successors, so most successors reaching a fresh
+// configuration miss it; the shard's level-local table catches the
+// repeats, and only a key's first occurrence in the shard is copied
+// and keeps its configuration for the merge. Under symmetry the probed
+// key is the canonical orbit minimum rather than the concrete key;
+// without it the key is spliced from the parent's (see
+// expandShardSpliced).
+func (st *search) expandShard(out *shardOut, start, end int) {
 	g := st.g
-	out := &shardOut{start: start, exps: make([]expansion, 0, end-start)}
+	out.reset(start)
 	sc := keyScratchPool.Get().(*keyScratch)
 	defer keyScratchPool.Put(sc)
 	if g.grp == nil {
 		st.expandShardSpliced(out, sc, start, end)
-		return out
+		return
 	}
 	for at := start; at < end; at++ {
 		c := g.configs[at]
-		exp := expansion{quiescent: c.Quiescent()}
 		for i := range c.Procs {
 			if !c.Live(i) {
 				continue
 			}
 			nexts, steps, err := successors(g.sys, c, i)
 			if err != nil {
-				out.err = err
-				out.errAt = at
-				return out
+				out.err, out.errAt = err, at
+				return
 			}
 			for b, nc := range nexts {
 				rec := succRec{step: steps[b], id: -1}
@@ -682,18 +728,17 @@ func (st *search) expandShard(start, end int) *shardOut {
 				}
 				if id, ok := g.disk.s.Lookup(key); ok {
 					rec.id = id
-				} else {
-					rec.cfg = nc
-					rec.off = len(out.arena)
-					out.arena = append(out.arena, key...)
-					rec.end = len(out.arena)
+				} else if rec.lid, ok = out.local.Lookup(key); !ok {
+					if rec.lid, err = out.intern(key, nc); err != nil {
+						out.err, out.errAt = err, at
+						return
+					}
 				}
-				exp.succs = append(exp.succs, rec)
+				out.succs = append(out.succs, rec)
 			}
 		}
-		out.exps = append(out.exps, exp)
+		out.exps = append(out.exps, expansion{quiescent: c.Quiescent(), end: len(out.succs)})
 	}
-	return out
 }
 
 // expandShardSpliced is expandShard's symmetry-off fast path. A step
@@ -703,10 +748,9 @@ func (st *search) expandShard(start, end int) *shardOut {
 // spliced from the parent's key bytes plus the two re-encoded
 // components, without materializing the successor Config. The parent
 // key is rendered once per configuration with per-component end
-// offsets; only successors the table has never seen (the ones the
-// merge will intern) then build a real Config. Since most successors
-// at a level are duplicates, this keeps the dominant share of
-// expansion work allocation-free.
+// offsets. A successor builds a real Config only when both the global
+// table and the level-local one miss its key: once per configuration
+// the merge may intern, however many parents in the shard reach it.
 //
 // The successor enumeration mirrors successors() exactly — same
 // ordering, same error values at the same points — so reports and
@@ -721,7 +765,6 @@ func (st *search) expandShardSpliced(out *shardOut, sc *keyScratch, start, end i
 	ends := sc.ends[:1+np+nobj]
 	for at := start; at < end; at++ {
 		c := g.configs[at]
-		exp := expansion{quiescent: c.Quiescent()}
 		// Parent key with component ends: the mask ends at ends[0],
 		// process i at ends[1+i], object j at ends[1+np+j].
 		pkey := sc.parent[:0]
@@ -776,7 +819,7 @@ func (st *search) expandShardSpliced(out *shardOut, sc *keyScratch, start, end i
 				}
 				if id, ok := g.disk.s.Lookup(cand); ok {
 					rec.id = id
-				} else {
+				} else if rec.lid, ok = out.local.Lookup(cand); !ok {
 					nc := &Config{
 						Procs:       make([]machine.ProcState, len(c.Procs)),
 						Objs:        make([]spec.State, len(c.Objs)),
@@ -786,26 +829,28 @@ func (st *search) expandShardSpliced(out *shardOut, sc *keyScratch, start, end i
 					copy(nc.Objs, c.Objs)
 					nc.Procs[i] = ps
 					nc.Objs[jo] = t.Next
-					rec.cfg = nc
-					rec.off = len(out.arena)
-					out.arena = append(out.arena, cand...)
-					rec.end = len(out.arena)
+					if rec.lid, err = out.intern(cand, nc); err != nil {
+						out.err, out.errAt = err, at
+						return
+					}
 				}
-				exp.succs = append(exp.succs, rec)
+				out.succs = append(out.succs, rec)
 			}
 		}
-		out.exps = append(out.exps, exp)
+		out.exps = append(out.exps, expansion{quiescent: c.Quiescent(), end: len(out.succs)})
 	}
 }
 
 // mergeLevel folds the shard results into the graph single-threaded,
 // in ascending (config id, proc, branch) order — the exact order a
 // sequential BFS interns successors, which is what makes ids canonical.
-// Successors two shards discovered independently deduplicate here. On a
-// worker error the level is not merged and the canonically first error
-// (smallest config id) is returned, so the error — and the counters,
-// which then cover completed levels only — are identical at any worker
-// count.
+// A successor's first occurrence in its shard probes the global table,
+// where an earlier shard may have interned the same configuration during
+// this merge; the shard's later occurrences reuse the id it received.
+// On a worker error the level is not merged and the canonically first
+// error (smallest config id) is returned, so the error — and the
+// counters, which then cover completed levels only — are identical at
+// any worker count.
 func (st *search) mergeLevel(outs []*shardOut) error {
 	var firstErr error
 	errAt := -1
@@ -826,17 +871,20 @@ func (st *search) mergeLevel(outs []*shardOut) error {
 	}
 	batch := 0
 	for _, out := range outs {
-		for rel := range out.exps {
-			exp := &out.exps[rel]
+		for range out.cfgs {
+			out.gids = append(out.gids, -1)
+		}
+		lo := 0
+		for rel, exp := range out.exps {
 			at := out.start + rel
 			if exp.quiescent {
 				rep.Quiescent++
 			}
-			batch += len(exp.succs)
+			batch += exp.end - lo
 			rec := d.edgeRec[:0]
 			merged := 0
 			var stop error
-			for _, s := range exp.succs {
+			for _, s := range out.succs[lo:exp.end] {
 				if st.cover != nil && g.configs[at].Procs[s.step.Proc].PC == st.coverPC {
 					// The parent configuration of the currently merging
 					// level is always resident (spilling runs after the
@@ -849,15 +897,18 @@ func (st *search) mergeLevel(outs []*shardOut) error {
 				}
 				id, fresh := s.id, false
 				if id < 0 {
-					key := out.arena[s.off:s.end]
-					if known, ok := g.disk.s.Lookup(key); ok {
-						id = known
-					} else {
-						var err error
-						if id, err = g.intern(key, s.cfg, at, s.step, s.gi); err != nil {
-							return err
+					if id = out.gids[s.lid]; id < 0 {
+						key := record(out.local.Keys, out.koff, s.lid)
+						if known, ok := g.disk.s.Lookup(key); ok {
+							id = known
+						} else {
+							var err error
+							if id, err = g.intern(key, out.cfgs[s.lid], at, s.step, s.gi); err != nil {
+								return err
+							}
+							fresh = true
 						}
-						fresh = true
+						out.gids[s.lid] = id
 					}
 				}
 				gi := 0
@@ -878,6 +929,7 @@ func (st *search) mergeLevel(outs []*shardOut) error {
 					break
 				}
 			}
+			lo = exp.end
 			// One arena append per configuration — the whole edge batch,
 			// count-prefixed in the checkpoint section format — rather
 			// than one write per successor. On an aborted merge the
@@ -1003,9 +1055,11 @@ func (g *graph) pathTo(id int) []Step {
 // configuration and records the first violation (with witness).
 func (g *graph) checkSafety(rep *Report) {
 	var m metaRec
+	o := task.NewOutcome(g.sys.Inputs)
 	for id := range g.configs {
 		g.metaAt(id, &m)
-		if err := g.tsk.CheckSafety(m.outcome(g.sys.Inputs)); err != nil {
+		m.fillOutcome(&o)
+		if err := g.tsk.CheckSafety(o); err != nil {
 			rep.Violations = append(rep.Violations, &Violation{
 				Kind:    ViolationSafety,
 				Err:     err,

@@ -24,6 +24,7 @@ func referenceGroup(sys *System, tsk task.Task, mode Symmetry) ([]spec.Perm, err
 		return nil, err
 	}
 	n := sys.Procs()
+	widths := portWidths(sys)
 	var perms []spec.Perm
 	used := make([]bool, n)
 	img := make([]int, n)
@@ -67,6 +68,7 @@ func referenceGroup(sys *System, tsk task.Task, mode Symmetry) ([]spec.Perm, err
 		for j := 0; j < n; j++ {
 			if used[j] || (fixed[i] || fixed[j]) && i != j ||
 				!machine.SamePrograms(sys.Programs[i], sys.Programs[j]) ||
+				!samePorts(widths, i, j) ||
 				mode == SymmetryIDs && sys.Inputs[i] != sys.Inputs[j] {
 				continue
 			}
@@ -253,4 +255,32 @@ func (s *CanonSuite) MatchScan() (moved int, err error) {
 		}
 	}
 	return moved, nil
+}
+
+// ExpandCounted explores sys to completion, level by level as bfs
+// does, and returns the report counts, the graph's key and edge arena
+// bytes, and how many successor Configs the expansion built: one per
+// key's first occurrence in its shard.
+func ExpandCounted(sys *System, workers int) (built int, rep *Report, graph []byte, err error) {
+	opts := Options{Workers: workers}
+	st, rep, err := newSearch(sys, nil, &opts)
+	if err != nil {
+		return 0, rep, nil, err
+	}
+	g := st.g
+	for levelStart := 0; levelStart < len(g.configs); {
+		levelEnd := len(g.configs)
+		outs := st.expandLevel(levelStart, levelEnd)
+		for _, out := range outs {
+			built += len(out.cfgs)
+		}
+		if err := st.mergeLevel(outs); err != nil {
+			return built, rep, nil, err
+		}
+		levelStart = levelEnd
+	}
+	rep.States = len(g.configs)
+	s := g.disk.s
+	graph = bytes.Join(append(s.Keys.Sections(s.Keys.Len()), s.Edges.Sections(s.Edges.Len())...), nil)
+	return built, rep, graph, nil
 }

@@ -355,3 +355,43 @@ func TestValencyNonBinaryFlushes(t *testing.T) {
 		t.Fatalf("no explore.error terminal event in %q", evBuf.String())
 	}
 }
+
+// TestWorkersDeterminismSuccessorConfigs pins the level-local
+// deduplication of successors: at one worker, expansion builds exactly
+// one Config per fresh configuration (States − 1, every state but the
+// root), however many parents reach it in its level. Shards at four
+// workers each build their own first occurrences, so at least as many,
+// and the graph they merge is byte-identical.
+func TestWorkersDeterminismSuccessorConfigs(t *testing.T) {
+	t.Parallel()
+	for _, n := range []int{4, 5} {
+		sys, err := programs.Algorithm2(n, 1).System(append([]value.Value{1}, make([]value.Value, n-1)...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		built, rep, graph, err := explore.ExpandCounted(sys, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if built != rep.States-1 {
+			t.Errorf("n=%d workers=1: expansion built %d Configs for %d states, want States-1", n, built, rep.States)
+		}
+		if rep.Transitions <= rep.States {
+			t.Errorf("n=%d: %d transitions over %d states: no duplicate successors to deduplicate", n, rep.Transitions, rep.States)
+		}
+		built4, rep4, graph4, err := explore.ExpandCounted(sys, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if built4 < rep.States-1 {
+			t.Errorf("n=%d workers=4: expansion built %d Configs for %d states", n, built4, rep.States)
+		}
+		if rep4.States != rep.States || rep4.Transitions != rep.Transitions || rep4.Quiescent != rep.Quiescent {
+			t.Errorf("n=%d workers=4: counts %d/%d/%d, workers=1 %d/%d/%d", n,
+				rep4.States, rep4.Transitions, rep4.Quiescent, rep.States, rep.Transitions, rep.Quiescent)
+		}
+		if !bytes.Equal(graph4, graph) {
+			t.Errorf("n=%d workers=4: key and edge arenas differ from workers=1", n)
+		}
+	}
+}

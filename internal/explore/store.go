@@ -199,11 +199,15 @@ func (m *metaRec) quiescent() bool {
 	return true
 }
 
-// outcome projects the record for task predicates — the twin of
-// Config.Outcome.
-func (m *metaRec) outcome(inputs []value.Value) task.Outcome {
-	o := task.NewOutcome(inputs)
+// fillOutcome projects the record into o for task predicates — the
+// twin of Config.Outcome. o must come from task.NewOutcome over the
+// system's inputs; every other field is overwritten, so one Outcome
+// serves a whole scan.
+func (m *metaRec) fillOutcome(o *task.Outcome) {
 	for i := range m.status {
+		o.Decisions[i] = value.None
+		o.Decided[i] = false
+		o.Aborted[i] = false
 		switch m.status[i] {
 		case machine.StatusDecided:
 			o.Decide(i, m.decision[i])
@@ -212,7 +216,6 @@ func (m *metaRec) outcome(inputs []value.Value) task.Outcome {
 		}
 		o.Stepped[i] = m.mask&(1<<uint(i)) != 0
 	}
-	return o
 }
 
 // recDec decodes one arena record. The records are the explorer's own

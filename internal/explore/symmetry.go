@@ -295,20 +295,47 @@ func admissibility(sys *System, tsk task.Task, mode Symmetry) (fixed []bool, con
 	return fixed, consts, nil
 }
 
-// programClasses numbers the distinct programs: prog[i] is the lowest
-// process running the same program as process i.
+// programClasses numbers the processes' roles: prog[i] is the lowest
+// process running the same program as process i and owning a port of
+// the same ported objects (see portWidths).
 func programClasses(sys *System) []int {
+	widths := portWidths(sys)
 	prog := make([]int, sys.Procs())
 	for i := range prog {
 		prog[i] = i
 		for j := 0; j < i; j++ {
-			if machine.SamePrograms(sys.Programs[i], sys.Programs[j]) {
+			if machine.SamePrograms(sys.Programs[i], sys.Programs[j]) && samePorts(widths, i, j) {
 				prog[i] = prog[j]
 				break
 			}
 		}
 	}
 	return prog
+}
+
+// portWidths lists the port counts of the system's spec.Ported objects
+// narrower than the system: process i owns a port of such an object
+// when i < width, and only permutations that map those owners onto
+// themselves leave the object's port-indexed state keyable.
+func portWidths(sys *System) []int {
+	var widths []int
+	for _, o := range sys.Objects {
+		if p, ok := o.(spec.Ported); ok && p.Ports() < sys.Procs() {
+			widths = append(widths, p.Ports())
+		}
+	}
+	return widths
+}
+
+// samePorts reports whether processes i and j own ports of the same
+// objects among those portWidths lists.
+func samePorts(widths []int, i, j int) bool {
+	for _, w := range widths {
+		if (i < w) != (j < w) {
+			return false
+		}
+	}
+	return true
 }
 
 // valueMaps enumerates the admissible value maps, as bijections of the

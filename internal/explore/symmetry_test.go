@@ -117,6 +117,17 @@ func TestSymmetrySound(t *testing.T) {
 			tsk:    task.Consensus{N: 3},
 			modes:  []explore.Symmetry{explore.SymmetryIDs, explore.SymmetryValues},
 		},
+		{
+			// (3,2)-PACs among four processes: process 3 owns none of
+			// their ports, so it never trades places with process 2,
+			// though both run the same program on the same input. Keying
+			// a PAC under such a swap indexed past its slots.
+			name:   "partition-on-narrow-pac",
+			prot:   programs.PartitionObjectO(2, 2),
+			inputs: []value.Value{3, 3, 5, 5},
+			tsk:    task.KSetAgreement{N: 4, K: 2},
+			modes:  []explore.Symmetry{explore.SymmetryIDs, explore.SymmetryValues},
+		},
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -112,6 +112,16 @@ func MakePerm(proc []int, vals map[value.Value]value.Value) Perm {
 	return Perm{Proc: proc, Inv: inv, Vals: vals}
 }
 
+// Ported is an optional Spec extension for objects whose state keeps
+// one slot per port label, as the n-PAC does. Ports returns how many
+// labels (1 through Ports()) the object has slots for. A process
+// permutation acts on such a state only when it maps those labels onto
+// themselves, so a symmetry-reduced explorer never interchanges a
+// process that owns one of them with a process that does not.
+type Ported interface {
+	Ports() int
+}
+
 // Symmetric is an optional State extension for symmetry-reduced
 // exploration: AppendKeyUnder appends the binary key that the state
 // p·s — s with every process id i renamed to p.ProcIdx(i), every port

@@ -64,6 +64,15 @@ func (a *Arena) clone() *Arena {
 	return &c
 }
 
+// reset empties the arena, keeping its heap slice or mapped chunks for
+// the next appends to overwrite.
+func (a *Arena) reset() {
+	if a.f == nil {
+		a.chunks[0] = a.chunks[0][:0]
+	}
+	a.size = 0
+}
+
 // Len returns the number of bytes appended so far.
 func (a *Arena) Len() int64 { return a.size }
 

@@ -205,6 +205,18 @@ func (s *Store) Close() error {
 	return err
 }
 
+// Reset empties the store for reuse: no key is interned, the next Intern
+// assigns id 0 again, and the table and arenas keep their capacity.
+// Reset invalidates every view Span and Sections returned, and must not
+// be called on a store that has clones or is one.
+func (s *Store) Reset() {
+	clear(s.slots)
+	s.count = 0
+	for _, a := range []*Arena{s.Keys, s.Meta, s.Edges} {
+		a.reset()
+	}
+}
+
 // Count returns the number of interned keys.
 func (s *Store) Count() int { return s.count }
 

@@ -246,3 +246,63 @@ func TestCheckBudget(t *testing.T) {
 		t.Fatalf("unbounded budget: %v", err)
 	}
 }
+
+// TestStoreReset checks that a reset store is empty — lookups miss and
+// the arenas hold nothing — interns again from id 0, and keeps its
+// table and arena capacity, in both backends.
+func TestStoreReset(t *testing.T) {
+	for _, dir := range []string{"", t.TempDir()} {
+		s, err := openStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		keys := make([][]byte, 100)
+		for i := range keys {
+			keys[i] = []byte(fmt.Sprintf("key-%03d", i))
+			if id, err := s.Intern(keys[i]); err != nil || id != i {
+				t.Fatalf("dir=%q: intern %d: id %d, %v", dir, i, id, err)
+			}
+		}
+		if _, err := s.Meta.Append([]byte("meta")); err != nil {
+			t.Fatal(err)
+		}
+		slots, keyCap := len(s.slots), cap(s.Keys.chunks[0])
+
+		s.Reset()
+		if s.Count() != 0 || s.Keys.Len() != 0 || s.Meta.Len() != 0 || s.Edges.Len() != 0 {
+			t.Fatalf("dir=%q: after Reset count %d, arena lengths %d/%d/%d", dir,
+				s.Count(), s.Keys.Len(), s.Meta.Len(), s.Edges.Len())
+		}
+		for _, k := range keys {
+			if id, ok := s.Lookup(k); ok {
+				t.Fatalf("dir=%q: %q found as %d after Reset", dir, k, id)
+			}
+		}
+		if len(s.slots) != slots || cap(s.Keys.chunks[0]) != keyCap {
+			t.Fatalf("dir=%q: Reset dropped capacity: %d slots (was %d), key arena cap %d (was %d)", dir,
+				len(s.slots), slots, cap(s.Keys.chunks[0]), keyCap)
+		}
+		for i, k := range keys[50:] {
+			if id, err := s.Intern(k); err != nil || id != i {
+				t.Fatalf("dir=%q: intern after Reset: id %d, want %d (%v)", dir, id, i, err)
+			}
+		}
+		for i, k := range keys {
+			id, ok := s.Lookup(k)
+			if want := i >= 50; ok != want || ok && id != i-50 {
+				t.Fatalf("dir=%q: Lookup(%q) = %d, %v after re-interning", dir, k, id, ok)
+			}
+		}
+		if got := s.Keys.Span(0, int64(len(keys[50]))); !bytes.Equal(got, keys[50]) {
+			t.Fatalf("dir=%q: first key after Reset reads %q", dir, got)
+		}
+	}
+}
+
+func openStore(dir string) (*Store, error) {
+	if dir == "" {
+		return Open(Options{}, nil)
+	}
+	return openDir(Options{Dir: dir}, 4<<10, nil)
+}

@@ -71,6 +71,9 @@ type Task interface {
 	Procs() int
 	// CheckSafety returns a wrapped ErrViolation if the (possibly
 	// partial) outcome already violates the task's safety properties.
+	// The caller may reuse o's slices for the next outcome once
+	// CheckSafety returns, so a predicate must not keep o or its slices
+	// (an error it returns may copy values out of them).
 	CheckSafety(o Outcome) error
 	// Liveness describes the termination obligations.
 	Liveness() Liveness
