@@ -48,11 +48,15 @@ race:
 	$(GO) test -race -count=1 -run 'TestKillResume|TestResume|TestContextCancel|TestDiskStore|TestStoreDigests' ./internal/explore
 	$(GO) test -race -count=1 ./internal/checkpoint ./internal/jobs ./cmd/dacd
 
-# fuzz runs FuzzResume (mutated explorer checkpoint payloads) for 30 s
-# past its seed corpus, which plain `go test` already runs. It is not
-# part of verify.
+# fuzz runs each fuzz target for 30 s past its seed corpus, which plain
+# `go test` already runs: FuzzResume (mutated explorer checkpoint
+# payloads), and FuzzSweepSpec and FuzzCollectionsSpec (arbitrary
+# dacd sweep and collections job specs, checked up to, not including,
+# the sweep itself). It is not part of verify.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzResume$$' -fuzztime 30s ./internal/explore
+	$(GO) test -run '^$$' -fuzz '^FuzzSweepSpec$$' -fuzztime 30s ./internal/sweepspec
+	$(GO) test -run '^$$' -fuzz '^FuzzCollectionsSpec$$' -fuzztime 30s ./internal/sweepspec
 
 bench:
 	$(GO) test -bench=. -benchmem

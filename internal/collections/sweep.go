@@ -123,7 +123,6 @@ func Sweep(space Space, tsk Task, opts SweepOptions) (*Report, error) {
 		return nil, err
 	}
 	opts.Events.Emit("collections.done", obs.Fields{
-		"lo": 0, "hi": rep.Collections,
 		"decided": rep.Collections, "pruned": rep.Pruned, "solvable": rep.Solvable,
 	})
 	return rep, nil

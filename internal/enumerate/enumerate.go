@@ -257,21 +257,26 @@ type Assignment struct {
 	Shapes []Shape
 }
 
-// Report summarizes a falsification sweep. Its contents depend only on
-// the candidate order, never on scheduling: sweeps aggregate worker
-// results by candidate index, so the same sweep renders byte-identically
-// at any SweepOptions.Workers setting.
+// Report summarizes a falsification sweep of candidates [lo, hi) (the
+// whole candidate list for FalsifyDAC and FalsifySymmetric). Its
+// contents depend only on the candidate order, never on scheduling:
+// sweeps aggregate worker results by candidate index, so the same
+// sweep renders byte-identically at any SweepOptions.Workers setting.
+// Entries carry global candidate indices, so the reports of a
+// partition of [0, Prepared.Candidates()), concatenated in index
+// order, list what one full sweep does.
 type Report struct {
 	// Candidates is the number of protocol assignments checked.
 	Candidates int
-	// Pruned counts assignments rejected by the cheap solo prefilter.
+	// Pruned counts assignments rejected by the cheap solo prefilter
+	// across the whole prepared sweep.
 	Pruned int
 	// States is the total number of configurations explored across all
 	// model checks, partial (state-limited) explorations included.
 	States int
 	// Solvers lists assignments that passed every check (expected empty
 	// for impossibility experiments), in candidate order.
-	Solvers []Assignment
+	Solvers []Solver
 	// Inconclusive lists assignments the sweep could not settle: some
 	// model check hit SweepOptions.MaxStatesPerCandidate and no input
 	// vector refuted the assignment. They are listed in candidate order;
@@ -288,8 +293,18 @@ type Report struct {
 	SymmetryFallbacks int
 }
 
+// Solver is one candidate that passed every model check.
+type Solver struct {
+	// Index is the global candidate index.
+	Index int
+	// Assignment is the solving candidate.
+	Assignment Assignment
+}
+
 // Failure is one refuted candidate.
 type Failure struct {
+	// Index is the global candidate index.
+	Index int
 	// Assignment is the refuted candidate.
 	Assignment Assignment
 	// Violation is the checker's counterexample.
@@ -302,6 +317,8 @@ type Failure struct {
 // check exceeded the per-candidate state limit on Inputs, and no other
 // input vector refuted the candidate.
 type Inconclusive struct {
+	// Index is the global candidate index.
+	Index int
 	// Assignment is the unsettled candidate.
 	Assignment Assignment
 	// Inputs is the first input vector whose check hit the state limit.

@@ -113,7 +113,7 @@ func TestPositiveControlConsensus(t *testing.T) {
 	}
 	found := false
 	for _, s := range rep.Solvers {
-		sh := s.Shapes[0]
+		sh := s.Assignment.Shapes[0]
 		if sh.Seq[0].Obj == 0 && sh.OnValue == enumerate.ActDecideLast {
 			found = true
 		}

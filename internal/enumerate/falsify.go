@@ -163,31 +163,21 @@ func (f *Family) soloFilter(s Shape, opts SweepOptions) (bool, error) {
 // experiments expect none), and a pair whose check blows the state
 // limit is recorded as inconclusive.
 func FalsifyDAC(f *Family, n int, inputVectors [][]value.Value, opts SweepOptions) (*Report, error) {
-	opts.fill()
 	p, err := PrepareDAC(f, n, opts)
 	if err != nil {
 		return nil, err
 	}
-	rep := &Report{Pruned: p.pruned}
-	if err := sweep(rep, p, inputVectors, opts); err != nil {
-		return nil, err
-	}
-	return rep, nil
+	return p.CheckRange(0, p.Candidates(), inputVectors, opts)
 }
 
 // FalsifySymmetric sweeps the family over a symmetric task (consensus,
 // k-set agreement): every process runs the same shape.
 func FalsifySymmetric(f *Family, tsk task.Task, inputVectors [][]value.Value, opts SweepOptions) (*Report, error) {
-	opts.fill()
 	p, err := PrepareSymmetric(f, tsk, opts)
 	if err != nil {
 		return nil, err
 	}
-	rep := &Report{Pruned: p.pruned}
-	if err := sweep(rep, p, inputVectors, opts); err != nil {
-		return nil, err
-	}
-	return rep, nil
+	return p.CheckRange(0, p.Candidates(), inputVectors, opts)
 }
 
 func survivors(f *Family, opts SweepOptions) ([]Shape, error) {
@@ -235,106 +225,37 @@ type outcome struct {
 	vioMode    explore.Symmetry
 }
 
-// memoStats is a point-in-time copy of a run's memoization counters,
-// carried into the terminal sweep event.
-type memoStats struct {
-	memoHits        int64
-	dedupCandidates int64
-	forkStatesSaved int64
-}
-
-func (rs *runState) memoStats() memoStats {
-	return memoStats{
-		memoHits:        rs.stats.memoHits.Load(),
-		dedupCandidates: rs.stats.dedupCandidates.Load(),
-		forkStatesSaved: rs.stats.forkStatesSaved.Load(),
-	}
-}
-
-// sweep fans the candidates out to opts.Workers goroutines and folds
-// the outcomes into rep in candidate-index order, so the Report is
-// byte-identical for every worker count. The first hard error cancels
-// the remaining queue; the lowest-indexed recorded error is returned.
-func sweep(rep *Report, p *Prepared, inputVectors [][]value.Value, opts SweepOptions) error {
-	opts.Obs.Counter("sweep.sweeps").Inc()
-	opts.Obs.Counter("sweep.pruned").Add(int64(rep.Pruned))
-	outcomes, stats, err := runCandidates(p, 0, len(p.cands), inputVectors, opts)
-	if err != nil {
-		return err
-	}
-	rep.Candidates = len(p.cands)
-	var sample *outcome
-	sampleIdx := -1
-	for i := range outcomes {
-		o := &outcomes[i]
-		rep.States += o.states
-		if o.symFallback {
-			rep.SymmetryFallbacks++
-		}
-		switch {
-		case o.failure != nil:
-			if rep.SampleFailure == nil {
-				rep.SampleFailure = o.failure
-				sample, sampleIdx = o, i
-			}
-		case o.inconclusive != nil:
-			rep.Inconclusive = append(rep.Inconclusive, *o.inconclusive)
-		case o.solver:
-			rep.Solvers = append(rep.Solvers, p.cands[i].asn)
-		}
-	}
-	if sample != nil && sample.vioPending {
-		if err := p.materializeViolation(p.cands[sampleIdx], sample, opts); err != nil {
-			return terminalError(opts, stats, err)
-		}
-	}
-	if opts.Events != nil {
-		opts.Events.Emit("sweep.done", obs.Fields{
-			"candidates":         rep.Candidates,
-			"pruned":             rep.Pruned,
-			"states":             rep.States,
-			"inconclusive":       len(rep.Inconclusive),
-			"solvers":            len(rep.Solvers),
-			"symmetry_fallbacks": rep.SymmetryFallbacks,
-			"memo_hits":          stats.memoHits,
-			"dedup_candidates":   stats.dedupCandidates,
-			"fork_states_saved":  stats.forkStatesSaved,
-		})
-	}
-	return nil
-}
-
 // terminalError accounts a sweep-level failure and emits the single
 // sweep.error terminal event, preserving the one-terminal-event
 // contract for errors discovered after runCandidates returned.
-func terminalError(opts SweepOptions, stats memoStats, err error) error {
+func terminalError(opts SweepOptions, stats *runStats, err error) error {
 	opts.Obs.Counter("sweep.errors").Inc()
 	if opts.Events != nil {
 		opts.Events.Emit("sweep.error", obs.Fields{
 			"error":             err.Error(),
-			"memo_hits":         stats.memoHits,
-			"dedup_candidates":  stats.dedupCandidates,
-			"fork_states_saved": stats.forkStatesSaved,
+			"memo_hits":         stats.memoHits.Load(),
+			"dedup_candidates":  stats.dedupCandidates.Load(),
+			"fork_states_saved": stats.forkStatesSaved.Load(),
 		})
 	}
 	return err
 }
 
-// runCandidates is the worker-pool core shared by full sweeps and
-// shard checks: it fans candidates [lo, hi) out to opts.Workers
-// goroutines and returns the per-candidate outcomes indexed by
-// position. Workers claim candidates in the runState's order — prefix-
-// grouped when the trie engine is on — but outcomes always land at
-// their candidate's position, so folding is order-blind. Metric
+// runCandidates is CheckRange's worker pool: it fans candidates
+// [lo, hi) out to opts.Workers goroutines and returns the
+// per-candidate outcomes indexed by position. Workers claim candidates
+// in the runState's order — prefix-grouped when the trie engine is on
+// — but outcomes always land at their candidate's position, so
+// folding is order-blind. Metric
 // handles resolve once per call; a nil Obs hands out nil (no-op)
 // handles, so the uninstrumented path pays nothing. Per-candidate
-// sweep.candidate events carry lo+i, so a shard's events use global
+// sweep.candidate events carry lo+i, so a range's events use global
 // candidate indices. On a hard error or cancellation it emits one
 // sweep.error terminal event and returns the lowest-indexed error (the
-// terminal-event contract matches explore's: callers that finish
-// normally emit the single sweep.done themselves).
+// terminal-event contract matches explore's: a CheckRange that finishes
+// normally emits the single sweep.done itself).
 func runCandidates(p *Prepared, lo, hi int, inputVectors [][]value.Value, opts SweepOptions,
-) ([]outcome, memoStats, error) {
+) ([]outcome, *runStats, error) {
 	rs := newRunState(p, lo, hi, inputVectors, opts)
 	cands := rs.cands
 	outcomes := make([]outcome, len(cands))
@@ -440,8 +361,8 @@ func runCandidates(p *Prepared, lo, hi int, inputVectors [][]value.Value, opts S
 
 	// Counters for completed candidates were flushed live above, so a
 	// failed or cancelled run still reports its partial work.
-	fail := func(err error) ([]outcome, memoStats, error) {
-		return nil, rs.memoStats(), terminalError(opts, rs.memoStats(), err)
+	fail := func(err error) ([]outcome, *runStats, error) {
+		return nil, &rs.stats, terminalError(opts, &rs.stats, err)
 	}
 	for i := range outcomes {
 		if err := outcomes[i].err; err != nil {
@@ -451,7 +372,7 @@ func runCandidates(p *Prepared, lo, hi int, inputVectors [][]value.Value, opts S
 	if ctx := opts.Ctx; ctx != nil && ctx.Err() != nil {
 		return fail(fmt.Errorf("enumerate: sweep interrupted: %w", ctx.Err()))
 	}
-	return outcomes, rs.memoStats(), nil
+	return outcomes, &rs.stats, nil
 }
 
 // checkCandidate model-checks one assignment on every input vector.
@@ -471,11 +392,10 @@ func checkCandidate(c candidate, objs []spec.Spec, tsk task.Task,
 		// loop instead, keeping event volume proportional to candidates
 		// rather than model-checker states).
 		r, err := explore.Check(sys, tsk, explore.Options{
-			MaxStates:      opts.MaxStatesPerCandidate,
-			Symmetry:       mode,
-			Obs:            opts.Obs,
-			HeartbeatEvery: -1,
-			Ctx:            opts.Ctx,
+			MaxStates: opts.MaxStatesPerCandidate,
+			Symmetry:  mode,
+			Obs:       opts.Obs,
+			Ctx:       opts.Ctx,
 		})
 		if mode != explore.SymmetryOff &&
 			(errors.Is(err, explore.ErrNotSymmetric) || errors.Is(err, explore.ErrSymmetryUnsupported)) {
@@ -485,10 +405,9 @@ func checkCandidate(c candidate, objs []spec.Spec, tsk task.Task,
 			mode = explore.SymmetryOff
 			out.symFallback = true
 			r, err = explore.Check(sys, tsk, explore.Options{
-				MaxStates:      opts.MaxStatesPerCandidate,
-				Obs:            opts.Obs,
-				HeartbeatEvery: -1,
-				Ctx:            opts.Ctx,
+				MaxStates: opts.MaxStatesPerCandidate,
+				Obs:       opts.Obs,
+				Ctx:       opts.Ctx,
 			})
 		}
 		if errors.Is(err, explore.ErrStateLimit) {

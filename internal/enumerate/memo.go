@@ -665,10 +665,9 @@ func (p *Prepared) materializeViolation(c candidate, o *outcome, opts SweepOptio
 	f := o.failure
 	sys := &explore.System{Programs: c.progs, Objects: p.objs, Inputs: f.Inputs}
 	r, err := explore.Check(sys, p.tsk, explore.Options{
-		MaxStates:      opts.MaxStatesPerCandidate,
-		Symmetry:       o.vioMode,
-		HeartbeatEvery: -1,
-		Ctx:            opts.Ctx,
+		MaxStates: opts.MaxStatesPerCandidate,
+		Symmetry:  o.vioMode,
+		Ctx:       opts.Ctx,
 	})
 	if err != nil {
 		return fmt.Errorf("candidate %v on %v: materializing memoized refutation: %w",

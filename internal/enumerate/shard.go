@@ -15,8 +15,7 @@ import (
 // model-check any sub-range of candidates. Candidate order depends
 // only on the family (shape enumeration order is fixed and the solo
 // prefilter is deterministic), so every Prepare of the same family
-// agrees on every candidate index, and ranges checked separately
-// agree with the Report a single full sweep produces.
+// agrees on every candidate index.
 type Prepared struct {
 	cands  []candidate
 	objs   []spec.Spec
@@ -145,133 +144,69 @@ func (p *Prepared) Pruned() int { return p.pruned }
 // Assignment returns candidate i's protocol assignment.
 func (p *Prepared) Assignment(i int) Assignment { return p.cands[i].asn }
 
-// RangeSolver is one candidate of a checked range that passed every
-// model check.
-type RangeSolver struct {
-	// Index is the global candidate index.
-	Index int
-	// Assignment is the solving candidate.
-	Assignment Assignment
-}
-
-// RangeInconclusive is one candidate of a checked range whose model
-// check hit the state limit without any vector refuting it.
-type RangeInconclusive struct {
-	// Index is the global candidate index.
-	Index int
-	// Assignment is the unsettled candidate.
-	Assignment Assignment
-	// Inputs is the first input vector whose check hit the state limit.
-	Inputs []value.Value
-}
-
-// RangeFailure is the refuted candidate with the lowest index in a
-// checked range, with its counterexample rendered.
-type RangeFailure struct {
-	// Index is the global candidate index.
-	Index int
-	// Assignment is the refuted candidate.
-	Assignment Assignment
-	// Inputs is the input vector it failed on.
-	Inputs []value.Value
-	// Violation is the checker's counterexample, rendered.
-	Violation string
-}
-
-// RangeReport is the outcome of checking candidates [Lo, Hi) of a
-// prepared sweep. It is a pure function of (family, task, vectors,
-// range, check options) — no timing — and carries global candidate
-// indices.
-type RangeReport struct {
-	// Lo and Hi bound the checked range, [Lo, Hi).
-	Lo, Hi int
-	// States is the total number of configurations explored checking
-	// this range.
-	States int
-	// SymmetryFallbacks counts candidates in the range re-checked
-	// unreduced (see Report.SymmetryFallbacks).
-	SymmetryFallbacks int
-	// Solvers lists candidates in the range that passed every check,
-	// in candidate order.
-	Solvers []RangeSolver
-	// Inconclusive lists unsettled candidates in the range, in
-	// candidate order.
-	Inconclusive []RangeInconclusive
-	// Failure is the lowest-indexed refuted candidate in the range,
-	// nil when every candidate solved or stayed unsettled.
-	Failure *RangeFailure
-}
-
 // CheckRange model-checks candidates [lo, hi) on every input vector
-// and returns the range's outcome. The per-candidate verdicts are
-// identical to the ones a full FalsifyDAC/FalsifySymmetric sweep
-// computes (the same checkCandidate runs with the same options), so
-// checking a partition of [0, Candidates()) range by range and folding
-// the ranges in index order reproduces the full sweep's Report
-// exactly. Metrics, events (with
-// global candidate indices), progress callbacks, and cancellation all
-// behave as in a full sweep; one terminal event (sweep.done or
-// sweep.error) is emitted per call.
-func (p *Prepared) CheckRange(lo, hi int, inputVectors [][]value.Value, opts SweepOptions) (*RangeReport, error) {
+// and folds the outcomes, in candidate-index order, into a Report with
+// global candidate indices. FalsifyDAC and FalsifySymmetric are
+// CheckRange over every candidate, so checking a partition of
+// [0, Candidates()) range by range reproduces the full sweep: the
+// ranges' States and SymmetryFallbacks sum to the full sweep's, their
+// Solvers and Inconclusive lists concatenate to its lists, and the
+// first SampleFailure in range order is its SampleFailure. Each call
+// counts one sweep.sweeps and the sweep's sweep.pruned, and emits one
+// terminal event (sweep.done or sweep.error); metrics, events,
+// progress callbacks and cancellation otherwise behave per candidate.
+func (p *Prepared) CheckRange(lo, hi int, inputVectors [][]value.Value, opts SweepOptions) (*Report, error) {
 	opts.fill()
 	if lo < 0 || hi > len(p.cands) || lo > hi {
 		return nil, fmt.Errorf("enumerate: range [%d,%d) outside candidates [0,%d)", lo, hi, len(p.cands))
 	}
+	opts.Obs.Counter("sweep.sweeps").Inc()
+	opts.Obs.Counter("sweep.pruned").Add(int64(p.pruned))
 	outcomes, stats, err := runCandidates(p, lo, hi, inputVectors, opts)
 	if err != nil {
 		return nil, err
 	}
-	rr := &RangeReport{Lo: lo, Hi: hi}
+	rep := &Report{Candidates: hi - lo, Pruned: p.pruned}
 	var sample *outcome
-	sampleIdx := -1
 	for i := range outcomes {
 		o := &outcomes[i]
-		rr.States += o.states
+		rep.States += o.states
 		if o.symFallback {
-			rr.SymmetryFallbacks++
+			rep.SymmetryFallbacks++
 		}
 		switch {
 		case o.failure != nil:
-			if rr.Failure == nil {
-				sample, sampleIdx = o, lo+i
-				rr.Failure = &RangeFailure{
-					Index:      lo + i,
-					Assignment: o.failure.Assignment,
-					Inputs:     o.failure.Inputs,
-				}
+			if sample == nil {
+				sample = o
+				o.failure.Index = lo + i
+				rep.SampleFailure = o.failure
 			}
 		case o.inconclusive != nil:
-			rr.Inconclusive = append(rr.Inconclusive, RangeInconclusive{
-				Index:      lo + i,
-				Assignment: o.inconclusive.Assignment,
-				Inputs:     o.inconclusive.Inputs,
-			})
+			o.inconclusive.Index = lo + i
+			rep.Inconclusive = append(rep.Inconclusive, *o.inconclusive)
 		case o.solver:
-			rr.Solvers = append(rr.Solvers, RangeSolver{Index: lo + i, Assignment: p.cands[lo+i].asn})
+			rep.Solvers = append(rep.Solvers, Solver{Index: lo + i, Assignment: p.cands[lo+i].asn})
 		}
 	}
-	if sample != nil {
-		if sample.vioPending {
-			if err := p.materializeViolation(p.cands[sampleIdx], sample, opts); err != nil {
-				terminalError(opts, stats, err)
-				return nil, err
-			}
+	if sample != nil && sample.vioPending {
+		if err := p.materializeViolation(p.cands[sample.failure.Index], sample, opts); err != nil {
+			return nil, terminalError(opts, stats, err)
 		}
-		rr.Failure.Violation = sample.failure.Violation.Error()
 	}
 	if opts.Events != nil {
 		opts.Events.Emit("sweep.done", obs.Fields{
 			"lo":                 lo,
 			"hi":                 hi,
-			"candidates":         hi - lo,
-			"states":             rr.States,
-			"inconclusive":       len(rr.Inconclusive),
-			"solvers":            len(rr.Solvers),
-			"symmetry_fallbacks": rr.SymmetryFallbacks,
-			"memo_hits":          stats.memoHits,
-			"dedup_candidates":   stats.dedupCandidates,
-			"fork_states_saved":  stats.forkStatesSaved,
+			"candidates":         rep.Candidates,
+			"pruned":             rep.Pruned,
+			"states":             rep.States,
+			"inconclusive":       len(rep.Inconclusive),
+			"solvers":            len(rep.Solvers),
+			"symmetry_fallbacks": rep.SymmetryFallbacks,
+			"memo_hits":          stats.memoHits.Load(),
+			"dedup_candidates":   stats.dedupCandidates.Load(),
+			"fork_states_saved":  stats.forkStatesSaved.Load(),
 		})
 	}
-	return rr, nil
+	return rep, nil
 }

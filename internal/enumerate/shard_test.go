@@ -1,10 +1,14 @@
 package enumerate
 
 import (
+	"bytes"
+	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 
 	"setagree/internal/objects"
+	"setagree/internal/obs"
 	"setagree/internal/spec"
 	"setagree/internal/task"
 	"setagree/internal/value"
@@ -44,7 +48,7 @@ func shardVectors(n int) [][]value.Value {
 
 // TestCheckRangePartitionMatchesFullSweep pins the range checks' core
 // invariant: checking an uneven partition of the candidate space range
-// by range yields exactly the aggregates, solver/inconclusive sets,
+// by range yields exactly the aggregates, solver/inconclusive lists,
 // and lowest-index sample failure of the one-shot FalsifyDAC sweep.
 func TestCheckRangePartitionMatchesFullSweep(t *testing.T) {
 	t.Parallel()
@@ -69,66 +73,133 @@ func TestCheckRangePartitionMatchesFullSweep(t *testing.T) {
 			p.Candidates(), p.Pruned(), full.Candidates, full.Pruned)
 	}
 
-	// Deliberately uneven, unordered shard boundaries.
+	// Deliberately uneven, unordered range boundaries.
 	bounds := [][2]int{{700, 1116}, {0, 1}, {1, 700}}
-	var (
-		states       int
-		fallbacks    int
-		solvers      []Assignment
-		inconclusive []Inconclusive
-		failure      *RangeFailure
-	)
-	merged := make(map[int]*RangeReport)
+	ranges := make(map[int]*Report)
 	for _, b := range bounds {
-		rr, err := p.CheckRange(b[0], b[1], vectors, opts)
+		r, err := p.CheckRange(b[0], b[1], vectors, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		merged[b[0]] = rr
+		if r.Candidates != b[1]-b[0] || r.Pruned != full.Pruned {
+			t.Errorf("range %v: %d candidates, %d pruned", b, r.Candidates, r.Pruned)
+		}
+		ranges[b[0]] = r
 	}
 	// Fold in index order.
+	merged := &Report{}
 	for lo := 0; lo < p.Candidates(); {
-		rr, ok := merged[lo]
+		r, ok := ranges[lo]
 		if !ok {
-			t.Fatalf("no shard starting at %d", lo)
+			t.Fatalf("no range starting at %d", lo)
 		}
-		states += rr.States
-		fallbacks += rr.SymmetryFallbacks
-		for _, s := range rr.Solvers {
-			solvers = append(solvers, s.Assignment)
+		lo += r.Candidates
+		merged.Candidates += r.Candidates
+		merged.States += r.States
+		merged.SymmetryFallbacks += r.SymmetryFallbacks
+		merged.Solvers = append(merged.Solvers, r.Solvers...)
+		merged.Inconclusive = append(merged.Inconclusive, r.Inconclusive...)
+		if merged.SampleFailure == nil {
+			merged.SampleFailure = r.SampleFailure
 		}
-		for _, inc := range rr.Inconclusive {
-			inconclusive = append(inconclusive, Inconclusive{Assignment: inc.Assignment, Inputs: inc.Inputs})
-		}
-		if failure == nil && rr.Failure != nil {
-			failure = rr.Failure
-		}
-		lo = rr.Hi
 	}
 
-	if states != full.States {
-		t.Errorf("merged states = %d, full sweep %d", states, full.States)
+	if merged.Candidates != full.Candidates || merged.States != full.States ||
+		merged.SymmetryFallbacks != full.SymmetryFallbacks {
+		t.Errorf("merged candidates/states/fallbacks = %d/%d/%d, full sweep %d/%d/%d",
+			merged.Candidates, merged.States, merged.SymmetryFallbacks,
+			full.Candidates, full.States, full.SymmetryFallbacks)
 	}
-	if fallbacks != full.SymmetryFallbacks {
-		t.Errorf("merged symmetry fallbacks = %d, full sweep %d", fallbacks, full.SymmetryFallbacks)
+	if !reflect.DeepEqual(merged.Solvers, full.Solvers) {
+		t.Errorf("merged solvers differ:\n%v\nvs\n%v", merged.Solvers, full.Solvers)
 	}
-	if !reflect.DeepEqual(solvers, full.Solvers) {
-		t.Errorf("merged solvers differ:\n%v\nvs\n%v", solvers, full.Solvers)
+	if !reflect.DeepEqual(merged.Inconclusive, full.Inconclusive) {
+		t.Errorf("merged inconclusive differ:\n%v\nvs\n%v", merged.Inconclusive, full.Inconclusive)
 	}
-	if !reflect.DeepEqual(inconclusive, full.Inconclusive) {
-		t.Errorf("merged inconclusive differ:\n%v\nvs\n%v", inconclusive, full.Inconclusive)
-	}
+	mf, ff := merged.SampleFailure, full.SampleFailure
 	switch {
-	case failure == nil && full.SampleFailure != nil:
-		t.Errorf("merged shards found no failure; full sweep did: %v", full.SampleFailure.Violation)
-	case failure != nil && full.SampleFailure == nil:
-		t.Errorf("merged shards found a failure; full sweep did not")
-	case failure != nil:
-		if !reflect.DeepEqual(failure.Assignment, full.SampleFailure.Assignment) ||
-			!reflect.DeepEqual(failure.Inputs, full.SampleFailure.Inputs) ||
-			failure.Violation != full.SampleFailure.Violation.Error() {
-			t.Errorf("merged sample failure differs:\n%+v\nvs\n%+v", failure, full.SampleFailure)
+	case ff == nil:
+		t.Fatal("full sweep found no failure")
+	case mf == nil:
+		t.Errorf("merged ranges found no failure; full sweep did: %v", ff.Violation)
+	case mf.Index != ff.Index:
+		t.Errorf("merged sample failure index = %d, full sweep %d", mf.Index, ff.Index)
+	case !reflect.DeepEqual(mf, ff):
+		t.Errorf("merged sample failure differs:\n%+v\nvs\n%+v", mf, ff)
+	}
+}
+
+// TestFalsifyIsCheckRange pins the one outcome fold: a FalsifyDAC
+// sweep and PrepareDAC followed by CheckRange over every candidate
+// return equal Reports, emit identical sweep.done fields, and count
+// identical sweep.* counters, one sweep.sweeps each. Workers is 1 so
+// the memo counters are schedule-independent too.
+func TestFalsifyIsCheckRange(t *testing.T) {
+	t.Parallel()
+	vectors := shardVectors(3)
+	type result struct {
+		rep      *Report
+		done     map[string]any
+		counters map[string]int64
+	}
+	run := func(check func(SweepOptions) (*Report, error)) result {
+		sink := obs.NewSink()
+		var events bytes.Buffer
+		rep, err := check(SweepOptions{Workers: 1, Obs: sink, Events: obs.NewEmitter(&events)})
+		if err != nil {
+			t.Fatal(err)
 		}
+		res := result{rep: rep, counters: make(map[string]int64)}
+		for name, v := range sink.Snapshot().Counters {
+			if strings.HasPrefix(name, "sweep.") {
+				res.counters[name] = v
+			}
+		}
+		for _, line := range strings.Split(strings.TrimSpace(events.String()), "\n") {
+			var ev map[string]any
+			if err := json.Unmarshal([]byte(line), &ev); err != nil {
+				t.Fatal(err)
+			}
+			if ev["event"] == "sweep.done" {
+				if res.done != nil {
+					t.Fatal("more than one sweep.done event")
+				}
+				delete(ev, "seq")
+				delete(ev, "ts")
+				res.done = ev
+			}
+		}
+		return res
+	}
+	full := run(func(opts SweepOptions) (*Report, error) {
+		return FalsifyDAC(shardFamily(), 3, vectors, opts)
+	})
+	ranged := run(func(opts SweepOptions) (*Report, error) {
+		p, err := PrepareDAC(shardFamily(), 3, opts)
+		if err != nil {
+			return nil, err
+		}
+		return p.CheckRange(0, p.Candidates(), vectors, opts)
+	})
+	if !reflect.DeepEqual(full.rep, ranged.rep) {
+		t.Errorf("reports differ:\n%+v\nvs\n%+v", full.rep, ranged.rep)
+	}
+	if !reflect.DeepEqual(full.done, ranged.done) {
+		t.Errorf("sweep.done fields differ:\n%v\nvs\n%v", full.done, ranged.done)
+	}
+	if !reflect.DeepEqual(full.counters, ranged.counters) {
+		t.Errorf("sweep counters differ:\n%v\nvs\n%v", full.counters, ranged.counters)
+	}
+	want := map[string]any{"lo": 0.0, "hi": 1116.0, "candidates": 1116.0, "pruned": float64(full.rep.Pruned)}
+	for k, v := range want {
+		if full.done[k] != v {
+			t.Errorf("sweep.done %s = %v, want %v", k, full.done[k], v)
+		}
+	}
+	if full.counters["sweep.sweeps"] != 1 || full.counters["sweep.pruned"] != int64(full.rep.Pruned) ||
+		full.rep.Pruned == 0 {
+		t.Errorf("sweep.sweeps = %d, sweep.pruned = %d, want 1 and %d (nonzero)",
+			full.counters["sweep.sweeps"], full.counters["sweep.pruned"], full.rep.Pruned)
 	}
 }
 
@@ -142,7 +213,7 @@ func TestCheckRangePartitionMatchesFullSweep(t *testing.T) {
 func TestShardMemoByteEquivalence(t *testing.T) {
 	t.Parallel()
 	vectors := shardVectors(3)
-	run := func(disableMemo bool) *RangeReport {
+	run := func(disableMemo bool) *Report {
 		opts := SweepOptions{DisableMemo: disableMemo}
 		p, err := PrepareDAC(shardFamily(), 3, opts)
 		if err != nil {
@@ -155,7 +226,7 @@ func TestShardMemoByteEquivalence(t *testing.T) {
 		return rr
 	}
 	on, off := run(false), run(true)
-	if on.Failure == nil || on.States == 0 {
+	if on.SampleFailure == nil || on.States == 0 {
 		t.Fatalf("range [300,651) checked nothing: %+v", on)
 	}
 	if !reflect.DeepEqual(on, off) {
@@ -189,7 +260,7 @@ func TestCheckRangeBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rr.States != 0 || rr.Failure != nil || len(rr.Solvers) != 0 {
+	if rr.States != 0 || rr.SampleFailure != nil || len(rr.Solvers) != 0 {
 		t.Errorf("empty range not empty: %+v", rr)
 	}
 }

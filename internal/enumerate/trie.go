@@ -232,11 +232,10 @@ func (rs *runState) explore(ci, vi int, sys *explore.System, effMode explore.Sym
 	if effMode == explore.SymmetryOff && rs.p.depth >= 2 {
 		if ent := rs.snapshotFor(ci, vi, sys); ent != nil {
 			r, err := ent.snap.Fork(sys, explore.Options{
-				MaxStates:      rs.opts.MaxStatesPerCandidate,
-				Obs:            rs.opts.Obs,
-				HeartbeatEvery: -1,
-				Ctx:            rs.opts.Ctx,
-				Cover:          cover,
+				MaxStates: rs.opts.MaxStatesPerCandidate,
+				Obs:       rs.opts.Obs,
+				Ctx:       rs.opts.Ctx,
+				Cover:     cover,
 			})
 			if !errors.Is(err, explore.ErrForkUnsupported) {
 				if ent.uses.Add(1) > 1 {
@@ -249,11 +248,10 @@ func (rs *runState) explore(ci, vi int, sys *explore.System, effMode explore.Sym
 		}
 	}
 	return explore.Check(sys, rs.p.tsk, explore.Options{
-		MaxStates:      rs.opts.MaxStatesPerCandidate,
-		Symmetry:       effMode,
-		Obs:            rs.opts.Obs,
-		HeartbeatEvery: -1,
-		Ctx:            rs.opts.Ctx,
-		Cover:          cover,
+		MaxStates: rs.opts.MaxStatesPerCandidate,
+		Symmetry:  effMode,
+		Obs:       rs.opts.Obs,
+		Ctx:       rs.opts.Ctx,
+		Cover:     cover,
 	})
 }

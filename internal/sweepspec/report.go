@@ -64,30 +64,30 @@ func Run(ctx context.Context, sp SweepSpec, sink *obs.Sink, events *obs.Emitter)
 	opts.Ctx = ctx
 	opts.Obs = sink
 	opts.Events = events
-	rr, err := p.CheckRange(0, p.Candidates(), vectors, opts)
+	r, err := p.CheckRange(0, p.Candidates(), vectors, opts)
 	if err != nil {
 		return nil, err
 	}
 	rep := &SweepReport{
-		Candidates:        p.Candidates(),
-		Pruned:            p.Pruned(),
-		States:            rr.States,
-		SymmetryFallbacks: rr.SymmetryFallbacks,
-		Refuted:           rr.Failure != nil,
-		Solvers:           make([]SweepSolver, 0, len(rr.Solvers)),
-		Inconclusive:      make([]SweepInconclusive, 0, len(rr.Inconclusive)),
+		Candidates:        r.Candidates,
+		Pruned:            r.Pruned,
+		States:            r.States,
+		SymmetryFallbacks: r.SymmetryFallbacks,
+		Refuted:           r.SampleFailure != nil,
+		Solvers:           make([]SweepSolver, 0, len(r.Solvers)),
+		Inconclusive:      make([]SweepInconclusive, 0, len(r.Inconclusive)),
 	}
-	for _, s := range rr.Solvers {
+	for _, s := range r.Solvers {
 		rep.Solvers = append(rep.Solvers, SweepSolver{Index: s.Index, Shapes: renderShapes(s.Assignment)})
 	}
-	for _, inc := range rr.Inconclusive {
+	for _, inc := range r.Inconclusive {
 		rep.Inconclusive = append(rep.Inconclusive, SweepInconclusive{
 			Index: inc.Index, Shapes: renderShapes(inc.Assignment), Inputs: inc.Inputs,
 		})
 	}
-	if f := rr.Failure; f != nil {
+	if f := r.SampleFailure; f != nil {
 		rep.Failure = &SweepFailure{
-			Index: f.Index, Shapes: renderShapes(f.Assignment), Inputs: f.Inputs, Violation: f.Violation,
+			Index: f.Index, Shapes: renderShapes(f.Assignment), Inputs: f.Inputs, Violation: f.Violation.Error(),
 		}
 	}
 	return rep, nil

@@ -27,10 +27,28 @@ func specErrorf(format string, args ...any) error {
 	return fmt.Errorf("%w: "+format, append([]any{ErrSpec}, args...)...)
 }
 
-// maxBinaryProcs is the largest process count whose input vectors a
-// spec may leave implicit: all 2^n binary vectors are generated, so
-// larger tasks must list their inputs.
-const maxBinaryProcs = 16
+// Bounds on a sweep spec, checked before any shape or program is
+// built.
+const (
+	// maxBinaryProcs is the largest process count whose input vectors
+	// a spec may leave implicit: all 2^n binary vectors are generated,
+	// so larger tasks must list their inputs.
+	maxBinaryProcs = 16
+	// maxSweepDepth keeps a shape's program within machine's 64
+	// registers: two fixed registers plus one response per invocation.
+	maxSweepDepth = 62
+	// maxSweepCandidates bounds the candidates a spec yields before the
+	// solo prefilter: |p-shapes|×|q-shapes| for a dac task, |shapes|
+	// for a symmetric one, where a role has |menu|^depth ×
+	// (|actions|² − |retry actions|²) shapes. Family.Shapes builds
+	// every one of them. The bound admits E3's depth-2 Theorem 4.2
+	// family (768 × 560 = 430,080 pairs) almost five times over.
+	maxSweepCandidates = 1 << 21
+	// maxSoloSteps bounds the solo prefilter's run length, 64 times
+	// enumerate's default of 64. Preparing a sweep runs every shape solo
+	// for up to this many steps, uncancellably.
+	maxSoloSteps = 4096
+)
 
 // SweepSpec is a fully data-driven falsification sweep: everything
 // needed to rebuild the candidate family, in JSON. It travels inside
@@ -229,13 +247,18 @@ var actions = map[string]enumerate.Action{
 	"retry":        enumerate.ActRetry,
 }
 
-// Family rebuilds the enumerate.Family the spec describes.
+// Family rebuilds the enumerate.Family the spec describes. It rejects
+// a family with more than maxSweepCandidates candidates before the
+// prefilter, counted without building a shape.
 func (sp SweepSpec) Family() (*enumerate.Family, error) {
-	if sp.Depth < 1 {
-		return nil, specErrorf("depth must be >= 1, got %d", sp.Depth)
+	if sp.Depth < 1 || sp.Depth > maxSweepDepth {
+		return nil, specErrorf("depth must be in [1, %d], got %d", maxSweepDepth, sp.Depth)
 	}
 	if len(sp.Objects) == 0 || len(sp.Menu) == 0 || len(sp.Actions) == 0 {
 		return nil, specErrorf("sweep spec needs objects, menu, and actions")
+	}
+	if sp.candidatesBeforePrefilter() > maxSweepCandidates {
+		return nil, specErrorf("sweep family has more than %d candidates before the solo prefilter", maxSweepCandidates)
 	}
 	objs := make([]spec.Spec, len(sp.Objects))
 	for i, o := range sp.Objects {
@@ -274,8 +297,50 @@ func (sp SweepSpec) Family() (*enumerate.Family, error) {
 	return &enumerate.Family{Objects: objs, Menu: menu, Depth: sp.Depth, Actions: acts}, nil
 }
 
+// candidatesBeforePrefilter counts the candidates Prepare pairs up
+// before the solo prefilter, saturating at maxSweepCandidates+1. The
+// depth must already be within maxSweepDepth.
+func (sp SweepSpec) candidatesBeforePrefilter() int {
+	retries := 0
+	for _, a := range sp.Actions {
+		if a == "retry" {
+			retries++
+		}
+	}
+	q := shapeCount(len(sp.Menu), sp.Depth, len(sp.Actions), retries)
+	if sp.Task.Kind != "dac" {
+		return q
+	}
+	// The distinguished role may also abort.
+	p := shapeCount(len(sp.Menu), sp.Depth, len(sp.Actions)+1, retries)
+	if p > maxSweepCandidates || (q > 0 && p > maxSweepCandidates/q) {
+		return maxSweepCandidates + 1
+	}
+	return p * q
+}
+
+// shapeCount is the number of shapes enumerate.Family.Shapes builds for
+// one role: menu^depth invocation sequences times the action pairs
+// that are not both retry. It saturates at maxSweepCandidates+1.
+func shapeCount(menu, depth, actions, retries int) int {
+	if actions > maxSweepCandidates {
+		return maxSweepCandidates + 1
+	}
+	n := actions*actions - retries*retries
+	for i := 0; i < depth && n > 0; i++ {
+		if n > maxSweepCandidates/menu {
+			return maxSweepCandidates + 1
+		}
+		n *= menu
+	}
+	return n
+}
+
 // Options builds the enumerate.SweepOptions the spec's knobs select.
 func (sp SweepSpec) Options() (enumerate.SweepOptions, error) {
+	if sp.SoloSteps > maxSoloSteps {
+		return enumerate.SweepOptions{}, specErrorf("solo_steps must be at most %d, got %d", maxSoloSteps, sp.SoloSteps)
+	}
 	opts := enumerate.SweepOptions{
 		MaxStatesPerCandidate: sp.MaxStatesPerCandidate,
 		SoloSteps:             sp.SoloSteps,

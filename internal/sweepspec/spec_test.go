@@ -116,3 +116,89 @@ func TestRunLocalMatchesFalsify(t *testing.T) {
 		t.Errorf("refutation disagreement: Run %v, falsify %v", one.Failure, full.SampleFailure)
 	}
 }
+
+// e3 is E3's Theorem 4.2 depth-2 sweep as a spec: the largest
+// committed family, 768 p-shapes × 560 q-shapes before the prefilter.
+func e3() SweepSpec {
+	sp := Thm52()
+	sp.Task = TaskSpec{Kind: "dac", N: 3}
+	sp.Depth = 2
+	return sp
+}
+
+// TestSpecBounds pins the bounds that keep one sweep job from
+// enumerating an unbounded family or running an unbounded solo
+// prefilter: Family and Options reject such specs with ErrSpec, by
+// counting, before any shape is built. The committed families stay
+// admitted, and the count matches the shapes Prepare would pair.
+func TestSpecBounds(t *testing.T) {
+	t.Parallel()
+	with := func(sp SweepSpec, edit func(*SweepSpec)) SweepSpec {
+		edit(&sp)
+		return sp
+	}
+	families := map[string]SweepSpec{
+		// 3^30 × 35 shapes per role.
+		"depth 30": with(Thm71(), func(sp *SweepSpec) { sp.Depth = 30 }),
+		// 48 × 35 pairs, but 2^40 invocations per shape.
+		"depth 1<<40": with(Thm71(), func(sp *SweepSpec) {
+			sp.Menu = sp.Menu[:1]
+			sp.Depth = 1 << 40
+		}),
+		// 48 × 35 pairs, but 65 registers per program.
+		"depth 63": with(Thm71(), func(sp *SweepSpec) {
+			sp.Menu = sp.Menu[:1]
+			sp.Depth = 63
+		}),
+		// 144 × 105 shapes per role at depth 1; 6,561 × 1,680 pairs at
+		// depth 4, though each role alone is within the bound.
+		"dac depth 4": with(Thm71(), func(sp *SweepSpec) { sp.Depth = 4 }),
+		// Only retry: no q-shape, so no pairs, but 3^30 × 3 p-shapes.
+		"retry only": with(Thm71(), func(sp *SweepSpec) {
+			sp.Actions = []string{"retry"}
+			sp.Depth = 30
+		}),
+	}
+	for name, sp := range families {
+		if _, err := sp.Family(); !errors.Is(err, ErrSpec) {
+			t.Errorf("%s: Family err = %v, want one wrapping ErrSpec", name, err)
+		}
+	}
+	for _, steps := range []int{maxSoloSteps + 1, 1 << 40} {
+		sp := with(Thm71(), func(sp *SweepSpec) { sp.SoloSteps = steps })
+		if _, err := sp.Options(); !errors.Is(err, ErrSpec) {
+			t.Errorf("solo_steps %d: Options err = %v, want one wrapping ErrSpec", steps, err)
+		}
+	}
+	if _, err := with(Thm71(), func(sp *SweepSpec) { sp.SoloSteps = maxSoloSteps }).Options(); err != nil {
+		t.Errorf("solo_steps %d rejected: %v", maxSoloSteps, err)
+	}
+
+	admitted := map[string]struct {
+		sp   SweepSpec
+		want int
+	}{
+		"thm71":             {Thm71(), 144 * 105},
+		"thm52":             {Thm52(), 4 * 35},
+		"e3":                {e3(), 768 * 560},
+		"consensus depth 4": {with(Thm71(), func(sp *SweepSpec) { sp.Task = TaskSpec{Kind: "consensus", N: 3}; sp.Depth = 4 }), 81 * 35},
+	}
+	for name, tc := range admitted {
+		if _, err := tc.sp.Family(); err != nil {
+			t.Errorf("%s: Family rejected a committed family: %v", name, err)
+		}
+		if got := tc.sp.candidatesBeforePrefilter(); got != tc.want {
+			t.Errorf("%s: %d candidates before the prefilter, want %d", name, got, tc.want)
+		}
+	}
+	// The count is what Family.Shapes builds for each role.
+	fam, err := Thm71().Family()
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := len(fam.Shapes())
+	fam.AllowAbort = true
+	if got := len(fam.Shapes()) * q; got != Thm71().candidatesBeforePrefilter() {
+		t.Errorf("Thm71 pairs %d shapes, counted %d", got, Thm71().candidatesBeforePrefilter())
+	}
+}
