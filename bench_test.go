@@ -393,38 +393,46 @@ func benchModelCheckDACCkpt(b *testing.B, n int, inputs []value.Value, workers i
 
 // --- E3: candidate-family falsification ------------------------------
 
-// BenchmarkEnumerateDAC measures the depth-1 Theorem 4.2 sweep across
-// worker counts (the -workers dimension: the sweep engine fans the
-// candidate model checks out to a goroutine pool with a byte-identical
-// Report at every setting, so this measures pure speedup). The sweep's
-// obs sink derives candidates/sec and states/sec throughput metrics.
+// BenchmarkEnumerateDAC measures the Theorem 4.2 sweep. The depth-1
+// rows run across worker counts (the -workers dimension: the sweep
+// engine fans the candidate model checks out to a goroutine pool with
+// a byte-identical Report at every setting, so this measures pure
+// speedup). Depth-1 candidates share no prefix and never fork, so the
+// depth=2/workers=1 row is the one whose B/op shows the prefix forks
+// and the per-worker checker reuse. The sweep's obs sink derives
+// candidates/sec and states/sec throughput metrics.
 func BenchmarkEnumerateDAC(b *testing.B) {
-	fam := &enumerate.Family{
-		Objects: []spec.Spec{objects.NewConsensus(2), objects.NewRegister(), objects.NewTwoSA()},
-		Menu: []enumerate.Invoke{
-			{Obj: 0, Method: value.MethodPropose, Arg: enumerate.ArgInput},
-			{Obj: 1, Method: value.MethodWrite, Arg: enumerate.ArgInput},
-			{Obj: 1, Method: value.MethodRead},
-			{Obj: 2, Method: value.MethodPropose, Arg: enumerate.ArgInput},
-		},
-		Depth: 1,
-		Actions: []enumerate.Action{
-			enumerate.ActDecideInput, enumerate.ActDecideLast, enumerate.ActDecideFirst,
-			enumerate.ActDecideZero, enumerate.ActDecideOne, enumerate.ActRetry,
-		},
+	family := func(depth int) *enumerate.Family {
+		return &enumerate.Family{
+			Objects: []spec.Spec{objects.NewConsensus(2), objects.NewRegister(), objects.NewTwoSA()},
+			Menu: []enumerate.Invoke{
+				{Obj: 0, Method: value.MethodPropose, Arg: enumerate.ArgInput},
+				{Obj: 1, Method: value.MethodWrite, Arg: enumerate.ArgInput},
+				{Obj: 1, Method: value.MethodRead},
+				{Obj: 2, Method: value.MethodPropose, Arg: enumerate.ArgInput},
+			},
+			Depth: depth,
+			Actions: []enumerate.Action{
+				enumerate.ActDecideInput, enumerate.ActDecideLast, enumerate.ActDecideFirst,
+				enumerate.ActDecideZero, enumerate.ActDecideOne, enumerate.ActRetry,
+			},
+		}
 	}
 	vectors := [][]value.Value{{1, 0, 0}, {0, 1, 1}, {0, 0, 0}, {1, 1, 1}}
-	workerCounts := []int{1, 2, 4}
+	type row struct{ depth, workers int }
+	rows := []row{{1, 1}, {1, 2}, {1, 4}}
 	if max := runtime.GOMAXPROCS(0); max > 4 {
-		workerCounts = append(workerCounts, max)
+		rows = append(rows, row{1, max})
 	}
-	for _, w := range workerCounts {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+	rows = append(rows, row{2, 1})
+	for _, r := range rows {
+		fam := family(r.depth)
+		b.Run(fmt.Sprintf("depth=%d/workers=%d", r.depth, r.workers), func(b *testing.B) {
 			sink := obs.NewSink()
 			candidates := 0
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				rep, err := enumerate.FalsifyDAC(fam, 3, vectors, enumerate.SweepOptions{Workers: w, Obs: sink})
+				rep, err := enumerate.FalsifyDAC(fam, 3, vectors, enumerate.SweepOptions{Workers: r.workers, Obs: sink})
 				if err != nil {
 					b.Fatal(err)
 				}

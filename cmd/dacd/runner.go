@@ -15,6 +15,7 @@ import (
 	"setagree/internal/jobs"
 	"setagree/internal/obs"
 	cfgstore "setagree/internal/store"
+	"setagree/internal/task"
 )
 
 // exploreSpec is the JSON spec of an "explore" job: a protobuild
@@ -90,23 +91,34 @@ func runExploreJob(ctx context.Context, store *jobs.Store, job jobs.Job) ([]byte
 	return runExploreJobWith(ctx, store, job, nil)
 }
 
-func runExploreJobWith(ctx context.Context, store *jobs.Store, job jobs.Job, reg *obs.Registry) ([]byte, error) {
+// exploreInstance decodes an explore job's spec and builds the instance
+// it names: everything a job does with its spec before it touches the
+// job store or starts a check.
+func exploreInstance(raw []byte) (exploreSpec, explore.Symmetry, *explore.System, task.Task, error) {
 	var sp exploreSpec
-	if err := json.Unmarshal(job.Spec, &sp); err != nil {
-		return nil, fmt.Errorf("bad spec: %w", err)
+	if err := json.Unmarshal(raw, &sp); err != nil {
+		return sp, 0, nil, nil, fmt.Errorf("bad spec: %w", err)
 	}
 	symMode := explore.SymmetryOff
 	if sp.Symmetry != "" {
 		var err error
 		if symMode, err = explore.ParseSymmetry(sp.Symmetry); err != nil {
-			return nil, err
+			return sp, 0, nil, nil, err
 		}
 	}
 	prot, tsk, inputs, err := sp.Build()
 	if err != nil {
-		return nil, err
+		return sp, 0, nil, nil, err
 	}
 	sys, err := prot.System(inputs)
+	if err != nil {
+		return sp, 0, nil, nil, err
+	}
+	return sp, symMode, sys, tsk, nil
+}
+
+func runExploreJobWith(ctx context.Context, store *jobs.Store, job jobs.Job, reg *obs.Registry) ([]byte, error) {
+	sp, symMode, sys, tsk, err := exploreInstance(job.Spec)
 	if err != nil {
 		return nil, err
 	}

@@ -16,6 +16,7 @@ import (
 
 	"setagree/cmd/internal/specname"
 	"setagree/internal/core"
+	"setagree/internal/explore"
 	"setagree/internal/machine"
 	"setagree/internal/programs"
 	"setagree/internal/spec"
@@ -71,10 +72,33 @@ func (c *Config) defaults() Config {
 	return d
 }
 
+// checkSizes rejects size parameters no instance can use: N, M, K and
+// P must lie in [1, explore.MaxProcs] once defaulted, and Procs in
+// [0, explore.MaxProcs]. A negative size would panic the protocol
+// builders, and a larger one names more processes than the explorer
+// accepts.
+func (d *Config) checkSizes() error {
+	for _, p := range []struct {
+		name string
+		v    int
+	}{{"n", d.N}, {"m", d.M}, {"k", d.K}, {"p", d.P}} {
+		if p.v < 1 || p.v > explore.MaxProcs {
+			return fmt.Errorf("%s = %d, want 1 to %d", p.name, p.v, explore.MaxProcs)
+		}
+	}
+	if d.Procs < 0 || d.Procs > explore.MaxProcs {
+		return fmt.Errorf("procs = %d, want 1 to %d (0 for the default)", d.Procs, explore.MaxProcs)
+	}
+	return nil
+}
+
 // Build materializes the instance: the protocol, its task, and the
 // input vector (parsed from Inputs, or the task-appropriate default).
 func (c *Config) Build() (programs.Protocol, task.Task, []value.Value, error) {
 	d := c.defaults()
+	if err := d.checkSizes(); err != nil {
+		return programs.Protocol{}, nil, nil, err
+	}
 	if d.Asm != "" {
 		return d.buildAsm()
 	}
@@ -82,6 +106,13 @@ func (c *Config) Build() (programs.Protocol, task.Task, []value.Value, error) {
 		prot programs.Protocol
 		tsk  task.Task
 	)
+	switch d.Protocol {
+	case "alg2", "alg2-upset", "alg2-pacm":
+		// The builders index the distinguished process's program.
+		if d.P > d.N {
+			return programs.Protocol{}, nil, nil, fmt.Errorf("p = %d, but %s has %d processes", d.P, d.Protocol, d.N)
+		}
+	}
 	switch d.Protocol {
 	case "alg2":
 		prot, tsk = programs.Algorithm2(d.N, d.P), task.DAC{N: d.N, P: d.P - 1}
@@ -127,6 +158,10 @@ func (c *Config) Build() (programs.Protocol, task.Task, []value.Value, error) {
 		return programs.Protocol{}, nil, nil, fmt.Errorf("a protocol name or an asm file is required")
 	default:
 		return programs.Protocol{}, nil, nil, fmt.Errorf("unknown protocol %q", d.Protocol)
+	}
+	if prot.Procs() > explore.MaxProcs {
+		return programs.Protocol{}, nil, nil, fmt.Errorf("%s has %d processes, more than %d",
+			d.Protocol, prot.Procs(), explore.MaxProcs)
 	}
 	inputs, err := ParseInputs(d.Inputs, prot.Procs(), tsk)
 	if err != nil {
@@ -187,6 +222,13 @@ func (c *Config) buildAsm() (programs.Protocol, task.Task, []value.Value, error)
 // proofs' canonical vectors: 1 for the distinguished/first process, 0
 // elsewhere for binary tasks; distinct values for k-set agreement.
 func ParseInputs(raw string, procs int, tsk task.Task) ([]value.Value, error) {
+	d := 0
+	if dt, ok := tsk.(task.DAC); ok {
+		d = dt.P
+	}
+	if d < 0 || d >= procs {
+		return nil, fmt.Errorf("distinguished process %d outside processes 1 to %d", d+1, procs)
+	}
 	if raw != "" {
 		parts := strings.Split(raw, ",")
 		if len(parts) != procs {
@@ -215,10 +257,6 @@ func ParseInputs(raw string, procs int, tsk task.Task) ([]value.Value, error) {
 			out[i] = value.Value(10 + i)
 		}
 		return out, nil
-	}
-	d := 0
-	if dt, ok := tsk.(task.DAC); ok {
-		d = dt.P
 	}
 	out[d] = 1
 	return out, nil

@@ -121,7 +121,7 @@ func (p PAC) Step(s spec.State, op value.Op) ([]spec.Transition, error) {
 	}
 	switch op.Method {
 	case value.MethodProposeAt:
-		if err := spec.CheckProposal(p.Name(), op); err != nil {
+		if err := spec.CheckProposal(p, op); err != nil {
 			return nil, err
 		}
 		if op.Label < 1 || op.Label > p.N {

@@ -41,7 +41,10 @@ type SweepOptions struct {
 	DisableMemo bool
 	// Workers is the number of goroutines model-checking candidates
 	// (default runtime.GOMAXPROCS(0)). The Report is identical for every
-	// worker count: results are aggregated by candidate index.
+	// worker count: results are aggregated by candidate index. Each
+	// goroutine runs its checks one at a time on one reused
+	// explore.Checker, and every check runs single-worker
+	// (explore.Options.Workers 1): the parallelism is across candidates.
 	Workers int
 	// Symmetry, when not SymmetryOff, model-checks each candidate on the
 	// symmetry-reduced configuration graph (see explore.Options.Symmetry;
@@ -90,6 +93,24 @@ type SweepOptions struct {
 	// terminal event is emitted, and the sweep returns an error
 	// satisfying errors.Is(err, ctx.Err()).
 	Ctx context.Context
+}
+
+// checkOptions are the options of every model check the sweep runs.
+// Each check runs single-worker: candidates are already spread over
+// Workers goroutines, so shard goroutines inside a check would add CPU
+// and give no speed-up. The sweep's sink (if any) accumulates the
+// explore.* counters across every check; per-check events stay off
+// (the sweep loop emits one sweep.candidate event per candidate
+// instead, keeping event volume proportional to candidates rather than
+// model-checker states).
+func (o *SweepOptions) checkOptions(mode explore.Symmetry) explore.Options {
+	return explore.Options{
+		Workers:   1,
+		MaxStates: o.MaxStatesPerCandidate,
+		Symmetry:  mode,
+		Obs:       o.Obs,
+		Ctx:       o.Ctx,
+	}
 }
 
 func (o *SweepOptions) fill() {
@@ -242,8 +263,9 @@ func terminalError(opts SweepOptions, stats *runStats, err error) error {
 }
 
 // runCandidates is CheckRange's worker pool: it fans candidates
-// [lo, hi) out to opts.Workers goroutines and returns the
-// per-candidate outcomes indexed by position. Workers claim candidates
+// [lo, hi) out to opts.Workers goroutines, each with its own
+// explore.Checker in rs.checkers, and returns the per-candidate
+// outcomes indexed by position. Workers claim candidates
 // in the runState's order — prefix-grouped when the trie engine is on
 // — but outcomes always land at their candidate's position, so
 // folding is order-blind. Metric
@@ -255,14 +277,11 @@ func terminalError(opts SweepOptions, stats *runStats, err error) error {
 // terminal-event contract matches explore's: a CheckRange that finishes
 // normally emits the single sweep.done itself).
 func runCandidates(p *Prepared, lo, hi int, inputVectors [][]value.Value, opts SweepOptions,
-) ([]outcome, *runStats, error) {
+) ([]outcome, *runState, error) {
 	rs := newRunState(p, lo, hi, inputVectors, opts)
 	cands := rs.cands
 	outcomes := make([]outcome, len(cands))
-	workers := opts.Workers
-	if workers > len(cands) {
-		workers = len(cands)
-	}
+	rs.checkers = make([]*explore.Checker, min(opts.Workers, len(cands)))
 
 	var (
 		candCounter     = opts.Obs.Counter("sweep.candidates")
@@ -283,7 +302,9 @@ func runCandidates(p *Prepared, lo, hi int, inputVectors [][]value.Value, opts S
 		prog   = Progress{Pruned: p.pruned}
 	)
 	next.Store(-1)
-	for w := 0; w < workers; w++ {
+	for w := range rs.checkers {
+		ck := new(explore.Checker)
+		rs.checkers[w] = ck
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -300,7 +321,7 @@ func runCandidates(p *Prepared, lo, hi int, inputVectors [][]value.Value, opts S
 				if timed {
 					begin = time.Now()
 				}
-				out := rs.check(i)
+				out := rs.check(i, ck)
 				outcomes[i] = out
 				if out.err != nil {
 					failed.Store(true)
@@ -361,8 +382,8 @@ func runCandidates(p *Prepared, lo, hi int, inputVectors [][]value.Value, opts S
 
 	// Counters for completed candidates were flushed live above, so a
 	// failed or cancelled run still reports its partial work.
-	fail := func(err error) ([]outcome, *runStats, error) {
-		return nil, &rs.stats, terminalError(opts, &rs.stats, err)
+	fail := func(err error) ([]outcome, *runState, error) {
+		return nil, rs, terminalError(opts, &rs.stats, err)
 	}
 	for i := range outcomes {
 		if err := outcomes[i].err; err != nil {
@@ -372,31 +393,22 @@ func runCandidates(p *Prepared, lo, hi int, inputVectors [][]value.Value, opts S
 	if ctx := opts.Ctx; ctx != nil && ctx.Err() != nil {
 		return fail(fmt.Errorf("enumerate: sweep interrupted: %w", ctx.Err()))
 	}
-	return outcomes, &rs.stats, nil
+	return outcomes, rs, nil
 }
 
-// checkCandidate model-checks one assignment on every input vector.
-// A vector that refutes the candidate settles it; a vector that blows
-// the state limit marks it inconclusive but later vectors still get a
-// chance to refute it (a refutation on any vector is conclusive).
-func checkCandidate(c candidate, objs []spec.Spec, tsk task.Task,
+// checkCandidate model-checks one assignment on every input vector, on
+// the worker's checker ck. A vector that refutes the candidate settles
+// it; a vector that blows the state limit marks it inconclusive but
+// later vectors still get a chance to refute it (a refutation on any
+// vector is conclusive).
+func checkCandidate(ck *explore.Checker, c candidate, objs []spec.Spec, tsk task.Task,
 	inputVectors [][]value.Value, opts SweepOptions,
 ) outcome {
 	var out outcome
 	mode := opts.Symmetry
 	for _, in := range inputVectors {
 		sys := &explore.System{Programs: c.progs, Objects: objs, Inputs: in}
-		// The sweep's sink (if any) accumulates the explore.* counters
-		// across every candidate check; per-check events stay off (one
-		// sweep.candidate event per candidate is emitted by the sweep
-		// loop instead, keeping event volume proportional to candidates
-		// rather than model-checker states).
-		r, err := explore.Check(sys, tsk, explore.Options{
-			MaxStates: opts.MaxStatesPerCandidate,
-			Symmetry:  mode,
-			Obs:       opts.Obs,
-			Ctx:       opts.Ctx,
-		})
+		r, err := ck.Check(sys, tsk, opts.checkOptions(mode))
 		if mode != explore.SymmetryOff &&
 			(errors.Is(err, explore.ErrNotSymmetric) || errors.Is(err, explore.ErrSymmetryUnsupported)) {
 			// This candidate's system admits no reduction; re-check it (and
@@ -404,11 +416,7 @@ func checkCandidate(c candidate, objs []spec.Spec, tsk task.Task,
 			// way, so the fallback is recorded rather than fatal.
 			mode = explore.SymmetryOff
 			out.symFallback = true
-			r, err = explore.Check(sys, tsk, explore.Options{
-				MaxStates: opts.MaxStatesPerCandidate,
-				Obs:       opts.Obs,
-				Ctx:       opts.Ctx,
-			})
+			r, err = ck.Check(sys, tsk, opts.checkOptions(mode))
 		}
 		if errors.Is(err, explore.ErrStateLimit) {
 			out.states += r.States

@@ -533,8 +533,9 @@ func (rs *runState) memoizable(c candidate) bool {
 // matches the unmemoized sweep even when no exploration happens.
 // Refutations served from memo carry a nil Violation plus the
 // re-derivation mode; sweep folding materializes the one failure it
-// reports (materializeViolation).
-func (rs *runState) checkMemo(ci int) outcome {
+// reports (materializeViolation). Every check runs on the worker's
+// checker ck.
+func (rs *runState) checkMemo(ci int, ck *explore.Checker) outcome {
 	var (
 		out     outcome
 		c       = rs.cands[ci]
@@ -604,7 +605,7 @@ func (rs *runState) checkMemo(ci int) outcome {
 		if sys == nil {
 			sys = mkSys()
 		}
-		r, err := rs.explore(ci, vi, sys, effMode)
+		r, err := rs.explore(ck, ci, vi, sys, effMode)
 		if effMode != explore.SymmetryOff &&
 			(errors.Is(err, explore.ErrNotSymmetric) || errors.Is(err, explore.ErrSymmetryUnsupported)) {
 			// Defensive mirror of checkCandidate's fallback. ProbeSymmetry
@@ -613,7 +614,7 @@ func (rs *runState) checkMemo(ci int) outcome {
 			mode, effMode = explore.SymmetryOff, explore.SymmetryOff
 			out.symFallback = true
 			probeOK = false
-			r, err = rs.explore(ci, vi, sys, effMode)
+			r, err = rs.explore(ck, ci, vi, sys, effMode)
 		}
 		switch {
 		case errors.Is(err, explore.ErrStateLimit):
@@ -659,16 +660,14 @@ func (rs *runState) checkMemo(ci int) outcome {
 // classes transfer across canonical-equal candidates but concrete
 // witnesses do not, so the one failure a report surfaces is re-derived
 // by this candidate's own (deterministic) check on its refuting vector.
-// The re-check is silent — its states were already attributed through
-// the memo entry.
-func (p *Prepared) materializeViolation(c candidate, o *outcome, opts SweepOptions) error {
+// The re-check runs on ck, a worker's checker, and is silent — its
+// states were already attributed through the memo entry.
+func (p *Prepared) materializeViolation(ck *explore.Checker, c candidate, o *outcome, opts SweepOptions) error {
 	f := o.failure
 	sys := &explore.System{Programs: c.progs, Objects: p.objs, Inputs: f.Inputs}
-	r, err := explore.Check(sys, p.tsk, explore.Options{
-		MaxStates: opts.MaxStatesPerCandidate,
-		Symmetry:  o.vioMode,
-		Ctx:       opts.Ctx,
-	})
+	copts := opts.checkOptions(o.vioMode)
+	copts.Obs = nil
+	r, err := ck.Check(sys, p.tsk, copts)
 	if err != nil {
 		return fmt.Errorf("candidate %v on %v: materializing memoized refutation: %w",
 			c.asn.Shapes, f.Inputs, err)

@@ -162,10 +162,11 @@ func (p *Prepared) CheckRange(lo, hi int, inputVectors [][]value.Value, opts Swe
 	}
 	opts.Obs.Counter("sweep.sweeps").Inc()
 	opts.Obs.Counter("sweep.pruned").Add(int64(p.pruned))
-	outcomes, stats, err := runCandidates(p, lo, hi, inputVectors, opts)
+	outcomes, rs, err := runCandidates(p, lo, hi, inputVectors, opts)
 	if err != nil {
 		return nil, err
 	}
+	stats := &rs.stats
 	rep := &Report{Candidates: hi - lo, Pruned: p.pruned}
 	var sample *outcome
 	for i := range outcomes {
@@ -189,7 +190,9 @@ func (p *Prepared) CheckRange(lo, hi int, inputVectors [][]value.Value, opts Swe
 		}
 	}
 	if sample != nil && sample.vioPending {
-		if err := p.materializeViolation(p.cands[sample.failure.Index], sample, opts); err != nil {
+		// A failure means some candidate ran, so there is a worker.
+		ck := rs.checkers[0]
+		if err := p.materializeViolation(ck, p.cands[sample.failure.Index], sample, opts); err != nil {
 			return nil, terminalError(opts, stats, err)
 		}
 	}

@@ -82,6 +82,10 @@ type runState struct {
 	snapMu sync.Mutex
 	snaps  map[uint64]*snapEntry
 
+	// checkers holds one explore.Checker per worker goroutine (see
+	// runCandidates); every check a worker runs goes through its own.
+	checkers []*explore.Checker
+
 	stats runStats
 
 	// Memo metric handles resolve only when useMemo, so unmemoized
@@ -131,14 +135,15 @@ func newRunState(p *Prepared, lo, hi int, vectors [][]value.Value, opts SweepOpt
 	return rs
 }
 
-// check dispatches one candidate: the memoized engine when it applies,
-// the plain per-candidate checker otherwise. Both produce identical
-// verdicts, states, and error wrapping.
-func (rs *runState) check(ci int) outcome {
+// check dispatches one candidate on the worker's checker ck: the
+// memoized engine when it applies, the plain per-candidate checker
+// otherwise. Both produce identical verdicts, states, and error
+// wrapping.
+func (rs *runState) check(ci int, ck *explore.Checker) outcome {
 	if !rs.useMemo || !rs.memoOK[ci] {
-		return checkCandidate(rs.cands[ci], rs.p.objs, rs.p.tsk, rs.vectors, rs.opts)
+		return checkCandidate(ck, rs.cands[ci], rs.p.objs, rs.p.tsk, rs.vectors, rs.opts)
 	}
-	return rs.checkMemo(ci)
+	return rs.checkMemo(ci, ck)
 }
 
 // prefixKey serializes the instructions every group member shares: the
@@ -211,10 +216,7 @@ func (rs *runState) snapshotFor(ci, vi int, sys *explore.System) *snapEntry {
 	}
 	rs.snapMu.Unlock()
 	ent.once.Do(func() {
-		ent.snap, ent.err = explore.SnapshotPrefix(sys, rs.p.tsk, rs.p.depth-1, explore.Options{
-			MaxStates: rs.opts.MaxStatesPerCandidate,
-			Ctx:       rs.opts.Ctx,
-		})
+		ent.snap, ent.err = explore.SnapshotPrefix(sys, rs.p.tsk, rs.p.depth-1, rs.opts.checkOptions(explore.SymmetryOff))
 	})
 	if ent.err != nil {
 		return nil
@@ -222,21 +224,18 @@ func (rs *runState) snapshotFor(ci, vi int, sys *explore.System) *snapEntry {
 	return ent
 }
 
-// explore runs one concrete model check, forking the group's prefix
-// snapshot when the configuration supports it (plain engine, depth with
-// a shareable prefix). Forked and from-scratch reports are
-// byte-identical; fork savings are counted from the second use of each
-// snapshot (the first had to explore the prefix to build it).
-func (rs *runState) explore(ci, vi int, sys *explore.System, effMode explore.Symmetry) (*explore.Report, error) {
-	cover := &explore.CoverRequest{GuardPC: rs.p.depth - 1}
+// explore runs one concrete model check on the worker's checker ck,
+// forking the group's prefix snapshot when the configuration supports
+// it (plain engine, depth with a shareable prefix). Forked and
+// from-scratch reports are byte-identical; fork savings are counted
+// from the second use of each snapshot (the first had to explore the
+// prefix to build it). The Report is valid until ck's next call.
+func (rs *runState) explore(ck *explore.Checker, ci, vi int, sys *explore.System, effMode explore.Symmetry) (*explore.Report, error) {
+	opts := rs.opts.checkOptions(effMode)
+	opts.Cover = &explore.CoverRequest{GuardPC: rs.p.depth - 1}
 	if effMode == explore.SymmetryOff && rs.p.depth >= 2 {
 		if ent := rs.snapshotFor(ci, vi, sys); ent != nil {
-			r, err := ent.snap.Fork(sys, explore.Options{
-				MaxStates: rs.opts.MaxStatesPerCandidate,
-				Obs:       rs.opts.Obs,
-				Ctx:       rs.opts.Ctx,
-				Cover:     cover,
-			})
+			r, err := ck.Fork(ent.snap, sys, opts)
 			if !errors.Is(err, explore.ErrForkUnsupported) {
 				if ent.uses.Add(1) > 1 {
 					saved := int64(ent.snap.States())
@@ -247,11 +246,5 @@ func (rs *runState) explore(ci, vi int, sys *explore.System, effMode explore.Sym
 			}
 		}
 	}
-	return explore.Check(sys, rs.p.tsk, explore.Options{
-		MaxStates: rs.opts.MaxStatesPerCandidate,
-		Symmetry:  effMode,
-		Obs:       rs.opts.Obs,
-		Ctx:       rs.opts.Ctx,
-		Cover:     cover,
-	})
+	return ck.Check(sys, rs.p.tsk, opts)
 }

@@ -1,0 +1,260 @@
+package explore_test
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"strings"
+	"sync"
+	"testing"
+
+	"setagree/internal/explore"
+	"setagree/internal/machine"
+	"setagree/internal/obs"
+	"setagree/internal/programs"
+	"setagree/internal/store"
+	"setagree/internal/task"
+	"setagree/internal/value"
+)
+
+// checkerStep is one call in a reused-checker sequence: a Check, or a
+// Fork of fork when it is set.
+type checkerStep struct {
+	name string
+	sys  *explore.System
+	tsk  task.Task
+	opts explore.Options
+	fork *explore.Snapshot
+}
+
+// checkerRun is everything a step's comparison looks at: the rendered
+// report with its coverage, the error, the DOT rendering, and the
+// fixed-clock event stream.
+type checkerRun struct {
+	report, err, dot, events string
+}
+
+// renderCovered is renderReport plus the branch coverage.
+func renderCovered(rep *explore.Report) string {
+	return renderReport(rep) + fmt.Sprintf("cover=%#v\n", rep.Cover)
+}
+
+// runStep runs the step on ck, or one-shot when ck is nil: a fresh
+// Check of the step's system, also for fork steps, since a fork's
+// report equals a from-scratch check's. The returned report is ck's
+// until its next call.
+func runStep(t *testing.T, ck *explore.Checker, s checkerStep) (*explore.Report, checkerRun) {
+	t.Helper()
+	var ev bytes.Buffer
+	opts := s.opts
+	opts.Events = obs.NewEmitterAt(&ev, fixedClock)
+	if opts.Store.Dir != "" {
+		opts.Store.Dir = t.TempDir()
+	}
+	var (
+		rep *explore.Report
+		err error
+	)
+	switch {
+	case ck == nil:
+		rep, err = explore.Check(s.sys, s.tsk, opts)
+	case s.fork != nil:
+		rep, err = ck.Fork(s.fork, s.sys, opts)
+	default:
+		rep, err = ck.Check(s.sys, s.tsk, opts)
+	}
+	if rep == nil {
+		t.Fatalf("%s: no report: %v", s.name, err)
+	}
+	run := checkerRun{report: renderCovered(rep), events: ev.String()}
+	if err != nil {
+		run.err = err.Error()
+	}
+	var dot bytes.Buffer
+	if werr := rep.WriteDOT(&dot, 1<<20); werr != nil {
+		t.Fatalf("%s: WriteDOT: %v", s.name, werr)
+	}
+	run.dot = dot.String()
+	return rep, run
+}
+
+// checkerSteps is a sequence over different systems, tasks, symmetry
+// modes, worker counts and stores, state-limited checks, and forks of
+// two snapshots. Large checks precede small ones and forks, so the
+// reused store meets a table larger than it needs, and store.CopyFrom
+// rehashes a snapshot's table into it.
+func checkerSteps(t *testing.T) []checkerStep {
+	t.Helper()
+	mk := func(prot programs.Protocol, in ...value.Value) *explore.System {
+		sys, err := prot.System(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	base, alt, objs := forkFamily()
+	forkIn := []value.Value{0, 1}
+	forkTsk := task.Consensus{N: 2}
+	baseSys := &explore.System{Programs: base, Objects: objs, Inputs: forkIn}
+	altSys := &explore.System{Programs: alt, Objects: objs, Inputs: forkIn}
+	snap, err := explore.SnapshotPrefix(baseSys, forkTsk, 1, explore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const limit = 9
+	limSnap, err := explore.SnapshotPrefix(baseSys, forkTsk, 1, explore.Options{MaxStates: limit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cover := &explore.CoverRequest{GuardPC: 1}
+	alg3 := mk(programs.Algorithm2(3, 1), 1, 0, 0)
+	alg4 := mk(programs.Algorithm2(4, 1), 1, 0, 0, 0)
+	return []checkerStep{
+		{name: "fork-first", sys: altSys, tsk: forkTsk, opts: explore.Options{Workers: 1, Cover: cover}, fork: snap},
+		{name: "alg2-n3-valency", sys: alg3, tsk: task.DAC{N: 3, P: 0}, opts: explore.Options{Workers: 1, Valency: true}},
+		{name: "alg2-n4-workers4", sys: alg4, tsk: task.DAC{N: 4, P: 0}, opts: explore.Options{Workers: 4, HeartbeatEvery: 64}},
+		{name: "naive-2sa-safety", sys: mk(programs.NaiveTwoSAConsensus(2), 0, 1), tsk: task.Consensus{N: 2},
+			opts: explore.Options{Workers: 4}},
+		{name: "fork-after-large", sys: altSys, tsk: forkTsk, opts: explore.Options{Workers: 1, Cover: cover}, fork: snap},
+		{name: "fork-own-system", sys: baseSys, tsk: forkTsk, opts: explore.Options{Workers: 1, Cover: cover}, fork: snap},
+		{name: "alg2-n4-ids", sys: alg4, tsk: task.DAC{N: 4, P: 0}, opts: explore.Options{Workers: 1, Symmetry: explore.SymmetryIDs}},
+		{name: "consensus-values", sys: mk(programs.ConsensusFromObject(2, 3), 3, 5, 7), tsk: task.Consensus{N: 3},
+			opts: explore.Options{Workers: 2, Symmetry: explore.SymmetryValues}},
+		{name: "oversubscribed-liveness", sys: mk(programs.OverSubscribedConsensus(2), 0, 1, 2), tsk: task.Consensus{N: 3},
+			opts: explore.Options{Workers: 1}},
+		{name: "alg2-n4-state-limit", sys: alg4, tsk: task.DAC{N: 4, P: 0}, opts: explore.Options{Workers: 1, MaxStates: 50}},
+		{name: "fork-state-limit", sys: altSys, tsk: forkTsk, opts: explore.Options{Workers: 1, MaxStates: limit}, fork: limSnap},
+		{name: "alg2-n3-dir-store", sys: alg3, tsk: task.DAC{N: 3, P: 0},
+			opts: explore.Options{Workers: 1, Store: store.Options{Dir: "set per run"}}},
+		{name: "alg2-n3-after-dir", sys: alg3, tsk: task.DAC{N: 3, P: 0}, opts: explore.Options{Workers: 4}},
+	}
+}
+
+// TestCheckerReuseMatchesFresh runs one Checker through checkerSteps
+// and compares every step with a fresh one-shot Check: reports with
+// violations and witnesses, errors, DOT and events are byte-identical.
+// After the sequence, each reused step's report still renders as it
+// did (its counts, violations and coverage own their memory), and
+// both snapshots' bytes are unchanged by the forks.
+func TestCheckerReuseMatchesFresh(t *testing.T) {
+	t.Parallel()
+	steps := checkerSteps(t)
+	snapBefore := map[*explore.Snapshot][]byte{}
+	for _, s := range steps {
+		if s.fork != nil && snapBefore[s.fork] == nil {
+			snapBefore[s.fork] = explore.SnapshotBytes(s.fork)
+		}
+	}
+	ck := new(explore.Checker)
+	reps := make([]*explore.Report, len(steps))
+	rendered := make([]string, len(steps))
+	var sawViolation, sawLimit bool
+	for i, s := range steps {
+		rep, got := runStep(t, ck, s)
+		reps[i], rendered[i] = rep, got.report
+		sawViolation = sawViolation || len(rep.Violations) > 0
+		sawLimit = sawLimit || strings.Contains(got.err, explore.ErrStateLimit.Error())
+		freshRep, want := runStep(t, nil, s)
+		if got != want {
+			t.Errorf("%s: reused checker diverges from a fresh Check:\nreused %+v\nfresh  %+v", s.name, got, want)
+		}
+		if s.opts.Store.Dir != "" {
+			if err := rep.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := freshRep.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i, s := range steps {
+		if got := renderCovered(reps[i]); got != rendered[i] {
+			t.Errorf("%s: report changed after later calls:\nthen %s\nnow  %s", s.name, rendered[i], got)
+		}
+	}
+	if !sawViolation || !sawLimit {
+		t.Fatalf("sequence lacks a violation (%v) or a state-limited check (%v)", sawViolation, sawLimit)
+	}
+	for snap, before := range snapBefore {
+		if after := explore.SnapshotBytes(snap); !bytes.Equal(before, after) {
+			t.Errorf("a snapshot changed under forks:\nbefore %s\nafter  %s", before, after)
+		}
+	}
+}
+
+// TestCheckerFirstCallErrors: a checker whose first call fails its
+// argument checks or opens no store is still usable.
+func TestCheckerFirstCallErrors(t *testing.T) {
+	t.Parallel()
+	ck := new(explore.Checker)
+	sys, err := programs.Algorithm2(3, 1).System([]value.Value{1, 0, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ck.Check(sys, task.DAC{N: 4, P: 0}, explore.Options{}); !errors.Is(err, machine.ErrProgram) {
+		t.Fatalf("mismatched task: %v, want ErrProgram", err)
+	}
+	want, err := explore.Check(sys, task.DAC{N: 3, P: 0}, explore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ck.Check(sys, task.DAC{N: 3, P: 0}, explore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if renderReport(got) != renderReport(want) {
+		t.Fatalf("after a rejected call: %s, want %s", renderReport(got), renderReport(want))
+	}
+}
+
+// TestCheckerForksConcurrent: goroutines that each own a Checker fork
+// one snapshot over and over, as sweep workers do. Under the race
+// detector this checks that a fork only reads the snapshot, and every
+// fork's report still matches a fresh Check.
+func TestCheckerForksConcurrent(t *testing.T) {
+	t.Parallel()
+	base, alt, objs := forkFamily()
+	inputs := []value.Value{0, 1}
+	tsk := task.Consensus{N: 2}
+	snap, err := explore.SnapshotPrefix(&explore.System{Programs: base, Objects: objs, Inputs: inputs},
+		tsk, 1, explore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := explore.SnapshotBytes(snap)
+	systems := []*explore.System{
+		{Programs: base, Objects: objs, Inputs: inputs},
+		{Programs: alt, Objects: objs, Inputs: inputs},
+	}
+	wants := make([]string, len(systems))
+	for i, sys := range systems {
+		rep, err := explore.Check(sys, tsk, explore.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wants[i] = renderReport(rep)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			ck := new(explore.Checker)
+			for round := 0; round < 8; round++ {
+				i := (w + round) % len(systems)
+				rep, err := ck.Fork(snap, systems[i], explore.Options{Workers: 1})
+				if err != nil {
+					t.Errorf("worker %d fork %d: %v", w, i, err)
+					return
+				}
+				if got := renderReport(rep); got != wants[i] {
+					t.Errorf("worker %d fork %d diverges:\n%s\nwant\n%s", w, i, got, wants[i])
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if after := explore.SnapshotBytes(snap); !bytes.Equal(before, after) {
+		t.Error("the snapshot changed under concurrent forks")
+	}
+}

@@ -294,7 +294,7 @@ func decodeStep(d *checkpoint.Dec) Step {
 // partial counters are flushed and exactly one terminal event is
 // emitted on every exit path, including a rejected snapshot.
 func Resume(path string, sys *System, tsk task.Task, opts Options) (*Report, error) {
-	st, rep, err := newSearch(sys, tsk, &opts)
+	st, rep, err := new(Checker).newSearch(sys, tsk, &opts)
 	if err != nil {
 		return rep, err
 	}

@@ -40,7 +40,9 @@ type Options struct {
 	// barrier in canonical (parent id, step order) order, so
 	// configuration ids — and with them Report counts, witness
 	// schedules, valency labels, and DOT output — are byte-identical at
-	// Workers 1 and Workers 64.
+	// Workers 1 and Workers 64. A falsification sweep (internal/
+	// enumerate) runs every check at Workers 1: its parallelism is
+	// across candidates, each worker on one reused Checker.
 	Workers int
 	// Valency enables valence labelling of every configuration and
 	// critical-configuration detection. It requires a binary task (all
@@ -262,6 +264,7 @@ type graph struct {
 	grp     *group     // symmetry group, nil when Options.Symmetry is off
 	canon   []int      // per config: index of the group element g with g·config canonical
 	disk    *diskState // configuration store
+	scc     sccScratch // sccs's working memory
 }
 
 type edge struct {
@@ -288,20 +291,121 @@ const minShardConfigs = 8
 // engine error, or a valency error — Check flushes partial counters,
 // emits the matching terminal event, and returns the partial Report
 // alongside the error.
+//
+// Check is a one-shot Checker: new(Checker).Check(sys, tsk, opts).
 func Check(sys *System, tsk task.Task, opts Options) (*Report, error) {
-	st, rep, err := newSearch(sys, tsk, &opts)
+	return new(Checker).Check(sys, tsk, opts)
+}
+
+// Checker runs explorations one after another, keeping its buffers
+// between them: the heap configuration store (emptied with
+// store.Reset), the graph columns, the merge scratch, and the shard
+// buffers. Callers that run many small checks — a sweep worker runs
+// thousands of a few dozen configurations each — keep one Checker and
+// allocate almost nothing per check. The zero value is ready to use.
+//
+// A Report a Checker returns stays valid until that Checker's next
+// Check or Fork call, which reuses the memory the Report's graph walks
+// (WriteDOT, Adversary) read. Its counts, Violations (with witnesses
+// and cycles), Valency and Cover never alias reused memory and stay
+// valid for good. A run with Options.Store.Dir set opens its own
+// directory store, which the caller closes as with Check, and before
+// the checker's next call. A Checker is not safe for concurrent use;
+// give each goroutine its own.
+type Checker struct {
+	g      *graph
+	heap   *store.Store // the reused heap store, nil until first needed
+	shards []*shardOut
+}
+
+// Check is the package-level Check on the checker's buffers.
+func (c *Checker) Check(sys *System, tsk task.Task, opts Options) (*Report, error) {
+	st, rep, err := c.newSearch(sys, tsk, &opts)
 	if err != nil {
 		return rep, err
 	}
 	return st.run()
 }
 
+// reset empties the checker's graph for an exploration of sys/tsk,
+// keeping every column's capacity. The graph has no store until
+// openStore gives it one. The Report of the checker's previous call is
+// invalid from here on.
+func (c *Checker) reset(sys *System, tsk task.Task) *graph {
+	if c.g == nil {
+		c.g = &graph{disk: &diskState{}}
+	}
+	g, d := c.g, c.g.disk
+	// Dropped pointers keep no configuration of the last run alive.
+	clear(g.configs)
+	*g = graph{
+		sys:     sys,
+		tsk:     tsk,
+		configs: g.configs[:0],
+		parent:  g.parent[:0],
+		parentE: g.parentE[:0],
+		canon:   g.canon[:0],
+		disk:    d,
+		scc:     g.scc,
+	}
+	*d = diskState{
+		metaOff: d.metaOff[:0],
+		edgeOff: d.edgeOff[:0],
+		edgeRec: d.edgeRec[:0],
+		metaRec: d.metaRec[:0],
+	}
+	return g
+}
+
+// openStore gives the graph its configuration store: the checker's own
+// heap store, reset, unless so asks for anything else (a directory or a
+// budget), which opens a store of the run's own.
+func (c *Checker) openStore(so store.Options, sink *obs.Sink) error {
+	if so != (store.Options{}) {
+		s, err := store.Open(so, sink)
+		c.g.disk.s = s
+		return err
+	}
+	c.g.disk.s = c.heapStore()
+	c.g.disk.s.Reset()
+	return nil
+}
+
+// heapStore returns the checker's reused heap store, opening it on
+// first use.
+func (c *Checker) heapStore() *store.Store {
+	if c.heap == nil {
+		c.heap, _ = store.Open(store.Options{}, nil) // a heap store cannot fail to open
+	}
+	return c.heap
+}
+
+// begin starts a search over g on the checker's shard buffers.
+func (c *Checker) begin(g *graph, rep *Report, opts *Options) *search {
+	st := &search{ck: c, g: g, rep: rep, opts: opts, frontierMax: 1, hbNext: opts.HeartbeatEvery}
+	if opts.Cover != nil {
+		// A fresh slice, shared with the report up front so partial exits
+		// (state limit, cancellation) carry the coverage observed so far.
+		st.cover = make([]BranchCover, g.sys.Procs())
+		st.coverPC = opts.Cover.GuardPC
+		rep.Cover = st.cover
+	}
+	if opts.Obs != nil {
+		// Resolved once here so Check, Fork and Resume all record
+		// per-level latency; nil when metrics are off, costing the loop
+		// one nil check per level.
+		st.levelHist = opts.Obs.Histogram("explore.level_ns")
+	}
+	return st
+}
+
 // newSearch validates the system/task pair, normalizes opts in place,
-// builds the symmetry group, and interns the root configuration. On
-// validation failure before the graph exists the returned Report is
-// nil; past that point the partial Report is returned flushed (one
-// explore.error terminal event), matching Check's error contract.
-func newSearch(sys *System, tsk task.Task, opts *Options) (*search, *Report, error) {
+// builds the symmetry group, and interns the root configuration, on
+// the checker's buffers. On validation failure before the graph exists
+// the returned Report is nil; past that point the partial Report is
+// returned flushed (one explore.error terminal event), matching Check's
+// error contract.
+func (c *Checker) newSearch(sys *System, tsk task.Task, opts *Options) (*search, *Report, error) {
 	if len(sys.Programs) != len(sys.Inputs) {
 		return nil, nil, fmt.Errorf("explore: %d programs but %d inputs: %w",
 			len(sys.Programs), len(sys.Inputs), machine.ErrProgram)
@@ -320,22 +424,9 @@ func newSearch(sys *System, tsk task.Task, opts *Options) (*search, *Report, err
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
 
-	g := &graph{sys: sys, tsk: tsk}
+	g := c.reset(sys, tsk)
 	rep := &Report{g: g}
-	st := &search{g: g, rep: rep, opts: opts, frontierMax: 1, hbNext: opts.HeartbeatEvery}
-	if opts.Cover != nil {
-		// The slice is shared with the report up front so partial exits
-		// (state limit, cancellation) carry the coverage observed so far.
-		st.cover = make([]BranchCover, sys.Procs())
-		st.coverPC = opts.Cover.GuardPC
-		rep.Cover = st.cover
-	}
-	if opts.Obs != nil {
-		// Resolved once here so both Check and Resume record per-level
-		// latency; nil when metrics are off, costing the loop one nil
-		// check per level.
-		st.levelHist = opts.Obs.Histogram("explore.level_ns")
-	}
+	st := c.begin(g, rep, opts)
 	fail := func(err error) (*search, *Report, error) {
 		rep.States = len(g.configs)
 		st.flush("explore.error", err)
@@ -345,11 +436,9 @@ func newSearch(sys *System, tsk task.Task, opts *Options) (*search, *Report, err
 		return nil, rep, err
 	}
 
-	s, err := store.Open(opts.Store, opts.Obs)
-	if err != nil {
+	if err := c.openStore(opts.Store, opts.Obs); err != nil {
 		return fail(err)
 	}
-	g.disk = &diskState{s: s}
 
 	root, err := initialConfig(sys)
 	if err != nil {
@@ -388,8 +477,10 @@ func (st *search) run() (*Report, error) {
 	}
 
 	err := st.bfs()
-	// The analyses below expand nothing; let the shard buffers go.
-	st.shards = nil
+	// The analyses below expand nothing. Dropping the checker lets a
+	// one-shot Check's shard buffers go; a reused checker's owner keeps
+	// them.
+	st.ck = nil
 	if err != nil {
 		rep.States = len(g.configs)
 		if errors.Is(err, ErrStateLimit) {
@@ -455,9 +546,9 @@ type search struct {
 	// when none. See writeCheckpoint/ckptWait.
 	ckptPending chan error
 
-	// shards holds one expansion buffer per worker, reset at every level
-	// (see expandLevel).
-	shards []*shardOut
+	// ck owns the shard buffers, one per worker, reset at every level
+	// (see expandLevel); nil once the BFS is done.
+	ck *Checker
 }
 
 // succRec is one successor produced by a worker, in canonical (proc,
@@ -481,8 +572,8 @@ type expansion struct {
 // level. Successors the frozen global table misses are interned into
 // the shard's level-local table, so a configuration several parents
 // reach in one level costs one key copy and one Config: only its first
-// occurrence in the shard builds one. A search keeps one shardOut per
-// worker and resets it at every level.
+// occurrence in the shard builds one. A Checker keeps one shardOut per
+// worker and resets it at every level of every search.
 type shardOut struct {
 	start    int // first config id of the shard
 	exps     []expansion
@@ -655,16 +746,17 @@ func (st *search) maybeCheckpoint() error {
 
 // expandLevel fans the level's configurations out to contiguous shards,
 // one goroutine each; levels too narrow to amortize a barrier are
-// expanded inline. The returned shards are the search's reused buffers,
-// valid until the next level's expansion.
+// expanded inline. The returned shards are the checker's reused
+// buffers, valid until the next level's expansion.
 func (st *search) expandLevel(levelStart, levelEnd int) []*shardOut {
 	size := levelEnd - levelStart
 	shards := max(min(st.opts.Workers, (size+minShardConfigs-1)/minShardConfigs), 1)
-	for len(st.shards) < shards {
+	ck := st.ck
+	for len(ck.shards) < shards {
 		local, _ := store.Open(store.Options{}, nil) // a heap store cannot fail to open
-		st.shards = append(st.shards, &shardOut{local: local})
+		ck.shards = append(ck.shards, &shardOut{local: local})
 	}
-	outs := st.shards[:shards]
+	outs := ck.shards[:shards]
 	if shards == 1 {
 		st.expandShard(outs[0], levelStart, levelEnd)
 		return outs

@@ -10,6 +10,7 @@ import (
 
 	"setagree/internal/machine"
 	"setagree/internal/spec"
+	"setagree/internal/store"
 	"setagree/internal/task"
 	"setagree/internal/value"
 )
@@ -263,7 +264,7 @@ func (s *CanonSuite) MatchScan() (moved int, err error) {
 // key's first occurrence in its shard.
 func ExpandCounted(sys *System, workers int) (built int, rep *Report, graph []byte, err error) {
 	opts := Options{Workers: workers}
-	st, rep, err := newSearch(sys, nil, &opts)
+	st, rep, err := new(Checker).newSearch(sys, nil, &opts)
 	if err != nil {
 		return 0, rep, nil, err
 	}
@@ -283,4 +284,28 @@ func ExpandCounted(sys *System, workers int) (built int, rep *Report, graph []by
 	s := g.disk.s
 	graph = bytes.Join(append(s.Keys.Sections(s.Keys.Len()), s.Edges.Sections(s.Edges.Len())...), nil)
 	return built, rep, graph, nil
+}
+
+// SnapshotBytes renders everything a Snapshot holds: its totals, each
+// configuration's pointer and key, the BFS-tree columns, the record
+// offsets, and the store's table and arena bytes. A test copies it
+// before forking and asserts it unchanged after.
+func SnapshotBytes(s *Snapshot) []byte {
+	var b bytes.Buffer
+	g, d := s.g, s.g.disk
+	fmt.Fprintf(&b, "%d %d %d %d %d %d %d %p\n", s.maxStates, s.expanded, s.level,
+		s.transitions, s.quiescent, s.frontierMax, s.batchMax, g.sys)
+	for id, c := range g.configs {
+		fmt.Fprintf(&b, "%d %p %d %+v %d ", id, c, g.parent[id], g.parentE[id], g.canon[id])
+		if c != nil {
+			b.Write(c.AppendKey(nil))
+		}
+		b.WriteByte('\n')
+	}
+	fmt.Fprintf(&b, "%v %v %d\n%+v\n", d.metaOff, d.edgeOff, d.edgeDurable, *d.s)
+	for _, a := range []*store.Arena{d.s.Keys, d.s.Meta, d.s.Edges} {
+		b.Write(bytes.Join(a.Sections(a.Len()), nil))
+		b.WriteByte('\n')
+	}
+	return b.Bytes()
 }

@@ -8,10 +8,10 @@
 // with min(L, Depth) completed steps, so every configuration at level
 // <= Depth-1 was produced exclusively by instructions the whole group
 // shares. SnapshotPrefix freezes the search at that barrier; Fork
-// resumes it per candidate as a copy-on-write view over the frozen
-// tables (shared *Config pointers, cap-clamped BFS-tree columns, a
-// clone of the heap-backed store), producing a Report byte-identical
-// to a from-scratch run of the forked system.
+// resumes it per candidate on a copy of the frozen tables (the *Config
+// pointers, the BFS-tree columns, the heap-backed store's table and
+// arenas), copied into the forking Checker's reused buffers, producing
+// a Report byte-identical to a from-scratch run of the forked system.
 //
 // Restrictions: heap-backed store, symmetry off, no valency, no
 // checkpointing — exactly the configuration falsification sweeps run.
@@ -21,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"slices"
 
 	"setagree/internal/task"
 )
@@ -56,8 +55,8 @@ func ProbeSymmetry(sys *System, tsk task.Task, mode Symmetry) error {
 
 // Snapshot is a frozen BFS prefix: the configuration table, BFS tree,
 // and report totals of an exploration stopped at a level barrier.
-// A Snapshot is immutable; any number of Forks may run concurrently
-// against it.
+// A Snapshot is immutable and owns its buffers; any number of Forks,
+// on different Checkers, may run concurrently against it.
 type Snapshot struct {
 	g           *graph
 	maxStates   int
@@ -91,7 +90,8 @@ func SnapshotPrefix(sys *System, tsk task.Task, levels int, opts Options) (*Snap
 	opts.Obs = nil
 	opts.Events = nil
 	opts.HeartbeatEvery = -1
-	st, _, err := newSearch(sys, tsk, &opts)
+	// A checker of its own, never reused: the snapshot keeps its graph.
+	st, _, err := new(Checker).newSearch(sys, tsk, &opts)
 	if err != nil {
 		return nil, err
 	}
@@ -111,22 +111,27 @@ func SnapshotPrefix(sys *System, tsk task.Task, levels int, opts Options) (*Snap
 	}, nil
 }
 
+// Fork is a one-shot Checker's Fork: new(Checker).Fork(s, sys, opts).
+func (s *Snapshot) Fork(sys *System, opts Options) (*Report, error) {
+	return new(Checker).Fork(s, sys, opts)
+}
+
 // Fork resumes the snapshot for a forked system — same process count,
 // objects, and inputs; programs that agree with the snapshot's over
 // every instruction executed in the prefix — and drives the search to
-// completion. The forked graph is a copy-on-write view: the prefix
-// configurations, BFS-tree columns, and store arenas are shared
-// read-only with the snapshot (and with every concurrent fork); the
-// fork copies only the store's hash table and the configuration
-// pointers, which its spills overwrite. Because the prefix executions
-// are identical by the caller's guarantee and the merge order is
-// canonical, the returned Report — ids, counts, violations, witnesses
-// — is byte-identical to a from-scratch Check of the forked system;
-// opts.MaxStates must equal the snapshot's so state-limit truncation
-// points agree too. Metrics flushed to opts.Obs count the whole
-// logical run (prefix included), matching the from-scratch equivalent;
-// the work actually saved is States() per reuse.
-func (s *Snapshot) Fork(sys *System, opts Options) (*Report, error) {
+// completion. The fork starts from a copy of the snapshot's prefix in
+// the checker's buffers: the configuration pointers, BFS-tree columns,
+// and the store's table and arenas. The snapshot is only read, so
+// forks on different checkers may run concurrently. Because the prefix
+// executions are identical by the caller's guarantee and the merge
+// order is canonical, the returned Report — ids, counts, violations,
+// witnesses — is byte-identical to a from-scratch Check of the forked
+// system; opts.MaxStates must equal the snapshot's so state-limit
+// truncation points agree too. Metrics flushed to opts.Obs count the
+// whole logical run (prefix included), matching the from-scratch
+// equivalent; the work actually saved is States() per reuse. The
+// Report stays valid until the checker's next call (see Checker).
+func (c *Checker) Fork(s *Snapshot, sys *System, opts Options) (*Report, error) {
 	base := s.g
 	if len(sys.Programs) != len(base.sys.Programs) || len(sys.Inputs) != len(base.sys.Inputs) ||
 		len(sys.Objects) != len(base.sys.Objects) {
@@ -154,37 +159,26 @@ func (s *Snapshot) Fork(sys *System, opts Options) (*Report, error) {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
 
-	n := len(base.configs)
-	g := &graph{
-		sys:     sys,
-		tsk:     base.tsk,
-		configs: slices.Clone(base.configs),
-		parent:  base.parent[:n:n],
-		parentE: base.parentE[:n:n],
-		canon:   base.canon[:n:n],
-		disk:    base.disk.clone(),
-	}
+	g := c.reset(sys, base.tsk)
+	g.configs = append(g.configs, base.configs...)
+	g.parent = append(g.parent, base.parent...)
+	g.parentE = append(g.parentE, base.parentE...)
+	g.canon = append(g.canon, base.canon...)
+	d, bd := g.disk, base.disk
+	d.s = c.heapStore()
+	d.s.CopyFrom(bd.s)
+	d.metaOff = append(d.metaOff, bd.metaOff...)
+	d.edgeOff = append(d.edgeOff, bd.edgeOff...)
+	d.edgeDurable = bd.edgeDurable
+
 	rep := &Report{g: g, Transitions: s.transitions, Quiescent: s.quiescent}
-	st := &search{
-		g:           g,
-		rep:         rep,
-		opts:        &opts,
-		expanded:    s.expanded,
-		frontierMax: s.frontierMax,
-		batchMax:    s.batchMax,
-		hbNext:      opts.HeartbeatEvery,
-		level:       s.level,
-	}
-	if opts.Cover != nil {
-		// Prefix steps never leave the guard PC (the prefix stops before
-		// any process reaches its final invocation), so starting the
-		// coverage empty here matches a from-scratch recording.
-		st.cover = make([]BranchCover, sys.Procs())
-		st.coverPC = opts.Cover.GuardPC
-		rep.Cover = st.cover
-	}
-	if opts.Obs != nil {
-		st.levelHist = opts.Obs.Histogram("explore.level_ns")
-	}
+	st := c.begin(g, rep, &opts)
+	st.expanded = s.expanded
+	st.frontierMax = s.frontierMax
+	st.batchMax = s.batchMax
+	st.level = s.level
+	// Prefix steps never leave the guard PC (the prefix stops before any
+	// process reaches its final invocation), so the empty coverage the
+	// search starts with matches a from-scratch recording.
 	return st.run()
 }

@@ -229,32 +229,45 @@ func (g *graph) cyclePath(from, to, i int, kind ViolationKind, comp []int) []Ste
 	return nil
 }
 
+// sccScratch is sccs's working memory. The graph keeps it, so a reused
+// Checker's checks run Tarjan without allocating.
+type sccScratch struct {
+	index, low, comp, stack []int
+	onStack                 []bool
+	frames                  []sccFrame
+}
+
+type sccFrame struct {
+	v  int
+	it edgeIter
+}
+
 // sccs computes strongly connected components (iterative Tarjan) and
-// returns the component id of every configuration.
+// returns the component id of every configuration. The slice is the
+// graph's scratch, valid until the next sccs call.
 func (g *graph) sccs() []int {
 	n := len(g.configs)
 	const unvisited = -1
-	index := make([]int, n)
-	low := make([]int, n)
-	comp := make([]int, n)
-	onStack := make([]bool, n)
+	sc := &g.scc
+	index := resize(sc.index, n)
+	low := resize(sc.low, n)
+	comp := resize(sc.comp, n)
+	onStack := resize(sc.onStack, n)
 	for i := range index {
 		index[i] = unvisited
 		comp[i] = unvisited
 	}
-	var stack []int
+	clear(onStack)
+	stack := sc.stack[:0]
+	frames := sc.frames[:0]
 	next := 0
 	nComp := 0
 
-	type frame struct {
-		v  int
-		it edgeIter
-	}
 	for root := 0; root < n; root++ {
 		if index[root] != unvisited {
 			continue
 		}
-		frames := []frame{{v: root, it: g.edgeIter(root)}}
+		frames = append(frames[:0], sccFrame{v: root, it: g.edgeIter(root)})
 		index[root] = next
 		low[root] = next
 		next++
@@ -271,7 +284,7 @@ func (g *graph) sccs() []int {
 					next++
 					stack = append(stack, w)
 					onStack[w] = true
-					frames = append(frames, frame{v: w, it: g.edgeIter(w)})
+					frames = append(frames, sccFrame{v: w, it: g.edgeIter(w)})
 				} else if onStack[w] && index[w] < low[f.v] {
 					low[f.v] = index[w]
 				}
@@ -300,5 +313,15 @@ func (g *graph) sccs() []int {
 			}
 		}
 	}
+	*sc = sccScratch{index: index, low: low, comp: comp, stack: stack, onStack: onStack, frames: frames}
 	return comp
+}
+
+// resize returns s with length n, reusing its backing array when it is
+// large enough. The contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }

@@ -46,18 +46,6 @@ type diskState struct {
 	metaRec []byte
 }
 
-// clone returns a copy-on-write view of a heap-backed store's state for
-// a fork (see fork.go): the fork appends past the shared prefix without
-// disturbing d or any sibling fork.
-func (d *diskState) clone() *diskState {
-	return &diskState{
-		s:           d.s.Clone(),
-		metaOff:     d.metaOff[:len(d.metaOff):len(d.metaOff)],
-		edgeOff:     d.edgeOff[:len(d.edgeOff):len(d.edgeOff)],
-		edgeDurable: d.edgeDurable,
-	}
-}
-
 // intern adds a fresh configuration under its binary key (the
 // canonical orbit key when symmetry is on; the stored configuration
 // stays concrete), recording its BFS parent and the group index gi
@@ -301,7 +289,7 @@ func (it *edgeIter) next() (edge, bool) {
 // remain valid, but the graph walks — WriteDOT, Adversary — must not be
 // called.
 func (r *Report) Close() error {
-	if r == nil || r.g == nil || r.g.disk == nil {
+	if r == nil || r.g == nil || r.g.disk == nil || r.g.disk.s == nil {
 		return nil
 	}
 	return r.g.disk.s.Close()

@@ -94,7 +94,7 @@ func (q Queue) Step(s spec.State, op value.Op) ([]spec.Transition, error) {
 	}
 	switch op.Method {
 	case value.MethodEnqueue:
-		if err := spec.CheckProposal(q.Name(), op); err != nil {
+		if err := spec.CheckProposal(q, op); err != nil {
 			return nil, err
 		}
 		items := make([]value.Value, len(st.Items), len(st.Items)+1)

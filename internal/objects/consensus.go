@@ -75,7 +75,7 @@ func (c Consensus) Step(s spec.State, op value.Op) ([]spec.Transition, error) {
 	if op.Method != value.MethodPropose {
 		return nil, spec.BadOpError(c.Name(), op, "consensus supports PROPOSE only")
 	}
-	if err := spec.CheckProposal(c.Name(), op); err != nil {
+	if err := spec.CheckProposal(c, op); err != nil {
 		return nil, err
 	}
 	next := st

@@ -1,6 +1,7 @@
 package objects_test
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -521,5 +522,46 @@ func TestClassicBadOps(t *testing.T) {
 	}
 	if _, err := objects.NewQueue().Step(objects.NewCounter().Init(), value.Dequeue()); err == nil {
 		t.Error("queue accepted foreign state")
+	}
+}
+
+// TestProposeValidAllocs pins what a valid Consensus.Step allocates:
+// the transition slice and the successor state boxed into spec.State.
+// The object's name ("2-consensus") is built only on the error path, so
+// checking the proposal costs nothing; building the name up front, as
+// every step once did, was a third object.
+func TestProposeValidAllocs(t *testing.T) {
+	c := objects.NewConsensus(2)
+	st := c.Init()
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := c.Step(st, value.Propose(1)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 2 {
+		t.Fatalf("valid Consensus.Step allocates %v objects, want 2", allocs)
+	}
+}
+
+// TestProposeSentinelError pins the rejection text of a sentinel
+// proposal, which names the object.
+func TestProposeSentinelError(t *testing.T) {
+	for _, tc := range []struct {
+		obj  spec.Spec
+		op   value.Op
+		want string
+	}{
+		{objects.NewConsensus(2), value.Propose(value.Bottom), "2-consensus: "},
+		{objects.NewTwoSA(), value.Propose(value.Bottom), "2-SA: "},
+		{objects.Queue{}, value.Op{Method: value.MethodEnqueue, Arg: value.Bottom}, "queue: "},
+	} {
+		_, err := tc.obj.Step(tc.obj.Init(), tc.op)
+		if !errors.Is(err, spec.ErrBadOp) {
+			t.Fatalf("%s: Step(%v) = %v, want ErrBadOp", tc.obj.Name(), tc.op, err)
+		}
+		want := tc.want + tc.op.String() + ": sentinel values cannot be proposed: " + spec.ErrBadOp.Error()
+		if err.Error() != want {
+			t.Fatalf("%s: error %q, want %q", tc.obj.Name(), err, want)
+		}
 	}
 }

@@ -122,7 +122,7 @@ func (sa SetAgreement) Step(s spec.State, op value.Op) ([]spec.Transition, error
 	if op.Method != value.MethodPropose {
 		return nil, spec.BadOpError(sa.Name(), op, "set-agreement supports PROPOSE only")
 	}
-	if err := spec.CheckProposal(sa.Name(), op); err != nil {
+	if err := spec.CheckProposal(sa, op); err != nil {
 		return nil, err
 	}
 

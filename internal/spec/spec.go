@@ -127,10 +127,13 @@ func BadOpError(specName string, op value.Op, reason string) error {
 
 // CheckProposal validates that an application-supplied proposal value is
 // not one of the reserved sentinels (§3 footnote 4: "processes do not
-// propose the special values ⊥ and NIL").
-func CheckProposal(specName string, op value.Op) error {
+// propose the special values ⊥ and NIL"). s names the object in the
+// error. Its Name is built only when the proposal is rejected, and s is
+// a type parameter so it is not boxed into an interface: a valid
+// proposal costs no allocation.
+func CheckProposal[S Spec](s S, op value.Op) error {
 	if op.Arg.IsSentinel() {
-		return BadOpError(specName, op, "sentinel values cannot be proposed")
+		return BadOpError(s.Name(), op, "sentinel values cannot be proposed")
 	}
 	return nil
 }

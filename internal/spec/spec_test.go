@@ -2,6 +2,7 @@ package spec_test
 
 import (
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 
@@ -165,12 +166,16 @@ func TestDeterministicDetection(t *testing.T) {
 
 func TestCheckProposal(t *testing.T) {
 	t.Parallel()
-	if err := spec.CheckProposal("x", value.Propose(3)); err != nil {
+	pac := core.NewPAC(2)
+	if err := spec.CheckProposal(pac, value.Propose(3)); err != nil {
 		t.Errorf("valid proposal rejected: %v", err)
 	}
 	for _, v := range []value.Value{value.None, value.Bottom, value.Done} {
-		if err := spec.CheckProposal("x", value.Propose(v)); !errors.Is(err, spec.ErrBadOp) {
+		err := spec.CheckProposal(pac, value.Propose(v))
+		if !errors.Is(err, spec.ErrBadOp) {
 			t.Errorf("sentinel %s accepted", v)
+		} else if !strings.HasPrefix(err.Error(), pac.Name()+": ") {
+			t.Errorf("sentinel %s: error %q does not name the object", v, err)
 		}
 	}
 }

@@ -56,12 +56,14 @@ func newHeapArena() *Arena {
 	return &Arena{chunks: [][]byte{nil}, shift: 63, mask: 1<<63 - 1}
 }
 
-// clone returns a heap arena sharing a's bytes, capacity-clamped so the
-// clone's first append copies them instead of writing into a's slice.
-func (a *Arena) clone() *Arena {
-	c := *a
-	c.chunks = [][]byte{a.chunks[0][:a.size:a.size]}
-	return &c
+// copyFrom makes a, a heap arena, hold a copy of src's bytes, reusing
+// a's slice. Both must be heap arenas.
+func (a *Arena) copyFrom(src *Arena) {
+	if a.f != nil || src.f != nil {
+		panic("store: internal: copyFrom on a directory arena")
+	}
+	a.chunks[0] = append(a.chunks[0][:0], src.chunks[0]...)
+	a.size = src.size
 }
 
 // reset empties the arena, keeping its heap slice or mapped chunks for

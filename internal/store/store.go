@@ -27,7 +27,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"slices"
 	"strconv"
 	"strings"
 
@@ -179,14 +178,29 @@ func openDir(opts Options, chunkBytes int64, sink *obs.Sink) (*Store, error) {
 	return s, nil
 }
 
-// Clone returns a copy of a heap-backed store that shares s's bytes
-// copy-on-write: appends to the clone never reach s, and s must not be
-// appended to afterwards. Lookups on s stay safe while clones run.
-func (s *Store) Clone() *Store {
-	c := *s
-	c.slots = slices.Clone(s.slots)
-	c.Keys, c.Meta, c.Edges = s.Keys.clone(), s.Meta.clone(), s.Edges.clone()
-	return &c
+// CopyFrom makes s a copy of src, both heap-backed: the same keys, ids,
+// records and table, in s's own memory, so appends to either never
+// reach the other, and src is only read. s keeps its capacity, so
+// copying into a store that has held as much before allocates nothing.
+func (s *Store) CopyFrom(src *Store) {
+	if len(s.slots) > len(src.slots) {
+		// Rehash into s's larger table rather than shrink it: a copy
+		// that goes on to intern as many keys as s held before then
+		// never grows the table again. Ids live in the slots, so
+		// lookups are unchanged.
+		clear(s.slots)
+		for _, sl := range src.slots {
+			if sl.klen != 0 {
+				s.insert(sl)
+			}
+		}
+	} else {
+		s.slots = append(s.slots[:0], src.slots...)
+	}
+	s.count = src.count
+	s.Keys.copyFrom(src.Keys)
+	s.Meta.copyFrom(src.Meta)
+	s.Edges.copyFrom(src.Edges)
 }
 
 // Close unmaps and removes a directory store's arena files. Idempotent;
@@ -207,8 +221,7 @@ func (s *Store) Close() error {
 
 // Reset empties the store for reuse: no key is interned, the next Intern
 // assigns id 0 again, and the table and arenas keep their capacity.
-// Reset invalidates every view Span and Sections returned, and must not
-// be called on a store that has clones or is one.
+// Reset invalidates every view Span and Sections returned.
 func (s *Store) Reset() {
 	clear(s.slots)
 	s.count = 0
@@ -272,8 +285,9 @@ func (s *Store) insert(sl slot) {
 	}
 }
 
-// grow doubles the table, starting at 8 slots: a sweep opens one store
-// per candidate check, most of them a few dozen keys.
+// grow doubles the table, starting at 8 slots: most stores index a
+// sweep's candidate checks, or one BFS level's new keys in a shard,
+// which are a few dozen keys.
 func (s *Store) grow() {
 	old := s.slots
 	s.slots = make([]slot, max(2*len(old), 8))

@@ -116,9 +116,10 @@ func TestArenaStraddle(t *testing.T) {
 	}
 }
 
-// TestHeapClone: a clone sees its source's keys and records, and what
-// it appends never reaches the source.
-func TestHeapClone(t *testing.T) {
+// TestCopyFrom: a copy sees its source's keys and records, what it
+// appends never reaches the source, and copying again into the same
+// store, after it grew, starts from the source once more.
+func TestCopyFrom(t *testing.T) {
 	s, err := Open(Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -128,18 +129,39 @@ func TestHeapClone(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c := s.Clone()
-	if id, err := c.Intern([]byte("dddd")); err != nil || id != 3 {
-		t.Fatalf("clone Intern = %d, %v; want 3", id, err)
+	if _, err := s.Meta.Append([]byte("m")); err != nil {
+		t.Fatal(err)
 	}
-	if id, ok := c.Lookup([]byte("bb")); !ok || id != 1 {
-		t.Fatalf("clone Lookup(bb) = %d, %v", id, ok)
+	c, err := Open(Options{}, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := s.Lookup([]byte("dddd")); ok || s.Count() != 3 || s.Keys.Len() != 6 {
-		t.Fatalf("clone's intern reached the source: count %d, %d key bytes", s.Count(), s.Keys.Len())
-	}
-	if got := string(c.Keys.Span(0, c.Keys.Len())); got != "abbcccdddd" {
-		t.Fatalf("clone keys %q", got)
+	for round := 0; round < 2; round++ {
+		c.CopyFrom(s)
+		for k := 0; k < 20*round; k++ {
+			if _, err := c.Intern([]byte{'x', byte(k)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if id, err := c.Intern([]byte("dddd")); err != nil || id != 3+20*round {
+			t.Fatalf("round %d: copy Intern = %d, %v; want %d", round, id, err, 3+20*round)
+		}
+		if id, ok := c.Lookup([]byte("bb")); !ok || id != 1 {
+			t.Fatalf("round %d: copy Lookup(bb) = %d, %v", round, id, ok)
+		}
+		if _, err := c.Meta.Append([]byte("n")); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := s.Lookup([]byte("dddd")); ok || s.Count() != 3 || s.Keys.Len() != 6 || s.Meta.Len() != 1 {
+			t.Fatalf("round %d: the copy's appends reached the source: count %d, %d key bytes, %d meta bytes",
+				round, s.Count(), s.Keys.Len(), s.Meta.Len())
+		}
+		if got := string(c.Keys.Span(0, 3)); got != "abb" {
+			t.Fatalf("round %d: copy keys start %q", round, got)
+		}
+		if got := string(c.Meta.Span(0, c.Meta.Len())); got != "mn" {
+			t.Fatalf("round %d: copy meta %q", round, got)
+		}
 	}
 }
 
