@@ -52,13 +52,16 @@ race:
 # `go test` already runs: FuzzResume (mutated explorer checkpoint
 # payloads), FuzzSweepSpec and FuzzCollectionsSpec (arbitrary dacd
 # sweep and collections job specs, checked up to, not including, the
-# sweep itself), and FuzzExploreSpec (arbitrary dacd explore job specs,
-# built into a system but never checked). It is not part of verify.
+# sweep itself), FuzzExploreSpec (arbitrary dacd explore job specs,
+# built into a system but never checked), and FuzzParse (arbitrary
+# machine assembly, round-tripped through Disassemble when accepted).
+# It is not part of verify.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzResume$$' -fuzztime 30s ./internal/explore
 	$(GO) test -run '^$$' -fuzz '^FuzzSweepSpec$$' -fuzztime 30s ./internal/sweepspec
 	$(GO) test -run '^$$' -fuzz '^FuzzCollectionsSpec$$' -fuzztime 30s ./internal/sweepspec
 	$(GO) test -run '^$$' -fuzz '^FuzzExploreSpec$$' -fuzztime 30s ./cmd/dacd
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 30s ./internal/machine
 
 bench:
 	$(GO) test -bench=. -benchmem

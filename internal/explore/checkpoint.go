@@ -359,8 +359,7 @@ func (st *search) restore(path string) error {
 	}
 
 	n := g.sys.Procs()
-	sc := keyScratchPool.Get().(*keyScratch)
-	defer keyScratchPool.Put(sc)
+	var sc keyScratch
 	for id := 1; id < numConfigs; id++ {
 		parent := d.Int()
 		s := decodeStep(d)
@@ -373,18 +372,17 @@ func (st *search) restore(path string) error {
 		if s.Proc < 0 || s.Proc >= n {
 			return corruptf("config %d: process %d out of range", id, s.Proc)
 		}
-		nexts, steps, err := successors(g.sys, g.configs[parent], s.Proc)
+		nc, ok, err := g.sys.replay(g.configs[parent], s)
 		if err != nil {
 			return corruptf("config %d: replay: %v", id, err)
 		}
-		if s.Branch < 0 || s.Branch >= len(nexts) || steps[s.Branch] != s {
+		if !ok {
 			return corruptf("config %d: stored step %v does not replay from its parent", id, s)
 		}
-		nc := nexts[s.Branch]
 		var key []byte
 		gi := 0
 		if g.grp != nil {
-			key, gi, _ = g.grp.canonical(sc, nc)
+			key, gi, _ = g.grp.canonical(&sc, nc)
 		} else {
 			sc.best = nc.AppendKey(sc.best[:0])
 			key = sc.best

@@ -15,6 +15,7 @@ package explore
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -203,47 +204,69 @@ func (s Step) String() string {
 		" on obj" + strconv.Itoa(s.Obj) + " -> " + s.Resp.String()
 }
 
-// successor applies one step of process i, branch b, to c. It returns
-// the successor configurations for every branch when b < 0, or the
-// single chosen branch otherwise.
-func successors(sys *System, c *Config, i int) ([]*Config, []Step, error) {
-	poise, ok := machine.Poised(sys.Programs[i], c.Procs[i])
-	if !ok {
-		return nil, nil, nil
+// poised returns the invocation live process i of c is poised at and
+// the transitions its object offers for it, one per branch. It is the
+// explorer's one application of an object's sequential specification.
+func (s *System) poised(c *Config, i int) (machine.Poise, []spec.Transition, error) {
+	p, _ := machine.Poised(s.Programs[i], c.Procs[i])
+	if p.Obj < 0 || p.Obj >= len(s.Objects) {
+		return p, nil, spec.BadOpError("system", p.Op,
+			"object index "+strconv.Itoa(p.Obj)+" out of range")
 	}
-	if poise.Obj < 0 || poise.Obj >= len(sys.Objects) {
-		return nil, nil, spec.BadOpError("system", poise.Op,
-			"object index "+strconv.Itoa(poise.Obj)+" out of range")
+	ts, err := s.Objects[p.Obj].Step(c.Objs[p.Obj], p.Op)
+	return p, ts, err
+}
+
+// move is one branch of a step from a configuration: the step's labels
+// and the two components it changes, the stepping process's next state
+// and the touched object's. Config.after builds the whole successor,
+// so a caller that keys a move first builds only the successors it
+// keeps.
+type move struct {
+	Step
+	proc machine.ProcState
+	obj  spec.State
+}
+
+// step takes branch b of the transitions ts that poised offered live
+// process i of c at invocation p: it resumes the process on the
+// branch's response.
+func (s *System) step(c *Config, i int, p machine.Poise, ts []spec.Transition, b int) (move, error) {
+	t := ts[b]
+	ps, err := machine.Resume(s.Programs[i], c.Procs[i], t.Resp)
+	return move{
+		Step: Step{Proc: i, Obj: p.Obj, Op: p.Op, Resp: t.Resp, Branch: b},
+		proc: ps,
+		obj:  t.Next,
+	}, err
+}
+
+// after returns the configuration move m leads c to.
+func (c *Config) after(m move) *Config {
+	next := &Config{
+		Procs:       slices.Clone(c.Procs),
+		Objs:        slices.Clone(c.Objs),
+		SteppedMask: c.SteppedMask | 1<<uint(m.Proc),
 	}
-	o := sys.Objects[poise.Obj]
-	ts, err := o.Step(c.Objs[poise.Obj], poise.Op)
-	if err != nil {
-		return nil, nil, err
+	next.Procs[m.Proc] = m.proc
+	next.Objs[m.Obj] = m.obj
+	return next
+}
+
+// replay applies st, a step of process st.Proc (in range), to c. It
+// reports ok false when c does not offer st: the process is not
+// poised, has no branch st.Branch, or labels it otherwise.
+func (s *System) replay(c *Config, st Step) (next *Config, ok bool, err error) {
+	if !c.Live(st.Proc) {
+		return nil, false, nil
 	}
-	configs := make([]*Config, 0, len(ts))
-	steps := make([]Step, 0, len(ts))
-	for b, t := range ts {
-		ps, err := machine.Resume(sys.Programs[i], c.Procs[i], t.Resp)
-		if err != nil {
-			return nil, nil, err
-		}
-		next := &Config{
-			Procs:       make([]machine.ProcState, len(c.Procs)),
-			Objs:        make([]spec.State, len(c.Objs)),
-			SteppedMask: c.SteppedMask | 1<<uint(i),
-		}
-		copy(next.Procs, c.Procs)
-		copy(next.Objs, c.Objs)
-		next.Procs[i] = ps
-		next.Objs[poise.Obj] = t.Next
-		configs = append(configs, next)
-		steps = append(steps, Step{
-			Proc:   i,
-			Obj:    poise.Obj,
-			Op:     poise.Op,
-			Resp:   t.Resp,
-			Branch: b,
-		})
+	p, ts, err := s.poised(c, st.Proc)
+	if err != nil || st.Branch < 0 || st.Branch >= len(ts) {
+		return nil, false, err
 	}
-	return configs, steps, nil
+	m, err := s.step(c, st.Proc, p, ts, st.Branch)
+	if err != nil || m.Step != st {
+		return nil, false, err
+	}
+	return c.after(m), true, nil
 }

@@ -6,7 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"strconv"
+	"slices"
 	"sync"
 	"time"
 
@@ -586,6 +586,7 @@ type shardOut struct {
 	errAt    int // config id whose expansion failed
 	symHits  int // successors canonicalized to a different key
 	orbitMax int // largest successor orbit in the shard
+	sc       keyScratch
 }
 
 // reset empties out for the shard starting at config id start, keeping
@@ -602,6 +603,7 @@ func (out *shardOut) reset(start int) {
 		koff:  out.koff[:0],
 		cfgs:  out.cfgs[:0],
 		gids:  out.gids[:0],
+		sc:    out.sc,
 	}
 }
 
@@ -778,89 +780,42 @@ func (st *search) expandLevel(levelStart, levelEnd int) []*shardOut {
 
 // expandShard expands configurations [start, end) into out against the
 // frozen global table (read-only during a level, so lock-free).
-// Successor keys are built in pooled scratch buffers; already-interned
-// successors cost no allocation at all. The global table cannot see
-// this level's successors, so most successors reaching a fresh
+// Successor keys are built in the shard's scratch; already-interned
+// successors cost no Config at all. The global table cannot see this
+// level's successors, so most successors reaching a fresh
 // configuration miss it; the shard's level-local table catches the
 // repeats, and only a key's first occurrence in the shard is copied
-// and keeps its configuration for the merge. Under symmetry the probed
-// key is the canonical orbit minimum rather than the concrete key;
-// without it the key is spliced from the parent's (see
-// expandShardSpliced).
+// and keeps its configuration for the merge.
+//
+// Under symmetry the probed key is the canonical orbit minimum of the
+// built successor. Without it the key is spliced: a step changes
+// exactly two components of a configuration — the stepping process's
+// state and the touched object's state — and every component encoding
+// is self-delimiting, so a successor's key is the parent's key bytes
+// with the two components re-encoded. The parent key is rendered once
+// per configuration with per-component end offsets, and a successor
+// builds a Config only when both tables miss its key.
 func (st *search) expandShard(out *shardOut, start, end int) {
-	g := st.g
 	out.reset(start)
-	sc := keyScratchPool.Get().(*keyScratch)
-	defer keyScratchPool.Put(sc)
-	if g.grp == nil {
-		st.expandShardSpliced(out, sc, start, end)
-		return
-	}
 	for at := start; at < end; at++ {
-		c := g.configs[at]
-		for i := range c.Procs {
-			if !c.Live(i) {
-				continue
-			}
-			nexts, steps, err := successors(g.sys, c, i)
-			if err != nil {
-				out.err, out.errAt = err, at
-				return
-			}
-			for b, nc := range nexts {
-				rec := succRec{step: steps[b], id: -1}
-				var orbit int
-				var key []byte
-				key, rec.gi, orbit = g.grp.canonical(sc, nc)
-				if orbit > out.orbitMax {
-					out.orbitMax = orbit
-				}
-				if rec.gi != 0 {
-					out.symHits++
-				}
-				if id, ok := g.disk.s.Lookup(key); ok {
-					rec.id = id
-				} else if rec.lid, ok = out.local.Lookup(key); !ok {
-					if rec.lid, err = out.intern(key, nc); err != nil {
-						out.err, out.errAt = err, at
-						return
-					}
-				}
-				out.succs = append(out.succs, rec)
-			}
+		if err := st.expand(out, st.g.configs[at]); err != nil {
+			out.err, out.errAt = err, at
+			return
 		}
-		out.exps = append(out.exps, expansion{quiescent: c.Quiescent(), end: len(out.succs)})
 	}
 }
 
-// expandShardSpliced is expandShard's symmetry-off fast path. A step
-// changes exactly two components of a configuration — the stepping
-// process's state and the touched object's state — and every component
-// encoding is self-delimiting, so a successor's interning key can be
-// spliced from the parent's key bytes plus the two re-encoded
-// components, without materializing the successor Config. The parent
-// key is rendered once per configuration with per-component end
-// offsets. A successor builds a real Config only when both the global
-// table and the level-local one miss its key: once per configuration
-// the merge may intern, however many parents in the shard reach it.
-//
-// The successor enumeration mirrors successors() exactly — same
-// ordering, same error values at the same points — so reports and
-// witnesses are unchanged.
-func (st *search) expandShardSpliced(out *shardOut, sc *keyScratch, start, end int) {
-	g := st.g
-	np := g.sys.Procs()
-	nobj := len(g.sys.Objects)
-	if cap(sc.ends) < 1+np+nobj {
-		sc.ends = make([]int, 1+np+nobj)
-	}
-	ends := sc.ends[:1+np+nobj]
-	for at := start; at < end; at++ {
-		c := g.configs[at]
+// expand appends the successors of c, in (proc, branch) order, and
+// then c's expansion entry to out.
+func (st *search) expand(out *shardOut, c *Config) error {
+	g, sc := st.g, &out.sc
+	np := len(c.Procs)
+	ends := sc.ends
+	if g.grp == nil {
 		// Parent key with component ends: the mask ends at ends[0],
 		// process i at ends[1+i], object j at ends[1+np+j].
-		pkey := sc.parent[:0]
-		pkey = binary.AppendUvarint(pkey, c.SteppedMask)
+		ends = slices.Grow(ends[:0], 1+np+len(c.Objs))[:1+np+len(c.Objs)]
+		pkey := binary.AppendUvarint(sc.parent[:0], c.SteppedMask)
 		ends[0] = len(pkey)
 		for i := range c.Procs {
 			pkey = c.Procs[i].AppendKey(pkey)
@@ -870,67 +825,57 @@ func (st *search) expandShardSpliced(out *shardOut, sc *keyScratch, start, end i
 			pkey = spec.AppendStateKey(pkey, c.Objs[j])
 			ends[1+np+j] = len(pkey)
 		}
-		sc.parent = pkey
-		for i := range c.Procs {
-			if !c.Live(i) {
-				continue
-			}
-			poise, ok := machine.Poised(g.sys.Programs[i], c.Procs[i])
-			if !ok {
-				continue
-			}
-			if poise.Obj < 0 || poise.Obj >= nobj {
-				out.err = spec.BadOpError("system", poise.Op,
-					"object index "+strconv.Itoa(poise.Obj)+" out of range")
-				out.errAt = at
-				return
-			}
-			ts, err := g.sys.Objects[poise.Obj].Step(c.Objs[poise.Obj], poise.Op)
-			if err != nil {
-				out.err, out.errAt = err, at
-				return
-			}
-			for b, t := range ts {
-				ps, err := machine.Resume(g.sys.Programs[i], c.Procs[i], t.Resp)
-				if err != nil {
-					out.err, out.errAt = err, at
-					return
-				}
-				jo := poise.Obj
-				cand := sc.best[:0]
-				cand = binary.AppendUvarint(cand, c.SteppedMask|1<<uint(i))
-				cand = append(cand, pkey[ends[0]:ends[i]]...)
-				cand = ps.AppendKey(cand)
-				cand = append(cand, pkey[ends[i+1]:ends[np+jo]]...)
-				cand = spec.AppendStateKey(cand, t.Next)
-				cand = append(cand, pkey[ends[np+jo+1]:]...)
-				sc.best = cand
-				rec := succRec{
-					step: Step{Proc: i, Obj: jo, Op: poise.Op, Resp: t.Resp, Branch: b},
-					id:   -1,
-				}
-				if id, ok := g.disk.s.Lookup(cand); ok {
-					rec.id = id
-				} else if rec.lid, ok = out.local.Lookup(cand); !ok {
-					nc := &Config{
-						Procs:       make([]machine.ProcState, len(c.Procs)),
-						Objs:        make([]spec.State, len(c.Objs)),
-						SteppedMask: c.SteppedMask | 1<<uint(i),
-					}
-					copy(nc.Procs, c.Procs)
-					copy(nc.Objs, c.Objs)
-					nc.Procs[i] = ps
-					nc.Objs[jo] = t.Next
-					if rec.lid, err = out.intern(cand, nc); err != nil {
-						out.err, out.errAt = err, at
-						return
-					}
-				}
-				out.succs = append(out.succs, rec)
-			}
-		}
-		out.exps = append(out.exps, expansion{quiescent: c.Quiescent(), end: len(out.succs)})
+		sc.parent, sc.ends = pkey, ends
 	}
+	for i := range c.Procs {
+		if !c.Live(i) {
+			continue
+		}
+		p, ts, err := g.sys.poised(c, i)
+		if err != nil {
+			return err
+		}
+		for b := range ts {
+			m, err := g.sys.step(c, i, p, ts, b)
+			if err != nil {
+				return err
+			}
+			rec := succRec{step: m.Step, id: -1}
+			var nc *Config
+			var key []byte
+			if g.grp == nil {
+				pkey, jo := sc.parent, m.Obj
+				key = binary.AppendUvarint(sc.best[:0], c.SteppedMask|1<<uint(i))
+				key = append(key, pkey[ends[0]:ends[i]]...)
+				key = m.proc.AppendKey(key)
+				key = append(key, pkey[ends[i+1]:ends[np+jo]]...)
+				key = spec.AppendStateKey(key, m.obj)
+				key = append(key, pkey[ends[np+jo+1]:]...)
+				sc.best = key
+			} else {
+				nc = c.after(m)
+				var orbit int
+				key, rec.gi, orbit = g.grp.canonical(sc, nc)
+				out.orbitMax = max(out.orbitMax, orbit)
+				if rec.gi != 0 {
+					out.symHits++
+				}
+			}
+			if id, ok := g.disk.s.Lookup(key); ok {
+				rec.id = id
+			} else if rec.lid, ok = out.local.Lookup(key); !ok {
+				if nc == nil {
+					nc = c.after(m)
+				}
+				if rec.lid, err = out.intern(key, nc); err != nil {
+					return err
+				}
+			}
+			out.succs = append(out.succs, rec)
+		}
+	}
+	out.exps = append(out.exps, expansion{quiescent: c.Quiescent(), end: len(out.succs)})
+	return nil
 }
 
 // mergeLevel folds the shard results into the graph single-threaded,

@@ -150,11 +150,17 @@ func NewCanonSuite(sys *System, tsk task.Task, mode Symmetry) (*CanonSuite, erro
 			if !c.Live(i) {
 				continue
 			}
-			nexts, _, err := successors(sys, c, i)
+			p, ts, err := sys.poised(c, i)
 			if err != nil {
 				return nil, err
 			}
-			s.succs = append(s.succs, nexts...)
+			for b := range ts {
+				m, err := sys.step(c, i, p, ts, b)
+				if err != nil {
+					return nil, err
+				}
+				s.succs = append(s.succs, c.after(m))
+			}
 		}
 	}
 	return s, nil
@@ -187,11 +193,16 @@ func NewWalkSuite(sys *System, tsk task.Task, mode Symmetry, walks, depth int, s
 			if len(live) == 0 {
 				break
 			}
-			nexts, _, err := successors(sys, c, live[rng.Intn(len(live))])
+			i := live[rng.Intn(len(live))]
+			p, ts, err := sys.poised(c, i)
 			if err != nil {
 				return nil, err
 			}
-			c = nexts[rng.Intn(len(nexts))]
+			m, err := sys.step(c, i, p, ts, rng.Intn(len(ts)))
+			if err != nil {
+				return nil, err
+			}
+			c = c.after(m)
 			s.succs = append(s.succs, c)
 		}
 	}

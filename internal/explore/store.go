@@ -103,15 +103,14 @@ func (g *graph) configAt(id int) *Config {
 	}
 	c := g.configs[at]
 	for k := len(chain) - 1; k >= 0; k-- {
-		s := g.parentE[chain[k]]
-		nexts, steps, err := successors(g.sys, c, s.Proc)
-		if err != nil || s.Branch < 0 || s.Branch >= len(nexts) || steps[s.Branch] != s {
+		next, ok, err := g.sys.replay(c, g.parentE[chain[k]])
+		if err != nil || !ok {
 			// The same replay succeeded when the configuration was first
 			// interned (or restored), so failure here is memory corruption,
 			// not an input error.
 			panic(fmt.Sprintf("explore: internal: spilled configuration %d does not replay", chain[k]))
 		}
-		c = nexts[s.Branch]
+		c = next
 		g.configs[chain[k]] = c
 	}
 	return c

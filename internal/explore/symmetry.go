@@ -28,7 +28,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sync"
 
 	"setagree/internal/machine"
 	"setagree/internal/spec"
@@ -553,9 +552,9 @@ func (grp *group) checkRootStable(root *Config) error {
 	return nil
 }
 
-// keyScratch is the per-shard reusable key workspace. Pooling it
-// keeps successor canonicalization allocation-free across shards,
-// levels, and runs.
+// keyScratch is the reusable key workspace of one shard (see
+// shardOut). A Checker keeps its shards across levels and checks, so
+// successor keying allocates nothing once the buffers have grown.
 type keyScratch struct {
 	// best holds the key canonical returns; cand and objs hold object
 	// keys of a candidate and of the running minimum, ref the object
@@ -590,8 +589,8 @@ type keyScratch struct {
 	bproc    []int
 	binv     []int
 	tp       []int
-	// Spliced-expansion scratch (symmetry off, expandShardSpliced): the
-	// parent key and its per-component end offsets.
+	// Spliced-key scratch (symmetry off, see expandShard): the parent
+	// key and its per-component end offsets.
 	parent []byte
 	ends   []int
 }
@@ -609,8 +608,6 @@ type blockRef struct {
 type objRun struct {
 	lo, hi int
 }
-
-var keyScratchPool = sync.Pool{New: func() any { return new(keyScratch) }}
 
 // canonical renders the canonical (orbit-minimal) key of c into sc and
 // returns it along with the index gi of the first group element

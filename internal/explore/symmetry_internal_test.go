@@ -216,24 +216,21 @@ func TestBuildGroupOrderCap(t *testing.T) {
 	}
 }
 
-// applySchedule walks a schedule through the successor relation,
-// checking each step's (proc, branch, op, resp) labels match, and
-// returns the reached configuration.
+// applySchedule replays a schedule step by step, checking each step's
+// (proc, branch, op, resp) labels match what the configuration offers,
+// and returns the reached configuration.
 func applySchedule(t *testing.T, sys *System, from *Config, sched []Step) *Config {
 	t.Helper()
 	c := from
 	for k, s := range sched {
-		nexts, steps, err := successors(sys, c, s.Proc)
+		next, ok, err := sys.replay(c, s)
 		if err != nil {
 			t.Fatalf("step %d (%v): %v", k, s, err)
 		}
-		if s.Branch < 0 || s.Branch >= len(nexts) {
-			t.Fatalf("step %d (%v): branch out of range (%d offered)", k, s, len(nexts))
+		if !ok {
+			t.Fatalf("step %d: schedule says %v, the configuration does not offer it", k, s)
 		}
-		if steps[s.Branch] != s {
-			t.Fatalf("step %d: schedule says %v, graph offers %v", k, s, steps[s.Branch])
-		}
-		c = nexts[s.Branch]
+		c = next
 	}
 	return c
 }

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"setagree/internal/machine"
-	"setagree/internal/spec"
 )
 
 // AnnotateSchedule replays a schedule against a fresh instance of the
@@ -15,32 +14,22 @@ import (
 // be applicable (e.g. a Violation witness or a recorded trace from the
 // same system).
 func AnnotateSchedule(w io.Writer, sys *System, schedule []Step) error {
-	n := sys.Procs()
-	procs := make([]machine.ProcState, n)
-	for i := 0; i < n; i++ {
-		ps, err := machine.Start(sys.Programs[i], i+1, sys.Inputs[i])
-		if err != nil {
-			return err
-		}
-		procs[i] = ps
-	}
-	objs := make([]spec.State, len(sys.Objects))
-	for j, o := range sys.Objects {
-		objs[j] = o.Init()
+	c, err := initialConfig(sys)
+	if err != nil {
+		return err
 	}
 	fmt.Fprintf(w, "inputs: %v\n", sys.Inputs)
 	for idx, step := range schedule {
 		i := step.Proc
-		if i < 0 || i >= n {
+		if i < 0 || i >= len(c.Procs) {
 			return fmt.Errorf("annotate: step %d: process %d out of range: %w",
 				idx, i+1, machine.ErrProgram)
 		}
-		poise, ok := machine.Poised(sys.Programs[i], procs[i])
-		if !ok {
+		if !c.Live(i) {
 			return fmt.Errorf("annotate: step %d: process %d is %s, cannot step: %w",
-				idx, i+1, procs[i].Status, machine.ErrProgram)
+				idx, i+1, c.Procs[i].Status, machine.ErrProgram)
 		}
-		ts, err := sys.Objects[poise.Obj].Step(objs[poise.Obj], poise.Op)
+		p, ts, err := sys.poised(c, i)
 		if err != nil {
 			return err
 		}
@@ -49,25 +38,23 @@ func AnnotateSchedule(w io.Writer, sys *System, schedule []Step) error {
 			return fmt.Errorf("annotate: step %d: branch %d of %d: %w",
 				idx, branch, len(ts), machine.ErrProgram)
 		}
-		t := ts[branch]
-		next, err := machine.Resume(sys.Programs[i], procs[i], t.Resp)
+		m, err := sys.step(c, i, p, ts, branch)
 		if err != nil {
 			return err
 		}
-		procs[i] = next
-		objs[poise.Obj] = t.Next
+		c = c.after(m)
 		status := ""
-		switch next.Status {
+		switch m.proc.Status {
 		case machine.StatusDecided:
-			status = fmt.Sprintf("  => p%d DECIDES %s", i+1, next.Decision)
+			status = fmt.Sprintf("  => p%d DECIDES %s", i+1, m.proc.Decision)
 		case machine.StatusAborted:
 			status = fmt.Sprintf("  => p%d ABORTS", i+1)
 		case machine.StatusHalted:
 			status = fmt.Sprintf("  => p%d halts", i+1)
 		}
 		fmt.Fprintf(w, "%3d. p%d: %s -> %s   [%s state: %s]%s\n",
-			idx+1, i+1, poise.Op, t.Resp,
-			sys.Objects[poise.Obj].Name(), t.Next.Key(), status)
+			idx+1, i+1, m.Op, m.Resp,
+			sys.Objects[m.Obj].Name(), m.obj.Key(), status)
 	}
 	return nil
 }

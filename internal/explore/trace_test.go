@@ -7,8 +7,10 @@ import (
 
 	"setagree/internal/explore"
 	"setagree/internal/machine"
+	"setagree/internal/objects"
 	"setagree/internal/programs"
 	"setagree/internal/sim"
+	"setagree/internal/spec"
 	"setagree/internal/task"
 	"setagree/internal/value"
 )
@@ -83,5 +85,28 @@ func TestAnnotateScheduleBadBranch(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "branch 42") {
 		t.Errorf("error does not name the bad branch: %v", err)
+	}
+}
+
+// TestAnnotateScheduleBadObject rejects a step whose invocation names
+// an object past the system's last with spec.ErrBadOp, not a panic.
+func TestAnnotateScheduleBadObject(t *testing.T) {
+	t.Parallel()
+	p, err := machine.Parse("far", "invoke r2, obj5, PROPOSE, r0\ndecide r2", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := &explore.System{
+		Programs: []*machine.Program{p},
+		Objects:  []spec.Spec{objects.NewConsensus(2)},
+		Inputs:   []value.Value{1},
+	}
+	var buf strings.Builder
+	err = explore.AnnotateSchedule(&buf, sys, []explore.Step{{Proc: 0}})
+	if !errors.Is(err, spec.ErrBadOp) {
+		t.Fatalf("want spec.ErrBadOp, got %v", err)
+	}
+	if !strings.Contains(err.Error(), "object index 5 out of range") {
+		t.Errorf("error does not name the bad object: %v", err)
 	}
 }

@@ -172,6 +172,33 @@ func TestResumeDoesNotMutatePrior(t *testing.T) {
 	}
 }
 
+// TestResumeAllocs pins what Resume allocates when local writes follow
+// the invoke: the one register file it returns. The local Set writes
+// into that fresh file instead of cloning it a second time.
+func TestResumeAllocs(t *testing.T) {
+	p := machine.NewBuilder("t", 4).
+		Invoke(2, 0, value.MethodPropose, machine.R(0), machine.Operand{}).
+		Set(3, machine.R(2)).
+		Invoke(2, 0, value.MethodPropose, machine.R(3), machine.Operand{}).
+		MustBuild()
+	ps, err := machine.Start(p, 1, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var next machine.ProcState
+	allocs := testing.AllocsPerRun(100, func() {
+		if next, err = machine.Resume(p, ps, 8); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("Resume allocates %v objects, want 1", allocs)
+	}
+	if next.PC != 2 || next.Regs[3] != 8 || ps.Regs[3] != 0 {
+		t.Fatalf("Resume gave pc %d, r3 = %s (prior r3 = %s)", next.PC, next.Regs[3], ps.Regs[3])
+	}
+}
+
 func TestAbortAndHaltStatuses(t *testing.T) {
 	t.Parallel()
 	abortProg := machine.NewBuilder("a", 2).Abort().MustBuild()

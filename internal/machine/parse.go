@@ -80,7 +80,7 @@ func parseInstr(b *Builder, op string, args []string) error {
 		}
 		return nil
 	}
-	switch strings.ToLower(op) {
+	switch op = strings.ToLower(op); op {
 	case "set":
 		if err := need(2); err != nil {
 			return err

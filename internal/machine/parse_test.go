@@ -2,6 +2,8 @@ package machine_test
 
 import (
 	"errors"
+	"slices"
+	"strings"
 	"testing"
 
 	"setagree/internal/machine"
@@ -134,5 +136,24 @@ func TestParseMatchesBuilder(t *testing.T) {
 	}
 	if pp.Status != machine.StatusDecided || bp.Status != machine.StatusDecided {
 		t.Fatalf("both should decide: %s, %s", pp.Status, bp.Status)
+	}
+}
+
+// TestParseMnemonicCase assembles upper-case mnemonics to the same
+// instructions as lower-case ones: "ADD" is an add and "JEQ" a jeq,
+// not the sub and jlt their fall-through cases would pick.
+func TestParseMnemonicCase(t *testing.T) {
+	t.Parallel()
+	const src = "add r2, 1, 2\njeq r2, 3, 0\njne r2, 3, 0\nsub r2, r2, 1\nhalt"
+	lower, err := machine.Parse("lower", src, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	upper, err := machine.Parse("upper", strings.ToUpper(src), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(lower.Instrs, upper.Instrs) {
+		t.Fatalf("upper case assembles differently:\n%s\nlower case:\n%s", upper.Disassemble(), lower.Disassemble())
 	}
 }

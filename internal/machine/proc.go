@@ -174,18 +174,10 @@ func Crash(ps ProcState) ProcState {
 
 // normalize executes local instructions until the process is poised at
 // an Invoke or terminates. Falling off the end of the program halts the
-// process.
+// process. Local writes go to ps.Regs in place, so the caller must own
+// the register file: Start and Resume each pass a fresh one.
 func normalize(p *Program, ps ProcState) (ProcState, error) {
 	regs := ps.Regs
-	mutated := false
-	ensureOwned := func() {
-		if !mutated {
-			clone := make([]value.Value, len(regs))
-			copy(clone, regs)
-			regs = clone
-			mutated = true
-		}
-	}
 	pc := ps.PC
 	for steps := 0; ; steps++ {
 		if steps > MaxLocalSteps {
@@ -199,15 +191,12 @@ func normalize(p *Program, ps ProcState) (ProcState, error) {
 		case InstrInvoke:
 			return ProcState{Regs: regs, Decision: value.None, PC: pc, Status: StatusPoised}, nil
 		case InstrSet:
-			ensureOwned()
 			regs[in.Dst] = eval(regs, in.A)
 			pc++
 		case InstrAdd:
-			ensureOwned()
 			regs[in.Dst] = eval(regs, in.A) + eval(regs, in.B)
 			pc++
 		case InstrSub:
-			ensureOwned()
 			regs[in.Dst] = eval(regs, in.A) - eval(regs, in.B)
 			pc++
 		case InstrJmp:
