@@ -53,8 +53,10 @@ race:
 # payloads), FuzzSweepSpec and FuzzCollectionsSpec (arbitrary dacd
 # sweep and collections job specs, checked up to, not including, the
 # sweep itself), FuzzExploreSpec (arbitrary dacd explore job specs,
-# built into a system but never checked), and FuzzParse (arbitrary
-# machine assembly, round-tripped through Disassemble when accepted).
+# built into a system but never checked), FuzzParse (arbitrary
+# machine assembly, round-tripped through Disassemble when accepted),
+# FuzzJournal (arbitrary job-store journals replayed by jobs.Open) and
+# FuzzHistory (arbitrary lincheck history JSON of at most 10 events).
 # It is not part of verify.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzResume$$' -fuzztime 30s ./internal/explore
@@ -62,6 +64,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzCollectionsSpec$$' -fuzztime 30s ./internal/sweepspec
 	$(GO) test -run '^$$' -fuzz '^FuzzExploreSpec$$' -fuzztime 30s ./cmd/dacd
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 30s ./internal/machine
+	$(GO) test -run '^$$' -fuzz '^FuzzJournal$$' -fuzztime 30s ./internal/jobs
+	$(GO) test -run '^$$' -fuzz '^FuzzHistory$$' -fuzztime 30s ./cmd/lincheck
 
 bench:
 	$(GO) test -bench=. -benchmem

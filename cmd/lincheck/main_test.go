@@ -2,8 +2,11 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
+
+	"setagree/internal/history"
 )
 
 const goodHistory = `{
@@ -61,4 +64,28 @@ func TestUsageErrors(t *testing.T) {
 	if code := run([]string{"-spec", "pac:2", "-obj", "7"}, strings.NewReader(goodHistory), &out, &errOut); code != 2 {
 		t.Fatalf("no matching object: exit %d", code)
 	}
+}
+
+// fuzzSpecs are the specs FuzzHistory checks histories against.
+var fuzzSpecs = []string{"pac:2", "consensus:2", "2sa", "register", "queue", "tas"}
+
+// FuzzHistory runs lincheck on arbitrary history bytes against a spec
+// from fuzzSpecs. The exit status is 0, 1 or 2 and nothing panics.
+// Histories of more than 10 events are skipped to keep the Wing–Gong
+// search small.
+func FuzzHistory(f *testing.F) {
+	for i := range fuzzSpecs {
+		f.Add(uint8(i), []byte(goodHistory))
+		f.Add(uint8(i), []byte(staleHistory))
+	}
+	f.Add(uint8(0), []byte("{bad json"))
+	f.Fuzz(func(t *testing.T, specIdx uint8, data []byte) {
+		if h, err := history.ReadJSON(bytes.NewReader(data)); err == nil && len(h.Events) > 10 {
+			t.Skip("history too long for a bounded search")
+		}
+		sp := fuzzSpecs[int(specIdx)%len(fuzzSpecs)]
+		if code := run([]string{"-spec", sp}, bytes.NewReader(data), io.Discard, io.Discard); code < 0 || code > 2 {
+			t.Fatalf("spec %s: exit %d, want 0, 1 or 2", sp, code)
+		}
+	})
 }

@@ -13,7 +13,6 @@ import (
 	"setagree/internal/machine"
 	"setagree/internal/obs"
 	"setagree/internal/sim"
-	"setagree/internal/spec"
 	"setagree/internal/task"
 	"setagree/internal/value"
 )
@@ -32,12 +31,13 @@ type SweepOptions struct {
 	DisableSoloFilter bool
 	// DisableMemo turns off cross-candidate memoization and prefix
 	// forking (see memo.go), model-checking every candidate from
-	// scratch. Reports are byte-identical either way — memoization
-	// changes how verdicts are computed, never what they are — so this
-	// is the equivalence-testing and benchmarking knob, not a
-	// correctness one. Memoization is also bypassed transparently for
-	// candidates outside the memoizer's soundness envelope and under
-	// SymmetryValues reduction.
+	// scratch: each input vector is one plain check, with no branch
+	// coverage recorded and no fork. Reports are byte-identical either
+	// way — memoization changes how verdicts are computed, never what
+	// they are — so this is the equivalence-testing and benchmarking
+	// knob, not a correctness one. Memoization is also bypassed
+	// transparently for candidates outside the memoizer's soundness
+	// envelope and under SymmetryValues reduction.
 	DisableMemo bool
 	// Workers is the number of goroutines model-checking candidates
 	// (default runtime.GOMAXPROCS(0)). The Report is identical for every
@@ -264,8 +264,8 @@ func terminalError(opts SweepOptions, stats *runStats, err error) error {
 
 // runCandidates is CheckRange's worker pool: it fans candidates
 // [lo, hi) out to opts.Workers goroutines, each with its own
-// explore.Checker in rs.checkers, and returns the per-candidate
-// outcomes indexed by position. Workers claim candidates
+// explore.Checker in rs.checkers and its own keyer, and returns the
+// per-candidate outcomes indexed by position. Workers claim candidates
 // in the runState's order — prefix-grouped when the trie engine is on
 // — but outcomes always land at their candidate's position, so
 // folding is order-blind. Metric
@@ -303,7 +303,7 @@ func runCandidates(p *Prepared, lo, hi int, inputVectors [][]value.Value, opts S
 	)
 	next.Store(-1)
 	for w := range rs.checkers {
-		ck := new(explore.Checker)
+		ck, ky := new(explore.Checker), new(keyer)
 		rs.checkers[w] = ck
 		wg.Add(1)
 		go func() {
@@ -321,7 +321,7 @@ func runCandidates(p *Prepared, lo, hi int, inputVectors [][]value.Value, opts S
 				if timed {
 					begin = time.Now()
 				}
-				out := rs.check(i, ck)
+				out := rs.check(i, ck, ky)
 				outcomes[i] = out
 				if out.err != nil {
 					failed.Store(true)
@@ -396,53 +396,136 @@ func runCandidates(p *Prepared, lo, hi int, inputVectors [][]value.Value, opts S
 	return outcomes, rs, nil
 }
 
-// checkCandidate model-checks one assignment on every input vector, on
-// the worker's checker ck. A vector that refutes the candidate settles
-// it; a vector that blows the state limit marks it inconclusive but
-// later vectors still get a chance to refute it (a refutation on any
-// vector is conclusive).
-func checkCandidate(ck *explore.Checker, c candidate, objs []spec.Spec, tsk task.Task,
-	inputVectors [][]value.Value, opts SweepOptions,
-) outcome {
-	var out outcome
-	mode := opts.Symmetry
-	for _, in := range inputVectors {
-		sys := &explore.System{Programs: c.progs, Objects: objs, Inputs: in}
-		r, err := ck.Check(sys, tsk, opts.checkOptions(mode))
-		if mode != explore.SymmetryOff &&
-			(errors.Is(err, explore.ErrNotSymmetric) || errors.Is(err, explore.ErrSymmetryUnsupported)) {
-			// This candidate's system admits no reduction; re-check it (and
-			// its remaining vectors) unreduced. The verdict is exact either
-			// way, so the fallback is recorded rather than fatal.
-			mode = explore.SymmetryOff
-			out.symFallback = true
-			r, err = ck.Check(sys, tsk, opts.checkOptions(mode))
+// check model-checks candidate ci on every input vector, on the
+// worker's checker ck and keyer k. A vector that refutes the candidate
+// settles it; a vector that blows the state limit marks it inconclusive
+// but later vectors still get a chance to refute it (a refutation on
+// any vector is conclusive).
+//
+// The memo layer (memo.go) runs only for memoizable candidates of a
+// memoized sweep: there, symmetry admissibility is settled per vector
+// by explore.ProbeSymmetry — exactly the rejection pipeline a concrete
+// check runs first — so the mode evolution (and SymmetryFallbacks)
+// matches the unmemoized sweep even when no exploration happens, and a
+// vector whose canonical key is recorded is served from the table
+// instead of explored. Refutations served from memo carry a nil
+// Violation plus the re-derivation mode; sweep folding materializes
+// the one failure it reports (materializeViolation). Otherwise a
+// vector is one ck.Check under the sweep's check options.
+func (rs *runState) check(ci int, ck *explore.Checker, k *keyer) outcome {
+	var (
+		out     outcome
+		c       = rs.cands[ci]
+		memo    = rs.useMemo && rs.memoOK[ci]
+		mode    = rs.opts.Symmetry
+		fullHit = memo
+		// sysBuf backs the per-vector System, built only when a probe or
+		// exploration needs one. Reuse is safe only when no prefix
+		// snapshot can retain the pointer (SnapshotPrefix keeps its
+		// builder's System), i.e. unless this candidate can fork.
+		sysBuf explore.System
+	)
+	if memo {
+		k.bind(rs, c)
+	}
+	for vi, in := range rs.vectors {
+		var sys *explore.System
+		mkSys := func() *explore.System {
+			if memo && rs.p.depth >= 2 {
+				return &explore.System{Programs: c.progs, Objects: rs.p.objs, Inputs: in}
+			}
+			sysBuf = explore.System{Programs: c.progs, Objects: rs.p.objs, Inputs: in}
+			return &sysBuf
 		}
-		if errors.Is(err, explore.ErrStateLimit) {
-			out.states += r.States
+		keyed := memo
+		if memo && mode != explore.SymmetryOff {
+			sys = mkSys()
+			switch err := explore.ProbeSymmetry(sys, rs.p.tsk, mode); {
+			case err == nil:
+			case symmetryRejected(err):
+				mode = explore.SymmetryOff
+				out.symFallback = true
+			default:
+				// A construction error: let the concrete check surface it
+				// with the sweep's exact wrapping; nothing is memoized.
+				keyed = false
+			}
+		}
+		var (
+			e   memoEntry
+			hit bool
+			r   *explore.Report
+		)
+		if keyed {
+			e, hit = rs.lookup(k, mode, in)
+		}
+		if hit {
+			rs.stats.memoHits.Add(1)
+			rs.memoCounter.Inc()
+		} else {
+			fullHit = false
+			if sys == nil {
+				sys = mkSys()
+			}
+			var err error
+			r, err = rs.explore(ck, ci, vi, sys, mode, memo)
+			if mode != explore.SymmetryOff && symmetryRejected(err) {
+				// This candidate's system admits no reduction; re-check
+				// it (and its remaining vectors) unreduced. The verdict
+				// is exact either way, so the fallback is recorded
+				// rather than fatal.
+				mode = explore.SymmetryOff
+				out.symFallback = true
+				keyed = false
+				r, err = rs.explore(ck, ci, vi, sys, mode, memo)
+			}
+			switch {
+			case errors.Is(err, explore.ErrStateLimit):
+				e.class = classLimit
+			case err != nil:
+				out.err = fmt.Errorf("candidate %v on %v: %w", c.asn.Shapes, in, err)
+				return out
+			case !r.Solved():
+				e.class = classRefuted
+			default:
+				e.class = classSolved
+			}
+			e.states = r.States
+			if keyed {
+				rs.insert(k, mode, in, r, e.class)
+			}
+		}
+		out.states += e.states
+		switch e.class {
+		case classLimit:
 			if out.inconclusive == nil {
 				out.inconclusive = &Inconclusive{
 					Assignment: c.asn,
 					Inputs:     append([]value.Value(nil), in...),
 				}
 			}
-			continue
-		}
-		if err != nil {
-			out.err = fmt.Errorf("candidate %v on %v: %w", c.asn.Shapes, in, err)
-			return out
-		}
-		out.states += r.States
-		if !r.Solved() {
+		case classRefuted:
 			out.failure = &Failure{
 				Assignment: c.asn,
-				Violation:  r.Violations[0],
 				Inputs:     append([]value.Value(nil), in...),
 			}
+			if hit {
+				out.vioPending, out.vioMode = true, mode
+			} else {
+				out.failure.Violation = r.Violations[0]
+			}
 			out.inconclusive = nil
+			out.fullHit = fullHit
 			return out
 		}
 	}
 	out.solver = out.inconclusive == nil
+	out.fullHit = fullHit && len(rs.vectors) > 0
 	return out
+}
+
+// symmetryRejected reports whether err is a system's rejection of
+// symmetry reduction, which the sweep answers with an unreduced check.
+func symmetryRejected(err error) bool {
+	return errors.Is(err, explore.ErrNotSymmetric) || errors.Is(err, explore.ErrSymmetryUnsupported)
 }

@@ -43,7 +43,6 @@ package enumerate
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -267,8 +266,8 @@ func buildProgParts(p *machine.Program, depth int, swap bool) progParts {
 // per probed mask. The program portion of the prefix is itself reused
 // across vectors (it changes only with the effective symmetry mode),
 // and role programs are serialized once per sweep (runState.parts)
-// and referenced here. Keyers are pooled; one keyer serves one
-// candidate at a time on one worker goroutine.
+// and referenced here. Each sweep worker owns one keyer and binds it
+// to one candidate at a time.
 type keyer struct {
 	rs            *runState
 	sigma, canonV bool
@@ -287,27 +286,18 @@ type keyer struct {
 	lastMode     explore.Symmetry
 }
 
-// keyerPool recycles keyers (and their grown key buffers) across
-// candidates; newKeyer re-binds every field, so pooled state never
-// leaks.
-var keyerPool = sync.Pool{New: func() any { return new(keyer) }}
-
-// newKeyer binds a pooled keyer to one memoizable candidate, settling
-// its swap and peer-exchange eligibility from the precomputed program
+// bind points the keyer at one memoizable candidate, settling its
+// swap and peer-exchange eligibility from the precomputed program
 // metadata. The role projection indexes progs directly — progs[0] is
 // the distinguished (or only) role, progs[1] the shared peer program —
-// so no per-candidate role slice is built.
-func (rs *runState) newKeyer(c candidate) *keyer {
-	k := keyerPool.Get().(*keyer)
+// so no per-candidate role slice is built. The key buffers are kept.
+func (k *keyer) bind(rs *runState, c candidate) {
 	k.rs = rs
 	k.haveMode = false
-	k.nRoles = 1
-	if rs.p.roles == 2 {
-		k.nRoles = 2
-	}
+	k.nRoles = rs.p.roles
 	sigmaSafe, idFree := true, true
-	for ri := 0; ri < k.nRoles; ri++ {
-		m := rs.parts[c.progs[ri]]
+	for ri, p := range c.progs[:k.nRoles] {
+		m := rs.parts[p]
 		k.parts[0][ri] = m.parts[0]
 		k.parts[1][ri] = m.parts[1]
 		sigmaSafe = sigmaSafe && m.sigmaSafe
@@ -315,10 +305,7 @@ func (rs *runState) newKeyer(c candidate) *keyer {
 	}
 	k.sigma = rs.p.sigmaOK && sigmaSafe
 	k.canonV = rs.p.peerOK && idFree
-	return k
 }
-
-func (k *keyer) release() { keyerPool.Put(k) }
 
 // assembleProg serializes the vector- and mask-independent key head:
 // the effective symmetry mode and state cap (both verdict-relevant)
@@ -486,16 +473,6 @@ func (rs *runState) insert(k *keyer, effMode explore.Symmetry,
 		mask, memoEntry{class: class, states: r.States})
 }
 
-// rolesOf projects a candidate onto its role programs: the
-// distinguished process's and the shared peer program for DAC sweeps,
-// the single common program for symmetric ones.
-func (rs *runState) rolesOf(c candidate) []*machine.Program {
-	if rs.p.roles == 2 && len(c.progs) >= 2 {
-		return []*machine.Program{c.progs[0], c.progs[1]}
-	}
-	return []*machine.Program{c.progs[0]}
-}
-
 // memoizable reports whether the candidate has the exact layout the
 // key schema assumes: peers sharing one program object (so the role
 // projection determines the whole system) and the family's uniform
@@ -517,142 +494,12 @@ func (rs *runState) memoizable(c candidate) bool {
 			return false
 		}
 	}
-	for _, p := range rs.rolesOf(c) {
+	for _, p := range c.progs[:rs.p.roles] {
 		if len(p.Instrs) != rs.p.depth+3 {
 			return false
 		}
 	}
 	return true
-}
-
-// checkMemo is the memoized counterpart of checkCandidate: identical
-// verdicts, states, fallback accounting, and error wrapping, with
-// recorded checks elided. Symmetry admissibility is settled per vector
-// by explore.ProbeSymmetry — exactly the rejection pipeline a concrete
-// check runs first — so the mode evolution (and SymmetryFallbacks)
-// matches the unmemoized sweep even when no exploration happens.
-// Refutations served from memo carry a nil Violation plus the
-// re-derivation mode; sweep folding materializes the one failure it
-// reports (materializeViolation). Every check runs on the worker's
-// checker ck.
-func (rs *runState) checkMemo(ci int, ck *explore.Checker) outcome {
-	var (
-		out     outcome
-		c       = rs.cands[ci]
-		keyer   = rs.newKeyer(c)
-		mode    = rs.opts.Symmetry
-		fullHit = true
-		// sysBuf backs the lazily built per-vector System: a memo hit
-		// settles a vector without ever touching a concrete system, so
-		// none is built until a probe or exploration needs one. Reuse is
-		// safe only when no prefix snapshot can retain the pointer
-		// (SnapshotPrefix keeps its builder's System), i.e. at depth 1.
-		sysBuf explore.System
-	)
-	defer keyer.release()
-	for vi, in := range rs.vectors {
-		var sys *explore.System
-		mkSys := func() *explore.System {
-			if rs.p.depth >= 2 {
-				return &explore.System{Programs: c.progs, Objects: rs.p.objs, Inputs: in}
-			}
-			sysBuf = explore.System{Programs: c.progs, Objects: rs.p.objs, Inputs: in}
-			return &sysBuf
-		}
-		probeOK := true
-		if mode != explore.SymmetryOff {
-			sys = mkSys()
-			switch err := explore.ProbeSymmetry(sys, rs.p.tsk, mode); {
-			case err == nil:
-			case errors.Is(err, explore.ErrNotSymmetric) || errors.Is(err, explore.ErrSymmetryUnsupported):
-				mode = explore.SymmetryOff
-				out.symFallback = true
-			default:
-				// A construction error: let the concrete check surface it
-				// with the sweep's exact wrapping; nothing is memoized.
-				probeOK = false
-			}
-		}
-		effMode := mode
-		if probeOK {
-			if e, ok := rs.lookup(keyer, effMode, in); ok {
-				rs.stats.memoHits.Add(1)
-				rs.memoCounter.Inc()
-				out.states += e.states
-				switch e.class {
-				case classLimit:
-					if out.inconclusive == nil {
-						out.inconclusive = &Inconclusive{
-							Assignment: c.asn,
-							Inputs:     append([]value.Value(nil), in...),
-						}
-					}
-				case classRefuted:
-					out.failure = &Failure{
-						Assignment: c.asn,
-						Inputs:     append([]value.Value(nil), in...),
-					}
-					out.inconclusive = nil
-					out.vioPending = true
-					out.vioMode = effMode
-					out.fullHit = fullHit
-					return out
-				}
-				continue
-			}
-		}
-		fullHit = false
-		if sys == nil {
-			sys = mkSys()
-		}
-		r, err := rs.explore(ck, ci, vi, sys, effMode)
-		if effMode != explore.SymmetryOff &&
-			(errors.Is(err, explore.ErrNotSymmetric) || errors.Is(err, explore.ErrSymmetryUnsupported)) {
-			// Defensive mirror of checkCandidate's fallback. ProbeSymmetry
-			// replays the same pipeline, so this should be unreachable;
-			// if it fires, fall back identically and skip the memo.
-			mode, effMode = explore.SymmetryOff, explore.SymmetryOff
-			out.symFallback = true
-			probeOK = false
-			r, err = rs.explore(ck, ci, vi, sys, effMode)
-		}
-		switch {
-		case errors.Is(err, explore.ErrStateLimit):
-			out.states += r.States
-			if probeOK {
-				rs.insert(keyer, effMode, in, r, classLimit)
-			}
-			if out.inconclusive == nil {
-				out.inconclusive = &Inconclusive{
-					Assignment: c.asn,
-					Inputs:     append([]value.Value(nil), in...),
-				}
-			}
-		case err != nil:
-			out.err = fmt.Errorf("candidate %v on %v: %w", c.asn.Shapes, in, err)
-			return out
-		case !r.Solved():
-			out.states += r.States
-			if probeOK {
-				rs.insert(keyer, effMode, in, r, classRefuted)
-			}
-			out.failure = &Failure{
-				Assignment: c.asn,
-				Violation:  r.Violations[0],
-				Inputs:     append([]value.Value(nil), in...),
-			}
-			out.inconclusive = nil
-			return out
-		default:
-			out.states += r.States
-			if probeOK {
-				rs.insert(keyer, effMode, in, r, classSolved)
-			}
-		}
-	}
-	out.solver = out.inconclusive == nil
-	out.fullHit = fullHit && len(rs.vectors) > 0
-	return out
 }
 
 // materializeViolation re-checks a memo-served refutation concretely to

@@ -7,7 +7,7 @@
 // claimed in an order that keeps each prefix group contiguous — and
 // the first member of a group to need a concrete exploration freezes
 // the BFS at the last all-shared level (explore.SnapshotPrefix); every
-// later member forks the frozen search (explore.Snapshot.Fork) instead
+// later member forks the frozen search (explore.Checker.Fork) instead
 // of re-exploring the common prefix. Forked reports are byte-identical
 // to from-scratch checks, so scheduling stays invisible in every
 // Report. At depth 1 there is no shared prefix and the trie degenerates
@@ -116,7 +116,7 @@ func newRunState(p *Prepared, lo, hi int, vectors [][]value.Value, opts SweepOpt
 			continue
 		}
 		rs.memoOK[i] = true
-		for _, p := range rs.rolesOf(c) {
+		for _, p := range c.progs[:rs.p.roles] {
 			if _, ok := rs.parts[p]; !ok {
 				rs.parts[p] = progMeta{
 					parts: [2]progParts{
@@ -133,17 +133,6 @@ func newRunState(p *Prepared, lo, hi int, vectors [][]value.Value, opts SweepOpt
 		rs.buildTrie()
 	}
 	return rs
-}
-
-// check dispatches one candidate on the worker's checker ck: the
-// memoized engine when it applies, the plain per-candidate checker
-// otherwise. Both produce identical verdicts, states, and error
-// wrapping.
-func (rs *runState) check(ci int, ck *explore.Checker) outcome {
-	if !rs.useMemo || !rs.memoOK[ci] {
-		return checkCandidate(ck, rs.cands[ci], rs.p.objs, rs.p.tsk, rs.vectors, rs.opts)
-	}
-	return rs.checkMemo(ci, ck)
 }
 
 // prefixKey serializes the instructions every group member shares: the
@@ -174,7 +163,7 @@ func (rs *runState) buildTrie() {
 			rs.group[i] = -1
 			continue
 		}
-		k := prefixKey(rs.rolesOf(c), rs.p.depth)
+		k := prefixKey(c.progs[:rs.p.roles], rs.p.depth)
 		keys[i] = k
 		id, ok := gid[k]
 		if !ok {
@@ -224,16 +213,21 @@ func (rs *runState) snapshotFor(ci, vi int, sys *explore.System) *snapEntry {
 	return ent
 }
 
-// explore runs one concrete model check on the worker's checker ck,
-// forking the group's prefix snapshot when the configuration supports
-// it (plain engine, depth with a shareable prefix). Forked and
-// from-scratch reports are byte-identical; fork savings are counted
-// from the second use of each snapshot (the first had to explore the
-// prefix to build it). The Report is valid until ck's next call.
-func (rs *runState) explore(ck *explore.Checker, ci, vi int, sys *explore.System, effMode explore.Symmetry) (*explore.Report, error) {
-	opts := rs.opts.checkOptions(effMode)
+// explore runs one concrete model check on the worker's checker ck.
+// For a memoized candidate it records branch coverage and forks the
+// group's prefix snapshot when the configuration supports it (plain
+// engine, depth with a shareable prefix); otherwise it is one ck.Check
+// under the sweep's check options. Forked and from-scratch reports are
+// byte-identical; fork savings are counted from the second use of each
+// snapshot (the first had to explore the prefix to build it). The
+// Report is valid until ck's next call.
+func (rs *runState) explore(ck *explore.Checker, ci, vi int, sys *explore.System, mode explore.Symmetry, memo bool) (*explore.Report, error) {
+	opts := rs.opts.checkOptions(mode)
+	if !memo {
+		return ck.Check(sys, rs.p.tsk, opts)
+	}
 	opts.Cover = &explore.CoverRequest{GuardPC: rs.p.depth - 1}
-	if effMode == explore.SymmetryOff && rs.p.depth >= 2 {
+	if mode == explore.SymmetryOff && rs.p.depth >= 2 {
 		if ent := rs.snapshotFor(ci, vi, sys); ent != nil {
 			r, err := ck.Fork(ent.snap, sys, opts)
 			if !errors.Is(err, explore.ErrForkUnsupported) {

@@ -111,6 +111,19 @@ type Options struct {
 	Cover *CoverRequest
 }
 
+// fill applies the defaults of MaxStates, HeartbeatEvery and Workers.
+func (o *Options) fill() {
+	if o.MaxStates <= 0 {
+		o.MaxStates = 1 << 21
+	}
+	if o.HeartbeatEvery == 0 {
+		o.HeartbeatEvery = 1 << 15
+	}
+	if o.Workers <= 0 {
+		o.Workers = runtime.GOMAXPROCS(0)
+	}
+}
+
 // CoverRequest asks the exploration to record branch coverage of the
 // guarded final action of enumerate-style programs: for every merged
 // transition taken by a process poised at GuardPC (the program's last
@@ -414,15 +427,7 @@ func (c *Checker) newSearch(sys *System, tsk task.Task, opts *Options) (*search,
 		return nil, nil, fmt.Errorf("explore: task %s wants %d processes, system has %d: %w",
 			tsk.Name(), tsk.Procs(), sys.Procs(), machine.ErrProgram)
 	}
-	if opts.MaxStates <= 0 {
-		opts.MaxStates = 1 << 21
-	}
-	if opts.HeartbeatEvery == 0 {
-		opts.HeartbeatEvery = 1 << 15
-	}
-	if opts.Workers <= 0 {
-		opts.Workers = runtime.GOMAXPROCS(0)
-	}
+	opts.fill()
 
 	g := c.reset(sys, tsk)
 	rep := &Report{g: g}

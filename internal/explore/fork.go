@@ -20,7 +20,6 @@ package explore
 import (
 	"errors"
 	"fmt"
-	"runtime"
 
 	"setagree/internal/task"
 )
@@ -53,6 +52,13 @@ func ProbeSymmetry(sys *System, tsk task.Task, mode Symmetry) error {
 	return grp.checkRootStable(root)
 }
 
+// plainEngine reports whether opts stay inside the snapshot and fork
+// envelope: symmetry off, no valency, the heap-backed store and no
+// checkpoints.
+func (o *Options) plainEngine() bool {
+	return o.Symmetry == SymmetryOff && !o.Valency && !o.Store.Enabled() && o.Checkpoint.Path == ""
+}
+
 // Snapshot is a frozen BFS prefix: the configuration table, BFS tree,
 // and report totals of an exploration stopped at a level barrier.
 // A Snapshot is immutable and owns its buffers; any number of Forks,
@@ -83,8 +89,7 @@ func SnapshotPrefix(sys *System, tsk task.Task, levels int, opts Options) (*Snap
 	if levels <= 0 {
 		return nil, fmt.Errorf("explore: snapshot of %d levels: %w", levels, ErrForkUnsupported)
 	}
-	if opts.Symmetry != SymmetryOff || opts.Valency || opts.Store.Enabled() ||
-		opts.Checkpoint.Path != "" || opts.Cover != nil {
+	if !opts.plainEngine() || opts.Cover != nil {
 		return nil, fmt.Errorf("explore: snapshot prefixes support only the plain heap-backed engine: %w", ErrForkUnsupported)
 	}
 	opts.Obs = nil
@@ -109,11 +114,6 @@ func SnapshotPrefix(sys *System, tsk task.Task, levels int, opts Options) (*Snap
 		frontierMax: st.frontierMax,
 		batchMax:    st.batchMax,
 	}, nil
-}
-
-// Fork is a one-shot Checker's Fork: new(Checker).Fork(s, sys, opts).
-func (s *Snapshot) Fork(sys *System, opts Options) (*Report, error) {
-	return new(Checker).Fork(s, sys, opts)
 }
 
 // Fork resumes the snapshot for a forked system — same process count,
@@ -142,21 +142,13 @@ func (c *Checker) Fork(s *Snapshot, sys *System, opts Options) (*Report, error) 
 			return nil, fmt.Errorf("explore: forked input %d differs from snapshot: %w", i, ErrForkUnsupported)
 		}
 	}
-	if opts.MaxStates <= 0 {
-		opts.MaxStates = 1 << 21
-	}
+	opts.fill()
 	if opts.MaxStates != s.maxStates {
 		return nil, fmt.Errorf("explore: fork MaxStates %d differs from snapshot's %d: %w",
 			opts.MaxStates, s.maxStates, ErrForkUnsupported)
 	}
-	if opts.Symmetry != SymmetryOff || opts.Valency || opts.Store.Enabled() || opts.Checkpoint.Path != "" {
+	if !opts.plainEngine() {
 		return nil, fmt.Errorf("explore: forks support only the plain heap-backed engine: %w", ErrForkUnsupported)
-	}
-	if opts.HeartbeatEvery == 0 {
-		opts.HeartbeatEvery = 1 << 15
-	}
-	if opts.Workers <= 0 {
-		opts.Workers = runtime.GOMAXPROCS(0)
 	}
 
 	g := c.reset(sys, base.tsk)

@@ -98,7 +98,7 @@ func TestForkMatchesFromScratch(t *testing.T) {
 		sys := &explore.System{Programs: progs, Objects: objs, Inputs: inputs}
 		scratchSink, forkSink := obs.NewSink(), obs.NewSink()
 		want, werr := explore.Check(sys, tsk, explore.Options{Cover: cover, Obs: scratchSink})
-		got, gerr := snap.Fork(sys, explore.Options{Cover: cover, Obs: forkSink})
+		got, gerr := new(explore.Checker).Fork(snap, sys, explore.Options{Cover: cover, Obs: forkSink})
 		if werr != nil || gerr != nil {
 			t.Fatalf("%s: Check err %v, Fork err %v", name, werr, gerr)
 		}
@@ -142,7 +142,7 @@ func TestForkConcurrent(t *testing.T) {
 			wg.Add(1)
 			go func(i int, progs []*machine.Program) {
 				defer wg.Done()
-				rep, err := snap.Fork(&explore.System{Programs: progs, Objects: objs, Inputs: inputs}, explore.Options{})
+				rep, err := new(explore.Checker).Fork(snap, &explore.System{Programs: progs, Objects: objs, Inputs: inputs}, explore.Options{})
 				if err != nil {
 					t.Errorf("Fork(%d): %v", i, err)
 					return
@@ -172,7 +172,7 @@ func TestForkStateLimitIdentical(t *testing.T) {
 	}
 	sys := &explore.System{Programs: alt, Objects: objs, Inputs: inputs}
 	want, werr := explore.Check(sys, tsk, explore.Options{MaxStates: limit})
-	got, gerr := snap.Fork(sys, explore.Options{MaxStates: limit})
+	got, gerr := new(explore.Checker).Fork(snap, sys, explore.Options{MaxStates: limit})
 	if !errors.Is(werr, explore.ErrStateLimit) || !errors.Is(gerr, explore.ErrStateLimit) {
 		t.Fatalf("want ErrStateLimit from both: Check %v, Fork %v", werr, gerr)
 	}
@@ -203,18 +203,18 @@ func TestForkRejections(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SnapshotPrefix: %v", err)
 	}
-	if _, err := snap.Fork(sys, explore.Options{MaxStates: 7}); !errors.Is(err, explore.ErrForkUnsupported) {
+	if _, err := new(explore.Checker).Fork(snap, sys, explore.Options{MaxStates: 7}); !errors.Is(err, explore.ErrForkUnsupported) {
 		t.Errorf("MaxStates mismatch: err %v, want ErrForkUnsupported", err)
 	}
-	if _, err := snap.Fork(sys, explore.Options{Valency: true}); !errors.Is(err, explore.ErrForkUnsupported) {
+	if _, err := new(explore.Checker).Fork(snap, sys, explore.Options{Valency: true}); !errors.Is(err, explore.ErrForkUnsupported) {
 		t.Errorf("valency fork: err %v, want ErrForkUnsupported", err)
 	}
 	narrow := &explore.System{Programs: base[:1], Objects: objs, Inputs: inputs[:1]}
-	if _, err := snap.Fork(narrow, explore.Options{}); !errors.Is(err, explore.ErrForkUnsupported) {
+	if _, err := new(explore.Checker).Fork(snap, narrow, explore.Options{}); !errors.Is(err, explore.ErrForkUnsupported) {
 		t.Errorf("shape mismatch: err %v, want ErrForkUnsupported", err)
 	}
 	flipped := &explore.System{Programs: base, Objects: objs, Inputs: []value.Value{1, 0}}
-	if _, err := snap.Fork(flipped, explore.Options{}); !errors.Is(err, explore.ErrForkUnsupported) {
+	if _, err := new(explore.Checker).Fork(snap, flipped, explore.Options{}); !errors.Is(err, explore.ErrForkUnsupported) {
 		t.Errorf("input mismatch: err %v, want ErrForkUnsupported", err)
 	}
 }

@@ -155,6 +155,3 @@ func (o *Recorded) Apply(proc int, op value.Op) (value.Value, error) {
 	})
 	return resp, nil
 }
-
-// Object returns the underlying linearizable object.
-func (o *Recorded) Object() *spec.Atomic { return o.obj }

@@ -17,6 +17,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -42,6 +43,11 @@ const (
 // Terminal reports whether a job in state s will never run again.
 func (s State) Terminal() bool {
 	return s == Done || s == Failed || s == Canceled
+}
+
+// known reports whether s is one of the five lifecycle states.
+func (s State) known() bool {
+	return s == Pending || s == Running || s.Terminal()
 }
 
 // Job is one unit of work. The Spec payload is opaque to the store;
@@ -104,7 +110,10 @@ type Store struct {
 
 // Open loads (or initialises) the store rooted at dir: the journal is
 // replayed, and any job left running by a crashed process is requeued
-// as pending with its working directory intact.
+// as pending with its working directory intact. Replay skips every
+// line that is not a job record the store could have written: one that
+// does not parse, whose id is not Submit's canonical job-%06d form, or
+// whose state is not a lifecycle state.
 func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(filepath.Join(dir, "jobs"), 0o755); err != nil {
 		return nil, err
@@ -123,6 +132,13 @@ func Open(dir string) (*Store, error) {
 				// stands. Replay keeps going: last parsable line wins.
 				continue
 			}
+			n := idNumber(rec.ID)
+			if n < 0 || !rec.State.known() {
+				// Not a record Submit or a transition wrote: its id could
+				// name a directory outside the job tree, so it is skipped
+				// like a torn line.
+				continue
+			}
 			if j, ok := s.jobs[rec.ID]; ok {
 				if rec.Spec == nil {
 					rec.Spec = j.Spec // state-only records omit the spec
@@ -130,7 +146,7 @@ func Open(dir string) (*Store, error) {
 			}
 			cp := rec
 			s.jobs[rec.ID] = &cp
-			if n := idNumber(rec.ID); n >= s.nextID {
+			if n >= s.nextID {
 				s.nextID = n + 1
 			}
 		}
@@ -155,12 +171,18 @@ func Open(dir string) (*Store, error) {
 	return s, nil
 }
 
+// idNumber returns n when id is the canonical form Submit writes,
+// job-%06d of an n in [0, 2³¹), and -1 for any other string.
 func idNumber(id string) int {
-	var n int
-	if _, err := fmt.Sscanf(id, "job-%d", &n); err != nil {
+	digits, ok := strings.CutPrefix(id, "job-")
+	if !ok {
 		return -1
 	}
-	return n
+	n, err := strconv.ParseUint(digits, 10, 31)
+	if err != nil || fmt.Sprintf("job-%06d", n) != id {
+		return -1
+	}
+	return int(n)
 }
 
 // Close releases the journal file. In-memory state stays readable.

@@ -52,15 +52,6 @@ func Parse(name string, src string, numRegs int) (*Program, error) {
 	return b.Build()
 }
 
-// MustParse is Parse for statically known-correct sources.
-func MustParse(name string, src string, numRegs int) *Program {
-	p, err := Parse(name, src, numRegs)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 func splitArgs(s string) []string {
 	s = strings.TrimSpace(s)
 	if s == "" {

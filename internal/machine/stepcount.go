@@ -20,9 +20,6 @@ var (
 // TotalSteps before and after and report the difference.
 func EnableStepCount(on bool) { stepCountEnabled.Store(on) }
 
-// StepCountEnabled reports whether shared-step counting is on.
-func StepCountEnabled() bool { return stepCountEnabled.Load() }
-
 // TotalSteps returns the cumulative number of shared-memory steps
 // executed (Resume calls) while counting was enabled.
 func TotalSteps() int64 { return stepCount.Load() }

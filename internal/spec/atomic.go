@@ -112,18 +112,6 @@ func (a *Atomic) Apply(op value.Op) (value.Value, error) {
 	return t.Resp, nil
 }
 
-// MustApply is Apply for operations known to be within the object's
-// interface; it panics on interface misuse, which is a programmer error
-// on the caller's side (the typed wrappers in the public facade
-// guarantee well-formed operations).
-func (a *Atomic) MustApply(op value.Op) value.Value {
-	v, err := a.Apply(op)
-	if err != nil {
-		panic(err)
-	}
-	return v
-}
-
 // Snapshot returns the current state. The returned State is immutable
 // and safe to retain.
 func (a *Atomic) Snapshot() State {
