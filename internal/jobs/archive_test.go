@@ -1,6 +1,7 @@
 package jobs
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -8,7 +9,7 @@ import (
 	"time"
 )
 
-func newArchivedStore(t *testing.T, p ArchivePolicy) (*Store, string) {
+func newArchivedStore(t testing.TB, p ArchivePolicy) (*Store, string) {
 	t.Helper()
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -25,7 +26,7 @@ func newArchivedStore(t *testing.T, p ArchivePolicy) (*Store, string) {
 	return s, dir
 }
 
-func finishJob(t *testing.T, s *Store, spec, events, result string) Job {
+func finishJob(t testing.TB, s *Store, spec, events, result string) Job {
 	t.Helper()
 	j, err := s.Submit("explore", []byte(spec))
 	if err != nil {
@@ -257,4 +258,41 @@ func TestSizes(t *testing.T) {
 	if archive2 <= 0 {
 		t.Error("archive empty after sweep")
 	}
+}
+
+// FuzzArchive reads arbitrary bytes as an archived job's gzipped
+// result and event stream. ReadResult and ReadEvents return bytes or an
+// error and never panic, and, reading equal files, agree.
+func FuzzArchive(f *testing.F) {
+	const result = `{"verdict":"solved","states":1256}`
+	s, _ := newArchivedStore(f, ArchivePolicy{})
+	j := finishJob(f, s, `{"protocol":"alg2","n":4}`,
+		"{\"type\":\"explore.start\"}\n{\"type\":\"explore.done\"}\n", result)
+	if stats, err := s.Sweep(); err != nil || stats.Archived != 1 {
+		f.Fatalf("sweep: %+v, %v", stats, err)
+	}
+	if got, err := s.ReadResult(j.ID); err != nil || string(got) != result {
+		f.Fatalf("archived result reads %q, %v", got, err)
+	}
+	dir := filepath.Join(s.archive.Dir, j.ID)
+	archived, err := os.ReadFile(filepath.Join(dir, "result.json.gz"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(archived)
+	f.Add(archived[:len(archived)/2])
+	f.Add([]byte(`{"verdict":"solved"}`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, name := range []string{"result.json.gz", "events.jsonl.gz"} {
+			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		result, rerr := s.ReadResult(j.ID)
+		events, eerr := s.ReadEvents(j.ID)
+		if (rerr == nil) != (eerr == nil) || !bytes.Equal(result, events) {
+			t.Fatalf("equal archive files read differently: result %q, %v; events %q, %v", result, rerr, events, eerr)
+		}
+	})
 }

@@ -10,18 +10,21 @@ import (
 	"setagree/internal/obs"
 )
 
-// Arena is an append-only byte log. A directory store's arenas are
-// backed by fixed-size mmap'd chunks of one file; chunks never move once
-// mapped, so readers (including the checkpoint writer's background
-// goroutine) hold stable views of the committed prefix while the single
-// appender extends the tail. Records are not padded to chunk
-// boundaries; a record straddling one is read across chunks and counted
-// on the store.arena_faults counter.
-//
-// A heap arena is one slice grown by append, addressed as a single
-// chunk (shift 63), so reads share the mmap code path. Appending may
-// move the slice, but the bytes already handed out stay valid and are
-// never rewritten.
+// Arena is an append-only byte log addressed in power-of-two chunks:
+// byte off lives at chunks[off>>shift][off&mask]. A directory store's
+// chunks are mmap'd windows of one file, which the kernel may evict; a
+// heap arena's are heapChunkBytes slices, except the first, which grows
+// by append up to the chunk size, so a small store (a sweep's check of a
+// few dozen states, one BFS shard's level-local keys) takes no full
+// chunk. A chunk's length is the bytes written to it, and every chunk
+// but the last is full. Bytes in a chunk at its capacity never move, so
+// readers (including the checkpoint writer's background goroutine) hold
+// stable views of the committed prefix while the single appender
+// extends the tail; a view into a first heap chunk that later grows
+// keeps reading the old array, whose bytes are never rewritten. Records
+// are not padded to chunk boundaries; a record straddling one is read
+// across chunks, and a directory store counts it on the
+// store.arena_faults counter.
 type Arena struct {
 	f      *os.File
 	path   string
@@ -34,6 +37,11 @@ type Arena struct {
 	faults  *obs.Counter
 }
 
+// heapChunkBytes is the chunk size of a heap store's arenas. It is
+// small so that the partly filled last chunk of each arena costs
+// little: 16-MiB heap chunks kept a higher peak heap on alg2 n=7.
+const heapChunkBytes = 1 << 20
+
 // newArena creates (truncating) the arena file at path with power-of-two
 // chunkBytes chunks.
 func newArena(path string, chunkBytes int64, spilled, faults *obs.Counter) (*Arena, error) {
@@ -41,36 +49,37 @@ func newArena(path string, chunkBytes int64, spilled, faults *obs.Counter) (*Are
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	return &Arena{
-		f:       f,
-		path:    path,
-		shift:   uint(bits.TrailingZeros64(uint64(chunkBytes))),
-		mask:    chunkBytes - 1,
-		spilled: spilled,
-		faults:  faults,
-	}, nil
+	a := newHeapArena(chunkBytes)
+	a.f, a.path, a.spilled, a.faults = f, path, spilled, faults
+	return a, nil
 }
 
-// newHeapArena returns an empty heap-backed arena.
-func newHeapArena() *Arena {
-	return &Arena{chunks: [][]byte{nil}, shift: 63, mask: 1<<63 - 1}
+// newHeapArena returns an empty heap-backed arena with power-of-two
+// chunkBytes chunks.
+func newHeapArena(chunkBytes int64) *Arena {
+	return &Arena{shift: uint(bits.TrailingZeros64(uint64(chunkBytes))), mask: chunkBytes - 1}
 }
 
-// copyFrom makes a, a heap arena, hold a copy of src's bytes, reusing
-// a's slice. Both must be heap arenas.
+// copyFrom makes a, a heap arena, hold a copy of src's bytes, chunk by
+// chunk into a's own chunks. Both must be heap arenas of one chunk size.
 func (a *Arena) copyFrom(src *Arena) {
-	if a.f != nil || src.f != nil {
-		panic("store: internal: copyFrom on a directory arena")
+	if a.f != nil || src.f != nil || a.shift != src.shift {
+		panic("store: internal: copyFrom needs heap arenas of one chunk size")
 	}
-	a.chunks[0] = append(a.chunks[0][:0], src.chunks[0]...)
-	a.size = src.size
+	a.reset()
+	for _, c := range src.chunks {
+		if len(c) == 0 {
+			break
+		}
+		a.Append(c) // a heap arena's Append cannot fail
+	}
 }
 
-// reset empties the arena, keeping its heap slice or mapped chunks for
-// the next appends to overwrite.
+// reset empties the arena, keeping every chunk for the next appends to
+// overwrite.
 func (a *Arena) reset() {
-	if a.f == nil {
-		a.chunks[0] = a.chunks[0][:0]
+	for i, c := range a.chunks {
+		a.chunks[i] = c[:0]
 	}
 	a.size = 0
 }
@@ -81,34 +90,46 @@ func (a *Arena) Len() int64 { return a.size }
 // Append writes b at the end of the arena and returns its start offset.
 func (a *Arena) Append(b []byte) (int64, error) {
 	off := a.size
-	if a.f == nil {
-		a.chunks[0] = append(a.chunks[0], b...)
+	a.spilled.Add(int64(len(b)))
+	if i := int(off >> a.shift); i < len(a.chunks) && off&a.mask+int64(len(b)) <= a.mask+1 {
+		// The record fits in the current chunk: one append, which only
+		// a first heap chunk below the chunk size can reallocate.
+		a.chunks[i] = append(a.chunks[i], b...)
 		a.size += int64(len(b))
 		return off, nil
 	}
-	if len(b) == 0 {
-		return off, nil
-	}
-	if off>>a.shift != (off+int64(len(b))-1)>>a.shift {
+	if len(b) > 0 && off>>a.shift != (off+int64(len(b))-1)>>a.shift {
 		a.faults.Inc()
 	}
-	a.spilled.Add(int64(len(b)))
 	for len(b) > 0 {
-		if a.size == int64(len(a.chunks))<<a.shift {
+		i := int(a.size >> a.shift)
+		if i == len(a.chunks) {
 			if err := a.addChunk(); err != nil {
 				return 0, err
 			}
 		}
-		c := a.chunks[a.size>>a.shift]
-		n := copy(c[a.size&a.mask:], b)
+		c := a.chunks[i]
+		n := min(len(b), int(a.mask+1)-len(c))
+		a.chunks[i] = append(c, b[:n]...)
 		a.size += int64(n)
 		b = b[n:]
 	}
 	return off, nil
 }
 
+// addChunk adds an empty chunk: on the heap a fresh one (nil for the
+// first, which grows by append), else the next chunk of the arena file,
+// mapped.
 func (a *Arena) addChunk() error {
 	chunkBytes := a.mask + 1
+	if a.f == nil {
+		var c []byte
+		if len(a.chunks) > 0 {
+			c = make([]byte, 0, chunkBytes)
+		}
+		a.chunks = append(a.chunks, c)
+		return nil
+	}
 	end := (int64(len(a.chunks)) + 1) * chunkBytes
 	if err := a.f.Truncate(end); err != nil {
 		return fmt.Errorf("store: grow %s: %w", a.path, err)
@@ -117,7 +138,7 @@ func (a *Arena) addChunk() error {
 	if err != nil {
 		return fmt.Errorf("store: map %s: %w", a.path, err)
 	}
-	a.chunks = append(a.chunks, c)
+	a.chunks = append(a.chunks, c[:0])
 	return nil
 }
 
@@ -179,7 +200,7 @@ func (a *Arena) views(start, end int64) [][]byte {
 func (a *Arena) close() error {
 	var err error
 	for _, c := range a.chunks {
-		err = errors.Join(err, unmapChunk(c))
+		err = errors.Join(err, unmapChunk(c[:cap(c)]))
 	}
 	a.chunks = nil
 	if a.f != nil {

@@ -146,9 +146,16 @@ type Store struct {
 // heap seen by budget checks.
 func Open(opts Options, sink *obs.Sink) (*Store, error) {
 	if !opts.Enabled() {
-		return &Store{budget: opts.Budget, Keys: newHeapArena(), Meta: newHeapArena(), Edges: newHeapArena()}, nil
+		return openHeap(opts.Budget, heapChunkBytes), nil
 	}
 	return openDir(opts, defaultChunkBytes, sink)
+}
+
+// openHeap returns a heap store whose arenas use power-of-two
+// chunkBytes chunks.
+func openHeap(budget, chunkBytes int64) *Store {
+	return &Store{budget: budget, Keys: newHeapArena(chunkBytes),
+		Meta: newHeapArena(chunkBytes), Edges: newHeapArena(chunkBytes)}
 }
 
 // openDir opens a directory store whose arenas map power-of-two
@@ -219,9 +226,12 @@ func (s *Store) Close() error {
 	return err
 }
 
-// Reset empties the store for reuse: no key is interned, the next Intern
-// assigns id 0 again, and the table and arenas keep their capacity.
-// Reset invalidates every view Span and Sections returned.
+// Reset empties the store for reuse: no key is interned and the next
+// Intern assigns id 0 again. The table keeps its slots and every arena
+// keeps all its chunks, heap or mapped, so refilling a reset store to
+// its old size allocates nothing. The next appends overwrite the old
+// bytes in place, so Reset invalidates every view Span and Sections
+// returned.
 func (s *Store) Reset() {
 	clear(s.slots)
 	s.count = 0
@@ -285,9 +295,10 @@ func (s *Store) insert(sl slot) {
 	}
 }
 
-// grow doubles the table, starting at 8 slots: most stores index a
-// sweep's candidate checks, or one BFS level's new keys in a shard,
-// which are a few dozen keys.
+// grow doubles the table, starting at 8 slots: a store keeps its table
+// across Reset, so the start only matters to a store's first fill,
+// often a sweep's check or one BFS level's new keys in a shard, which
+// are a few dozen keys.
 func (s *Store) grow() {
 	old := s.slots
 	s.slots = make([]slot, max(2*len(old), 8))

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"setagree/internal/obs"
@@ -55,64 +56,131 @@ func TestParseBudgetRejects(t *testing.T) {
 }
 
 // TestArenaStraddle exercises records crossing chunk boundaries with a
-// minimum-size 4 KiB chunk: appends, spans, chunked compares, and the
-// fault counter.
+// minimum-size 4 KiB chunk, on both backends: appends, spans, chunked
+// compares, and, in a directory store, the fault counter.
 func TestArenaStraddle(t *testing.T) {
-	sink := obs.NewSink()
-	s, err := openDir(Options{Dir: t.TempDir()}, 4<<10, sink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	var want []byte
-	var offs []int64
-	rec := make([]byte, 100+19*90)
-	for i := 0; i < 20; i++ {
-		for j := range rec {
-			rec[j] = byte(i + j)
-		}
-		off, err := s.Keys.Append(rec[:100+i*90])
+	for _, dir := range []string{"", t.TempDir()} {
+		sink := obs.NewSink()
+		s, err := openStore(dir, 4<<10, sink)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if off != int64(len(want)) {
-			t.Fatalf("append %d: offset %d, want %d", i, off, len(want))
+		defer s.Close()
+
+		var want []byte
+		var offs []int64
+		rec := make([]byte, 100+19*90)
+		for i := 0; i < 20; i++ {
+			for j := range rec {
+				rec[j] = byte(i + j)
+			}
+			off, err := s.Keys.Append(rec[:100+i*90])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if off != int64(len(want)) {
+				t.Fatalf("dir=%q: append %d: offset %d, want %d", dir, i, off, len(want))
+			}
+			offs = append(offs, off)
+			want = append(want, rec[:100+i*90]...)
 		}
-		offs = append(offs, off)
-		want = append(want, rec[:100+i*90]...)
-	}
-	if s.Keys.Len() != int64(len(want)) {
-		t.Fatalf("Len() = %d, want %d", s.Keys.Len(), len(want))
-	}
-	offs = append(offs, s.Keys.Len())
-	for i := 0; i+1 < len(offs); i++ {
-		if got := s.Keys.Span(offs[i], offs[i+1]); !bytes.Equal(got, want[offs[i]:offs[i+1]]) {
-			t.Fatalf("Span of record %d differs", i)
+		if s.Keys.Len() != int64(len(want)) {
+			t.Fatalf("dir=%q: Len() = %d, want %d", dir, s.Keys.Len(), len(want))
+		}
+		if len(s.Keys.chunks) < 3 {
+			t.Fatalf("dir=%q: %d chunks, want a record log over several", dir, len(s.Keys.chunks))
+		}
+		offs = append(offs, s.Keys.Len())
+		for i := 0; i+1 < len(offs); i++ {
+			if got := s.Keys.Span(offs[i], offs[i+1]); !bytes.Equal(got, want[offs[i]:offs[i+1]]) {
+				t.Fatalf("dir=%q: Span of record %d differs", dir, i)
+			}
+		}
+		if !bytes.Equal(s.Keys.Span(0, s.Keys.Len()), want) {
+			t.Fatalf("dir=%q: Span over the whole straddled arena differs", dir)
+		}
+		if !s.Keys.Equal(0, want) {
+			t.Fatalf("dir=%q: Equal over the whole straddled arena = false", dir)
+		}
+		if s.Keys.Equal(1, want[:len(want)-1]) {
+			t.Fatalf("dir=%q: Equal at shifted offset = true", dir)
+		}
+		var flat []byte
+		for _, sec := range s.Keys.Sections(s.Keys.Len()) {
+			flat = append(flat, sec...)
+		}
+		if !bytes.Equal(flat, want) {
+			t.Fatalf("dir=%q: Sections do not reassemble the arena", dir)
+		}
+		snap := sink.Snapshot()
+		if dir == "" {
+			if len(snap.Counters) != 0 {
+				t.Fatalf("heap arena recorded store metrics: %v", snap.Counters)
+			}
+			continue
+		}
+		if snap.Counters["store.spilled_bytes"] != int64(len(want)) {
+			t.Fatalf("spilled_bytes = %d, want %d", snap.Counters["store.spilled_bytes"], len(want))
+		}
+		if snap.Counters["store.arena_faults"] == 0 {
+			t.Fatal("straddling appends and compares counted no arena faults")
 		}
 	}
-	if !bytes.Equal(s.Keys.Span(0, s.Keys.Len()), want) {
-		t.Fatal("Span over the whole straddled arena differs")
-	}
-	if !s.Keys.Equal(0, want) {
-		t.Fatal("Equal over the whole straddled arena = false")
-	}
-	if s.Keys.Equal(1, want[:len(want)-1]) {
-		t.Fatal("Equal at shifted offset = true")
-	}
-	var flat []byte
-	for _, sec := range s.Keys.Sections(s.Keys.Len()) {
-		flat = append(flat, sec...)
-	}
-	if !bytes.Equal(flat, want) {
-		t.Fatal("Sections do not reassemble the arena")
-	}
-	snap := sink.Snapshot()
-	if snap.Counters["store.spilled_bytes"] != int64(len(want)) {
-		t.Fatalf("spilled_bytes = %d, want %d", snap.Counters["store.spilled_bytes"], len(want))
-	}
-	if snap.Counters["store.arena_faults"] == 0 {
-		t.Fatal("straddling appends and compares counted no arena faults")
+}
+
+// TestArenaViewsStable checks that committed bytes never move: Span and
+// Sections views taken early still point at the same memory, holding
+// the same bytes, after several more chunks of appends, on both
+// backends. A view into a heap arena's first chunk taken while that
+// chunk still grows keeps its bytes.
+func TestArenaViewsStable(t *testing.T) {
+	const chunk = 4 << 10
+	for _, dir := range []string{"", t.TempDir()} {
+		s, err := openStore(dir, chunk, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		a := s.Meta
+		rec := make([]byte, 1000)
+		fill := func(n int64) {
+			for a.Len() < n {
+				for j := range rec {
+					rec[j] = byte(a.Len()) ^ byte(j)
+				}
+				if _, err := a.Append(rec); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		fill(1)
+		early := a.Span(10, 60)
+		earlyWant := bytes.Clone(early)
+		fill(chunk + 1) // the first chunk full, the second barely begun
+		views := [][]byte{a.Span(100, 200), a.Span(chunk+10, chunk+300)}
+		views = append(views, a.Sections(a.Len())...)
+		if len(views) != 4 {
+			t.Fatalf("dir=%q: %d views, want 2 spans and 2 sections", dir, len(views))
+		}
+		want := make([][]byte, len(views))
+		for i, v := range views {
+			want[i] = bytes.Clone(v)
+		}
+		upTo := a.Len()
+		fill(6 * chunk)
+		again := [][]byte{a.Span(100, 200), a.Span(chunk+10, chunk+300)}
+		again = append(again, a.Sections(upTo)...)
+		for i, v := range views {
+			if &v[0] != &again[i][0] {
+				t.Fatalf("dir=%q: view %d moved after %d more bytes", dir, i, a.Len()-upTo)
+			}
+			if !bytes.Equal(v, want[i]) || !bytes.Equal(again[i], want[i]) {
+				t.Fatalf("dir=%q: view %d changed after more appends", dir, i)
+			}
+		}
+		if !bytes.Equal(early, earlyWant) || !bytes.Equal(a.Span(10, 60), earlyWant) {
+			t.Fatalf("dir=%q: a view taken in the growing first chunk changed", dir)
+		}
 	}
 }
 
@@ -161,6 +229,86 @@ func TestCopyFrom(t *testing.T) {
 		}
 		if got := string(c.Meta.Span(0, c.Meta.Len())); got != "mn" {
 			t.Fatalf("round %d: copy meta %q", round, got)
+		}
+	}
+}
+
+// TestCopyFromChunks copies a source spanning several heap chunks into
+// a destination that held more chunks and into one that held fewer:
+// each copy reads the source's keys, ids and records, and what either
+// side appends afterwards never reaches the other.
+func TestCopyFromChunks(t *testing.T) {
+	const chunk = 256
+	key := func(p string, i int) []byte { return []byte(fmt.Sprintf("%s-%04d-%020d", p, i, i)) }
+	fill := func(s *Store, p string, n int) {
+		for i := 0; i < n; i++ {
+			if _, err := s.Intern(key(p, i)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Meta.Append(key(p+"m", i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, held := range []int{200, 5} {
+		src := openHeap(0, chunk)
+		fill(src, "src", 40)
+		dst := openHeap(0, chunk)
+		fill(dst, "old", held)
+		if n, m := len(src.Keys.chunks), len(dst.Keys.chunks); n < 3 || (held > 40) != (m > n) {
+			t.Fatalf("held %d: source has %d key chunks, destination %d", held, n, m)
+		}
+		srcKeys, srcMeta := bytes.Clone(src.Keys.Span(0, src.Keys.Len())), bytes.Clone(src.Meta.Span(0, src.Meta.Len()))
+
+		dst.CopyFrom(src)
+		check := func(s *Store, who string, extra int) {
+			t.Helper()
+			if s.Count() != 40+extra {
+				t.Fatalf("held %d: %s holds %d keys, want %d", held, who, s.Count(), 40+extra)
+			}
+			for i := 0; i < 40; i++ {
+				if id, ok := s.Lookup(key("src", i)); !ok || id != i {
+					t.Fatalf("held %d: %s Lookup(src key %d) = %d, %v", held, who, i, id, ok)
+				}
+			}
+			if got := s.Keys.Span(0, int64(len(srcKeys))); !bytes.Equal(got, srcKeys) {
+				t.Fatalf("held %d: %s key bytes differ from the source's", held, who)
+			}
+			if got := s.Meta.Span(0, int64(len(srcMeta))); !bytes.Equal(got, srcMeta) {
+				t.Fatalf("held %d: %s meta bytes differ from the source's", held, who)
+			}
+		}
+		check(dst, "copy", 0)
+		if dst.Keys.Len() != src.Keys.Len() || dst.Meta.Len() != src.Meta.Len() {
+			t.Fatalf("held %d: copy lengths %d/%d, source %d/%d", held,
+				dst.Keys.Len(), dst.Meta.Len(), src.Keys.Len(), src.Meta.Len())
+		}
+		if _, ok := dst.Lookup(key("old", 0)); ok {
+			t.Fatalf("held %d: the copy still finds a key it held before", held)
+		}
+		for i, c := range src.Keys.chunks {
+			if len(c) > 0 && &dst.Keys.chunks[i][0] == &c[0] {
+				t.Fatalf("held %d: key chunk %d shared by source and copy", held, i)
+			}
+		}
+
+		fill(dst, "dst", 30) // the copy grows past the source
+		fill(src, "more", 30)
+		check(dst, "copy", 30)
+		check(src, "source", 30)
+		for i := 0; i < 30; i++ {
+			if id, ok := dst.Lookup(key("dst", i)); !ok || id != 40+i {
+				t.Fatalf("held %d: copy Lookup(its key %d) = %d, %v", held, i, id, ok)
+			}
+			if _, ok := src.Lookup(key("dst", i)); ok {
+				t.Fatalf("held %d: the copy's key %d reached the source", held, i)
+			}
+			if id, ok := src.Lookup(key("more", i)); !ok || id != 40+i {
+				t.Fatalf("held %d: source Lookup(its key %d) = %d, %v", held, i, id, ok)
+			}
+			if _, ok := dst.Lookup(key("more", i)); ok {
+				t.Fatalf("held %d: the source's key %d reached the copy", held, i)
+			}
 		}
 	}
 }
@@ -271,25 +419,35 @@ func TestCheckBudget(t *testing.T) {
 
 // TestStoreReset checks that a reset store is empty — lookups miss and
 // the arenas hold nothing — interns again from id 0, and keeps its
-// table and arena capacity, in both backends.
+// table and every arena chunk, in both backends: refilling it to its
+// old length keeps each chunk's capacity and allocates nothing.
 func TestStoreReset(t *testing.T) {
 	for _, dir := range []string{"", t.TempDir()} {
-		s, err := openStore(dir)
+		s, err := openStore(dir, 4<<10, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer s.Close()
 		keys := make([][]byte, 100)
 		for i := range keys {
-			keys[i] = []byte(fmt.Sprintf("key-%03d", i))
-			if id, err := s.Intern(keys[i]); err != nil || id != i {
-				t.Fatalf("dir=%q: intern %d: id %d, %v", dir, i, id, err)
+			keys[i] = []byte(fmt.Sprintf("key-%03d-%0200d", i, i))
+		}
+		meta := bytes.Repeat([]byte("meta"), 3<<10)
+		fill := func(keys [][]byte) {
+			for i, k := range keys {
+				if id, err := s.Intern(k); err != nil || id != i {
+					t.Fatalf("dir=%q: intern %d: id %d, %v", dir, i, id, err)
+				}
+			}
+			if _, err := s.Meta.Append(meta); err != nil {
+				t.Fatal(err)
 			}
 		}
-		if _, err := s.Meta.Append([]byte("meta")); err != nil {
-			t.Fatal(err)
+		fill(keys)
+		slots, caps := len(s.slots), chunkCaps(s)
+		if len(caps[0]) < 3 || len(caps[1]) < 3 {
+			t.Fatalf("dir=%q: %d key chunks, %d meta chunks; want several", dir, len(caps[0]), len(caps[1]))
 		}
-		slots, keyCap := len(s.slots), cap(s.Keys.chunks[0])
 
 		s.Reset()
 		if s.Count() != 0 || s.Keys.Len() != 0 || s.Meta.Len() != 0 || s.Edges.Len() != 0 {
@@ -301,9 +459,9 @@ func TestStoreReset(t *testing.T) {
 				t.Fatalf("dir=%q: %q found as %d after Reset", dir, k, id)
 			}
 		}
-		if len(s.slots) != slots || cap(s.Keys.chunks[0]) != keyCap {
-			t.Fatalf("dir=%q: Reset dropped capacity: %d slots (was %d), key arena cap %d (was %d)", dir,
-				len(s.slots), slots, cap(s.Keys.chunks[0]), keyCap)
+		if got := chunkCaps(s); len(s.slots) != slots || !slices.EqualFunc(got, caps, slices.Equal) {
+			t.Fatalf("dir=%q: Reset dropped capacity: %d slots (was %d), chunk capacities %v (were %v)", dir,
+				len(s.slots), slots, got, caps)
 		}
 		for i, k := range keys[50:] {
 			if id, err := s.Intern(k); err != nil || id != i {
@@ -319,12 +477,39 @@ func TestStoreReset(t *testing.T) {
 		if got := s.Keys.Span(0, int64(len(keys[50]))); !bytes.Equal(got, keys[50]) {
 			t.Fatalf("dir=%q: first key after Reset reads %q", dir, got)
 		}
+
+		allocs := testing.AllocsPerRun(3, func() {
+			s.Reset()
+			fill(keys)
+		})
+		if allocs != 0 {
+			t.Fatalf("dir=%q: refilling a reset store allocated %v objects, want 0", dir, allocs)
+		}
+		if got := chunkCaps(s); len(s.slots) != slots || !slices.EqualFunc(got, caps, slices.Equal) {
+			t.Fatalf("dir=%q: refill changed capacity: %d slots (was %d), chunk capacities %v (were %v)", dir,
+				len(s.slots), slots, got, caps)
+		}
 	}
 }
 
-func openStore(dir string) (*Store, error) {
-	if dir == "" {
-		return Open(Options{}, nil)
+// chunkCaps returns the capacity of every chunk of s's arenas.
+func chunkCaps(s *Store) [][]int {
+	var caps [][]int
+	for _, a := range []*Arena{s.Keys, s.Meta, s.Edges} {
+		var c []int
+		for _, ch := range a.chunks {
+			c = append(c, cap(ch))
+		}
+		caps = append(caps, c)
 	}
-	return openDir(Options{Dir: dir}, 4<<10, nil)
+	return caps
+}
+
+// openStore opens a store with power-of-two chunkBytes chunks: on the
+// heap when dir is empty, else a directory store in dir.
+func openStore(dir string, chunkBytes int64, sink *obs.Sink) (*Store, error) {
+	if dir == "" {
+		return openHeap(0, chunkBytes), nil
+	}
+	return openDir(Options{Dir: dir}, chunkBytes, sink)
 }
