@@ -182,6 +182,32 @@ func TestCheckerReuseMatchesFresh(t *testing.T) {
 	}
 }
 
+// TestCheckerReuseLivenessAllocs: once a reused checker has checked a
+// DAC instance with cyclic SCCs and solo-cycle candidates, its liveness
+// check allocates nothing.
+func TestCheckerReuseLivenessAllocs(t *testing.T) {
+	t.Parallel()
+	ck := new(explore.Checker)
+	for _, n := range []int{4, 3} {
+		in := make([]value.Value, n)
+		in[0] = 1
+		sys, err := programs.Algorithm2(n, 1).System(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := ck.Check(sys, task.DAC{N: n, P: 0}, explore.Options{Workers: 1})
+		if err != nil || !rep.Solved() {
+			t.Fatalf("alg2 n=%d: %v %v", n, err, rep.Violations)
+		}
+		if edges, _, err := explore.SoloAgreement(rep, 0); err != nil || edges == 0 {
+			t.Fatalf("alg2 n=%d: %d intra-SCC edges of non-distinguished processes, %v", n, edges, err)
+		}
+	}
+	if allocs := explore.LivenessAllocs(ck); allocs != 0 {
+		t.Fatalf("a reused checker's liveness check allocates %v times", allocs)
+	}
+}
+
 // TestCheckerFirstCallErrors: a checker whose first call fails its
 // argument checks or opens no store is still usable.
 func TestCheckerFirstCallErrors(t *testing.T) {

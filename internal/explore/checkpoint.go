@@ -408,13 +408,16 @@ func (st *search) restore(path string) error {
 		}
 		for k := 0; k < cnt; k++ {
 			to := d.Int()
-			decodeStep(d)
+			s := decodeStep(d)
 			gi := d.Int()
 			if err := d.Err(); err != nil {
 				return err
 			}
 			if to < 0 || to >= numConfigs {
 				return corruptf("config %d: edge to %d out of range", id, to)
+			}
+			if s.Proc < 0 || s.Proc >= n {
+				return corruptf("config %d: edge of process %d out of range", id, s.Proc)
 			}
 			if gi < 0 || gi >= max(order, 1) {
 				return corruptf("config %d: edge group index %d out of range", id, gi)

@@ -277,7 +277,10 @@ type graph struct {
 	grp     *group     // symmetry group, nil when Options.Symmetry is off
 	canon   []int      // per config: index of the group element g with g·config canonical
 	disk    *diskState // configuration store
-	scc     sccScratch // sccs's working memory
+	scc     sccScratch // the liveness and valency passes' working memory
+	// halted[i] is the first configuration (in id order) in which
+	// process i has halted undecided, -1 when none; intern keeps it.
+	halted []int
 }
 
 type edge struct {
@@ -360,6 +363,10 @@ func (c *Checker) reset(sys *System, tsk task.Task) *graph {
 		canon:   g.canon[:0],
 		disk:    d,
 		scc:     g.scc,
+		halted:  resize(g.halted, sys.Procs()),
+	}
+	for i := range g.halted {
+		g.halted[i] = -1
 	}
 	*d = diskState{
 		metaOff: d.metaOff[:0],
@@ -582,7 +589,8 @@ type expansion struct {
 type shardOut struct {
 	start    int // first config id of the shard
 	exps     []expansion
-	succs    []succRec
+	succs    [][]succRec // the level's successors, in chunks of succChunk
+	nSuccs   int
 	local    *store.Store // level-local table of keys the global one missed
 	koff     []int64      // by local id: the key's offset in local.Keys
 	cfgs     []*Config    // by local id: the first occurrence's configuration
@@ -603,13 +611,28 @@ func (out *shardOut) reset(start int) {
 	*out = shardOut{
 		start: start,
 		exps:  out.exps[:0],
-		succs: out.succs[:0],
+		succs: out.succs,
 		local: out.local,
 		koff:  out.koff[:0],
 		cfgs:  out.cfgs[:0],
 		gids:  out.gids[:0],
 		sc:    out.sc,
 	}
+}
+
+// succChunk is the number of successors in one chunk of a shard's
+// successor buffer. The chunks are kept across levels and never move, so
+// a level wider than every earlier one adds chunks rather than regrowing
+// and copying one buffer.
+const succChunk = 256
+
+// addSucc appends rec to the level's successors.
+func (out *shardOut) addSucc(rec succRec) {
+	if out.nSuccs == len(out.succs)*succChunk {
+		out.succs = append(out.succs, make([]succRec, succChunk))
+	}
+	out.succs[out.nSuccs/succChunk][out.nSuccs%succChunk] = rec
+	out.nSuccs++
 }
 
 // intern adds the first occurrence of key in the shard to the
@@ -876,10 +899,10 @@ func (st *search) expand(out *shardOut, c *Config) error {
 					return err
 				}
 			}
-			out.succs = append(out.succs, rec)
+			out.addSucc(rec)
 		}
 	}
-	out.exps = append(out.exps, expansion{quiescent: c.Quiescent(), end: len(out.succs)})
+	out.exps = append(out.exps, expansion{quiescent: c.Quiescent(), end: out.nSuccs})
 	return nil
 }
 
@@ -926,7 +949,8 @@ func (st *search) mergeLevel(outs []*shardOut) error {
 			rec := d.edgeRec[:0]
 			merged := 0
 			var stop error
-			for _, s := range out.succs[lo:exp.end] {
+			for k := lo; k < exp.end; k++ {
+				s := out.succs[k/succChunk][k%succChunk]
 				if st.cover != nil && g.configs[at].Procs[s.step.Proc].PC == st.coverPC {
 					// The parent configuration of the currently merging
 					// level is always resident (spilling runs after the

@@ -7,6 +7,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"slices"
+	"testing"
 
 	"setagree/internal/machine"
 	"setagree/internal/spec"
@@ -313,10 +314,93 @@ func SnapshotBytes(s *Snapshot) []byte {
 		}
 		b.WriteByte('\n')
 	}
-	fmt.Fprintf(&b, "%v %v %d\n%+v\n", d.metaOff, d.edgeOff, d.edgeDurable, *d.s)
+	fmt.Fprintf(&b, "%v %v %v %d\n%+v\n", g.halted, d.metaOff, d.edgeOff, d.edgeDurable, *d.s)
 	for _, a := range []*store.Arena{d.s.Keys, d.s.Meta, d.s.Edges} {
 		b.Write(bytes.Join(a.Sections(a.Len()), nil))
 		b.WriteByte('\n')
 	}
 	return b.Bytes()
+}
+
+// soloCycle reports whether there is a cycle of pure i-steps passing
+// through the edge from->to (both already known to share an SCC): a
+// breadth-first search over the SCC's i-edges from to back to from. It
+// is the per-edge reference for the per-process SCCs checkLiveness
+// decides Termination (b) with.
+func (g *graph) soloCycle(from, to, i int, comp []int) bool {
+	if from == to {
+		return true
+	}
+	seen := map[int]bool{to: true}
+	queue := []int{to}
+	for len(queue) > 0 {
+		at := queue[0]
+		queue = queue[1:]
+		for it := g.edgeIter(at); ; {
+			e, ok := it.next()
+			if !ok {
+				break
+			}
+			if e.step.Proc != i || comp[e.to] != comp[at] || seen[e.to] {
+				continue
+			}
+			if e.to == from {
+				return true
+			}
+			seen[e.to] = true
+			queue = append(queue, e.to)
+		}
+	}
+	return false
+}
+
+// SoloAgreement compares, on every intra-SCC edge of every process but
+// skip (-1 skips none) in rep's graph, the per-process SCC answer to
+// "does this edge lie on a solo cycle" with soloCycle's. It returns how
+// many edges it compared, how many lie on a solo cycle, and the first
+// disagreement. rep must come from a symmetry-off Check.
+func SoloAgreement(rep *Report, skip int) (edges, solo int, err error) {
+	g := rep.g
+	comp, _ := g.sccs()
+	byProc := make([][]soloEdge, g.sys.Procs())
+	for from := range g.configs {
+		it := g.edgeIter(from)
+		for k := 0; ; k++ {
+			e, ok := it.next()
+			if !ok {
+				break
+			}
+			if i := e.step.Proc; i != skip && comp[e.to] == comp[from] {
+				byProc[i] = append(byProc[i], soloEdge{int32(from), int32(e.to), int32(k)})
+			}
+		}
+	}
+	sc := &g.scc
+	sc.lid = resize(sc.lid, len(g.configs))
+	for i, es := range byProc {
+		if len(es) == 0 {
+			continue
+		}
+		sc.soloSCCs(es)
+		for _, e := range es {
+			got := sc.soloComp[sc.lid[e.from]] == sc.soloComp[sc.lid[e.to]]
+			want := g.soloCycle(int(e.from), int(e.to), i, comp)
+			if got != want && err == nil {
+				err = fmt.Errorf("p%d edge %d->%d: per-process SCCs say %v, soloCycle %v", i+1, e.from, e.to, got, want)
+			}
+			edges++
+			if want {
+				solo++
+			}
+		}
+	}
+	return edges, solo, err
+}
+
+// LivenessAllocs is the average number of allocations of one liveness
+// check over the graph of ck's last Check, which must have reported no
+// violation.
+func LivenessAllocs(ck *Checker) float64 {
+	rep := &Report{}
+	return testing.AllocsPerRun(10, func() { ck.g.checkLiveness(rep) })
 }

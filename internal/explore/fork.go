@@ -156,6 +156,7 @@ func (c *Checker) Fork(s *Snapshot, sys *System, opts Options) (*Report, error) 
 	g.parent = append(g.parent, base.parent...)
 	g.parentE = append(g.parentE, base.parentE...)
 	g.canon = append(g.canon, base.canon...)
+	copy(g.halted, base.halted)
 	d, bd := g.disk, base.disk
 	d.s = c.heapStore()
 	d.s.CopyFrom(bd.s)

@@ -115,6 +115,60 @@ func TestForkMatchesFromScratch(t *testing.T) {
 	}
 }
 
+// TestForkCarriesHaltedIDs: a process that halts undecided inside a
+// snapshot's prefix is reported by a fork exactly as by a fresh Check,
+// and the reused checker's next check, of a system where nothing halts,
+// reports no halt.
+func TestForkCarriesHaltedIDs(t *testing.T) {
+	t.Parallel()
+	base, alt, objs := forkFamily()
+	halter := machine.NewBuilder("halter", 4).
+		Invoke(2, 1, value.MethodRead, machine.Operand{}, machine.Operand{}).
+		Halt().
+		MustBuild()
+	tsk := task.Consensus{N: 2}
+	in := []value.Value{0, 1}
+	snap, err := explore.SnapshotPrefix(&explore.System{Programs: []*machine.Program{halter, base[1]}, Objects: objs, Inputs: in},
+		tsk, 1, explore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	forked := &explore.System{Programs: []*machine.Program{halter, alt[1]}, Objects: objs, Inputs: in}
+	plain := &explore.System{Programs: alt, Objects: objs, Inputs: in}
+	ck := new(explore.Checker)
+	for _, sys := range []*explore.System{forked, plain} {
+		want, err := explore.Check(sys, tsk, explore.Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got *explore.Report
+		if sys == forked {
+			got, err = ck.Fork(snap, sys, explore.Options{Workers: 1})
+		} else {
+			got, err = ck.Check(sys, tsk, explore.Options{Workers: 1})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, w := renderReport(got), renderReport(want); g != w {
+			t.Fatalf("reused checker diverges from a fresh Check:\n%s\nwant\n%s", g, w)
+		}
+		halts := 0
+		for _, v := range want.Violations {
+			if v.Kind == explore.ViolationHaltUndecided && v.Proc == 0 {
+				halts++
+			}
+		}
+		wantHalts := 0
+		if sys == forked {
+			wantHalts = 1
+		}
+		if halts != wantHalts {
+			t.Fatalf("%d halt violations of p1, want %d: %v", halts, wantHalts, want.Violations)
+		}
+	}
+}
+
 // TestForkConcurrent runs many forks of one snapshot concurrently; the
 // race detector validates that the frozen prefix really is read-only
 // and each fork's report still matches a from-scratch run.

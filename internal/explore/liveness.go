@@ -2,8 +2,8 @@ package explore
 
 import (
 	"fmt"
+	"math/bits"
 
-	"setagree/internal/machine"
 	"setagree/internal/task"
 )
 
@@ -19,9 +19,16 @@ import (
 //     livelock);
 //   - all tasks: a process with a termination obligation must never stop
 //     undecided (halt), since then even its solo runs fail to decide.
+//
+// The work is linear in the graph: one Tarjan walk, then one walk over
+// the edges of the configurations in cyclic SCCs (every cycle lies in
+// one), both decoding only each edge's target and process. Each
+// process's first violating edge in that walk is reported, in walk
+// order, exactly as a per-edge search would.
 func (g *graph) checkLiveness(rep *Report) {
 	live := g.tsk.Liveness()
 	n := g.sys.Procs()
+	sc := &g.scc
 
 	// Halted-undecided processes. We read "takes infinitely many steps"
 	// as "keeps executing": a correct algorithm never stops a process
@@ -29,28 +36,25 @@ func (g *graph) checkLiveness(rep *Report) {
 	// aborted) — otherwise the trivial all-halt protocol would satisfy
 	// the termination properties vacuously. Both task families here
 	// (consensus/k-set agreement and n-DAC) oblige every process, so any
-	// undecided halt is a violation.
-	reported := make([]bool, n)
-	var m metaRec
-	for id := range g.configs {
-		g.metaAt(id, &m)
-		for i := 0; i < n; i++ {
-			if m.status[i] != machine.StatusHalted || reported[i] {
-				continue
-			}
-			reported[i] = true
-			rep.Violations = append(rep.Violations, &Violation{
-				Kind: ViolationHaltUndecided,
-				Err: fmt.Errorf("process %d stopped without deciding: %w",
-					i+1, task.ErrViolation),
-				Proc:    i,
-				Witness: g.pathTo(id),
-			})
-		}
+	// undecided halt is a violation. intern noted each process's first
+	// halted configuration.
+	hits := resize(sc.hits, n)
+	sc.hits = hits
+	for i := range hits {
+		hits[i] = livenessHit{at: g.halted[i], kind: ViolationHaltUndecided}
 	}
+	reported := g.reportHits(rep, hits, nil)
 
-	comp := g.sccs()
+	comp, cyclic := g.sccs()
 	isDAC := !live.WaitFree && live.DACDistinguished >= 0
+	// Termination (b) without symmetry: an i-edge inside an SCC lies on
+	// an i-only cycle iff its endpoints share a component of the
+	// subgraph of intra-SCC i-edges, which the walk collects per process.
+	soloExact := isDAC && g.grp == nil
+	sc.edges = resize(sc.edges, n)
+	for i := range sc.edges {
+		sc.edges[i] = sc.edges[i][:0]
+	}
 
 	// For resilience-bounded tasks we reason per SCC: the processes with
 	// no step inside a cyclic SCC are "effectively crashed" in the
@@ -58,127 +62,143 @@ func (g *graph) checkLiveness(rep *Report) {
 	// termination when that count is within the tolerated bound.
 	// (Process statuses are constant across an SCC: decisions and aborts
 	// are irrevocable, so a status change cannot lie on a cycle.)
-	var sccStepping map[int]uint64
 	if !live.WaitFree && !isDAC {
-		sccStepping = make(map[int]uint64)
+		sc.steps = resize(sc.steps, len(cyclic))
+		clear(sc.steps)
+		var m metaRec
 		for from := range g.configs {
+			s := &sc.steps[comp[from]]
+			if !cyclic[comp[from]] {
+				continue
+			}
+			if s.live == 0 { // an SCC with an internal edge has a live process
+				g.metaAt(from, &m)
+				for j := 0; j < n; j++ {
+					if m.live(j) {
+						s.live |= 1 << uint(j)
+					}
+				}
+			}
 			for it := g.edgeIter(from); ; {
-				e, ok := it.next()
+				to, i, ok := it.lean()
 				if !ok {
 					break
 				}
-				if comp[from] == comp[e.to] {
-					sccStepping[comp[from]] |= 1 << uint(e.step.Proc)
+				if comp[to] == comp[from] {
+					s.stepping |= 1 << uint(i)
 				}
 			}
 		}
 	}
 
-	// Cycle-based obligations. An SCC is cyclic if it has an internal
-	// edge (size > 1, or a self loop).
 	for from := range g.configs {
-		for it := g.edgeIter(from); ; {
-			e, ok := it.next()
+		c := comp[from]
+		if !cyclic[c] {
+			continue
+		}
+		it := g.edgeIter(from)
+		for k := 0; ; k++ {
+			at := it
+			to, i, ok := it.lean()
 			if !ok {
 				break
 			}
-			if comp[from] != comp[e.to] {
+			if comp[to] != c || reported&(1<<uint(i)) != 0 || hits[i].at >= 0 {
 				continue
 			}
-			i := e.step.Proc
-			var kind ViolationKind
+			kind := ViolationWaitFree
 			switch {
 			case live.WaitFree:
-				kind = ViolationWaitFree
 			case isDAC && i == live.DACDistinguished:
 				kind = ViolationDACTerminationA
+			case soloExact:
+				sc.edges[i] = append(sc.edges[i], soloEdge{int32(from), int32(to), int32(k)})
+				continue
 			case isDAC:
-				// Termination (b) prohibits only solo livelocks: the
-				// cycle must consist purely of i-steps. Check whether an
-				// i-only cycle through this edge exists — in the lifted
-				// graph when the exploration was symmetry-reduced, since
-				// quotient i-edges conflate steps of i's translates.
-				if g.grp != nil {
-					if !g.liftedSolo(from, e, comp) {
-						continue
-					}
-				} else if !g.soloCycle(from, e.to, i, comp) {
+				// Under symmetry quotient i-edges conflate steps of i's
+				// translates: seek the solo cycle in the lifted graph.
+				if e, _ := at.next(); !g.liftedSolo(from, e, comp) {
 					continue
 				}
 				kind = ViolationDACTerminationB
 			default:
-				// Resilience bound: count the poised processes that take
-				// no step inside this SCC — they crash in the infinite
-				// execution this cycle induces. Within the tolerance the
-				// run is one the protocol must survive, so an undecided
-				// stepper is a violation; beyond it, the run is excused.
-				crashed := 0
-				stepping := sccStepping[comp[from]]
-				g.metaAt(from, &m)
-				for j := 0; j < n; j++ {
-					if m.live(j) && stepping&(1<<uint(j)) == 0 {
-						crashed++
-					}
-				}
-				if crashed > live.Tolerance {
+				// Resilience bound: the poised processes that take no
+				// step inside this SCC crash in the infinite execution
+				// this cycle induces. Within the tolerance the run is one
+				// the protocol must survive, so an undecided stepper is a
+				// violation; beyond it, the run is excused.
+				if s := sc.steps[c]; bits.OnesCount64(s.live&^s.stepping) > live.Tolerance {
 					continue
 				}
-				kind = ViolationWaitFree
 			}
-			if reported[i] {
-				continue
-			}
-			reported[i] = true
-			wit := g.pathTo(from)
-			var cyc []Step
-			if g.grp != nil {
-				// Quotient edges chain concrete steps of different orbit
-				// translates; the lifted walk re-aligns them into one
-				// concrete cycle schedule.
-				cyc = g.liftedCycle(from, e, i, kind == ViolationDACTerminationB, comp)
-			} else {
-				cyc = append([]Step{e.step}, g.cyclePath(e.to, from, i, kind, comp)...)
-			}
-			rep.Violations = append(rep.Violations, &Violation{
-				Kind: kind,
-				Err: fmt.Errorf("process %d takes infinitely many steps without deciding: %w",
-					i+1, task.ErrViolation),
-				Proc:    i,
-				Witness: wit,
-				Cycle:   cyc,
-			})
+			hits[i] = livenessHit{at: from, k: k, kind: kind}
 		}
 	}
-}
-
-// soloCycle reports whether there is a cycle of pure i-steps passing
-// through the edge from->to (both already known to share an SCC).
-func (g *graph) soloCycle(from, to, i int, comp []int) bool {
-	if from == to {
-		return true
-	}
-	// BFS over i-edges from to, looking for from.
-	seen := map[int]bool{to: true}
-	queue := []int{to}
-	for len(queue) > 0 {
-		at := queue[0]
-		queue = queue[1:]
-		for it := g.edgeIter(at); ; {
-			e, ok := it.next()
-			if !ok {
+	sc.lid = resize(sc.lid, len(g.configs))
+	for i, es := range sc.edges {
+		if len(es) > 0 {
+			sc.soloSCCs(es)
+		}
+		for _, e := range es {
+			if sc.soloComp[sc.lid[e.from]] == sc.soloComp[sc.lid[e.to]] {
+				hits[i] = livenessHit{at: int(e.from), k: int(e.k), kind: ViolationDACTerminationB}
 				break
 			}
-			if e.step.Proc != i || comp[e.to] != comp[at] || seen[e.to] {
-				continue
-			}
-			if e.to == from {
-				return true
-			}
-			seen[e.to] = true
-			queue = append(queue, e.to)
 		}
 	}
-	return false
+	g.reportHits(rep, hits, comp)
+}
+
+// livenessHit is a process's first violation: edge k of configuration
+// at for a cycle, at itself for a halt; at < 0 when there is none.
+type livenessHit struct {
+	at, k int
+	kind  ViolationKind
+}
+
+// soloEdge is edge k of from, to a configuration in from's SCC.
+type soloEdge struct{ from, to, k int32 }
+
+// reportHits appends one violation per hit, in (configuration,
+// process) order, which is walk order (a configuration's edges are in
+// process order), clears the hits, and returns the processes reported.
+// Cycle schedules stay inside the SCCs comp labels.
+func (g *graph) reportHits(rep *Report, hits []livenessHit, comp []int) (reported uint64) {
+	for {
+		i := -1
+		for j, h := range hits {
+			if h.at >= 0 && (i < 0 || h.at < hits[i].at) {
+				i = j
+			}
+		}
+		if i < 0 {
+			return reported
+		}
+		h := hits[i]
+		hits[i].at = -1
+		reported |= 1 << uint(i)
+		v := &Violation{Kind: h.kind, Proc: i, Witness: g.pathTo(h.at)}
+		rep.Violations = append(rep.Violations, v)
+		if h.kind == ViolationHaltUndecided {
+			v.Err = fmt.Errorf("process %d stopped without deciding: %w", i+1, task.ErrViolation)
+			continue
+		}
+		v.Err = fmt.Errorf("process %d takes infinitely many steps without deciding: %w",
+			i+1, task.ErrViolation)
+		it := g.edgeIter(h.at)
+		e, _ := it.next()
+		for k := 0; k < h.k; k++ {
+			e, _ = it.next()
+		}
+		if g.grp != nil {
+			// Quotient edges chain concrete steps of different orbit
+			// translates; the lifted walk re-aligns them into one
+			// concrete cycle schedule.
+			v.Cycle = g.liftedCycle(h.at, e, i, h.kind == ViolationDACTerminationB, comp)
+		} else {
+			v.Cycle = append([]Step{e.step}, g.cyclePath(e.to, h.at, i, h.kind, comp)...)
+		}
+	}
 }
 
 // cyclePath returns a schedule from config `from` back to config `to`
@@ -229,92 +249,57 @@ func (g *graph) cyclePath(from, to, i int, kind ViolationKind, comp []int) []Ste
 	return nil
 }
 
-// sccScratch is sccs's working memory. The graph keeps it, so a reused
-// Checker's checks run Tarjan without allocating.
+// sccScratch is the working memory of the SCC-based passes. The graph
+// keeps it, so a reused Checker's liveness checks allocate nothing.
 type sccScratch struct {
-	index, low, comp, stack []int
-	onStack                 []bool
-	frames                  []sccFrame
+	graph tarjan[edgeIter]  // sccs's
+	solo  tarjan[csrCursor] // soloSCCs's
+	hits  []livenessHit
+	steps []struct{ live, stepping uint64 } // per SCC, for resilience bounds
+	edges [][]soloEdge                      // per process, for soloSCCs
+	// soloSCCs's subgraph: a sparse set of local ids (lid[v] is v's iff
+	// nodes[lid[v]] == v, so lid is never cleared), CSR rows and the
+	// local ids' components.
+	lid, nodes, off, adj []int32
+	soloComp             []int
 }
 
-type sccFrame struct {
-	v  int
-	it edgeIter
+// sccs labels the explored graph's strongly connected components: each
+// configuration's component, numbered in reverse topological order,
+// and per component whether it is cyclic. Both are the graph's
+// scratch, valid until the next sccs call.
+func (g *graph) sccs() (comp []int, cyclic []bool) {
+	return runTarjan(&g.scc.graph, len(g.configs), arenaEdges{g})
 }
 
-// sccs computes strongly connected components (iterative Tarjan) and
-// returns the component id of every configuration. The slice is the
-// graph's scratch, valid until the next sccs call.
-func (g *graph) sccs() []int {
-	n := len(g.configs)
-	const unvisited = -1
-	sc := &g.scc
-	index := resize(sc.index, n)
-	low := resize(sc.low, n)
-	comp := resize(sc.comp, n)
-	onStack := resize(sc.onStack, n)
-	for i := range index {
-		index[i] = unvisited
-		comp[i] = unvisited
-	}
-	clear(onStack)
-	stack := sc.stack[:0]
-	frames := sc.frames[:0]
-	next := 0
-	nComp := 0
-
-	for root := 0; root < n; root++ {
-		if index[root] != unvisited {
-			continue
+// soloSCCs labels the components of the subgraph one process's
+// collected edges es span, in sc.soloComp by local id. es is in walk
+// order, so each source's edges are contiguous and, with sources
+// numbered first, already CSR rows; sc.lid must cover every
+// configuration.
+func (sc *sccScratch) soloSCCs(es []soloEdge) {
+	local := func(v int32) int32 {
+		if l := sc.lid[v]; int(l) < len(sc.nodes) && sc.nodes[l] == v {
+			return l
 		}
-		frames = append(frames[:0], sccFrame{v: root, it: g.edgeIter(root)})
-		index[root] = next
-		low[root] = next
-		next++
-		stack = append(stack, root)
-		onStack[root] = true
-
-		for len(frames) > 0 {
-			f := &frames[len(frames)-1]
-			if e, ok := f.it.next(); ok {
-				w := e.to
-				if index[w] == unvisited {
-					index[w] = next
-					low[w] = next
-					next++
-					stack = append(stack, w)
-					onStack[w] = true
-					frames = append(frames, sccFrame{v: w, it: g.edgeIter(w)})
-				} else if onStack[w] && index[w] < low[f.v] {
-					low[f.v] = index[w]
-				}
-				continue
-			}
-			// finish v
-			v := f.v
-			frames = frames[:len(frames)-1]
-			if len(frames) > 0 {
-				p := &frames[len(frames)-1]
-				if low[v] < low[p.v] {
-					low[p.v] = low[v]
-				}
-			}
-			if low[v] == index[v] {
-				for {
-					w := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					onStack[w] = false
-					comp[w] = nComp
-					if w == v {
-						break
-					}
-				}
-				nComp++
-			}
+		sc.lid[v] = int32(len(sc.nodes))
+		sc.nodes = append(sc.nodes, v)
+		return sc.lid[v]
+	}
+	sc.nodes, sc.off, sc.adj = sc.nodes[:0], sc.off[:0], sc.adj[:0]
+	for x, e := range es {
+		if x == 0 || e.from != es[x-1].from {
+			local(e.from)
+			sc.off = append(sc.off, int32(x))
 		}
 	}
-	*sc = sccScratch{index: index, low: low, comp: comp, stack: stack, onStack: onStack, frames: frames}
-	return comp
+	for _, e := range es {
+		sc.adj = append(sc.adj, local(e.to))
+	}
+	for len(sc.off) <= len(sc.nodes) { // targets that are no source have no row
+		sc.off = append(sc.off, int32(len(es)))
+	}
+	sc.soloComp, _ = runTarjan(&sc.solo, len(sc.nodes), csrEdges{sc.off, sc.adj})
 }
 
 // resize returns s with length n, reusing its backing array when it is

@@ -1,12 +1,14 @@
 package explore_test
 
 import (
+	"fmt"
 	"testing"
 
 	"setagree/internal/core"
 	"setagree/internal/explore"
 	"setagree/internal/machine"
 	"setagree/internal/objects"
+	"setagree/internal/programs"
 	"setagree/internal/spec"
 	"setagree/internal/task"
 	"setagree/internal/value"
@@ -164,6 +166,37 @@ func TestMixedLivelockAllowedByDAC(t *testing.T) {
 	}
 }
 
+// TestLivenessReportOrder: violations are reported in walk order, so
+// processes whose first violating edges leave one configuration are
+// reported in process order. Under wait-free consensus the first two
+// retrying processes of the mixed livelock first violate from the same
+// configuration.
+func TestLivenessReportOrder(t *testing.T) {
+	t.Parallel()
+	a2 := algorithm2System(t)
+	retry := a2.Programs[1]
+	sys := &explore.System{
+		Programs: []*machine.Program{retry, retry, retry},
+		Objects:  []spec.Spec{core.NewPAC(3)},
+		Inputs:   []value.Value{1, 0, 0},
+	}
+	rep, err := explore.Check(sys, task.Consensus{N: 3}, explore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Violations) != 3 {
+		t.Fatalf("%d violations, want one per process: %v", len(rep.Violations), rep.Violations)
+	}
+	for i, v := range rep.Violations {
+		if v.Kind != explore.ViolationWaitFree || v.Proc != i {
+			t.Fatalf("violation %d: %s of p%d, want wait-free of p%d", i, v.Kind, v.Proc+1, i+1)
+		}
+	}
+	if a, b := fmt.Sprint(rep.Violations[0].Witness), fmt.Sprint(rep.Violations[1].Witness); a != b {
+		t.Fatalf("p1 and p2 violate from different configurations:\n%s\n%s", a, b)
+	}
+}
+
 // TestHaltUndecidedViolation: a process whose program simply ends.
 func TestHaltUndecidedViolation(t *testing.T) {
 	t.Parallel()
@@ -252,6 +285,86 @@ func TestReportDeterminism(t *testing.T) {
 		a.Valency.Bivalent != b.Valency.Bivalent ||
 		a.Valency.Initial != b.Valency.Initial {
 		t.Fatal("valency reports differ")
+	}
+}
+
+// TestSoloSCCsMatchSoloCycle compares the per-process SCC test for
+// Termination (b) with the per-edge BFS it replaced, soloCycle, on
+// every intra-SCC edge of every non-distinguished process: over this
+// file's systems, Algorithm 2 at n=3 for every distinguished process
+// and binary input vector, and Algorithm 2 at n=4.
+func TestSoloSCCsMatchSoloCycle(t *testing.T) {
+	t.Parallel()
+	type instance struct {
+		name string
+		sys  *explore.System
+		skip int // the distinguished process, -1 to compare every process
+	}
+	a2 := algorithm2System(t)
+	retrying := &explore.System{
+		Programs: []*machine.Program{a2.Programs[0], a2.Programs[1], a2.Programs[1]},
+		Objects:  []spec.Spec{core.NewPAC(3)},
+		Inputs:   []value.Value{1, 0, 0},
+	}
+	halter := machine.NewBuilder("halter", 4).
+		Invoke(2, 0, value.MethodRead, machine.Operand{}, machine.Operand{}).
+		Halt().
+		MustBuild()
+	pDecides := machine.NewBuilder("p-decides", 4).
+		Invoke(2, 0, value.MethodWrite, machine.C(7), machine.Operand{}).
+		Decide(machine.R(machine.RegInput)).
+		MustBuild()
+	instances := []instance{
+		{"solo-spinner", &explore.System{
+			Programs: []*machine.Program{pDecides, spinOnRegister(1, 1)},
+			Objects:  []spec.Spec{objects.NewRegister(), objects.NewRegister()},
+			Inputs:   []value.Value{0, 0},
+		}, 0},
+		{"p-spins", &explore.System{
+			Programs: []*machine.Program{spinOnRegister(0, 2), decideOwn(0)},
+			Objects:  []spec.Spec{objects.NewRegister()},
+			Inputs:   []value.Value{1, 1},
+		}, 0},
+		{"mixed-livelock", retrying, 0},
+		{"mixed-livelock-all", retrying, -1},
+		{"halter", &explore.System{
+			Programs: []*machine.Program{decideOwn(0), halter},
+			Objects:  []spec.Spec{objects.NewRegister()},
+			Inputs:   []value.Value{0, 0},
+		}, -1},
+		{"alg2-n2", a2, 0},
+	}
+	for p := 1; p <= 3; p++ {
+		for bits := 0; bits < 8; bits++ {
+			in := []value.Value{value.Value(bits & 1), value.Value(bits >> 1 & 1), value.Value(bits >> 2 & 1)}
+			sys, err := programs.Algorithm2(3, p).System(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			instances = append(instances, instance{fmt.Sprintf("alg2-n3-p%d-%v", p, in), sys, p - 1})
+		}
+	}
+	sys4, err := programs.Algorithm2(4, 1).System([]value.Value{1, 0, 0, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	instances = append(instances, instance{"alg2-n4", sys4, 0})
+
+	var edges, solo int
+	for _, in := range instances {
+		rep, err := explore.Check(in.sys, nil, explore.Options{Workers: 1})
+		if err != nil {
+			t.Fatal(in.name, err)
+		}
+		e, s, err := explore.SoloAgreement(rep, in.skip)
+		if err != nil {
+			t.Errorf("%s: %v", in.name, err)
+		}
+		edges += e
+		solo += s
+	}
+	if solo == 0 || solo == edges {
+		t.Fatalf("%d of %d compared edges lie on a solo cycle: the suite must show both answers", solo, edges)
 	}
 }
 

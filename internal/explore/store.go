@@ -14,7 +14,12 @@
 // What stays resident per configuration: the BFS tree columns (parent
 // id + Step), the canon column, one (nil after spill) *Config pointer,
 // and two arena offsets. Everything else is decoded on demand through
-// metaAt/edgeIter below.
+// metaAt/edgeIter below: edgeIter.next decodes whole edges, and
+// edgeIter.lean only the target and stepping process, for the walks
+// that read nothing else (SCCs, the liveness cycle loop, valency
+// propagation). The liveness check's halted-undecided scan reads no
+// record at all: intern notes each process's first halted
+// configuration as it goes.
 package explore
 
 import (
@@ -51,7 +56,10 @@ type diskState struct {
 // stays concrete), recording its BFS parent and the group index gi
 // that canonicalizes it, and returns the new id. The caller has
 // already verified the key is absent. The key and the outcome metadata
-// record go to the store's arenas.
+// record go to the store's arenas. Every configuration — root, merged
+// successor, restored checkpoint entry — passes through here, so this
+// is where the first halted-undecided configuration of each process is
+// noted for the liveness check.
 func (g *graph) intern(key []byte, c *Config, parent int, via Step, gi int) (int, error) {
 	id := len(g.configs)
 	d := g.disk
@@ -68,6 +76,11 @@ func (g *graph) intern(key []byte, c *Config, parent int, via Step, gi int) (int
 		return 0, err
 	}
 	d.metaOff = append(d.metaOff, off)
+	for i := range c.Procs {
+		if c.Procs[i].Status == machine.StatusHalted && g.halted[i] < 0 {
+			g.halted[i] = id
+		}
+	}
 	g.configs = append(g.configs, c)
 	g.parent = append(g.parent, parent)
 	g.parentE = append(g.parentE, via)
@@ -237,6 +250,16 @@ func (d *recDec) varint() int64 {
 	return int64(ux>>1) ^ -int64(ux&1)
 }
 
+// skip advances past k varints.
+func (d *recDec) skip(k int) {
+	for ; k > 0; k-- {
+		for d.b[d.i] >= 0x80 {
+			d.i++
+		}
+		d.i++
+	}
+}
+
 // step decodes exactly the bytes putStep writes.
 func (d *recDec) step() Step {
 	var s Step
@@ -279,6 +302,24 @@ func (it *edgeIter) next() (edge, bool) {
 	e.step = it.dec.step()
 	e.g = int(it.dec.varint())
 	return e, true
+}
+
+// lean decodes only the next edge's target and stepping process, and
+// skips the other step fields and the group index by their
+// continuation bits: the walks that read nothing else (SCCs, the
+// liveness cycle loop, valency propagation) never decode a full Step.
+func (it *edgeIter) lean() (to, proc int, ok bool) {
+	if it.rem == 0 {
+		return 0, 0, false
+	}
+	it.rem--
+	d := &it.dec
+	to = int(d.varint())
+	d.i++     // method byte
+	d.skip(3) // arg, label, response
+	proc = int(d.varint())
+	d.skip(3) // object, branch, group index
+	return to, proc, true
 }
 
 // Close releases the report's configuration store, unmapping and

@@ -97,13 +97,8 @@ const MaxCriticalStored = 16
 // valency labels every configuration with its valence and finds the
 // critical configurations. Decisions must be binary.
 func (g *graph) valency() (*ValencyReport, error) {
-	comp := g.sccs()
-	nComp := 0
-	for _, c := range comp {
-		if c+1 > nComp {
-			nComp = c + 1
-		}
-	}
+	comp, cyclic := g.sccs()
+	nComp := len(cyclic)
 	masks := make([]Valence, nComp)
 
 	// Seed with immediate outcomes.
@@ -140,11 +135,11 @@ func (g *graph) valency() (*ValencyReport, error) {
 	for ci := 0; ci < nComp; ci++ {
 		for _, id := range byComp[ci] {
 			for it := g.edgeIter(id); ; {
-				e, ok := it.next()
+				to, _, ok := it.lean()
 				if !ok {
 					break
 				}
-				masks[ci] |= masks[comp[e.to]]
+				masks[ci] |= masks[comp[to]]
 			}
 		}
 	}
@@ -173,12 +168,12 @@ func (g *graph) valency() (*ValencyReport, error) {
 		critical := true
 		deg := 0
 		for it := g.edgeIter(id); ; {
-			e, ok := it.next()
+			to, _, ok := it.lean()
 			if !ok {
 				break
 			}
 			deg++
-			if masks[comp[e.to]].Bivalent() {
+			if masks[comp[to]].Bivalent() {
 				critical = false
 				break
 			}
