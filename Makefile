@@ -35,9 +35,12 @@ test:
 # race detector at exactly Workers=1 and Workers=4; the unpinned
 # ./internal/explore run above already covers the default {1,2,8} set.
 # The final lines re-run the durable-runs suite — checkpoint
-# kill-resume byte-equality, the store-backend equivalence and pinned
-# output digests, the jobs store/pool, and the dacd daemon's kill -9
-# e2e — under the race detector with caching disabled, since
+# kill-resume byte-equality, the restore checks (among them
+# TestResumeRejectsUnexpandedParent: a spanning-tree parent that was
+# never expanded is corrupt, and TestResumeSafetyFromEveryBarrier), the
+# store-backend equivalence and pinned output digests, the jobs
+# store/pool, and the dacd daemon's kill -9 e2e — under the race
+# detector with caching disabled, since
 # the kill-resume invariant (resumed report + event stream identical to
 # an uninterrupted run) is exactly the kind of cross-goroutine
 # determinism claim -race exists to audit.

@@ -169,14 +169,40 @@ func TestUsageErrors(t *testing.T) {
 
 func TestAdversaryFlag(t *testing.T) {
 	t.Parallel()
-	code, out, errOut := runCLI(t, "-protocol", "alg2", "-n", "3", "-p", "1", "-adversary")
-	if code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, errOut)
+	// withoutElapsed drops the wall-time line, the only one that differs
+	// between two runs.
+	withoutElapsed := func(out string) string {
+		var keep []string
+		for _, line := range strings.Split(out, "\n") {
+			if !strings.HasPrefix(line, "elapsed:") {
+				keep = append(keep, line)
+			}
+		}
+		return strings.Join(keep, "\n")
 	}
-	if !strings.Contains(out, "BIVALENT FOREVER") {
-		t.Errorf("adversary output missing:\n%s", out)
+	var outs [2]string
+	for k := range outs {
+		code, out, errOut := runCLI(t, "-protocol", "alg2", "-n", "3", "-p", "1", "-adversary")
+		if code != 0 {
+			t.Fatalf("exit %d, stderr: %s", code, errOut)
+		}
+		if !strings.Contains(out, "BIVALENT FOREVER") {
+			t.Errorf("adversary output missing:\n%s", out)
+		}
+		outs[k] = withoutElapsed(out)
 	}
-	code, out, _ = runCLI(t, "-protocol", "consensus-pacm", "-n", "3", "-m", "2", "-inputs", "0,1", "-adversary")
+	if outs[0] != outs[1] {
+		t.Errorf("two -adversary runs differ:\n%s\nthen\n%s", outs[0], outs[1])
+	}
+	// Naive 2-SA consensus has a bivalent region with neither a cycle
+	// nor a critical configuration: a typed error, exit 2.
+	code, _, errOut := runCLI(t, "-protocol", "naive-2sa", "-n", "3", "-procs", "3", "-inputs", "0,1,1", "-adversary")
+	const wantErr = "explore: adversary: explore: bivalent region has neither cycle nor critical configuration: " +
+		"explore: adversarial schedule requires valency analysis\n"
+	if code != 2 || errOut != wantErr {
+		t.Errorf("naive-2sa: exit %d, stderr %q; want exit 2, stderr %q", code, errOut, wantErr)
+	}
+	code, out, _ := runCLI(t, "-protocol", "consensus-pacm", "-n", "3", "-m", "2", "-inputs", "0,1", "-adversary")
 	if code != 0 {
 		t.Fatalf("exit %d", code)
 	}

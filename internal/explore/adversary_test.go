@@ -2,6 +2,8 @@ package explore_test
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"setagree/internal/explore"
@@ -106,5 +108,124 @@ func TestAdversaryRejectsUnivalentStart(t *testing.T) {
 	}
 	if _, err := rep.Adversary(); !errors.Is(err, explore.ErrNoValency) {
 		t.Fatalf("err = %v, want ErrNoValency", err)
+	}
+}
+
+// adversarySystems are the systems the adversary tests below run on:
+// protocols that cycle, that reach a critical configuration, and one
+// whose bivalent region has neither.
+func adversarySystems(t *testing.T) []struct {
+	name string
+	sys  *explore.System
+	tsk  task.Task
+} {
+	t.Helper()
+	type system = struct {
+		name string
+		sys  *explore.System
+		tsk  task.Task
+	}
+	var out []system
+	add := func(name string, prot programs.Protocol, tsk task.Task, in ...value.Value) {
+		sys, err := prot.System(in)
+		if err != nil {
+			t.Fatal(name, err)
+		}
+		out = append(out, system{name, sys, tsk})
+	}
+	add("alg2-n3", programs.Algorithm2(3, 1), task.DAC{N: 3, P: 0}, 1, 0, 0)
+	add("alg2-n3-p2", programs.Algorithm2(3, 2), task.DAC{N: 3, P: 1}, 0, 1, 0)
+	add("dac-attempt-n4", programs.DACFromConsensusAndTwoSA(3, 1), task.DAC{N: 4, P: 0}, 1, 0, 0, 0)
+	add("pacm-consensus-2", programs.ConsensusFromPACM(3, 2, 2), task.Consensus{N: 2}, 0, 1)
+	add("pacm-consensus-3", programs.ConsensusFromPACM(4, 3, 3), task.Consensus{N: 3}, 0, 1, 1)
+	add("queue-consensus", programs.ConsensusFromQueue(), task.Consensus{N: 2}, 0, 1)
+	add("tas-consensus", programs.ConsensusFromTAS(), task.Consensus{N: 2}, 1, 0)
+	add("sticky-consensus-3", programs.ConsensusFromSticky(3), task.Consensus{N: 3}, 0, 1, 1)
+	add("naive-2sa-3", programs.NaiveTwoSAConsensus(3), task.Consensus{N: 3}, 0, 1, 1)
+	return out
+}
+
+// TestAdversaryMatchesValency: on every adversary system, the walk's
+// region is the bivalent configurations in id order along BFS tree
+// paths (the premise the adversary rests on), a CriticalID satisfies
+// valency's critical predicate and is one of ValencyReport.Critical
+// with the same schedule, and a cycle replays as an all-bivalent loop.
+func TestAdversaryMatchesValency(t *testing.T) {
+	t.Parallel()
+	var cycles, criticals, neither int
+	for _, s := range adversarySystems(t) {
+		rep, err := explore.Check(s.sys, s.tsk, explore.Options{Workers: 1, Valency: true})
+		if err != nil {
+			t.Fatal(s.name, err)
+		}
+		if !rep.Valency.Initial.Bivalent() {
+			t.Fatalf("%s: initial configuration is %s", s.name, rep.Valency.Initial)
+		}
+		if err := explore.RegionMatchesIDOrder(rep); err != nil {
+			t.Errorf("%s: %v", s.name, err)
+		}
+		adv, err := rep.Adversary()
+		switch {
+		case err != nil:
+			if !errors.Is(err, explore.ErrNoValency) || rep.Valency.CriticalCount != 0 {
+				t.Errorf("%s: %v with %d critical configurations", s.name, err, rep.Valency.CriticalCount)
+			}
+			neither++
+		case adv.KeepsBivalentForever():
+			if adv.CriticalID != -1 {
+				t.Errorf("%s: cycle and critical id %d", s.name, adv.CriticalID)
+			}
+			cycles++
+		default:
+			if !explore.IsCritical(rep, adv.CriticalID) {
+				t.Errorf("%s: critical id %d fails valency's predicate", s.name, adv.CriticalID)
+			}
+			found := false
+			for _, cc := range rep.Valency.Critical {
+				if cc.ID == adv.CriticalID {
+					found = true
+					if !reflect.DeepEqual(cc.Schedule, adv.Schedule) {
+						t.Errorf("%s: schedule %v, valency's %v", s.name, adv.Schedule, cc.Schedule)
+					}
+				}
+			}
+			if !found {
+				t.Errorf("%s: critical id %d not among ValencyReport.Critical", s.name, adv.CriticalID)
+			}
+			criticals++
+		}
+	}
+	if cycles == 0 || criticals == 0 || neither == 0 {
+		t.Fatalf("%d cycles, %d critical, %d neither: the suite must show every outcome", cycles, criticals, neither)
+	}
+}
+
+// TestAdversaryDeterministic: the adversary's answer depends on the
+// graph alone. Naive 2-SA consensus among three processes has a
+// bivalent region with no cycle and no critical configuration (every
+// bivalent configuration the walk can stop at is quiescent, having
+// decided both values); 50 calls return the same typed error.
+func TestAdversaryDeterministic(t *testing.T) {
+	t.Parallel()
+	sys, err := programs.NaiveTwoSAConsensus(3).System([]value.Value{0, 1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := explore.Check(sys, task.Consensus{N: 3}, explore.Options{Valency: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	render := func() string {
+		adv, err := rep.Adversary()
+		return fmt.Sprintf("%+v %v", adv, err)
+	}
+	first := render()
+	for k := 1; k < 50; k++ {
+		if got := render(); got != first {
+			t.Fatalf("call %d: %s, first call: %s", k, got, first)
+		}
+	}
+	if _, err := rep.Adversary(); !errors.Is(err, explore.ErrNoValency) || rep.Valency.CriticalCount != 0 {
+		t.Fatalf("%v with %d critical configurations, want ErrNoValency with none", err, rep.Valency.CriticalCount)
 	}
 }

@@ -184,9 +184,11 @@ func TestCheckerReuseMatchesFresh(t *testing.T) {
 
 // TestCheckerReuseLivenessAllocs: once a reused checker has checked a
 // DAC instance with cyclic SCCs and solo-cycle candidates, its liveness
-// check allocates nothing.
+// check, and intern's safety note over its configurations, allocate
+// nothing. It does not run in parallel: testing.AllocsPerRun counts
+// every goroutine's allocations, so concurrent tests would show up in
+// the count.
 func TestCheckerReuseLivenessAllocs(t *testing.T) {
-	t.Parallel()
 	ck := new(explore.Checker)
 	for _, n := range []int{4, 3} {
 		in := make([]value.Value, n)
@@ -205,6 +207,55 @@ func TestCheckerReuseLivenessAllocs(t *testing.T) {
 	}
 	if allocs := explore.LivenessAllocs(ck); allocs != 0 {
 		t.Fatalf("a reused checker's liveness check allocates %v times", allocs)
+	}
+	if allocs := explore.SafetyAllocs(ck); allocs != 0 {
+		t.Fatalf("a reused checker's safety note allocates %v times over a solved check", allocs)
+	}
+}
+
+// TestCheckerReuseSafety: a reused checker runs refuted, solved and
+// refuted checks, over different and equal input vectors, and each
+// report, with its safety violation, matches a fresh Check. The safety
+// note the previous check left must not leak into the next.
+func TestCheckerReuseSafety(t *testing.T) {
+	t.Parallel()
+	mk := func(prot programs.Protocol, in ...value.Value) *explore.System {
+		sys, err := prot.System(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	naive := mk(programs.NaiveTwoSAConsensus(3), 0, 1, 1)
+	steps := []struct {
+		sys     *explore.System
+		tsk     task.Task
+		refuted bool
+	}{
+		{naive, task.Consensus{N: 3}, true},
+		{mk(programs.Algorithm2(3, 1), 1, 0, 0), task.DAC{N: 3, P: 0}, false},
+		{mk(programs.NaiveTwoSAConsensus(2), 0, 1), task.Consensus{N: 2}, true},
+		{mk(programs.ConsensusFromObject(2, 2), 0, 1), task.Consensus{N: 2}, false},
+		{naive, task.Consensus{N: 3}, true},
+		{mk(programs.ConsensusFromSticky(3), 0, 1, 1), task.Consensus{N: 3}, false},
+	}
+	ck := new(explore.Checker)
+	for k, s := range steps {
+		got, err := ck.Check(s.sys, s.tsk, explore.Options{Workers: 1})
+		if err != nil {
+			t.Fatal(k, err)
+		}
+		want, err := explore.Check(s.sys, s.tsk, explore.Options{Workers: 1})
+		if err != nil {
+			t.Fatal(k, err)
+		}
+		if g, w := renderReport(got), renderReport(want); g != w {
+			t.Errorf("step %d: reused checker diverges from a fresh Check:\n%s\nwant\n%s", k, g, w)
+		}
+		refuted := len(got.Violations) > 0 && got.Violations[0].Kind == explore.ViolationSafety
+		if refuted != s.refuted {
+			t.Errorf("step %d: safety refuted %v, want %v: %v", k, refuted, s.refuted, got.Violations)
+		}
 	}
 }
 

@@ -366,8 +366,9 @@ func (st *search) restore(path string) error {
 		if err := d.Err(); err != nil {
 			return err
 		}
-		if parent < 0 || parent >= id {
-			return corruptf("config %d: parent %d out of tree order", id, parent)
+		// Every configuration is discovered by expanding its parent.
+		if parent < 0 || parent >= id || parent >= expanded {
+			return corruptf("config %d: parent %d out of tree order or never expanded", id, parent)
 		}
 		if s.Proc < 0 || s.Proc >= n {
 			return corruptf("config %d: process %d out of range", id, s.Proc)

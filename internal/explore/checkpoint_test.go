@@ -466,6 +466,140 @@ func TestResumeRejections(t *testing.T) {
 	sameReport(t, "intact resume", resRep, refRep)
 }
 
+// TestResumeSafetyFromEveryBarrier: resuming a safety-refuted run from
+// each of its level barriers, before and after the barrier that
+// interned the first unsafe configuration, reports the same violation
+// and witness as the uninterrupted run.
+func TestResumeSafetyFromEveryBarrier(t *testing.T) {
+	t.Parallel()
+	sys, err := programs.NaiveTwoSAConsensus(3).System([]value.Value{0, 1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tsk := task.Consensus{N: 3}
+	ref, err := explore.Check(sys, tsk, explore.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.Solved() || ref.Violations[0].Kind != explore.ViolationSafety {
+		t.Fatalf("reference: %v, want a safety violation first", ref.Violations)
+	}
+	dir := t.TempDir()
+	ckptPath := filepath.Join(dir, "run.ckpt")
+	var snaps []string
+	opts := explore.Options{Workers: 1, Checkpoint: explore.CheckpointOptions{
+		Path: ckptPath,
+		After: func(level int) error {
+			buf, err := os.ReadFile(ckptPath)
+			if err != nil {
+				return err
+			}
+			cp := filepath.Join(dir, fmt.Sprintf("level%03d.ckpt", level))
+			snaps = append(snaps, cp)
+			return os.WriteFile(cp, buf, 0o644)
+		},
+	}}
+	if _, err := explore.Check(sys, tsk, opts); err != nil {
+		t.Fatal(err)
+	}
+	if unsafeLevel := len(ref.Violations[0].Witness); unsafeLevel <= 1 || unsafeLevel >= len(snaps) {
+		t.Fatalf("first unsafe configuration at level %d of %d: no barrier on one side of it", unsafeLevel, len(snaps))
+	}
+	for _, sn := range snaps {
+		rep, err := explore.Resume(sn, sys, tsk, explore.Options{Workers: 1})
+		if err != nil {
+			t.Fatalf("Resume(%s): %v", filepath.Base(sn), err)
+		}
+		sameReport(t, filepath.Base(sn), rep, ref)
+	}
+}
+
+// levelSnapshot returns the header and payload of durableInstance's
+// snapshot at the given level barrier, at Workers 1 and symmetry sym.
+func levelSnapshot(t testing.TB, sym explore.Symmetry, level int) (checkpoint.Header, []byte) {
+	t.Helper()
+	sys, tsk := durableInstance(t)
+	path := filepath.Join(t.TempDir(), sym.String()+".ckpt")
+	opts := explore.Options{Workers: 1, Symmetry: sym, Checkpoint: explore.CheckpointOptions{
+		Path: path,
+		After: func(l int) error {
+			if l == level {
+				return errKilled
+			}
+			return nil
+		},
+	}}
+	if _, err := explore.Check(sys, tsk, opts); !errors.Is(err, errKilled) {
+		t.Fatalf("%v: snapshot run returned %v, want errKilled", sym, err)
+	}
+	h, payload, err := checkpoint.ReadUnverified(path, "explore.bfs", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h, payload
+}
+
+// reparented returns a copy of payload in which configuration x's
+// spanning-tree entry names y as its parent.
+func reparented(t testing.TB, payload []byte, x, y int) []byte {
+	t.Helper()
+	d := checkpoint.NewDec(payload)
+	d.Byte() // symmetry mode
+	for range 11 {
+		d.Varint() // group order, level, expanded, transitions, quiescent, frontier max, heartbeat boundary, symmetry hits, orbit max, event sequence, configurations
+	}
+	for id := 1; id < x; id++ {
+		d.Int() // parent
+		d.Byte()
+		for range 6 {
+			d.Varint() // the step's argument, label, response, process, object, branch
+		}
+	}
+	at := len(payload) - d.Len()
+	d.Int()
+	if err := d.Err(); err != nil {
+		t.Fatal(err)
+	}
+	out := binary.AppendVarint(slices.Clone(payload[:at]), int64(y))
+	return append(out, payload[len(payload)-d.Len():]...)
+}
+
+// TestResumeRejectsUnexpandedParent: a snapshot whose spanning tree
+// names a parent that was never expanded is corrupt, since every
+// configuration is discovered by expanding its parent. The last
+// configuration of the level-3 snapshot is re-pointed at every other
+// unexpanded one. The CRC passes, and some of these steps replay from
+// their new parent, so without the check such a resume completes with
+// wrong counts.
+func TestResumeRejectsUnexpandedParent(t *testing.T) {
+	t.Parallel()
+	sys, tsk := durableInstance(t)
+	h, payload := levelSnapshot(t, explore.SymmetryOff, 3)
+	dir := t.TempDir()
+	orig := filepath.Join(dir, "orig.ckpt")
+	if err := checkpoint.Write(orig, h, payload); err != nil {
+		t.Fatal(err)
+	}
+	info, err := explore.PeekCheckpoint(orig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := info.States - 1
+	if info.Expanded >= x {
+		t.Fatalf("%d of %d configurations expanded: no two unexpanded ones", info.Expanded, info.States)
+	}
+	for y := info.Expanded; y < x; y++ {
+		path := filepath.Join(dir, fmt.Sprintf("parent%d.ckpt", y))
+		if err := checkpoint.Write(path, h, reparented(t, payload, x, y)); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := explore.Resume(path, sys, tsk, explore.Options{Workers: 1})
+		if !errors.Is(err, checkpoint.ErrCorrupt) {
+			t.Errorf("config %d re-parented at unexpanded %d: %v, want ErrCorrupt (%d states)", x, y, err, rep.States)
+		}
+	}
+}
+
 // TestResumeAcrossWorkerCounts checks a snapshot written at one worker
 // count resumes at another — determinism holds because worker count is
 // excluded from the fingerprint by design.
@@ -506,36 +640,26 @@ func TestResumeAcrossWorkerCounts(t *testing.T) {
 // is rejected as a mode mismatch), so a mutation passes the
 // container's CRC and reaches the explorer's own decoder. The seeds
 // are level-3 snapshots of durableInstance at symmetry off and ids,
-// whose edge records carry group indices; the resumed run emits events
+// whose edge records carry group indices, and the symmetry-off one with
+// a configuration re-parented at an unexpanded one (see
+// TestResumeRejectsUnexpandedParent); the resumed run emits events
 // with heartbeats, so the restored counters are exercised too. The
 // contract is a report or a typed error, never a panic or a hang. Resume validates the spanning tree by
 // replay but accepts any in-range edge record, so a mutated edge can
 // still change the verdict; only crashes and untyped errors fail here.
 func FuzzResume(f *testing.F) {
 	sys, tsk := durableInstance(f)
-	dir := f.TempDir()
 	headers := map[explore.Symmetry]checkpoint.Header{}
+	payloads := map[explore.Symmetry][]byte{}
 	for _, sym := range []explore.Symmetry{explore.SymmetryOff, explore.SymmetryIDs} {
-		path := filepath.Join(dir, sym.String()+".ckpt")
-		opts := explore.Options{Workers: 1, Symmetry: sym, Checkpoint: explore.CheckpointOptions{
-			Path: path,
-			After: func(level int) error {
-				if level == 3 {
-					return errKilled
-				}
-				return nil
-			},
-		}}
-		if _, err := explore.Check(sys, tsk, opts); !errors.Is(err, errKilled) {
-			f.Fatalf("%v: snapshot run returned %v, want errKilled", sym, err)
-		}
-		h, payload, err := checkpoint.ReadUnverified(path, "explore.bfs", 1)
-		if err != nil {
-			f.Fatal(err)
-		}
-		headers[sym] = h
-		f.Add(payload)
+		headers[sym], payloads[sym] = levelSnapshot(f, sym, 3)
+		f.Add(payloads[sym])
 	}
+	// The last configuration, 68, re-parented at the unexpanded 21: its
+	// step replays from there, so before restore checked that parents
+	// were expanded this resumed as solved with 1,271 states and 3,628
+	// transitions (1,272 and 3,631).
+	f.Add(reparented(f, payloads[explore.SymmetryOff], 68, 21))
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		sym := explore.SymmetryOff
 		if len(payload) > 0 && explore.Symmetry(payload[0]) == explore.SymmetryIDs {

@@ -124,7 +124,16 @@ func (c *Config) appendObjKeysUnder(dst []byte, p spec.Perm) []byte {
 // for task predicates.
 func (c *Config) Outcome(inputs []value.Value) task.Outcome {
 	o := task.NewOutcome(inputs)
+	c.fillOutcome(&o)
+	return o
+}
+
+// fillOutcome writes c's outcome into o in place. o must come from
+// task.NewOutcome over the system's inputs; every other field is
+// overwritten, so one Outcome serves every configuration of a run.
+func (c *Config) fillOutcome(o *task.Outcome) {
 	for i, p := range c.Procs {
+		o.Decisions[i], o.Decided[i], o.Aborted[i] = value.None, false, false
 		switch p.Status {
 		case machine.StatusDecided:
 			o.Decide(i, p.Decision)
@@ -133,7 +142,6 @@ func (c *Config) Outcome(inputs []value.Value) task.Outcome {
 		}
 		o.Stepped[i] = c.SteppedMask&(1<<uint(i)) != 0
 	}
-	return o
 }
 
 // Live reports whether process i is poised to take a step.

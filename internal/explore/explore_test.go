@@ -235,6 +235,32 @@ func TestStateLimitPartialReport(t *testing.T) {
 	}
 }
 
+// TestStateLimitPartialReportNoSafety: a state-limited exploration
+// that interned an unsafe configuration before the cap still reports
+// no violation; safety, like liveness, is reported on complete graphs
+// only.
+func TestStateLimitPartialReportNoSafety(t *testing.T) {
+	t.Parallel()
+	sys, err := programs.NaiveTwoSAConsensus(3).System([]value.Value{0, 1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := explore.Check(sys, task.Consensus{N: 3}, explore.Options{})
+	if err != nil || full.Solved() || full.Violations[0].Kind != explore.ViolationSafety {
+		t.Fatalf("full check: %v %v", err, full.Violations)
+	}
+	rep, err := explore.Check(sys, task.Consensus{N: 3}, explore.Options{MaxStates: full.States - 1})
+	if !errors.Is(err, explore.ErrStateLimit) {
+		t.Fatalf("err = %v, want ErrStateLimit", err)
+	}
+	if id := explore.UnsafeID(rep); id < 0 || id != explore.UnsafeID(full) {
+		t.Fatalf("partial check noted unsafe configuration %d, full check %d", id, explore.UnsafeID(full))
+	}
+	if len(rep.Violations) != 0 {
+		t.Fatalf("partial report carries violations: %v", rep.Violations)
+	}
+}
+
 // TestWriteDOT exercises the Graphviz export.
 func TestWriteDOT(t *testing.T) {
 	t.Parallel()

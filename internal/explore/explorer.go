@@ -281,6 +281,13 @@ type graph struct {
 	// halted[i] is the first configuration (in id order) in which
 	// process i has halted undecided, -1 when none; intern keeps it.
 	halted []int
+	// unsafe is the first configuration (in id order) that fails the
+	// task's safety predicate, with the predicate's error, -1 when none;
+	// intern keeps both, evaluating the predicate through outcome, which
+	// it fills in place.
+	unsafe    int
+	unsafeErr error
+	outcome   task.Outcome
 }
 
 type edge struct {
@@ -364,9 +371,14 @@ func (c *Checker) reset(sys *System, tsk task.Task) *graph {
 		disk:    d,
 		scc:     g.scc,
 		halted:  resize(g.halted, sys.Procs()),
+		unsafe:  -1,
+		outcome: g.outcome,
 	}
 	for i := range g.halted {
 		g.halted[i] = -1
+	}
+	if !slices.Equal(g.outcome.Inputs, sys.Inputs) {
+		g.outcome = task.NewOutcome(sys.Inputs)
 	}
 	*d = diskState{
 		metaOff: d.metaOff[:0],
@@ -505,7 +517,14 @@ func (st *search) run() (*Report, error) {
 	rep.States = len(g.configs)
 
 	if g.tsk != nil {
-		g.checkSafety(rep)
+		if g.unsafe >= 0 {
+			rep.Violations = append(rep.Violations, &Violation{
+				Kind:    ViolationSafety,
+				Err:     g.unsafeErr,
+				Proc:    -1,
+				Witness: g.pathTo(g.unsafe),
+			})
+		}
 		g.checkLiveness(rep)
 	}
 	if opts.Valency {
@@ -1115,24 +1134,4 @@ func (g *graph) pathTo(id int) []Step {
 		rev[l], rev[r] = rev[r], rev[l]
 	}
 	return rev
-}
-
-// checkSafety evaluates the task predicate at every reachable
-// configuration and records the first violation (with witness).
-func (g *graph) checkSafety(rep *Report) {
-	var m metaRec
-	o := task.NewOutcome(g.sys.Inputs)
-	for id := range g.configs {
-		g.metaAt(id, &m)
-		m.fillOutcome(&o)
-		if err := g.tsk.CheckSafety(o); err != nil {
-			rep.Violations = append(rep.Violations, &Violation{
-				Kind:    ViolationSafety,
-				Err:     err,
-				Proc:    -1,
-				Witness: g.pathTo(id),
-			})
-			return
-		}
-	}
 }

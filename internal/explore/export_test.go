@@ -299,8 +299,9 @@ func ExpandCounted(sys *System, workers int) (built int, rep *Report, graph []by
 }
 
 // SnapshotBytes renders everything a Snapshot holds: its totals, each
-// configuration's pointer and key, the BFS-tree columns, the record
-// offsets, and the store's table and arena bytes. A test copies it
+// configuration's pointer and key, the BFS-tree columns, the halted and
+// unsafe notes, the record offsets, and the store's table and arena
+// bytes. A test copies it
 // before forking and asserts it unchanged after.
 func SnapshotBytes(s *Snapshot) []byte {
 	var b bytes.Buffer
@@ -314,7 +315,7 @@ func SnapshotBytes(s *Snapshot) []byte {
 		}
 		b.WriteByte('\n')
 	}
-	fmt.Fprintf(&b, "%v %v %v %d\n%+v\n", g.halted, d.metaOff, d.edgeOff, d.edgeDurable, *d.s)
+	fmt.Fprintf(&b, "%v %d %v %v %v %d\n%+v\n", g.halted, g.unsafe, g.unsafeErr, d.metaOff, d.edgeOff, d.edgeDurable, *d.s)
 	for _, a := range []*store.Arena{d.s.Keys, d.s.Meta, d.s.Edges} {
 		b.Write(bytes.Join(a.Sections(a.Len()), nil))
 		b.WriteByte('\n')
@@ -404,3 +405,253 @@ func LivenessAllocs(ck *Checker) float64 {
 	rep := &Report{}
 	return testing.AllocsPerRun(10, func() { ck.g.checkLiveness(rep) })
 }
+
+// cyclePath returns a schedule from config `from` back to config `to`
+// inside one SCC; for Termination (b) violations it restricts the path
+// to steps of process i (a solo cycle was already shown to exist). It
+// is the symmetry-off reference for liftedCycle: the cycle the liveness
+// report gave for edge e out of to was e.step followed by
+// cyclePath(e.to, to, ...).
+func (g *graph) cyclePath(from, to, i int, kind ViolationKind, comp []int) []Step {
+	if from == to {
+		return nil
+	}
+	type crumb struct {
+		prev int
+		step Step
+	}
+	soloOnly := kind == ViolationDACTerminationB
+	seen := map[int]crumb{from: {prev: -1}}
+	queue := []int{from}
+	for len(queue) > 0 {
+		at := queue[0]
+		queue = queue[1:]
+		for it := g.edgeIter(at); ; {
+			e, ok := it.next()
+			if !ok {
+				break
+			}
+			if comp[e.to] != comp[at] {
+				continue
+			}
+			if soloOnly && e.step.Proc != i {
+				continue
+			}
+			if _, dup := seen[e.to]; dup {
+				continue
+			}
+			seen[e.to] = crumb{prev: at, step: e.step}
+			if e.to == to {
+				var rev []Step
+				for at := to; at != from; at = seen[at].prev {
+					rev = append(rev, seen[at].step)
+				}
+				for l, r := 0, len(rev)-1; l < r; l, r = l+1, r-1 {
+					rev[l], rev[r] = rev[r], rev[l]
+				}
+				return rev
+			}
+			queue = append(queue, e.to)
+		}
+	}
+	return nil
+}
+
+// liftedSolo reports whether a concrete solo cycle of process i passes
+// through (a translate of) the quotient edge en out of from: a lifted
+// walk from (en.to, en.g) back to (from, h) for some stabilizing h,
+// every step of which is concretely an i-step. It is the symmetry
+// reference for liftedCycle's solo verdict, and needs a group.
+func (g *graph) liftedSolo(from int, en edge, comp []int) bool {
+	i := en.step.Proc
+	stab := &stabChecker{g: g, id: from}
+	start := liftNode{en.to, en.g}
+	if start.v == from && stab.contains(start.h) {
+		return true
+	}
+	seen := map[liftNode]bool{start: true}
+	queue := []liftNode{start}
+	for len(queue) > 0 {
+		at := queue[0]
+		queue = queue[1:]
+		h := g.grp.element(at.h)
+		for it := g.edgeIter(at.v); ; {
+			e, ok := it.next()
+			if !ok {
+				break
+			}
+			if comp[e.to] != comp[at.v] {
+				continue
+			}
+			if h.ProcIdx(e.step.Proc) != i {
+				continue
+			}
+			nx := liftNode{e.to, g.grp.compose(h, g.grp.element(e.g))}
+			if seen[nx] {
+				continue
+			}
+			if nx.v == from && stab.contains(nx.h) {
+				return true
+			}
+			seen[nx] = true
+			queue = append(queue, nx)
+		}
+	}
+	return false
+}
+
+// CycleAgreement compares the one cycle search, liftedCycle, with the
+// references it replaced on every intra-SCC edge of rep's graph (a
+// superset of the edges liveness violations report cycles through),
+// unrestricted and restricted to the edge's process. Without symmetry
+// each cycle must be the edge's step followed by cyclePath's schedule,
+// and a solo cycle must exist exactly when soloCycle finds one. Under
+// symmetry the solo verdict must be liftedSolo's, and each cycle must
+// replay, concretely, from the edge's source back to it. It returns how
+// many edges it compared, how many lie on a solo cycle, and the first
+// disagreement.
+func CycleAgreement(rep *Report) (edges, solo int, err error) {
+	g := rep.g
+	comp, _ := g.sccs()
+	fail := func(format string, args ...any) {
+		if err == nil {
+			err = fmt.Errorf(format, args...)
+		}
+	}
+	for from := range g.configs {
+		for it := g.edgeIter(from); ; {
+			e, ok := it.next()
+			if !ok {
+				break
+			}
+			if comp[e.to] != comp[from] {
+				continue
+			}
+			edges++
+			i := e.step.Proc
+			cyc := g.liftedCycle(from, e, i, false, comp)
+			soloCyc := g.liftedCycle(from, e, i, true, comp)
+			if soloCyc != nil {
+				solo++
+			}
+			if g.grp == nil {
+				want := append([]Step{e.step}, g.cyclePath(e.to, from, i, ViolationWaitFree, comp)...)
+				if !slices.Equal(cyc, want) {
+					fail("%d->%d: cycle %v, cyclePath's %v", from, e.to, cyc, want)
+				}
+				if want := g.soloCycle(from, e.to, i, comp); (soloCyc != nil) != want {
+					fail("%d->%d p%d: solo cycle %v, soloCycle says %v", from, e.to, i+1, soloCyc, want)
+				} else if want {
+					want := append([]Step{e.step}, g.cyclePath(e.to, from, i, ViolationDACTerminationB, comp)...)
+					if !slices.Equal(soloCyc, want) {
+						fail("%d->%d p%d: solo cycle %v, cyclePath's %v", from, e.to, i+1, soloCyc, want)
+					}
+				}
+				continue
+			}
+			if want := g.liftedSolo(from, e, comp); (soloCyc != nil) != want {
+				fail("%d->%d p%d: solo cycle %v, liftedSolo says %v", from, e.to, i+1, soloCyc, want)
+			}
+			for _, c := range [][]Step{cyc, soloCyc} {
+				if c == nil {
+					continue
+				}
+				if rerr := g.replaysToItself(from, c); rerr != nil {
+					fail("%d->%d p%d: cycle %v: %v", from, e.to, i+1, c, rerr)
+				}
+			}
+			for _, s := range soloCyc {
+				if s.Proc != i {
+					fail("%d->%d p%d: solo cycle %v has a step of p%d", from, e.to, i+1, soloCyc, s.Proc+1)
+				}
+			}
+		}
+	}
+	return edges, solo, err
+}
+
+// replaysToItself reports whether sched, replayed step by step from
+// configuration id, returns to it.
+func (g *graph) replaysToItself(id int, sched []Step) error {
+	c := g.configAt(id)
+	for k, s := range sched {
+		next, ok, err := g.sys.replay(c, s)
+		if err != nil || !ok {
+			return fmt.Errorf("step %d (%v) does not replay: %v", k, s, err)
+		}
+		c = next
+	}
+	if !bytes.Equal(c.AppendKey(nil), g.configAt(id).AppendKey(nil)) {
+		return fmt.Errorf("ends elsewhere")
+	}
+	return nil
+}
+
+// IsCritical is the critical predicate valency and the adversary
+// share, on rep's graph.
+func IsCritical(rep *Report, id int) bool { return rep.g.critical(id) }
+
+// RegionMatchesIDOrder walks the adversary's bivalent region the way
+// the adversary used to: a breadth-first search from the root through
+// bivalent successors only, with parent pointers. It checks the premise
+// the adversary now rests on: the walk visits exactly the bivalent
+// configurations, in id order, along BFS tree paths (pathTo). rep must
+// come from a symmetry-off Check with valency and a bivalent root.
+func RegionMatchesIDOrder(rep *Report) error {
+	g := rep.g
+	type crumb struct {
+		prev int
+		step Step
+	}
+	region := map[int]crumb{0: {prev: -1}}
+	order := []int{0}
+	for q := 0; q < len(order); q++ {
+		for it := g.edgeIter(order[q]); ; {
+			e, ok := it.next()
+			if !ok {
+				break
+			}
+			if _, seen := region[e.to]; seen || !g.valence[e.to].Bivalent() {
+				continue
+			}
+			region[e.to] = crumb{prev: order[q], step: e.step}
+			order = append(order, e.to)
+		}
+	}
+	var bivalent []int
+	for id, v := range g.valence {
+		if v.Bivalent() {
+			bivalent = append(bivalent, id)
+		}
+	}
+	if !slices.Equal(order, bivalent) {
+		return fmt.Errorf("region in BFS order %v, bivalent configurations %v", order, bivalent)
+	}
+	for _, id := range order {
+		var rev []Step
+		for at := id; region[at].prev >= 0; at = region[at].prev {
+			rev = append(rev, region[at].step)
+		}
+		slices.Reverse(rev)
+		if want := g.pathTo(id); !slices.Equal(rev, want) {
+			return fmt.Errorf("config %d: region path %v, pathTo %v", id, rev, want)
+		}
+	}
+	return nil
+}
+
+// SafetyAllocs is the average number of allocations of intern's safety
+// note over every configuration of ck's last Check, which must have
+// found no unsafe configuration.
+func SafetyAllocs(ck *Checker) float64 {
+	g := ck.g
+	return testing.AllocsPerRun(10, func() {
+		for id := range g.configs {
+			g.noteUnsafe(id, g.configAt(id))
+		}
+	})
+}
+
+// UnsafeID is the first configuration intern found failing the task's
+// safety predicate in rep's graph, -1 when none.
+func UnsafeID(rep *Report) int { return rep.g.unsafe }

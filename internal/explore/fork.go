@@ -157,6 +157,7 @@ func (c *Checker) Fork(s *Snapshot, sys *System, opts Options) (*Report, error) 
 	g.parentE = append(g.parentE, base.parentE...)
 	g.canon = append(g.canon, base.canon...)
 	copy(g.halted, base.halted)
+	g.unsafe, g.unsafeErr = base.unsafe, base.unsafeErr
 	d, bd := g.disk, base.disk
 	d.s = c.heapStore()
 	d.s.CopyFrom(bd.s)

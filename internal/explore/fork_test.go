@@ -169,6 +169,52 @@ func TestForkCarriesHaltedIDs(t *testing.T) {
 	}
 }
 
+// TestForkCarriesUnsafeID: intern notes the first unsafe configuration
+// as it goes, so a fork, which never re-interns its snapshot's prefix,
+// must carry the note over. Process 1 decides the NIL it reads from the
+// unwritten register in its first step, so the snapshot's level-1
+// prefix holds the first unsafe configuration.
+func TestForkCarriesUnsafeID(t *testing.T) {
+	t.Parallel()
+	base, alt, objs := forkFamily()
+	decideNil := machine.NewBuilder("decide-nil", 4).
+		Invoke(2, 1, value.MethodRead, machine.Operand{}, machine.Operand{}).
+		Decide(machine.R(2)).
+		MustBuild()
+	tsk := task.Consensus{N: 2}
+	in := []value.Value{0, 1}
+	snap, err := explore.SnapshotPrefix(&explore.System{Programs: []*machine.Program{decideNil, base[1]}, Objects: objs, Inputs: in},
+		tsk, 1, explore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	forked := &explore.System{Programs: []*machine.Program{decideNil, alt[1]}, Objects: objs, Inputs: in}
+	ck := new(explore.Checker)
+	for _, sys := range []*explore.System{forked, {Programs: alt, Objects: objs, Inputs: in}} {
+		want, err := explore.Check(sys, tsk, explore.Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got *explore.Report
+		if sys == forked {
+			got, err = ck.Fork(snap, sys, explore.Options{Workers: 1})
+		} else {
+			got, err = ck.Check(sys, tsk, explore.Options{Workers: 1})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g, w := renderReport(got), renderReport(want); g != w {
+			t.Fatalf("reused checker diverges from a fresh Check:\n%s\nwant\n%s", g, w)
+		}
+		unsafe := len(want.Violations) > 0 && want.Violations[0].Kind == explore.ViolationSafety &&
+			len(want.Violations[0].Witness) == 1
+		if unsafe != (sys == forked) {
+			t.Fatalf("level-1 safety violation %v, want %v: %v", unsafe, sys == forked, want.Violations)
+		}
+	}
+}
+
 // TestForkConcurrent runs many forks of one snapshot concurrently; the
 // race detector validates that the frozen prefix really is read-only
 // and each fork's report still matches a from-scratch run.

@@ -117,7 +117,7 @@ func (g *graph) checkLiveness(rep *Report) {
 			case isDAC:
 				// Under symmetry quotient i-edges conflate steps of i's
 				// translates: seek the solo cycle in the lifted graph.
-				if e, _ := at.next(); !g.liftedSolo(from, e, comp) {
+				if e, _ := at.next(); g.liftedCycle(from, e, i, true, comp) == nil {
 					continue
 				}
 				kind = ViolationDACTerminationB
@@ -190,63 +190,11 @@ func (g *graph) reportHits(rep *Report, hits []livenessHit, comp []int) (reporte
 		for k := 0; k < h.k; k++ {
 			e, _ = it.next()
 		}
-		if g.grp != nil {
-			// Quotient edges chain concrete steps of different orbit
-			// translates; the lifted walk re-aligns them into one
-			// concrete cycle schedule.
-			v.Cycle = g.liftedCycle(h.at, e, i, h.kind == ViolationDACTerminationB, comp)
-		} else {
-			v.Cycle = append([]Step{e.step}, g.cyclePath(e.to, h.at, i, h.kind, comp)...)
-		}
+		// Under symmetry quotient edges chain concrete steps of different
+		// orbit translates; the lifted walk re-aligns them into one
+		// concrete cycle schedule.
+		v.Cycle = g.liftedCycle(h.at, e, i, h.kind == ViolationDACTerminationB, comp)
 	}
-}
-
-// cyclePath returns a schedule from config `from` back to config `to`
-// inside one SCC; for Termination (b) violations it restricts the path
-// to steps of process i (a solo cycle was already shown to exist).
-func (g *graph) cyclePath(from, to, i int, kind ViolationKind, comp []int) []Step {
-	if from == to {
-		return nil
-	}
-	type crumb struct {
-		prev int
-		step Step
-	}
-	soloOnly := kind == ViolationDACTerminationB
-	seen := map[int]crumb{from: {prev: -1}}
-	queue := []int{from}
-	for len(queue) > 0 {
-		at := queue[0]
-		queue = queue[1:]
-		for it := g.edgeIter(at); ; {
-			e, ok := it.next()
-			if !ok {
-				break
-			}
-			if comp[e.to] != comp[at] {
-				continue
-			}
-			if soloOnly && e.step.Proc != i {
-				continue
-			}
-			if _, dup := seen[e.to]; dup {
-				continue
-			}
-			seen[e.to] = crumb{prev: at, step: e.step}
-			if e.to == to {
-				var rev []Step
-				for at := to; at != from; at = seen[at].prev {
-					rev = append(rev, seen[at].step)
-				}
-				for l, r := 0, len(rev)-1; l < r; l, r = l+1, r-1 {
-					rev[l], rev[r] = rev[r], rev[l]
-				}
-				return rev
-			}
-			queue = append(queue, e.to)
-		}
-	}
-	return nil
 }
 
 // sccScratch is the working memory of the SCC-based passes. The graph

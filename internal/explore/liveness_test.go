@@ -1,6 +1,7 @@
 package explore_test
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -365,6 +366,111 @@ func TestSoloSCCsMatchSoloCycle(t *testing.T) {
 	}
 	if solo == 0 || solo == edges {
 		t.Fatalf("%d of %d compared edges lie on a solo cycle: the suite must show both answers", solo, edges)
+	}
+}
+
+// TestLiftedCycleMatchesReferences compares the one cycle search the
+// liveness report and the adversary use with the references it
+// replaced, on every intra-SCC edge (explore.CycleAgreement): this
+// file's systems under their tasks, and Algorithm 2 at n=3 for every
+// distinguished process and binary input vector and at n=4, at
+// symmetry off and ids.
+func TestLiftedCycleMatchesReferences(t *testing.T) {
+	t.Parallel()
+	type instance struct {
+		name string
+		sys  *explore.System
+		tsk  task.Task
+	}
+	a2 := algorithm2System(t)
+	retrying := &explore.System{
+		Programs: []*machine.Program{a2.Programs[0], a2.Programs[1], a2.Programs[1]},
+		Objects:  []spec.Spec{core.NewPAC(3)},
+		Inputs:   []value.Value{1, 0, 0},
+	}
+	halter := machine.NewBuilder("halter", 4).
+		Invoke(2, 0, value.MethodRead, machine.Operand{}, machine.Operand{}).
+		Halt().
+		MustBuild()
+	pDecides := machine.NewBuilder("p-decides", 4).
+		Invoke(2, 0, value.MethodWrite, machine.C(7), machine.Operand{}).
+		Decide(machine.R(machine.RegInput)).
+		MustBuild()
+	instances := []instance{
+		{"solo-spinner", &explore.System{
+			Programs: []*machine.Program{pDecides, spinOnRegister(1, 1)},
+			Objects:  []spec.Spec{objects.NewRegister(), objects.NewRegister()},
+			Inputs:   []value.Value{0, 0},
+		}, task.DAC{N: 2, P: 0}},
+		{"p-spins", &explore.System{
+			Programs: []*machine.Program{spinOnRegister(0, 2), decideOwn(0)},
+			Objects:  []spec.Spec{objects.NewRegister()},
+			Inputs:   []value.Value{1, 1},
+		}, task.DAC{N: 2, P: 0}},
+		{"mixed-livelock-dac", retrying, task.DAC{N: 3, P: 0}},
+		{"mixed-livelock-consensus", retrying, task.Consensus{N: 3}},
+		{"all-retry-consensus", &explore.System{
+			Programs: []*machine.Program{a2.Programs[1], a2.Programs[1], a2.Programs[1]},
+			Objects:  []spec.Spec{core.NewPAC(3)},
+			Inputs:   []value.Value{1, 0, 0},
+		}, task.Consensus{N: 3}},
+		{"halter", &explore.System{
+			Programs: []*machine.Program{decideOwn(0), halter},
+			Objects:  []spec.Spec{objects.NewRegister()},
+			Inputs:   []value.Value{0, 0},
+		}, task.Consensus{N: 2}},
+		{"alg2-n2", a2, task.DAC{N: 2, P: 0}},
+	}
+	for p := 1; p <= 3; p++ {
+		for bits := 0; bits < 8; bits++ {
+			in := []value.Value{value.Value(bits & 1), value.Value(bits >> 1 & 1), value.Value(bits >> 2 & 1)}
+			sys, err := programs.Algorithm2(3, p).System(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			instances = append(instances, instance{fmt.Sprintf("alg2-n3-p%d-%v", p, in), sys, task.DAC{N: 3, P: p - 1}})
+		}
+	}
+	sys4, err := programs.Algorithm2(4, 1).System([]value.Value{1, 0, 0, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	instances = append(instances, instance{"alg2-n4", sys4, task.DAC{N: 4, P: 0}})
+
+	for _, sym := range []explore.Symmetry{explore.SymmetryOff, explore.SymmetryIDs} {
+		var edges, solo, violations, reduced int
+		for _, in := range instances {
+			rep, err := explore.Check(in.sys, in.tsk, explore.Options{Workers: 1, Symmetry: sym})
+			if errors.Is(err, explore.ErrNotSymmetric) {
+				continue
+			}
+			if err != nil {
+				t.Fatal(in.name, err)
+			}
+			if rep.SymmetryGroupOrder() > 1 {
+				reduced++
+			}
+			e, s, err := explore.CycleAgreement(rep)
+			if err != nil {
+				t.Errorf("%s/%s: %v", in.name, sym, err)
+			}
+			edges += e
+			solo += s
+			for _, v := range rep.Violations {
+				if len(v.Cycle) > 0 {
+					violations++
+				}
+			}
+		}
+		if solo == 0 || solo == edges || violations == 0 {
+			t.Fatalf("%s: %d of %d compared edges lie on a solo cycle, %d violations with a cycle: the suite must show both answers and some violations",
+				sym, solo, edges, violations)
+		}
+		t.Logf("%s: %d intra-SCC edges, %d on a solo cycle, %d violations with a cycle, %d reduced instances",
+			sym, edges, solo, violations, reduced)
+		if sym != explore.SymmetryOff && reduced == 0 {
+			t.Fatalf("%s: no instance has a nontrivial group", sym)
+		}
 	}
 }
 

@@ -17,9 +17,11 @@
 // metaAt/edgeIter below: edgeIter.next decodes whole edges, and
 // edgeIter.lean only the target and stepping process, for the walks
 // that read nothing else (SCCs, the liveness cycle loop, valency
-// propagation). The liveness check's halted-undecided scan reads no
-// record at all: intern notes each process's first halted
-// configuration as it goes.
+// propagation). The safety check and the liveness check's
+// halted-undecided scan read no record at all: intern evaluates the
+// task's safety predicate on the configuration in hand and notes the
+// first that fails it, and each process's first halted configuration,
+// as it goes.
 package explore
 
 import (
@@ -28,7 +30,6 @@ import (
 
 	"setagree/internal/machine"
 	"setagree/internal/store"
-	"setagree/internal/task"
 	"setagree/internal/value"
 )
 
@@ -57,9 +58,11 @@ type diskState struct {
 // that canonicalizes it, and returns the new id. The caller has
 // already verified the key is absent. The key and the outcome metadata
 // record go to the store's arenas. Every configuration — root, merged
-// successor, restored checkpoint entry — passes through here, so this
-// is where the first halted-undecided configuration of each process is
-// noted for the liveness check.
+// successor, restored checkpoint entry — passes through here, in id
+// order, so this is where the first configuration that fails the
+// task's safety predicate is noted for the safety check, and the first
+// halted-undecided configuration of each process for the liveness
+// check.
 func (g *graph) intern(key []byte, c *Config, parent int, via Step, gi int) (int, error) {
 	id := len(g.configs)
 	d := g.disk
@@ -76,6 +79,7 @@ func (g *graph) intern(key []byte, c *Config, parent int, via Step, gi int) (int
 		return 0, err
 	}
 	d.metaOff = append(d.metaOff, off)
+	g.noteUnsafe(id, c)
 	for i := range c.Procs {
 		if c.Procs[i].Status == machine.StatusHalted && g.halted[i] < 0 {
 			g.halted[i] = id
@@ -86,6 +90,18 @@ func (g *graph) intern(key []byte, c *Config, parent int, via Step, gi int) (int
 	g.parentE = append(g.parentE, via)
 	g.canon = append(g.canon, gi)
 	return id, nil
+}
+
+// noteUnsafe evaluates the task's safety predicate on c, interned as
+// id, until the first configuration fails it, and notes that one.
+func (g *graph) noteUnsafe(id int, c *Config) {
+	if g.unsafe >= 0 || g.tsk == nil {
+		return
+	}
+	c.fillOutcome(&g.outcome)
+	if err := g.tsk.CheckSafety(g.outcome); err != nil {
+		g.unsafe, g.unsafeErr = id, err
+	}
 }
 
 // spillExpanded drops the resident *Config of every configuration in
@@ -130,19 +146,19 @@ func (g *graph) configAt(id int) *Config {
 }
 
 // metaRec is the decoded per-configuration outcome record: everything
-// the safety, liveness, valency, and DOT passes read from a
-// configuration, without the configuration.
+// the liveness, valency, and DOT passes read from a configuration,
+// without the configuration. The stepped mask is not in it: only the
+// safety predicate reads that, and intern evaluates it on the
+// configuration itself.
 type metaRec struct {
-	mask     uint64
 	status   []machine.Status
 	decision []value.Value
 	poised   []int // object index process i is poised on, -1 when none
 }
 
-// appendMeta encodes c's outcome record: mask uvarint, then per
-// process a status byte, decision varint, and poised-object varint.
+// appendMeta encodes c's outcome record: per process a status byte,
+// decision varint, and poised-object varint.
 func appendMeta(dst []byte, sys *System, c *Config) []byte {
-	dst = binary.AppendUvarint(dst, c.SteppedMask)
 	for i := range c.Procs {
 		dst = append(dst, byte(c.Procs[i].Status))
 		dst = binary.AppendVarint(dst, int64(c.Procs[i].Decision))
@@ -167,7 +183,6 @@ func (g *graph) metaAt(id int, m *metaRec) {
 	}
 	d := g.disk
 	dec := recDec{b: record(d.s.Meta, d.metaOff, id)}
-	m.mask = dec.uvarint()
 	for i := 0; i < n; i++ {
 		m.status[i] = machine.Status(dec.byte())
 		m.decision[i] = value.Value(dec.varint())
@@ -197,25 +212,6 @@ func (m *metaRec) quiescent() bool {
 		}
 	}
 	return true
-}
-
-// fillOutcome projects the record into o for task predicates — the
-// twin of Config.Outcome. o must come from task.NewOutcome over the
-// system's inputs; every other field is overwritten, so one Outcome
-// serves a whole scan.
-func (m *metaRec) fillOutcome(o *task.Outcome) {
-	for i := range m.status {
-		o.Decisions[i] = value.None
-		o.Decided[i] = false
-		o.Aborted[i] = false
-		switch m.status[i] {
-		case machine.StatusDecided:
-			o.Decide(i, m.decision[i])
-		case machine.StatusAborted:
-			o.Aborted[i] = true
-		}
-		o.Stepped[i] = m.mask&(1<<uint(i)) != 0
-	}
 }
 
 // recDec decodes one arena record. The records are the explorer's own

@@ -1091,9 +1091,10 @@ type liftNode struct {
 
 // stabChecker memoizes membership in the stabilizer of one stored
 // configuration (whether element h fixes it), keyed by group index. The
-// configuration is rebuilt (see configAt) only when a non-identity
-// element is first tested, which many lifted walks never do: the
-// identity needs no check.
+// identity needs no check, so the configuration is rebuilt (see
+// configAt) and the memo made only when a non-identity element is first
+// tested, which many lifted walks, and every walk without symmetry,
+// never do.
 type stabChecker struct {
 	g     *graph
 	id    int
@@ -1103,17 +1104,17 @@ type stabChecker struct {
 	known map[int]bool
 }
 
-func (g *graph) stabilizerOf(id int) *stabChecker {
-	return &stabChecker{g: g, id: id, known: map[int]bool{0: true}}
-}
-
 func (s *stabChecker) contains(h int) bool {
+	if h == 0 {
+		return true
+	}
 	if in, ok := s.known[h]; ok {
 		return in
 	}
 	if s.cfg == nil {
 		s.cfg = s.g.configAt(s.id)
 		s.ref = s.cfg.AppendKey(nil)
+		s.known = map[int]bool{}
 	}
 	s.buf = s.cfg.AppendKeyUnder(s.buf[:0], s.g.grp.element(h))
 	in := bytes.Equal(s.buf, s.ref)
@@ -1121,64 +1122,26 @@ func (s *stabChecker) contains(h int) bool {
 	return in
 }
 
-// liftedSolo reports whether a concrete solo cycle of process i passes
-// through (a translate of) the quotient edge en out of from: a lifted
-// walk from (en.to, en.g) back to (from, h) for some stabilizing h,
-// every step of which is concretely an i-step. Each quotient edge
-// (u→v, step s, g) lifts from (u, h) to (v, h∘g) taking the concrete
-// step permuteStep(s, h); the walk closes concretely
-// exactly when it returns to from with h in the stabilizer of the
-// stored representative. Sound and complete for the concrete graph:
-// a lifted cycle projects to a concrete one by construction, and any
-// concrete solo cycle translates into the lifted graph edge by edge.
-func (g *graph) liftedSolo(from int, en edge, comp []int) bool {
-	i := en.step.Proc
-	stab := g.stabilizerOf(from)
-	start := liftNode{en.to, en.g}
-	if start.v == from && stab.contains(start.h) {
-		return true
-	}
-	seen := map[liftNode]bool{start: true}
-	queue := []liftNode{start}
-	for len(queue) > 0 {
-		at := queue[0]
-		queue = queue[1:]
-		h := g.grp.element(at.h)
-		for it := g.edgeIter(at.v); ; {
-			e, ok := it.next()
-			if !ok {
-				break
-			}
-			if comp[e.to] != comp[at.v] {
-				continue
-			}
-			if h.ProcIdx(e.step.Proc) != i {
-				continue
-			}
-			nx := liftNode{e.to, g.grp.compose(h, g.grp.element(e.g))}
-			if seen[nx] {
-				continue
-			}
-			if nx.v == from && stab.contains(nx.h) {
-				return true
-			}
-			seen[nx] = true
-			queue = append(queue, nx)
-		}
-	}
-	return false
-}
-
 // liftedCycle extracts a concrete cycle schedule through the quotient
-// edge en out of from: the entry step followed by lifted steps back to
-// a stabilizing return. soloOnly restricts the walk to concrete
-// i-steps (Termination (b)); liftedSolo has then already established
-// existence. For the unrestricted kinds a returning lifted walk always
-// exists once the quotient edge lies in a cyclic SCC: iterating any
-// quotient loop multiplies the accumulated group element, which has
-// finite order, so some iterate lands in the stabilizer.
+// edge en out of from, inside from's SCC: the entry step followed by
+// lifted steps back to a stabilizing return, or nil when there is
+// none. Each quotient edge (u→v, step s, g) lifts from (u, h) to
+// (v, h∘g) taking the concrete step permuteStep(s, h); the walk closes
+// concretely exactly when it returns to from with h in the stabilizer
+// of the stored representative. Sound and complete for the concrete
+// graph: a lifted cycle projects to a concrete one by construction, and
+// any concrete cycle translates into the lifted graph edge by edge.
+//
+// soloOnly restricts the walk to concrete i-steps, so a nil result
+// decides that no solo cycle of i passes through the edge
+// (Termination (b) under symmetry). For the unrestricted kinds a
+// returning lifted walk always exists once the quotient edge lies in a
+// cyclic SCC: iterating any quotient loop multiplies the accumulated
+// group element, which has finite order, so some iterate lands in the
+// stabilizer. Without symmetry every element is the identity, and the
+// walk is a plain breadth-first search of the SCC.
 func (g *graph) liftedCycle(from int, en edge, i int, soloOnly bool, comp []int) []Step {
-	stab := g.stabilizerOf(from)
+	stab := stabChecker{g: g, id: from}
 	start := liftNode{en.to, en.g}
 	if start.v == from && stab.contains(start.h) {
 		return []Step{en.step}
@@ -1193,7 +1156,10 @@ func (g *graph) liftedCycle(from int, en edge, i int, soloOnly bool, comp []int)
 	for len(queue) > 0 {
 		at := queue[0]
 		queue = queue[1:]
-		h := g.grp.element(at.h)
+		var h spec.Perm
+		if g.grp != nil {
+			h = g.grp.element(at.h)
+		}
 		for it := g.edgeIter(at.v); ; {
 			e, ok := it.next()
 			if !ok {
@@ -1202,23 +1168,24 @@ func (g *graph) liftedCycle(from int, en edge, i int, soloOnly bool, comp []int)
 			if comp[e.to] != comp[at.v] {
 				continue
 			}
-			cstep := permuteStep(e.step, h)
-			if soloOnly && cstep.Proc != i {
+			nx := liftNode{v: e.to}
+			if g.grp != nil {
+				e.step = permuteStep(e.step, h)
+			}
+			if soloOnly && e.step.Proc != i {
 				continue
 			}
-			nx := liftNode{e.to, g.grp.compose(h, g.grp.element(e.g))}
+			if g.grp != nil {
+				nx.h = g.grp.compose(h, g.grp.element(e.g))
+			}
 			if _, ok := crumbs[nx]; ok {
 				continue
 			}
-			crumbs[nx] = crumb{prev: at, step: cstep}
+			crumbs[nx] = crumb{prev: at, step: e.step}
 			if nx.v == from && stab.contains(nx.h) {
 				var rev []Step
-				for n := nx; ; n = crumbs[n].prev {
-					cr := crumbs[n]
-					if cr.root {
-						break
-					}
-					rev = append(rev, cr.step)
+				for n := nx; !crumbs[n].root; n = crumbs[n].prev {
+					rev = append(rev, crumbs[n].step)
 				}
 				cyc := make([]Step, 0, len(rev)+1)
 				cyc = append(cyc, en.step)

@@ -161,24 +161,7 @@ func (g *graph) valency() (*ValencyReport, error) {
 		default:
 			rep.Null++
 		}
-		if !v.Bivalent() {
-			continue
-		}
-		// Critical: bivalent with no bivalent successor.
-		critical := true
-		deg := 0
-		for it := g.edgeIter(id); ; {
-			to, _, ok := it.lean()
-			if !ok {
-				break
-			}
-			deg++
-			if masks[comp[to]].Bivalent() {
-				critical = false
-				break
-			}
-		}
-		if !critical || deg == 0 {
+		if !g.critical(id) {
 			continue
 		}
 		rep.CriticalCount++
@@ -191,6 +174,28 @@ func (g *graph) valency() (*ValencyReport, error) {
 		}
 	}
 	return rep, nil
+}
+
+// critical reports whether configuration id is critical: bivalent,
+// with at least one successor and no bivalent one. It reads the labels
+// valency sets.
+func (g *graph) critical(id int) bool {
+	if !g.valence[id].Bivalent() {
+		return false
+	}
+	it := g.edgeIter(id)
+	if it.rem == 0 {
+		return false
+	}
+	for {
+		to, _, ok := it.lean()
+		if !ok {
+			return true
+		}
+		if g.valence[to].Bivalent() {
+			return false
+		}
+	}
 }
 
 // describeCritical captures the poised structure of a critical
