@@ -88,15 +88,15 @@ bench:
 # median unit_cost_refs: dacd-jobs's at commit 85a93e5 (ranked-block
 # orbit canonicalization); explore-n7-ids's of 148 with orbit
 # canonicalization by sorting, the commit after cc4277e; explore-n7's
-# of about 4,840 and sweep-e3's of about 2,810 with the linear-time
-# liveness check (one lean Tarjan walk, per-process SCCs for DAC
-# Termination (b)), the commit after 04e7cce. So a ceiling trips on a
-# lost fast path, not on noise.
+# of about 3,540 and sweep-e3's of about 2,490 with the component step
+# memo (successor keys spliced from cached process and object steps),
+# the commit after 044f0e5. So a ceiling trips on a lost fast path, not
+# on noise.
 # Lower a ceiling in the same commit as a measured speed-up it should
 # hold.
 # encoding/json writes the metrics map with sorted keys, so sed can
 # read the value without a JSON tool.
-BENCH_CEILINGS = explore-n7:9700 explore-n7-ids:300 sweep-e3:5600 dacd-jobs:515
+BENCH_CEILINGS = explore-n7:7100 explore-n7-ids:300 sweep-e3:5000 dacd-jobs:515
 bench-gate:
 	@for wc in $(BENCH_CEILINGS); do \
 		w=$${wc%%:*}; ceiling=$${wc#*:}; \

@@ -30,6 +30,7 @@ import (
 
 	"setagree/internal/checkpoint"
 	"setagree/internal/machine"
+	"setagree/internal/store"
 	"setagree/internal/task"
 	"setagree/internal/value"
 )
@@ -388,10 +389,11 @@ func (st *search) restore(path string) error {
 			sc.best = nc.AppendKey(sc.best[:0])
 			key = sc.best
 		}
-		if _, dup := g.disk.s.Lookup(key); dup {
+		h := store.Hash(key)
+		if _, dup := g.disk.s.LookupHash(key, h); dup {
 			return corruptf("config %d: duplicate configuration in spanning tree", id)
 		}
-		if _, err := g.intern(key, nc, parent, s, gi); err != nil {
+		if _, err := g.intern(key, h, nc, parent, s, gi); err != nil {
 			return err
 		}
 	}

@@ -213,16 +213,42 @@ func (s Step) String() string {
 }
 
 // poised returns the invocation live process i of c is poised at and
-// the transitions its object offers for it, one per branch. It is the
-// explorer's one application of an object's sequential specification.
+// the transitions its object offers for it, one per branch: the
+// process half of a step, then its object half.
 func (s *System) poised(c *Config, i int) (machine.Poise, []spec.Transition, error) {
+	p := s.invocation(c, i)
+	ts, err := s.offer(c, p)
+	return p, ts, err
+}
+
+// invocation returns the invocation live process i of c is poised at.
+func (s *System) invocation(c *Config, i int) machine.Poise {
 	p, _ := machine.Poised(s.Programs[i], c.Procs[i])
+	return p
+}
+
+// checkObj rejects an invocation of an object the system does not have.
+func (s *System) checkObj(p machine.Poise) error {
 	if p.Obj < 0 || p.Obj >= len(s.Objects) {
-		return p, nil, spec.BadOpError("system", p.Op,
+		return spec.BadOpError("system", p.Op,
 			"object index "+strconv.Itoa(p.Obj)+" out of range")
 	}
-	ts, err := s.Objects[p.Obj].Step(c.Objs[p.Obj], p.Op)
-	return p, ts, err
+	return nil
+}
+
+// offer returns the transitions object p.Obj of c offers for
+// invocation p, one per branch. It is the explorer's one application of
+// an object's sequential specification.
+func (s *System) offer(c *Config, p machine.Poise) ([]spec.Transition, error) {
+	if err := s.checkObj(p); err != nil {
+		return nil, err
+	}
+	return s.Objects[p.Obj].Step(c.Objs[p.Obj], p.Op)
+}
+
+// resume returns process i of c's next state on response resp.
+func (s *System) resume(c *Config, i int, resp value.Value) (machine.ProcState, error) {
+	return machine.Resume(s.Programs[i], c.Procs[i], resp)
 }
 
 // move is one branch of a step from a configuration: the step's labels
@@ -241,7 +267,7 @@ type move struct {
 // branch's response.
 func (s *System) step(c *Config, i int, p machine.Poise, ts []spec.Transition, b int) (move, error) {
 	t := ts[b]
-	ps, err := machine.Resume(s.Programs[i], c.Procs[i], t.Resp)
+	ps, err := s.resume(c, i, t.Resp)
 	return move{
 		Step: Step{Proc: i, Obj: p.Obj, Op: p.Op, Resp: t.Resp, Branch: b},
 		proc: ps,

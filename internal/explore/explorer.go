@@ -415,6 +415,11 @@ func (c *Checker) heapStore() *store.Store {
 // begin starts a search over g on the checker's shard buffers.
 func (c *Checker) begin(g *graph, rep *Report, opts *Options) *search {
 	st := &search{ck: c, g: g, rep: rep, opts: opts, frontierMax: 1, hbNext: opts.HeartbeatEvery}
+	// The step memos cache steps of the last search's programs; a sweep
+	// reuses its checker with new ones.
+	for _, out := range c.shards {
+		out.memo.reset()
+	}
 	if opts.Cover != nil {
 		// A fresh slice, shared with the report up front so partial exits
 		// (state limit, cancellation) carry the coverage observed so far.
@@ -484,7 +489,8 @@ func (c *Checker) newSearch(sys *System, tsk task.Task, opts *Options) (*search,
 	}
 	// Every group element stabilizes the root, so its concrete key is
 	// already canonical.
-	if _, err := g.intern(root.AppendKey(nil), root, -1, Step{}, 0); err != nil {
+	rootKey := root.AppendKey(nil)
+	if _, err := g.intern(rootKey, store.Hash(rootKey), root, -1, Step{}, 0); err != nil {
 		return fail(err)
 	}
 	return st, rep, nil
@@ -612,6 +618,7 @@ type shardOut struct {
 	nSuccs   int
 	local    *store.Store // level-local table of keys the global one missed
 	koff     []int64      // by local id: the key's offset in local.Keys
+	khash    []uint32     // by local id: the key's store.Hash
 	cfgs     []*Config    // by local id: the first occurrence's configuration
 	gids     []int        // merge scratch: global id by local id, -1 until merged
 	err      error
@@ -619,11 +626,13 @@ type shardOut struct {
 	symHits  int // successors canonicalized to a different key
 	orbitMax int // largest successor orbit in the shard
 	sc       keyScratch
+	memo     *stepMemo // kept across the levels of a search
 }
 
 // reset empties out for the shard starting at config id start, keeping
-// its buffers' capacity. Clearing cfgs drops the configurations the
-// last merge discarded, and keeps spilled ones collectable.
+// its buffers' capacity and its step memo. Clearing cfgs drops the
+// configurations the last merge discarded, and keeps spilled ones
+// collectable.
 func (out *shardOut) reset(start int) {
 	out.local.Reset()
 	clear(out.cfgs)
@@ -633,9 +642,11 @@ func (out *shardOut) reset(start int) {
 		succs: out.succs,
 		local: out.local,
 		koff:  out.koff[:0],
+		khash: out.khash[:0],
 		cfgs:  out.cfgs[:0],
 		gids:  out.gids[:0],
 		sc:    out.sc,
+		memo:  out.memo,
 	}
 }
 
@@ -654,15 +665,29 @@ func (out *shardOut) addSucc(rec succRec) {
 	out.nSuccs++
 }
 
-// intern adds the first occurrence of key in the shard to the
-// level-local table, keeping its configuration c, and returns the
-// local id.
-func (out *shardOut) intern(key []byte, c *Config) (int, error) {
+// lookup resolves a successor's key, whose store.Hash is h, against
+// the frozen global table and then the shard's level-local one, setting
+// rec's id or lid. It reports false when both miss.
+func (out *shardOut) lookup(g *graph, rec *succRec, key []byte, h uint32) bool {
+	if id, ok := g.disk.s.LookupHash(key, h); ok {
+		rec.id = id
+		return true
+	}
+	var ok bool
+	rec.lid, ok = out.local.LookupHash(key, h)
+	return ok
+}
+
+// intern adds the first occurrence of key, whose store.Hash is h, in
+// the shard to the level-local table, keeping its configuration c, and
+// returns the local id.
+func (out *shardOut) intern(key []byte, h uint32, c *Config) (int, error) {
 	out.koff = append(out.koff, out.local.Keys.Len())
-	lid, err := out.local.Intern(key)
+	lid, err := out.local.InternHash(key, h)
 	if err != nil {
 		return 0, err
 	}
+	out.khash = append(out.khash, h)
 	out.cfgs = append(out.cfgs, c)
 	return lid, nil
 }
@@ -803,7 +828,7 @@ func (st *search) expandLevel(levelStart, levelEnd int) []*shardOut {
 	ck := st.ck
 	for len(ck.shards) < shards {
 		local, _ := store.Open(store.Options{}, nil) // a heap store cannot fail to open
-		ck.shards = append(ck.shards, &shardOut{local: local})
+		ck.shards = append(ck.shards, &shardOut{local: local, memo: newStepMemo()})
 	}
 	outs := ck.shards[:shards]
 	if shards == 1 {
@@ -832,16 +857,8 @@ func (st *search) expandLevel(levelStart, levelEnd int) []*shardOut {
 // level's successors, so most successors reaching a fresh
 // configuration miss it; the shard's level-local table catches the
 // repeats, and only a key's first occurrence in the shard is copied
-// and keeps its configuration for the merge.
-//
-// Under symmetry the probed key is the canonical orbit minimum of the
-// built successor. Without it the key is spliced: a step changes
-// exactly two components of a configuration — the stepping process's
-// state and the touched object's state — and every component encoding
-// is self-delimiting, so a successor's key is the parent's key bytes
-// with the two components re-encoded. The parent key is rendered once
-// per configuration with per-component end offsets, and a successor
-// builds a Config only when both tables miss its key.
+// and keeps its configuration for the merge. Each key is hashed once,
+// for both probes, the local intern and the merge.
 func (st *search) expandShard(out *shardOut, start, end int) {
 	out.reset(start)
 	for at := start; at < end; at++ {
@@ -855,25 +872,96 @@ func (st *search) expandShard(out *shardOut, start, end int) {
 // expand appends the successors of c, in (proc, branch) order, and
 // then c's expansion entry to out.
 func (st *search) expand(out *shardOut, c *Config) error {
-	g, sc := st.g, &out.sc
-	np := len(c.Procs)
-	ends := sc.ends
-	if g.grp == nil {
-		// Parent key with component ends: the mask ends at ends[0],
-		// process i at ends[1+i], object j at ends[1+np+j].
-		ends = slices.Grow(ends[:0], 1+np+len(c.Objs))[:1+np+len(c.Objs)]
-		pkey := binary.AppendUvarint(sc.parent[:0], c.SteppedMask)
-		ends[0] = len(pkey)
-		for i := range c.Procs {
-			pkey = c.Procs[i].AppendKey(pkey)
-			ends[1+i] = len(pkey)
-		}
-		for j := range c.Objs {
-			pkey = spec.AppendStateKey(pkey, c.Objs[j])
-			ends[1+np+j] = len(pkey)
-		}
-		sc.parent, sc.ends = pkey, ends
+	var err error
+	if st.g.grp == nil {
+		err = st.expandSpliced(out, c)
+		// Memo-served steps are still steps: one tally per expansion.
+		machine.CountSteps(out.memo.served)
+		out.memo.served = 0
+	} else {
+		err = st.expandCanonical(out, c)
 	}
+	if err != nil {
+		return err
+	}
+	out.exps = append(out.exps, expansion{quiescent: c.Quiescent(), end: out.nSuccs})
+	return nil
+}
+
+// expandSpliced is expand without symmetry. A step changes exactly two
+// components of a configuration — the stepping process's state and the
+// touched object's state — and every component encoding is
+// self-delimiting, so a successor's key is the parent's key bytes with
+// the two components replaced. The parent key is rendered once per
+// configuration with per-component end offsets; each component's step
+// and its next state's key bytes come from the shard's step memo, looked
+// up by the component's bytes in that key. A successor builds a Config,
+// from the memo's states, only when both tables miss its key.
+func (st *search) expandSpliced(out *shardOut, c *Config) error {
+	g, sc, mo := st.g, &out.sc, out.memo
+	np := len(c.Procs)
+	// Parent key with component ends: the mask ends at ends[0], process
+	// i at ends[1+i], object j at ends[1+np+j].
+	ends := slices.Grow(sc.ends[:0], 1+np+len(c.Objs))[:1+np+len(c.Objs)]
+	pkey := binary.AppendUvarint(sc.parent[:0], c.SteppedMask)
+	ends[0] = len(pkey)
+	for i := range c.Procs {
+		pkey = c.Procs[i].AppendKey(pkey)
+		ends[1+i] = len(pkey)
+	}
+	for j := range c.Objs {
+		pkey = spec.AppendStateKey(pkey, c.Objs[j])
+		ends[1+np+j] = len(pkey)
+	}
+	sc.parent, sc.ends = pkey, ends
+	for i := range c.Procs {
+		if !c.Live(i) {
+			continue
+		}
+		e, err := mo.proc(g.sys, c, i, pkey[ends[i]:ends[1+i]])
+		if err != nil {
+			return err
+		}
+		p := mo.pinv[e]
+		if err := g.sys.checkObj(p); err != nil {
+			return err
+		}
+		jo := p.Obj
+		lo, hi, err := mo.offer(g.sys, c, p, pkey[ends[np+jo]:ends[np+jo+1]])
+		if err != nil {
+			return err
+		}
+		for b := lo; b < hi; b++ {
+			t := &mo.trans[b]
+			ps, pk, err := mo.next(g.sys, c, i, e, t.resp)
+			if err != nil {
+				return err
+			}
+			key := binary.AppendUvarint(sc.best[:0], c.SteppedMask|1<<uint(i))
+			key = append(key, pkey[ends[0]:ends[i]]...)
+			key = append(key, mo.key(pk)...)
+			key = append(key, pkey[ends[i+1]:ends[np+jo]]...)
+			key = append(key, mo.key(t.key)...)
+			key = append(key, pkey[ends[np+jo+1]:]...)
+			sc.best = key
+			rec := succRec{step: Step{Proc: i, Obj: jo, Op: p.Op, Resp: t.resp, Branch: b - lo}, id: -1}
+			if h := store.Hash(key); !out.lookup(g, &rec, key, h) {
+				nc := c.after(move{Step: rec.step, proc: ps, obj: t.next})
+				if rec.lid, err = out.intern(key, h, nc); err != nil {
+					return err
+				}
+			}
+			out.addSucc(rec)
+		}
+	}
+	return nil
+}
+
+// expandCanonical is expand under symmetry: canonicalization reads the
+// whole successor, so it builds every one, and probes its orbit's
+// canonical key.
+func (st *search) expandCanonical(out *shardOut, c *Config) error {
+	g, sc := st.g, &out.sc
 	for i := range c.Procs {
 		if !c.Live(i) {
 			continue
@@ -887,41 +975,21 @@ func (st *search) expand(out *shardOut, c *Config) error {
 			if err != nil {
 				return err
 			}
-			rec := succRec{step: m.Step, id: -1}
-			var nc *Config
-			var key []byte
-			if g.grp == nil {
-				pkey, jo := sc.parent, m.Obj
-				key = binary.AppendUvarint(sc.best[:0], c.SteppedMask|1<<uint(i))
-				key = append(key, pkey[ends[0]:ends[i]]...)
-				key = m.proc.AppendKey(key)
-				key = append(key, pkey[ends[i+1]:ends[np+jo]]...)
-				key = spec.AppendStateKey(key, m.obj)
-				key = append(key, pkey[ends[np+jo+1]:]...)
-				sc.best = key
-			} else {
-				nc = c.after(m)
-				var orbit int
-				key, rec.gi, orbit = g.grp.canonical(sc, nc)
-				out.orbitMax = max(out.orbitMax, orbit)
-				if rec.gi != 0 {
-					out.symHits++
-				}
+			nc := c.after(m)
+			key, gi, orbit := g.grp.canonical(sc, nc)
+			out.orbitMax = max(out.orbitMax, orbit)
+			if gi != 0 {
+				out.symHits++
 			}
-			if id, ok := g.disk.s.Lookup(key); ok {
-				rec.id = id
-			} else if rec.lid, ok = out.local.Lookup(key); !ok {
-				if nc == nil {
-					nc = c.after(m)
-				}
-				if rec.lid, err = out.intern(key, nc); err != nil {
+			rec := succRec{step: m.Step, id: -1, gi: gi}
+			if h := store.Hash(key); !out.lookup(g, &rec, key, h) {
+				if rec.lid, err = out.intern(key, h, nc); err != nil {
 					return err
 				}
 			}
 			out.addSucc(rec)
 		}
 	}
-	out.exps = append(out.exps, expansion{quiescent: c.Quiescent(), end: out.nSuccs})
 	return nil
 }
 
@@ -983,12 +1051,12 @@ func (st *search) mergeLevel(outs []*shardOut) error {
 				id, fresh := s.id, false
 				if id < 0 {
 					if id = out.gids[s.lid]; id < 0 {
-						key := record(out.local.Keys, out.koff, s.lid)
-						if known, ok := g.disk.s.Lookup(key); ok {
+						key, h := record(out.local.Keys, out.koff, s.lid), out.khash[s.lid]
+						if known, ok := g.disk.s.LookupHash(key, h); ok {
 							id = known
 						} else {
 							var err error
-							if id, err = g.intern(key, out.cfgs[s.lid], at, s.step, s.gi); err != nil {
+							if id, err = g.intern(key, h, out.cfgs[s.lid], at, s.step, s.gi); err != nil {
 								return err
 							}
 							fresh = true

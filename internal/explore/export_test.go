@@ -655,3 +655,144 @@ func SafetyAllocs(ck *Checker) float64 {
 // UnsafeID is the first configuration intern found failing the task's
 // safety predicate in rep's graph, -1 when none.
 func UnsafeID(rep *Report) int { return rep.g.unsafe }
+
+// refSucc is one successor of the reference expansion: its step and
+// its configuration's key.
+type refSucc struct {
+	step Step
+	key  []byte
+}
+
+// referenceSuccs expands c the way the step is defined, with no memo:
+// poised and step per live process and branch, after, and AppendKey.
+func referenceSuccs(sys *System, c *Config) ([]refSucc, error) {
+	var ref []refSucc
+	for i := range c.Procs {
+		if !c.Live(i) {
+			continue
+		}
+		p, ts, err := sys.poised(c, i)
+		if err != nil {
+			return nil, err
+		}
+		for b := range ts {
+			m, err := sys.step(c, i, p, ts, b)
+			if err != nil {
+				return nil, err
+			}
+			ref = append(ref, refSucc{m.Step, c.after(m).AppendKey(nil)})
+		}
+	}
+	return ref, nil
+}
+
+// MemoExpansions compares memo-served expansion with the reference on
+// every configuration of the graph a symmetry-off Check on ck left. It
+// expands each configuration, in id order, on every step memo the Check
+// left warm and then on one fresh memo that fills as it goes. Each
+// expansion's (step, successor) list must equal, in order, the
+// reference's (a successor's id is the one the store holds for the
+// reference key), and must leave the configuration's key as it was.
+// It returns the number of expansions compared and of successors on a
+// branch other than an object's first.
+func MemoExpansions(ck *Checker) (n, branched int, err error) {
+	g := ck.g
+	if g.grp != nil {
+		return 0, 0, fmt.Errorf("the step memo serves symmetry-off checks only")
+	}
+	var memos []*stepMemo
+	for _, out := range ck.shards {
+		memos = append(memos, out.memo)
+	}
+	memos = append(memos, newStepMemo())
+	local, _ := store.Open(store.Options{}, nil)
+	st := &search{g: g}
+	for k, mo := range memos {
+		out := &shardOut{local: local, memo: mo}
+		for id := range g.configs {
+			c := g.configAt(id)
+			before := c.AppendKey(nil)
+			ref, err := referenceSuccs(g.sys, c)
+			if err != nil {
+				return n, branched, err
+			}
+			out.reset(id)
+			if err := st.expand(out, c); err != nil {
+				return n, branched, fmt.Errorf("memo %d, config %d: %w", k, id, err)
+			}
+			if !bytes.Equal(c.AppendKey(nil), before) {
+				return n, branched, fmt.Errorf("memo %d, config %d: expansion changed the configuration", k, id)
+			}
+			if out.nSuccs != len(ref) {
+				return n, branched, fmt.Errorf("memo %d, config %d: %d successors, reference %d", k, id, out.nSuccs, len(ref))
+			}
+			for j, r := range ref {
+				s := out.succs[j/succChunk][j%succChunk]
+				want, ok := g.disk.s.Lookup(r.key)
+				if s.step != r.step || s.id < 0 || !ok || s.id != want {
+					return n, branched, fmt.Errorf("memo %d, config %d, successor %d: %v to id %d, reference %v to id %d (interned %v)",
+						k, id, j, s.step, s.id, r.step, want, ok)
+				}
+				if s.step.Branch > 0 {
+					branched++
+				}
+			}
+			n++
+		}
+	}
+	return n, branched, nil
+}
+
+// MemoIntact checks, after a Check on ck, that every state the step
+// memos hold still encodes to the key bytes cached with it, and that
+// every resident configuration still encodes to the key the store
+// copied when it was interned. It returns the number of memo states.
+func MemoIntact(ck *Checker) (int, error) {
+	n := 0
+	for k, out := range ck.shards {
+		m := out.memo
+		for j, r := range m.resps {
+			if !bytes.Equal(r.next.AppendKey(nil), m.key(r.key)) {
+				return n, fmt.Errorf("memo %d: process state %d no longer encodes to its cached key", k, j)
+			}
+		}
+		for j, t := range m.trans {
+			if !bytes.Equal(spec.AppendStateKey(nil, t.next), m.key(t.key)) {
+				return n, fmt.Errorf("memo %d: object state %d no longer encodes to its cached key", k, j)
+			}
+		}
+		n += len(m.resps) + len(m.trans)
+	}
+	g := ck.g
+	for id, c := range g.configs {
+		if c == nil {
+			continue
+		}
+		if got, ok := g.disk.s.Lookup(c.AppendKey(nil)); !ok || got != id {
+			return n, fmt.Errorf("resident configuration %d no longer encodes to its interned key", id)
+		}
+	}
+	return n, nil
+}
+
+// WarmExpandAllocs is the average number of allocations of expanding
+// every configuration of the graph a symmetry-off, one-worker Check on
+// ck left, on the step memo that Check warmed. Every successor is
+// interned by then.
+func WarmExpandAllocs(ck *Checker) float64 {
+	g := ck.g
+	for id := range g.configs {
+		g.configAt(id)
+	}
+	local, _ := store.Open(store.Options{}, nil)
+	out := &shardOut{local: local, memo: ck.shards[0].memo}
+	st := &search{g: g}
+	return testing.AllocsPerRun(10, func() {
+		for id, c := range g.configs {
+			out.reset(id)
+			if err := st.expand(out, c); err != nil || len(out.cfgs) != 0 {
+				panic(fmt.Sprintf("config %d: %v, %d successors not interned", id, err, len(out.cfgs)))
+			}
+		}
+	})
+}

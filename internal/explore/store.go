@@ -54,19 +54,19 @@ type diskState struct {
 
 // intern adds a fresh configuration under its binary key (the
 // canonical orbit key when symmetry is on; the stored configuration
-// stays concrete), recording its BFS parent and the group index gi
-// that canonicalizes it, and returns the new id. The caller has
-// already verified the key is absent. The key and the outcome metadata
+// stays concrete), whose store.Hash is h, recording its BFS parent and
+// the group index gi that canonicalizes it, and returns the new id. The
+// caller has already verified the key is absent. The key and the outcome metadata
 // record go to the store's arenas. Every configuration — root, merged
 // successor, restored checkpoint entry — passes through here, in id
 // order, so this is where the first configuration that fails the
 // task's safety predicate is noted for the safety check, and the first
 // halted-undecided configuration of each process for the liveness
 // check.
-func (g *graph) intern(key []byte, c *Config, parent int, via Step, gi int) (int, error) {
+func (g *graph) intern(key []byte, h uint32, c *Config, parent int, via Step, gi int) (int, error) {
 	id := len(g.configs)
 	d := g.disk
-	sid, err := d.s.Intern(key)
+	sid, err := d.s.InternHash(key, h)
 	if err != nil {
 		return 0, err
 	}

@@ -589,7 +589,7 @@ type keyScratch struct {
 	bproc    []int
 	binv     []int
 	tp       []int
-	// Spliced-key scratch (symmetry off, see expandShard): the parent
+	// Spliced-key scratch (symmetry off, see expandSpliced): the parent
 	// key and its per-component end offsets.
 	parent []byte
 	ends   []int

@@ -243,13 +243,20 @@ func (s *Store) Reset() {
 // Count returns the number of interned keys.
 func (s *Store) Count() int { return s.count }
 
+// Hash returns the table hash of key, which LookupHash and InternHash
+// take so that a caller probing several stores with one key hashes it
+// once.
+func Hash(key []byte) uint32 { return crc32.Checksum(key, castagnoli) }
+
 // Lookup probes the table for key. Safe for concurrent use while no
 // Intern is running (the explorer's expand phase).
-func (s *Store) Lookup(key []byte) (int, bool) {
+func (s *Store) Lookup(key []byte) (int, bool) { return s.LookupHash(key, Hash(key)) }
+
+// LookupHash is Lookup for a key whose Hash is h.
+func (s *Store) LookupHash(key []byte, h uint32) (int, bool) {
 	if len(s.slots) == 0 {
 		return 0, false
 	}
-	h := crc32.Checksum(key, castagnoli)
 	mask := uint32(len(s.slots) - 1)
 	for i := h & mask; ; i = (i + 1) & mask {
 		sl := &s.slots[i]
@@ -265,7 +272,10 @@ func (s *Store) Lookup(key []byte) (int, bool) {
 // Intern appends key to the key arena and indexes it, returning the
 // assigned id (the insertion ordinal). The caller has already verified
 // the key is absent. Single-threaded (the explorer's merge phase).
-func (s *Store) Intern(key []byte) (int, error) {
+func (s *Store) Intern(key []byte) (int, error) { return s.InternHash(key, Hash(key)) }
+
+// InternHash is Intern for a key whose Hash is h.
+func (s *Store) InternHash(key []byte, h uint32) (int, error) {
 	if len(key) == 0 {
 		return 0, errors.New("store: empty key")
 	}
@@ -280,7 +290,7 @@ func (s *Store) Intern(key []byte) (int, error) {
 		s.grow()
 	}
 	id := s.count
-	s.insert(slot{off: off, klen: uint32(len(key)), hash: crc32.Checksum(key, castagnoli), id: int32(id)})
+	s.insert(slot{off: off, klen: uint32(len(key)), hash: h, id: int32(id)})
 	s.count++
 	return id, nil
 }

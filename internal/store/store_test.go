@@ -329,11 +329,20 @@ func testInternLookupGrow(t *testing.T, opts Options) {
 	// Enough keys to grow the table many times over.
 	const n = 200000
 	key := func(i int) []byte { return []byte(fmt.Sprintf("key-%d-%d", i, i*i)) }
+	// Even keys go through Intern, odd ones through InternHash, so each
+	// call finds the keys the other interned.
 	for i := 0; i < n; i++ {
 		if _, ok := s.Lookup(key(i)); ok {
 			t.Fatalf("key %d present before intern", i)
 		}
-		id, err := s.Intern(key(i))
+		if _, ok := s.LookupHash(key(i), Hash(key(i))); ok {
+			t.Fatalf("key %d present before intern (hashed lookup)", i)
+		}
+		intern := s.Intern
+		if i%2 == 1 {
+			intern = func(k []byte) (int, error) { return s.InternHash(k, Hash(k)) }
+		}
+		id, err := intern(key(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -349,9 +358,18 @@ func testInternLookupGrow(t *testing.T, opts Options) {
 		if !ok || id != i {
 			t.Fatalf("Lookup(key %d) = %d,%v", i, id, ok)
 		}
+		if hid, hok := s.LookupHash(key(i), Hash(key(i))); hid != id || hok != ok {
+			t.Fatalf("LookupHash(key %d) = %d,%v, Lookup = %d,%v", i, hid, hok, id, ok)
+		}
 	}
 	if _, ok := s.Lookup([]byte("absent")); ok {
 		t.Fatal("Lookup of absent key succeeded")
+	}
+	if _, ok := s.LookupHash([]byte("absent"), Hash([]byte("absent"))); ok {
+		t.Fatal("LookupHash of absent key succeeded")
+	}
+	if _, err := s.InternHash(nil, Hash(nil)); err == nil {
+		t.Fatal("InternHash of empty key succeeded")
 	}
 	if _, err := s.Intern(nil); err == nil {
 		t.Fatal("Intern of empty key succeeded")

@@ -189,8 +189,10 @@ func (KSetAgreement) ValueSymmetric01() bool { return true }
 func (KSetAgreement) PeerSymmetric() bool { return true }
 
 // CheckSafety implements Task: k-agreement plus validity.
+// It allocates only to build an error: the model checker evaluates it
+// on every configuration it interns.
 func (t KSetAgreement) CheckSafety(o Outcome) error {
-	var distinct []value.Value
+	distinct := 0
 	for i, d := range o.Decisions {
 		if !o.Decided[i] {
 			continue
@@ -202,13 +204,19 @@ func (t KSetAgreement) CheckSafety(o Outcome) error {
 			return fmt.Errorf("%s: validity: process %d decided %s, proposed by no process: %w",
 				t.Name(), i+1, d, ErrViolation)
 		}
-		if !contains(distinct, d) {
-			distinct = append(distinct, d)
+		if firstDecided(o, i) {
+			distinct++
 		}
 	}
-	if len(distinct) > t.K {
+	if distinct > t.K {
+		var ds []value.Value
+		for i, d := range o.Decisions {
+			if o.Decided[i] && firstDecided(o, i) {
+				ds = append(ds, d)
+			}
+		}
 		return fmt.Errorf("%s: agreement: %d distinct decisions %v exceed k=%d: %w",
-			t.Name(), len(distinct), distinct, t.K, ErrViolation)
+			t.Name(), distinct, ds, t.K, ErrViolation)
 	}
 	for i, a := range o.Aborted {
 		if a {
@@ -217,6 +225,17 @@ func (t KSetAgreement) CheckSafety(o Outcome) error {
 		}
 	}
 	return nil
+}
+
+// firstDecided reports whether no process before decided process i
+// decided the same value.
+func firstDecided(o Outcome, i int) bool {
+	for j := range i {
+		if o.Decided[j] && o.Decisions[j] == o.Decisions[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // DAC is the n-DAC problem of §4 among N processes with binary inputs:

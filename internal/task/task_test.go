@@ -2,6 +2,8 @@ package task_test
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"setagree/internal/task"
@@ -242,5 +244,51 @@ func TestResilientKSetSafetyDelegates(t *testing.T) {
 	})
 	if err := rt.CheckSafety(good); err != nil {
 		t.Errorf("valid outcome rejected: %v", err)
+	}
+}
+
+// TestSafetyDecidedOutcomesAllocateNothing: the k-set agreement
+// predicate, and the consensus and resilient tasks that delegate to it,
+// allocate nothing on outcomes with decided processes that satisfy it.
+// The model checker evaluates the predicate on every configuration it
+// interns. It does not run in parallel: testing.AllocsPerRun counts
+// every goroutine's allocations.
+func TestSafetyDecidedOutcomesAllocateNothing(t *testing.T) {
+	in := []value.Value{0, 1, 1, 2}
+	tasks := []task.Task{
+		task.Consensus{N: 4},
+		task.KSetAgreement{N: 4, K: 2},
+		task.ResilientKSet{N: 4, K: 2, F: 1},
+	}
+	outcomes := []task.Outcome{
+		outcome(in, func(o *task.Outcome) { o.Decide(1, 1) }),
+		outcome(in, func(o *task.Outcome) {
+			o.Decide(0, 1)
+			o.Decide(2, 1)
+			o.Decide(3, 1)
+		}),
+	}
+	for _, tsk := range tasks {
+		for k, o := range outcomes {
+			if err := tsk.CheckSafety(o); err != nil {
+				t.Fatalf("%s, outcome %d: %v", tsk.Name(), k, err)
+			}
+			if allocs := testing.AllocsPerRun(100, func() { _ = tsk.CheckSafety(o) }); allocs != 0 {
+				t.Errorf("%s, outcome %d: CheckSafety allocates %v times", tsk.Name(), k, allocs)
+			}
+		}
+	}
+	// A violation still names each distinct decision once, in process
+	// order.
+	three := outcome(in, func(o *task.Outcome) {
+		o.Decide(0, 2)
+		o.Decide(1, 0)
+		o.Decide(2, 2)
+		o.Decide(3, 1)
+	})
+	err := task.KSetAgreement{N: 4, K: 2}.CheckSafety(three)
+	want := fmt.Sprintf("3 distinct decisions %v exceed k=2", []value.Value{2, 0, 1})
+	if !errors.Is(err, task.ErrViolation) || !strings.Contains(err.Error(), want) {
+		t.Errorf("err = %v, want one containing %q", err, want)
 	}
 }
