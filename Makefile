@@ -84,19 +84,18 @@ bench:
 # reports "correct":true and "failed":0, and unless its unit_cost_refs
 # (unit CPU time over a reference computation run alongside, so the
 # figure does not drift with host load) is at most the workload's
-# ceiling in BENCH_CEILINGS. Each ceiling is about twice a measured
-# median unit_cost_refs: dacd-jobs's at commit 85a93e5 (ranked-block
-# orbit canonicalization); explore-n7-ids's of 148 with orbit
-# canonicalization by sorting, the commit after cc4277e; explore-n7's
-# of about 3,540 and sweep-e3's of about 2,490 with the component step
-# memo (successor keys spliced from cached process and object steps),
-# the commit after 044f0e5. So a ceiling trips on a lost fast path, not
-# on noise.
+# ceiling in BENCH_CEILINGS. Each ceiling is about twice the median
+# unit_cost_refs measured with recycled BFS configurations (successor
+# Configs built in per-shard slab generations the level barrier
+# recycles), the commit after 07a5580, over interleaved 28-s runs:
+# explore-n7 about 3,030, explore-n7-ids about 108, sweep-e3 about
+# 1,780 and dacd-jobs about 107. So a ceiling trips on a lost fast
+# path, not on noise.
 # Lower a ceiling in the same commit as a measured speed-up it should
 # hold.
 # encoding/json writes the metrics map with sorted keys, so sed can
 # read the value without a JSON tool.
-BENCH_CEILINGS = explore-n7:7100 explore-n7-ids:300 sweep-e3:5000 dacd-jobs:515
+BENCH_CEILINGS = explore-n7:5900 explore-n7-ids:215 sweep-e3:3600 dacd-jobs:215
 bench-gate:
 	@for wc in $(BENCH_CEILINGS); do \
 		w=$${wc%%:*}; ceiling=$${wc#*:}; \

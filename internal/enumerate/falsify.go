@@ -226,8 +226,10 @@ type candidate struct {
 	progs []*machine.Program
 }
 
-// outcome classifies one checked candidate. Exactly one of failure,
-// inconclusive, or solver is set unless err is.
+// outcome classifies one checked candidate. Unless err is set, at most
+// one of failure, inconclusive, or solver is set, and an outcome with
+// none was refuted: runCandidates keeps the failure of the
+// lowest-indexed refuted outcome only.
 type outcome struct {
 	failure      *Failure
 	inconclusive *Inconclusive
@@ -244,6 +246,11 @@ type outcome struct {
 	// must run under (see materializeViolation).
 	vioPending bool
 	vioMode    explore.Symmetry
+}
+
+// dropFailure makes a refuted outcome one that holds no failure.
+func (o *outcome) dropFailure() {
+	o.failure, o.vioPending = nil, false
 }
 
 // terminalError accounts a sweep-level failure and emits the single
@@ -265,7 +272,10 @@ func terminalError(opts SweepOptions, stats *runStats, err error) error {
 // runCandidates is CheckRange's worker pool: it fans candidates
 // [lo, hi) out to opts.Workers goroutines, each with its own
 // explore.Checker in rs.checkers and its own keyer, and returns the
-// per-candidate outcomes indexed by position. Workers claim candidates
+// per-candidate outcomes indexed by position. Of the refuted outcomes
+// only the lowest-indexed keeps its Failure (and its witness), the one
+// CheckRange's fold reports; the others are refuted with none. Workers
+// claim candidates
 // in the runState's order — prefix-grouped when the trie engine is on
 // — but outcomes always land at their candidate's position, so
 // folding is order-blind. Metric
@@ -300,6 +310,9 @@ func runCandidates(p *Prepared, lo, hi int, inputVectors [][]value.Value, opts S
 		wg     sync.WaitGroup
 		mu     sync.Mutex
 		prog   = Progress{Pruned: p.pruned}
+		// held is the one outcome still holding a failure, -1 when none;
+		// guarded by mu.
+		held = -1
 	)
 	next.Store(-1)
 	for w := range rs.checkers {
@@ -322,7 +335,19 @@ func runCandidates(p *Prepared, lo, hi int, inputVectors [][]value.Value, opts S
 					begin = time.Now()
 				}
 				out := rs.check(i, ck, ky)
+				mu.Lock()
+				if out.failure != nil {
+					if held >= 0 && held < i {
+						out.dropFailure()
+					} else {
+						if held >= 0 {
+							outcomes[held].dropFailure()
+						}
+						held = i
+					}
+				}
 				outcomes[i] = out
+				mu.Unlock()
 				if out.err != nil {
 					failed.Store(true)
 					return

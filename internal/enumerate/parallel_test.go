@@ -1,6 +1,8 @@
 package enumerate_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"reflect"
 	"testing"
@@ -182,5 +184,44 @@ func TestProgressCallback(t *testing.T) {
 		last.States != rep.States || last.Pruned != rep.Pruned {
 		t.Fatalf("final snapshot %+v disagrees with report (%d candidates, %d inconclusive, %d states, %d pruned)",
 			last, rep.Candidates, len(rep.Inconclusive), rep.States, rep.Pruned)
+	}
+}
+
+// TestSweepHoldsOneFailure checks that a sweep keeps only the failure
+// it reports: after E3's depth-2 sweep (Theorem 4.2's family, n=3, every
+// binary vector), in which every candidate is refuted, exactly one
+// outcome holds a failure at Workers 1 and 4, and CheckRange's report,
+// sample failure and witness included, renders to the pinned digest.
+func TestSweepHoldsOneFailure(t *testing.T) {
+	if testing.Short() {
+		t.Skip("E3 depth-2 sweep")
+	}
+	t.Parallel()
+	p, err := enumerate.PrepareDAC(theorem42Family(2), 3, enumerate.SweepOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vectors := binaryVectors(3)
+	for _, w := range []int{1, 4} {
+		opts := enumerate.SweepOptions{Workers: w}
+		held, err := enumerate.HeldFailures(p, 0, p.Candidates(), vectors, opts)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
+		}
+		if held != 1 {
+			t.Errorf("workers=%d: %d outcomes hold a failure, want 1", w, held)
+		}
+		rep, err := p.CheckRange(0, p.Candidates(), vectors, opts)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
+		}
+		if rep.SampleFailure == nil || rep.SampleFailure.Index != 0 {
+			t.Fatalf("workers=%d: sample failure %+v, want candidate 0", w, rep.SampleFailure)
+		}
+		sum := sha256.Sum256([]byte(renderFull(rep)))
+		const want = "9e3d5f28759cc18bb2af8d81649e947bb06388d072a418e4f37b41c5f98e2523"
+		if got := hex.EncodeToString(sum[:]); got != want {
+			t.Errorf("workers=%d: report digest %s, want %s:\n%s", w, got, want, renderFull(rep))
+		}
 	}
 }

@@ -127,6 +127,19 @@ func checkerSteps(t *testing.T) []checkerStep {
 		{name: "alg2-n3-dir-store", sys: alg3, tsk: task.DAC{N: 3, P: 0},
 			opts: explore.Options{Workers: 1, Store: store.Options{Dir: "set per run"}}},
 		{name: "alg2-n3-after-dir", sys: alg3, tsk: task.DAC{N: 3, P: 0}, opts: explore.Options{Workers: 4}},
+		// Successor configurations live in slabs the checker recycles
+		// at every level barrier and at every call: a state-limited
+		// check leaves both generations in use, then a fork, full checks
+		// at one and four workers, and the same under symmetry build
+		// into them again.
+		{name: "lifecycle-limit", sys: alg4, tsk: task.DAC{N: 4, P: 0}, opts: explore.Options{Workers: 4, MaxStates: 300}},
+		{name: "lifecycle-fork", sys: altSys, tsk: forkTsk, opts: explore.Options{Workers: 1, Cover: cover}, fork: snap},
+		{name: "lifecycle-workers1", sys: alg4, tsk: task.DAC{N: 4, P: 0}, opts: explore.Options{Workers: 1}},
+		{name: "lifecycle-workers4", sys: alg4, tsk: task.DAC{N: 4, P: 0}, opts: explore.Options{Workers: 4}},
+		{name: "lifecycle-ids-limit", sys: alg4, tsk: task.DAC{N: 4, P: 0},
+			opts: explore.Options{Workers: 4, MaxStates: 40, Symmetry: explore.SymmetryIDs}},
+		{name: "lifecycle-ids-workers1", sys: alg4, tsk: task.DAC{N: 4, P: 0}, opts: explore.Options{Workers: 1, Symmetry: explore.SymmetryIDs}},
+		{name: "lifecycle-ids-workers4", sys: alg4, tsk: task.DAC{N: 4, P: 0}, opts: explore.Options{Workers: 4, Symmetry: explore.SymmetryIDs}},
 	}
 }
 
@@ -211,6 +224,37 @@ func TestCheckerReuseLivenessAllocs(t *testing.T) {
 	if allocs := explore.SafetyAllocs(ck); allocs != 0 {
 		t.Fatalf("a reused checker's safety note allocates %v times over a solved check", allocs)
 	}
+}
+
+// TestWarmCheckAllocs: a warm checker's check of alg2 n=5 (symmetry
+// off) allocates fewer times than it explores configurations: every
+// successor configuration comes from the checker's recycled slabs, so
+// what allocates is the step memo's misses, emptied per search, and a
+// fixed cost per call. It does not run in parallel: testing.AllocsPerRun
+// counts every goroutine's allocations.
+func TestWarmCheckAllocs(t *testing.T) {
+	sys, err := programs.Algorithm2(5, 1).System([]value.Value{1, 0, 0, 0, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck := new(explore.Checker)
+	states := 0
+	check := func() {
+		rep, err := ck.Check(sys, task.DAC{N: 5, P: 0}, explore.Options{Workers: 1})
+		if err != nil || !rep.Solved() {
+			t.Fatalf("alg2 n=5: %v %v", err, rep.Violations)
+		}
+		states = rep.States
+	}
+	check()
+	allocs := testing.AllocsPerRun(1, check)
+	if states != 7772 {
+		t.Fatalf("alg2 n=5: %d states, want 7772", states)
+	}
+	if allocs >= float64(states) {
+		t.Fatalf("a warm check of %d states allocates %v times", states, allocs)
+	}
+	t.Logf("a warm check of %d states allocates %v times", states, allocs)
 }
 
 // TestCheckerReuseSafety: a reused checker runs refuted, solved and

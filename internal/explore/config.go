@@ -15,7 +15,6 @@ package explore
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
 	"strconv"
 	"strings"
 
@@ -275,16 +274,82 @@ func (s *System) step(c *Config, i int, p machine.Poise, ts []spec.Transition, b
 	}, err
 }
 
-// after returns the configuration move m leads c to.
-func (c *Config) after(m move) *Config {
-	next := &Config{
-		Procs:       slices.Clone(c.Procs),
-		Objs:        slices.Clone(c.Objs),
-		SteppedMask: c.SteppedMask | 1<<uint(m.Proc),
-	}
+// after returns the configuration move m leads c to, built from sl, or
+// on the heap when sl is nil.
+func (c *Config) after(m move, sl *slab) *Config {
+	next := c.clone(sl)
+	next.SteppedMask |= 1 << uint(m.Proc)
 	next.Procs[m.Proc] = m.proc
 	next.Objs[m.Obj] = m.obj
 	return next
+}
+
+// clone returns a copy of c built from sl, or on the heap when sl is
+// nil. Component states are immutable values, so the copy shares them.
+func (c *Config) clone(sl *slab) *Config {
+	next := sl.alloc(len(c.Procs), len(c.Objs))
+	copy(next.Procs, c.Procs)
+	copy(next.Objs, c.Objs)
+	next.SteppedMask = c.SteppedMask
+	return next
+}
+
+// slabChunk is the number of configurations in one chunk of a slab.
+const slabChunk = 256
+
+// slab hands out the successor configurations one BFS level builds in
+// one shard: each Config and its Procs and Objs backing arrays come from
+// chunks of slabChunk configurations, which never move, so a handed-out
+// *Config stays valid until the slab is recycled. A shard keeps two
+// slabs, one per generation: the level being built and the level being
+// expanded (see search.retire). The root and every configuration that
+// replay, restore or configAt builds stay resident for good, so they
+// never come from a slab.
+type slab struct {
+	cfgs  [][]Config
+	procs [][]machine.ProcState
+	objs  [][]spec.State
+	n     int // configurations handed out since the last recycle
+}
+
+// alloc returns a configuration with np process and no object slots,
+// from s, or from the heap when s is nil. A slab's configuration holds
+// whatever its slot held last; the caller overwrites every field.
+func (s *slab) alloc(np, no int) *Config {
+	if s == nil {
+		return &Config{Procs: make([]machine.ProcState, np), Objs: make([]spec.State, no)}
+	}
+	k, i := s.n/slabChunk, s.n%slabChunk
+	if k == len(s.cfgs) {
+		s.cfgs = append(s.cfgs, make([]Config, slabChunk))
+		s.procs = append(s.procs, nil)
+		s.objs = append(s.objs, nil)
+	}
+	if i == 0 && (len(s.procs[k]) != slabChunk*np || len(s.objs[k]) != slabChunk*no) {
+		// A new chunk, or one sized for another search's system.
+		s.procs[k] = make([]machine.ProcState, slabChunk*np)
+		s.objs[k] = make([]spec.State, slabChunk*no)
+	}
+	s.n++
+	c := &s.cfgs[k][i]
+	c.Procs = s.procs[k][i*np : (i+1)*np : (i+1)*np]
+	c.Objs = s.objs[k][i*no : (i+1)*no : (i+1)*no]
+	return c
+}
+
+// recycle rewinds s so its chunks serve again, keeping at most keep
+// configurations' worth of them (and at least one chunk), so a level
+// that shrinks does not hold on to the memory of a wider one.
+func (s *slab) recycle(keep int) {
+	s.n = 0
+	k := max((keep+slabChunk-1)/slabChunk, 1)
+	if k >= len(s.cfgs) {
+		return
+	}
+	clear(s.cfgs[k:])
+	clear(s.procs[k:])
+	clear(s.objs[k:])
+	s.cfgs, s.procs, s.objs = s.cfgs[:k], s.procs[:k], s.objs[:k]
 }
 
 // replay applies st, a step of process st.Proc (in range), to c. It
@@ -302,5 +367,5 @@ func (s *System) replay(c *Config, st Step) (next *Config, ok bool, err error) {
 	if err != nil || m.Step != st {
 		return nil, false, err
 	}
-	return c.after(m), true, nil
+	return c.after(m, nil), true, nil
 }

@@ -323,7 +323,9 @@ func Check(sys *System, tsk task.Task, opts Options) (*Report, error) {
 // Checker runs explorations one after another, keeping its buffers
 // between them: the heap configuration store (emptied with
 // store.Reset), the graph columns, the merge scratch, and the shard
-// buffers. Callers that run many small checks — a sweep worker runs
+// buffers, among them the slabs the BFS builds successor
+// configurations in, which every call and every level barrier recycle.
+// Callers that run many small checks — a sweep worker runs
 // thousands of a few dozen configurations each — keep one Checker and
 // allocate almost nothing per check. The zero value is ready to use.
 //
@@ -419,6 +421,11 @@ func (c *Checker) begin(g *graph, rep *Report, opts *Options) *search {
 	// reuses its checker with new ones.
 	for _, out := range c.shards {
 		out.memo.reset()
+		// The last search's configurations are dead: its Report is
+		// invalid from here on.
+		for i := range out.slabs {
+			out.slabs[i].recycle(out.slabs[i].n)
+		}
 	}
 	if opts.Cover != nil {
 		// A fresh slice, shared with the report up front so partial exits
@@ -586,6 +593,9 @@ type search struct {
 	// ck owns the shard buffers, one per worker, reset at every level
 	// (see expandLevel); nil once the BFS is done.
 	ck *Checker
+	// gen is the slab generation the level being expanded builds its
+	// successors in (see retire).
+	gen int
 }
 
 // succRec is one successor produced by a worker, in canonical (proc,
@@ -627,26 +637,33 @@ type shardOut struct {
 	orbitMax int // largest successor orbit in the shard
 	sc       keyScratch
 	memo     *stepMemo // kept across the levels of a search
+	// slabs are the two generations of successor configurations (see
+	// search.retire); scratch holds the one successor expandCanonical
+	// canonicalizes at a time. All three are kept across levels and
+	// searches.
+	slabs   [2]slab
+	scratch slab
 }
 
 // reset empties out for the shard starting at config id start, keeping
-// its buffers' capacity and its step memo. Clearing cfgs drops the
-// configurations the last merge discarded, and keeps spilled ones
-// collectable.
+// its buffers' capacity, its step memo and its slabs. Clearing cfgs
+// keeps the slab chunks a recycle trimmed collectable.
 func (out *shardOut) reset(start int) {
 	out.local.Reset()
 	clear(out.cfgs)
 	*out = shardOut{
-		start: start,
-		exps:  out.exps[:0],
-		succs: out.succs,
-		local: out.local,
-		koff:  out.koff[:0],
-		khash: out.khash[:0],
-		cfgs:  out.cfgs[:0],
-		gids:  out.gids[:0],
-		sc:    out.sc,
-		memo:  out.memo,
+		start:   start,
+		exps:    out.exps[:0],
+		succs:   out.succs,
+		local:   out.local,
+		koff:    out.koff[:0],
+		khash:   out.khash[:0],
+		cfgs:    out.cfgs[:0],
+		gids:    out.gids[:0],
+		sc:      out.sc,
+		memo:    out.memo,
+		slabs:   out.slabs,
+		scratch: out.scratch,
 	}
 }
 
@@ -736,7 +753,7 @@ func (st *search) bfs() error {
 		// Spill after the snapshot is encoded, then hold the run to its
 		// in-memory budget — so a budget failure surfaces only after this
 		// barrier's snapshot is on its way to disk.
-		g.spillExpanded(levelStart, levelEnd)
+		st.retire(levelStart, levelEnd)
 		if err := g.disk.s.CheckBudget(); err != nil {
 			return flushCkpt(st, err)
 		}
@@ -752,6 +769,23 @@ func (st *search) bfs() error {
 	// it in flight so the commit overlaps the post-exploration
 	// analyses — run() drains before Check returns.
 	return nil
+}
+
+// retire ends a level barrier past the merge: it spills the expanded
+// level [start, end) and recycles the slab generation that held its
+// configurations, which the next level's successors are built in. A
+// configuration built from a slab thus lives from the merge that
+// interns it until the barrier after its own level's expansion, and two
+// generations suffice: the level being expanded and the level being
+// built. Every recycled generation keeps at most the chunks the level
+// just merged needed in its shard, so the memory it retains is bounded
+// by the resident frontier's.
+func (st *search) retire(start, end int) {
+	st.g.spillExpanded(start, end)
+	st.gen ^= 1
+	for _, out := range st.ck.shards {
+		out.slabs[st.gen].recycle(out.slabs[st.gen^1].n)
+	}
 }
 
 // flushCkpt drains any in-flight snapshot write before bfs surfaces
@@ -946,7 +980,7 @@ func (st *search) expandSpliced(out *shardOut, c *Config) error {
 			sc.best = key
 			rec := succRec{step: Step{Proc: i, Obj: jo, Op: p.Op, Resp: t.resp, Branch: b - lo}, id: -1}
 			if h := store.Hash(key); !out.lookup(g, &rec, key, h) {
-				nc := c.after(move{Step: rec.step, proc: ps, obj: t.next})
+				nc := c.after(move{Step: rec.step, proc: ps, obj: t.next}, &out.slabs[st.gen])
 				if rec.lid, err = out.intern(key, h, nc); err != nil {
 					return err
 				}
@@ -958,8 +992,9 @@ func (st *search) expandSpliced(out *shardOut, c *Config) error {
 }
 
 // expandCanonical is expand under symmetry: canonicalization reads the
-// whole successor, so it builds every one, and probes its orbit's
-// canonical key.
+// whole successor, so it builds every one, in the shard's scratch, and
+// probes its orbit's canonical key. Only a successor both tables miss
+// is copied into the shard's slab.
 func (st *search) expandCanonical(out *shardOut, c *Config) error {
 	g, sc := st.g, &out.sc
 	for i := range c.Procs {
@@ -975,7 +1010,8 @@ func (st *search) expandCanonical(out *shardOut, c *Config) error {
 			if err != nil {
 				return err
 			}
-			nc := c.after(m)
+			out.scratch.recycle(0)
+			nc := c.after(m, &out.scratch)
 			key, gi, orbit := g.grp.canonical(sc, nc)
 			out.orbitMax = max(out.orbitMax, orbit)
 			if gi != 0 {
@@ -983,7 +1019,7 @@ func (st *search) expandCanonical(out *shardOut, c *Config) error {
 			}
 			rec := succRec{step: m.Step, id: -1, gi: gi}
 			if h := store.Hash(key); !out.lookup(g, &rec, key, h) {
-				if rec.lid, err = out.intern(key, h, nc); err != nil {
+				if rec.lid, err = out.intern(key, h, nc.clone(&out.slabs[st.gen])); err != nil {
 					return err
 				}
 			}

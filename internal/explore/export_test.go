@@ -160,7 +160,7 @@ func NewCanonSuite(sys *System, tsk task.Task, mode Symmetry) (*CanonSuite, erro
 				if err != nil {
 					return nil, err
 				}
-				s.succs = append(s.succs, c.after(m))
+				s.succs = append(s.succs, c.after(m, nil))
 			}
 		}
 	}
@@ -203,7 +203,7 @@ func NewWalkSuite(sys *System, tsk task.Task, mode Symmetry, walks, depth int, s
 			if err != nil {
 				return nil, err
 			}
-			c = c.after(m)
+			c = c.after(m, nil)
 			s.succs = append(s.succs, c)
 		}
 	}
@@ -290,6 +290,7 @@ func ExpandCounted(sys *System, workers int) (built int, rep *Report, graph []by
 		if err := st.mergeLevel(outs); err != nil {
 			return built, rep, nil, err
 		}
+		st.retire(levelStart, levelEnd)
 		levelStart = levelEnd
 	}
 	rep.States = len(g.configs)
@@ -680,7 +681,7 @@ func referenceSuccs(sys *System, c *Config) ([]refSucc, error) {
 			if err != nil {
 				return nil, err
 			}
-			ref = append(ref, refSucc{m.Step, c.after(m).AppendKey(nil)})
+			ref = append(ref, refSucc{m.Step, c.after(m, nil).AppendKey(nil)})
 		}
 	}
 	return ref, nil

@@ -22,6 +22,14 @@
 // task's safety predicate on the configuration in hand and notes the
 // first that fails it, and each process's first halted configuration,
 // as it goes.
+//
+// A configuration the BFS builds comes from its shard's slab (see slab
+// and search.retire) and lives from the merge that interns it until
+// spillExpanded drops it, after its own level's expansion; the barrier
+// that spills a level recycles the slab generation that held it. The
+// root, and every configuration replay, restore or configAt builds,
+// comes from the heap instead and is never recycled, since it may stay
+// resident for good.
 package explore
 
 import (

@@ -42,7 +42,7 @@ func AnnotateSchedule(w io.Writer, sys *System, schedule []Step) error {
 		if err != nil {
 			return err
 		}
-		c = c.after(m)
+		c = c.after(m, nil)
 		status := ""
 		switch m.proc.Status {
 		case machine.StatusDecided:
