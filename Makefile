@@ -85,17 +85,18 @@ bench:
 # (unit CPU time over a reference computation run alongside, so the
 # figure does not drift with host load) is at most the workload's
 # ceiling in BENCH_CEILINGS. Each ceiling is about twice the median
-# unit_cost_refs measured with recycled BFS configurations (successor
-# Configs built in per-shard slab generations the level barrier
-# recycles), the commit after 07a5580, over interleaved 28-s runs:
-# explore-n7 about 3,030, explore-n7-ids about 108, sweep-e3 about
-# 1,780 and dacd-jobs about 107. So a ceiling trips on a lost fast
-# path, not on noise.
+# unit_cost_refs measured over interleaved 28-s runs once expansion
+# read the parent key and component steps through step-memo handles
+# and the key table took 8-byte slots (the commit after 5992980):
+# explore-n7 about 2,270, sweep-e3 about 1,510 and dacd-jobs about 89.
+# explore-n7-ids, whose path that change did not touch, keeps the
+# ceiling set when it read about 108. So a ceiling trips on a lost
+# fast path, not on noise.
 # Lower a ceiling in the same commit as a measured speed-up it should
 # hold.
 # encoding/json writes the metrics map with sorted keys, so sed can
 # read the value without a JSON tool.
-BENCH_CEILINGS = explore-n7:5900 explore-n7-ids:215 sweep-e3:3600 dacd-jobs:215
+BENCH_CEILINGS = explore-n7:4500 explore-n7-ids:215 sweep-e3:3100 dacd-jobs:180
 bench-gate:
 	@for wc in $(BENCH_CEILINGS); do \
 		w=$${wc%%:*}; ceiling=$${wc#*:}; \

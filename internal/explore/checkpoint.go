@@ -188,7 +188,7 @@ func (st *search) encodeSnapshot() [][]byte {
 		n := len(buf)
 		buf = slices.Grow(buf, treeRecMax)[:n+treeRecMax]
 		i := putV(buf, n, int64(g.parent[id]))
-		buf = buf[:putStep(buf, i, g.parentE[id])]
+		buf = buf[:putStep(buf, i, g.treeStep(id))]
 	}
 	st.ckptTree, st.ckptTreeN = buf, len(g.configs)
 
@@ -361,6 +361,9 @@ func (st *search) restore(path string) error {
 
 	n := g.sys.Procs()
 	var sc keyScratch
+	// tree[id] is the snapshot's tree step into id, checked against the
+	// edge section once that is loaded.
+	tree := make([]Step, numConfigs)
 	for id := 1; id < numConfigs; id++ {
 		parent := d.Int()
 		s := decodeStep(d)
@@ -393,9 +396,10 @@ func (st *search) restore(path string) error {
 		if _, dup := g.disk.s.LookupHash(key, h); dup {
 			return corruptf("config %d: duplicate configuration in spanning tree", id)
 		}
-		if _, err := g.intern(key, h, nc, parent, s, gi); err != nil {
+		if _, err := g.intern(key, h, nc, parent, gi); err != nil {
 			return err
 		}
+		tree[id] = s
 	}
 	for id := 0; id < expanded; id++ {
 		// The validated record bytes — already in the edge arena's
@@ -437,6 +441,13 @@ func (st *search) restore(path string) error {
 	}
 	if d.Len() != 0 {
 		return corruptf("%d trailing payload bytes", d.Len())
+	}
+	// The tree step is not kept past here: treeStep decodes it from the
+	// parent's edge record, so the two must agree.
+	for id := 1; id < numConfigs; id++ {
+		if s, ok := g.firstEdge(g.parent[id], id); !ok || s != tree[id] {
+			return corruptf("config %d: tree step %v is not its parent's first edge to it", id, tree[id])
+		}
 	}
 	g.disk.edgeDurable = g.disk.s.Edges.Len()
 	g.spillExpanded(1, expanded)

@@ -48,6 +48,14 @@ type Config struct {
 	Objs []spec.State
 	// SteppedMask has bit i set when process i has taken a step.
 	SteppedMask uint64
+
+	// hnd holds the step-memo entry ids ("handles") of a configuration
+	// expandSpliced built: its processes' entries, then its objects'.
+	// They are valid only while memo, the memo that built it, is still
+	// in generation mgen (see stepMemo.handles).
+	hnd  []int32
+	memo *stepMemo
+	mgen uint32
 }
 
 // Key returns the canonical human-readable encoding of the
@@ -215,15 +223,9 @@ func (s Step) String() string {
 // the transitions its object offers for it, one per branch: the
 // process half of a step, then its object half.
 func (s *System) poised(c *Config, i int) (machine.Poise, []spec.Transition, error) {
-	p := s.invocation(c, i)
+	p, _ := machine.Poised(s.Programs[i], c.Procs[i])
 	ts, err := s.offer(c, p)
 	return p, ts, err
-}
-
-// invocation returns the invocation live process i of c is poised at.
-func (s *System) invocation(c *Config, i int) machine.Poise {
-	p, _ := machine.Poised(s.Programs[i], c.Procs[i])
-	return p
 }
 
 // checkObj rejects an invocation of an object the system does not have.
@@ -242,12 +244,18 @@ func (s *System) offer(c *Config, p machine.Poise) ([]spec.Transition, error) {
 	if err := s.checkObj(p); err != nil {
 		return nil, err
 	}
-	return s.Objects[p.Obj].Step(c.Objs[p.Obj], p.Op)
+	return s.objStep(c.Objs[p.Obj], p)
 }
 
-// resume returns process i of c's next state on response resp.
-func (s *System) resume(c *Config, i int, resp value.Value) (machine.ProcState, error) {
-	return machine.Resume(s.Programs[i], c.Procs[i], resp)
+// objStep returns the transitions object p.Obj, in state st, offers for
+// invocation p. p.Obj must be in range (checkObj).
+func (s *System) objStep(st spec.State, p machine.Poise) ([]spec.Transition, error) {
+	return s.Objects[p.Obj].Step(st, p.Op)
+}
+
+// resume returns process i's next state from ps on response resp.
+func (s *System) resume(i int, ps machine.ProcState, resp value.Value) (machine.ProcState, error) {
+	return machine.Resume(s.Programs[i], ps, resp)
 }
 
 // move is one branch of a step from a configuration: the step's labels
@@ -266,7 +274,7 @@ type move struct {
 // branch's response.
 func (s *System) step(c *Config, i int, p machine.Poise, ts []spec.Transition, b int) (move, error) {
 	t := ts[b]
-	ps, err := s.resume(c, i, t.Resp)
+	ps, err := s.resume(i, c.Procs[i], t.Resp)
 	return move{
 		Step: Step{Proc: i, Obj: p.Obj, Op: p.Op, Resp: t.Resp, Branch: b},
 		proc: ps,
@@ -286,11 +294,13 @@ func (c *Config) after(m move, sl *slab) *Config {
 
 // clone returns a copy of c built from sl, or on the heap when sl is
 // nil. Component states are immutable values, so the copy shares them.
+// The copy carries no step-memo handles.
 func (c *Config) clone(sl *slab) *Config {
 	next := sl.alloc(len(c.Procs), len(c.Objs))
 	copy(next.Procs, c.Procs)
 	copy(next.Objs, c.Objs)
 	next.SteppedMask = c.SteppedMask
+	next.memo = nil
 	return next
 }
 
@@ -298,9 +308,9 @@ func (c *Config) clone(sl *slab) *Config {
 const slabChunk = 256
 
 // slab hands out the successor configurations one BFS level builds in
-// one shard: each Config and its Procs and Objs backing arrays come from
-// chunks of slabChunk configurations, which never move, so a handed-out
-// *Config stays valid until the slab is recycled. A shard keeps two
+// one shard: each Config and its Procs, Objs and handle backing arrays
+// come from chunks of slabChunk configurations, which never move, so a
+// handed-out *Config stays valid until the slab is recycled. A shard keeps two
 // slabs, one per generation: the level being built and the level being
 // expanded (see search.retire). The root and every configuration that
 // replay, restore or configAt builds stay resident for good, so they
@@ -309,12 +319,14 @@ type slab struct {
 	cfgs  [][]Config
 	procs [][]machine.ProcState
 	objs  [][]spec.State
+	hnds  [][]int32
 	n     int // configurations handed out since the last recycle
 }
 
 // alloc returns a configuration with np process and no object slots,
-// from s, or from the heap when s is nil. A slab's configuration holds
-// whatever its slot held last; the caller overwrites every field.
+// and, from a slab, np+no handle slots, from s, or from the heap when s
+// is nil. A slab's configuration holds whatever its slot held last; the
+// caller overwrites every field.
 func (s *slab) alloc(np, no int) *Config {
 	if s == nil {
 		return &Config{Procs: make([]machine.ProcState, np), Objs: make([]spec.State, no)}
@@ -324,16 +336,20 @@ func (s *slab) alloc(np, no int) *Config {
 		s.cfgs = append(s.cfgs, make([]Config, slabChunk))
 		s.procs = append(s.procs, nil)
 		s.objs = append(s.objs, nil)
+		s.hnds = append(s.hnds, nil)
 	}
+	nh := np + no
 	if i == 0 && (len(s.procs[k]) != slabChunk*np || len(s.objs[k]) != slabChunk*no) {
 		// A new chunk, or one sized for another search's system.
 		s.procs[k] = make([]machine.ProcState, slabChunk*np)
 		s.objs[k] = make([]spec.State, slabChunk*no)
+		s.hnds[k] = make([]int32, slabChunk*nh)
 	}
 	s.n++
 	c := &s.cfgs[k][i]
 	c.Procs = s.procs[k][i*np : (i+1)*np : (i+1)*np]
 	c.Objs = s.objs[k][i*no : (i+1)*no : (i+1)*no]
+	c.hnd = s.hnds[k][i*nh : (i+1)*nh : (i+1)*nh]
 	return c
 }
 
@@ -349,7 +365,8 @@ func (s *slab) recycle(keep int) {
 	clear(s.cfgs[k:])
 	clear(s.procs[k:])
 	clear(s.objs[k:])
-	s.cfgs, s.procs, s.objs = s.cfgs[:k], s.procs[:k], s.objs[:k]
+	clear(s.hnds[k:])
+	s.cfgs, s.procs, s.objs, s.hnds = s.cfgs[:k], s.procs[:k], s.objs[:k], s.hnds[:k]
 }
 
 // replay applies st, a step of process st.Proc (in range), to c. It

@@ -12,7 +12,6 @@ import (
 
 	"setagree/internal/machine"
 	"setagree/internal/obs"
-	"setagree/internal/spec"
 	"setagree/internal/store"
 	"setagree/internal/task"
 	"setagree/internal/value"
@@ -271,8 +270,10 @@ type graph struct {
 	sys     *System
 	tsk     task.Task
 	configs []*Config
-	parent  []int      // BFS tree: parent config id (-1 for root)
-	parentE []Step     // BFS tree: step from parent
+	// parent is the BFS tree: config id's parent id (-1 for the root).
+	// The tree step into id is not kept: it is the first edge in the
+	// parent's edge record that targets id (see treeStep).
+	parent  []int
 	valence []Valence  // per-config valence, populated by valency()
 	grp     *group     // symmetry group, nil when Options.Symmetry is off
 	canon   []int      // per config: index of the group element g with g·config canonical
@@ -368,7 +369,6 @@ func (c *Checker) reset(sys *System, tsk task.Task) *graph {
 		tsk:     tsk,
 		configs: g.configs[:0],
 		parent:  g.parent[:0],
-		parentE: g.parentE[:0],
 		canon:   g.canon[:0],
 		disk:    d,
 		scc:     g.scc,
@@ -420,7 +420,7 @@ func (c *Checker) begin(g *graph, rep *Report, opts *Options) *search {
 	// The step memos cache steps of the last search's programs; a sweep
 	// reuses its checker with new ones.
 	for _, out := range c.shards {
-		out.memo.reset()
+		out.memo.reset(g.sys.Objects)
 		// The last search's configurations are dead: its Report is
 		// invalid from here on.
 		for i := range out.slabs {
@@ -497,7 +497,7 @@ func (c *Checker) newSearch(sys *System, tsk task.Task, opts *Options) (*search,
 	// Every group element stabilizes the root, so its concrete key is
 	// already canonical.
 	rootKey := root.AppendKey(nil)
-	if _, err := g.intern(rootKey, store.Hash(rootKey), root, -1, Step{}, 0); err != nil {
+	if _, err := g.intern(rootKey, store.Hash(rootKey), root, -1, 0); err != nil {
 		return fail(err)
 	}
 	return st, rep, nil
@@ -627,7 +627,6 @@ type shardOut struct {
 	succs    [][]succRec // the level's successors, in chunks of succChunk
 	nSuccs   int
 	local    *store.Store // level-local table of keys the global one missed
-	koff     []int64      // by local id: the key's offset in local.Keys
 	khash    []uint32     // by local id: the key's store.Hash
 	cfgs     []*Config    // by local id: the first occurrence's configuration
 	gids     []int        // merge scratch: global id by local id, -1 until merged
@@ -656,7 +655,6 @@ func (out *shardOut) reset(start int) {
 		exps:    out.exps[:0],
 		succs:   out.succs,
 		local:   out.local,
-		koff:    out.koff[:0],
 		khash:   out.khash[:0],
 		cfgs:    out.cfgs[:0],
 		gids:    out.gids[:0],
@@ -699,7 +697,6 @@ func (out *shardOut) lookup(g *graph, rec *succRec, key []byte, h uint32) bool {
 // the shard to the level-local table, keeping its configuration c, and
 // returns the local id.
 func (out *shardOut) intern(key []byte, h uint32, c *Config) (int, error) {
-	out.koff = append(out.koff, out.local.Keys.Len())
 	lid, err := out.local.InternHash(key, h)
 	if err != nil {
 		return 0, err
@@ -926,61 +923,65 @@ func (st *search) expand(out *shardOut, c *Config) error {
 // components of a configuration — the stepping process's state and the
 // touched object's state — and every component encoding is
 // self-delimiting, so a successor's key is the parent's key bytes with
-// the two components replaced. The parent key is rendered once per
-// configuration with per-component end offsets; each component's step
-// and its next state's key bytes come from the shard's step memo, looked
-// up by the component's bytes in that key. A successor builds a Config,
-// from the memo's states, only when both tables miss its key.
+// the two components replaced. Every component step, with its next
+// state's key bytes, comes from the shard's step memo through the
+// parent's handles (see stepMemo): the parent key is concatenated from
+// its entries' key bytes with per-component end offsets, the invocation
+// read from the process entry, and the offered transitions found by
+// the object entry and the operation. A successor builds a Config, from
+// the memo's states and with its own handles, only when both tables
+// miss its key.
 func (st *search) expandSpliced(out *shardOut, c *Config) error {
 	g, sc, mo := st.g, &out.sc, out.memo
+	hs, err := mo.handles(g.sys, c, &sc.hnd)
+	if err != nil {
+		return err
+	}
 	np := len(c.Procs)
 	// Parent key with component ends: the mask ends at ends[0], process
 	// i at ends[1+i], object j at ends[1+np+j].
-	ends := slices.Grow(sc.ends[:0], 1+np+len(c.Objs))[:1+np+len(c.Objs)]
+	ends := slices.Grow(sc.ends[:0], 1+len(hs))[:1+len(hs)]
 	pkey := binary.AppendUvarint(sc.parent[:0], c.SteppedMask)
 	ends[0] = len(pkey)
-	for i := range c.Procs {
-		pkey = c.Procs[i].AppendKey(pkey)
-		ends[1+i] = len(pkey)
-	}
-	for j := range c.Objs {
-		pkey = spec.AppendStateKey(pkey, c.Objs[j])
-		ends[1+np+j] = len(pkey)
+	for k, e := range hs {
+		if k < np {
+			pkey = append(pkey, mo.procKey(e)...)
+		} else {
+			pkey = append(pkey, mo.objKey(e)...)
+		}
+		ends[1+k] = len(pkey)
 	}
 	sc.parent, sc.ends = pkey, ends
 	for i := range c.Procs {
 		if !c.Live(i) {
 			continue
 		}
-		e, err := mo.proc(g.sys, c, i, pkey[ends[i]:ends[1+i]])
-		if err != nil {
-			return err
-		}
-		p := mo.pinv[e]
+		pe := hs[i]
+		p := mo.pents[pe].inv
 		if err := g.sys.checkObj(p); err != nil {
 			return err
 		}
 		jo := p.Obj
-		lo, hi, err := mo.offer(g.sys, c, p, pkey[ends[np+jo]:ends[np+jo+1]])
+		lo, hi, err := mo.offer(g.sys, hs[np+jo], p)
 		if err != nil {
 			return err
 		}
 		for b := lo; b < hi; b++ {
-			t := &mo.trans[b]
-			ps, pk, err := mo.next(g.sys, c, i, e, t.resp)
+			t := mo.trans[b]
+			ne, err := mo.next(g.sys, i, pe, t.resp)
 			if err != nil {
 				return err
 			}
 			key := binary.AppendUvarint(sc.best[:0], c.SteppedMask|1<<uint(i))
 			key = append(key, pkey[ends[0]:ends[i]]...)
-			key = append(key, mo.key(pk)...)
+			key = append(key, mo.procKey(ne)...)
 			key = append(key, pkey[ends[i+1]:ends[np+jo]]...)
-			key = append(key, mo.key(t.key)...)
+			key = append(key, mo.objKey(t.next)...)
 			key = append(key, pkey[ends[np+jo+1]:]...)
 			sc.best = key
-			rec := succRec{step: Step{Proc: i, Obj: jo, Op: p.Op, Resp: t.resp, Branch: b - lo}, id: -1}
+			rec := succRec{step: Step{Proc: i, Obj: jo, Op: p.Op, Resp: t.resp, Branch: int(b - lo)}, id: -1}
 			if h := store.Hash(key); !out.lookup(g, &rec, key, h) {
-				nc := c.after(move{Step: rec.step, proc: ps, obj: t.next}, &out.slabs[st.gen])
+				nc := mo.build(c, hs, i, jo, ne, t.next, &out.slabs[st.gen])
 				if rec.lid, err = out.intern(key, h, nc); err != nil {
 					return err
 				}
@@ -1087,12 +1088,12 @@ func (st *search) mergeLevel(outs []*shardOut) error {
 				id, fresh := s.id, false
 				if id < 0 {
 					if id = out.gids[s.lid]; id < 0 {
-						key, h := record(out.local.Keys, out.koff, s.lid), out.khash[s.lid]
+						key, h := out.local.Key(s.lid), out.khash[s.lid]
 						if known, ok := g.disk.s.LookupHash(key, h); ok {
 							id = known
 						} else {
 							var err error
-							if id, err = g.intern(key, h, out.cfgs[s.lid], at, s.step, s.gi); err != nil {
+							if id, err = g.intern(key, h, out.cfgs[s.lid], at, s.gi); err != nil {
 								return err
 							}
 							fresh = true
@@ -1232,7 +1233,7 @@ func (st *search) flush(event string, err error) {
 func (g *graph) pathTo(id int) []Step {
 	var rev []Step
 	for at := id; g.parent[at] >= 0; at = g.parent[at] {
-		rev = append(rev, g.parentE[at])
+		rev = append(rev, g.treeStep(at))
 	}
 	for l, r := 0, len(rev)-1; l < r; l, r = l+1, r-1 {
 		rev[l], rev[r] = rev[r], rev[l]

@@ -310,7 +310,7 @@ func SnapshotBytes(s *Snapshot) []byte {
 	fmt.Fprintf(&b, "%d %d %d %d %d %d %d %p\n", s.maxStates, s.expanded, s.level,
 		s.transitions, s.quiescent, s.frontierMax, s.batchMax, g.sys)
 	for id, c := range g.configs {
-		fmt.Fprintf(&b, "%d %p %d %+v %d ", id, c, g.parent[id], g.parentE[id], g.canon[id])
+		fmt.Fprintf(&b, "%d %p %d %d ", id, c, g.parent[id], g.canon[id])
 		if c != nil {
 			b.Write(c.AppendKey(nil))
 		}
@@ -690,11 +690,13 @@ func referenceSuccs(sys *System, c *Config) ([]refSucc, error) {
 // MemoExpansions compares memo-served expansion with the reference on
 // every configuration of the graph a symmetry-off Check on ck left. It
 // expands each configuration, in id order, on every step memo the Check
-// left warm and then on one fresh memo that fills as it goes. Each
-// expansion's (step, successor) list must equal, in order, the
-// reference's (a successor's id is the one the store holds for the
-// reference key), and must leave the configuration's key as it was.
-// It returns the number of expansions compared and of successors on a
+// left warm, then on the first of them reset (a new generation that
+// keeps the object half), and then on one fresh memo that fills as it
+// goes. A configuration still resident from the Check is expanded as it
+// is, with the handles it carries; a spilled one is replayed. Each
+// expansion's (step, successor key) list must equal, in order, the
+// reference's, and must leave the configuration's key as it was. It
+// returns the number of expansions compared and of successors on a
 // branch other than an object's first.
 func MemoExpansions(ck *Checker) (n, branched int, err error) {
 	g := ck.g
@@ -705,10 +707,14 @@ func MemoExpansions(ck *Checker) (n, branched int, err error) {
 	for _, out := range ck.shards {
 		memos = append(memos, out.memo)
 	}
-	memos = append(memos, newStepMemo())
+	memos = append(memos, nil, newStepMemo())
 	local, _ := store.Open(store.Options{}, nil)
 	st := &search{g: g}
 	for k, mo := range memos {
+		if mo == nil {
+			mo = memos[0]
+			mo.reset(g.sys.Objects)
+		}
 		out := &shardOut{local: local, memo: mo}
 		for id := range g.configs {
 			c := g.configAt(id)
@@ -729,10 +735,15 @@ func MemoExpansions(ck *Checker) (n, branched int, err error) {
 			}
 			for j, r := range ref {
 				s := out.succs[j/succChunk][j%succChunk]
-				want, ok := g.disk.s.Lookup(r.key)
-				if s.step != r.step || s.id < 0 || !ok || s.id != want {
-					return n, branched, fmt.Errorf("memo %d, config %d, successor %d: %v to id %d, reference %v to id %d (interned %v)",
-						k, id, j, s.step, s.id, r.step, want, ok)
+				var key []byte
+				if s.id >= 0 {
+					key = g.disk.s.Key(s.id)
+				} else {
+					key = out.local.Key(s.lid)
+				}
+				if s.step != r.step || !bytes.Equal(key, r.key) {
+					return n, branched, fmt.Errorf("memo %d, config %d, successor %d: %v to %x, reference %v to %x",
+						k, id, j, s.step, key, r.step, r.key)
 				}
 				if s.step.Branch > 0 {
 					branched++
@@ -745,35 +756,54 @@ func MemoExpansions(ck *Checker) (n, branched int, err error) {
 }
 
 // MemoIntact checks, after a Check on ck, that every state the step
-// memos hold still encodes to the key bytes cached with it, and that
-// every resident configuration still encodes to the key the store
-// copied when it was interned. It returns the number of memo states.
-func MemoIntact(ck *Checker) (int, error) {
-	n := 0
+// memos hold still encodes to the key bytes cached with it, that every
+// resident configuration still encodes to the key the store copied
+// when it was interned, and that every resident configuration whose
+// handles are live re-encodes through its entries' key bytes to that
+// key too. It returns the number of memo states and of configurations
+// with live handles.
+func MemoIntact(ck *Checker) (states, handled int, err error) {
 	for k, out := range ck.shards {
 		m := out.memo
-		for j, r := range m.resps {
-			if !bytes.Equal(r.next.AppendKey(nil), m.key(r.key)) {
-				return n, fmt.Errorf("memo %d: process state %d no longer encodes to its cached key", k, j)
+		for e := range m.pents {
+			if !bytes.Equal(m.pents[e].state.AppendKey(nil), m.procKey(int32(e))) {
+				return states, handled, fmt.Errorf("memo %d: process state %d no longer encodes to its cached key", k, e)
 			}
 		}
-		for j, t := range m.trans {
-			if !bytes.Equal(spec.AppendStateKey(nil, t.next), m.key(t.key)) {
-				return n, fmt.Errorf("memo %d: object state %d no longer encodes to its cached key", k, j)
+		for e := range m.oents {
+			if !bytes.Equal(spec.AppendStateKey(nil, m.oents[e].state), m.objKey(int32(e))) {
+				return states, handled, fmt.Errorf("memo %d: object state %d no longer encodes to its cached key", k, e)
 			}
 		}
-		n += len(m.resps) + len(m.trans)
+		states += len(m.pents) + len(m.oents)
 	}
 	g := ck.g
 	for id, c := range g.configs {
 		if c == nil {
 			continue
 		}
-		if got, ok := g.disk.s.Lookup(c.AppendKey(nil)); !ok || got != id {
-			return n, fmt.Errorf("resident configuration %d no longer encodes to its interned key", id)
+		want := g.disk.s.Key(id)
+		if !bytes.Equal(c.AppendKey(nil), want) {
+			return states, handled, fmt.Errorf("resident configuration %d no longer encodes to its interned key", id)
 		}
+		m := c.memo
+		if m == nil || c.mgen != m.gen {
+			continue
+		}
+		key := binary.AppendUvarint(nil, c.SteppedMask)
+		for k, e := range c.hnd {
+			if k < len(c.Procs) {
+				key = append(key, m.procKey(e)...)
+			} else {
+				key = append(key, m.objKey(e)...)
+			}
+		}
+		if !bytes.Equal(key, want) {
+			return states, handled, fmt.Errorf("resident configuration %d's handles encode to %x, its interned key is %x", id, key, want)
+		}
+		handled++
 	}
-	return n, nil
+	return states, handled, nil
 }
 
 // WarmExpandAllocs is the average number of allocations of expanding

@@ -104,6 +104,12 @@ func SnapshotPrefix(sys *System, tsk task.Task, levels int, opts Options) (*Snap
 	if err := st.bfs(); err != nil {
 		return nil, err
 	}
+	// The frontier's handles name this checker's step memo, which no
+	// fork reads: a fork resolves them into its own. Dropping them lets
+	// the memo go while the snapshot lives.
+	for _, c := range st.g.configs[st.expanded:] {
+		c.memo = nil
+	}
 	return &Snapshot{
 		g:           st.g,
 		maxStates:   opts.MaxStates,
@@ -154,7 +160,6 @@ func (c *Checker) Fork(s *Snapshot, sys *System, opts Options) (*Report, error) 
 	g := c.reset(sys, base.tsk)
 	g.configs = append(g.configs, base.configs...)
 	g.parent = append(g.parent, base.parent...)
-	g.parentE = append(g.parentE, base.parentE...)
 	g.canon = append(g.canon, base.canon...)
 	copy(g.halted, base.halted)
 	g.unsafe, g.unsafeErr = base.unsafe, base.unsafeErr

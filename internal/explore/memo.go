@@ -2,6 +2,7 @@ package explore
 
 import (
 	"encoding/binary"
+	"reflect"
 
 	"setagree/internal/machine"
 	"setagree/internal/spec"
@@ -14,61 +15,98 @@ import (
 // the stepping process's (its invocation, then its next state on the
 // response) and the touched object's (the transitions it offers for the
 // invocation). Both are pure functions of the component's state, states
-// are immutable values, and a component's key bytes determine its state,
-// so the key bytes found in the parent's key determine both steps. A
-// process or object state is stepped again in every configuration that
-// holds it; the memo computes each distinct component step once, with
-// the next state's key bytes, and the expansion splices successor keys
-// from those bytes. It serves the symmetry-off expansion only (see
-// expandSpliced).
+// are immutable values, and a component's key bytes determine its state.
+// The memo gives every distinct component state it meets an entry —
+// process states keyed by (process index, key bytes), object states by
+// (object index, key bytes) — holding the state, its key bytes, and the
+// steps computed from it so far: a process entry its invocation and its
+// next entry per response seen, an object entry the transitions it
+// offers per operation seen, each leading to the next state's entry. It
+// serves the symmetry-off expansion only (see expandSpliced).
+//
+// Every configuration expandSpliced builds carries its components'
+// entry ids, its handles, so expanding it reads the parent key, the
+// invocations and the offers from the entries without encoding or
+// hashing a component; only a configuration this memo did not build
+// (the root, a restored or replayed one, another shard's, a Fork
+// prefix's) is resolved by its component bytes, once, into scratch.
 //
 // A miss fills the memo through the System's own step functions
-// (invocation, offer, resume), so the step is defined once. Errors are
-// returned, never cached. The tables are store heap tables keyed by
-// (component index, key bytes) — and the operation, for objects — over
+// (invocation, objStep, resume), so the step is defined once. Errors
+// are returned, never cached. The tables are store heap tables over
 // flat slices, so emptying keeps every buffer and an entry is no heap
 // object of its own. The memo holds states that successor
 // configurations share: nothing may mutate them.
 type stepMemo struct {
-	// procs maps (process index, process block) to an entry of pinv and
-	// presp: the invocation, and the head of the entry's response list
-	// in resps (-1 when empty).
+	// gen counts resets; handles are valid only in the generation that
+	// made them.
+	gen uint32
+	// The process half, emptied by every reset: procs maps (process
+	// index, process key bytes) to an entry of pents; resps holds the
+	// entries' response lists; pkeys their key bytes.
 	procs *store.Store
-	pinv  []machine.Poise
-	presp []int32
+	pents []procEntry
 	resps []memoResp
-	// objs maps (object index, operation, object block) to an entry of
-	// oend: the end of its transitions in trans, which start where the
-	// previous entry's end.
-	objs  *store.Store
-	oend  []int32
-	trans []memoTrans
-	// keys holds the cached next states' key bytes, mk the memo key
-	// being probed.
-	keys []byte
-	mk   []byte
+	pkeys []byte
+	// The object half, kept across resets while the system's object
+	// specs stay equal to specs: objs maps (object index, object key
+	// bytes) to an entry of oents; offers holds the entries' offer
+	// lists, trans the offered transitions, okeys the key bytes.
+	specs  []spec.Spec
+	objs   *store.Store
+	oents  []objEntry
+	offers []memoOffer
+	trans  []memoTrans
+	okeys  []byte
+	// mk is the table key being probed.
+	mk []byte
 	// served counts the process steps answered without a Resume since
 	// the expansion's tally (see expand).
 	served int
 }
 
-// memoResp is a process state's next state on one response, linked to
-// the next response seen from the same state.
+// procEntry is one process state: the state, its key bytes, the
+// invocation it is poised at (zero when it is not poised), and the head
+// of its response list in resps (-1 when empty).
+type procEntry struct {
+	state machine.ProcState
+	key   span
+	inv   machine.Poise
+	resp  int32
+}
+
+// memoResp is a process state's next state, an entry of pents, on one
+// response, linked to the next response seen from the same state.
 type memoResp struct {
 	resp value.Value
-	next machine.ProcState
-	key  span
+	next int32
 	link int32
 }
 
-// memoTrans is one transition an object state offers an operation.
-type memoTrans struct {
-	resp value.Value
-	next spec.State
-	key  span
+// objEntry is one object state: the state, its key bytes, and the head
+// of its offer list in offers (-1 when empty).
+type objEntry struct {
+	state spec.State
+	key   span
+	offer int32
 }
 
-// span locates key bytes in stepMemo.keys.
+// memoOffer is the transitions trans[lo:hi] an object state offers
+// operation op, linked to the next operation seen on the same state.
+type memoOffer struct {
+	op     value.Op
+	lo, hi int32
+	link   int32
+}
+
+// memoTrans is one transition an object state offers: the response and
+// the next state's entry in oents.
+type memoTrans struct {
+	resp value.Value
+	next int32
+}
+
+// span locates key bytes in stepMemo.pkeys or stepMemo.okeys.
 type span struct{ lo, hi int32 }
 
 // newStepMemo returns an empty memo.
@@ -78,93 +116,177 @@ func newStepMemo() *stepMemo {
 	return &stepMemo{procs: procs, objs: objs}
 }
 
-// reset empties the memo, keeping its buffers' capacity. Clearing the
-// entries drops their states, which a new search's programs must not
-// see.
-func (m *stepMemo) reset() {
+// reset empties the memo for a search of a system with object specs
+// objects, keeping its buffers' capacity and invalidating every handle.
+// The object half survives when objects equal the specs it was built
+// for, since an object step depends on nothing else. Clearing entries
+// drops their states, which a new search's programs must not see.
+func (m *stepMemo) reset(objects []spec.Spec) {
+	m.gen++
 	m.procs.Reset()
+	clear(m.pents)
+	m.pents, m.resps, m.pkeys = m.pents[:0], m.resps[:0], m.pkeys[:0]
+	m.served = 0
+	if sameSpecs(m.specs, objects) {
+		return
+	}
 	m.objs.Reset()
-	clear(m.resps)
-	clear(m.trans)
-	m.pinv, m.presp, m.resps = m.pinv[:0], m.presp[:0], m.resps[:0]
-	m.oend, m.trans = m.oend[:0], m.trans[:0]
-	m.keys, m.served = m.keys[:0], 0
+	clear(m.oents)
+	clear(m.specs)
+	m.specs = append(m.specs[:0], objects...)
+	m.oents, m.offers, m.trans, m.okeys = m.oents[:0], m.offers[:0], m.trans[:0], m.okeys[:0]
 }
 
-// key returns the key bytes at sp.
-func (m *stepMemo) key(sp span) []byte { return m.keys[sp.lo:sp.hi] }
+// sameSpecs reports whether a and b hold equal specs index by index: of
+// one dynamic type, comparable and ==. A spec that is not comparable is
+// never equal, so the comparison cannot panic.
+func sameSpecs(a, b []spec.Spec) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if reflect.TypeOf(a[i]) != reflect.TypeOf(b[i]) || !reflect.ValueOf(a[i]).Comparable() || a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
 
-// since returns the span of the key bytes appended to keys from lo on.
-func (m *stepMemo) since(lo int) span { return span{int32(lo), int32(len(m.keys))} }
+// procKey and objKey return the key bytes of process entry e and object
+// entry e.
+func (m *stepMemo) procKey(e int32) []byte {
+	sp := m.pents[e].key
+	return m.pkeys[sp.lo:sp.hi]
+}
 
-// proc returns the entry of live process i of c, whose key bytes are
-// block, adding it with its invocation on a miss.
-func (m *stepMemo) proc(sys *System, c *Config, i int, block []byte) (int, error) {
-	m.mk = append(binary.AppendUvarint(m.mk[:0], uint64(i)), block...)
+func (m *stepMemo) objKey(e int32) []byte {
+	sp := m.oents[e].key
+	return m.okeys[sp.lo:sp.hi]
+}
+
+// handles returns the handles of c: its own when this memo built it in
+// the current generation, else its components' entries, looked up by
+// their key bytes (and added on a miss) into *scratch. c itself is
+// never written: other shards may read it.
+func (m *stepMemo) handles(sys *System, c *Config, scratch *[]int32) ([]int32, error) {
+	if c.memo == m && c.mgen == m.gen {
+		return c.hnd, nil
+	}
+	np := len(c.Procs)
+	hs := resize(*scratch, np+len(c.Objs))
+	*scratch = hs
+	for i := range c.Procs {
+		e, err := m.procEntry(sys, i, c.Procs[i])
+		if err != nil {
+			return nil, err
+		}
+		hs[i] = e
+	}
+	for j := range c.Objs {
+		e, err := m.objEntry(j, c.Objs[j])
+		if err != nil {
+			return nil, err
+		}
+		hs[np+j] = e
+	}
+	return hs, nil
+}
+
+// procEntry returns the entry of process i in state ps, adding it, with
+// its invocation, on a miss.
+func (m *stepMemo) procEntry(sys *System, i int, ps machine.ProcState) (int32, error) {
+	m.mk = binary.AppendUvarint(m.mk[:0], uint64(i))
+	pre := len(m.mk)
+	m.mk = ps.AppendKey(m.mk)
 	h := store.Hash(m.mk)
 	if e, ok := m.procs.LookupHash(m.mk, h); ok {
-		return e, nil
+		return int32(e), nil
 	}
-	e, err := m.procs.InternHash(m.mk, h)
+	if _, err := m.procs.InternHash(m.mk, h); err != nil {
+		return 0, err
+	}
+	lo := len(m.pkeys)
+	m.pkeys = append(m.pkeys, m.mk[pre:]...)
+	inv, _ := machine.Poised(sys.Programs[i], ps)
+	m.pents = append(m.pents, procEntry{state: ps, key: span{int32(lo), int32(len(m.pkeys))}, inv: inv, resp: -1})
+	return int32(len(m.pents) - 1), nil
+}
+
+// objEntry returns the entry of object j in state st, adding it on a
+// miss.
+func (m *stepMemo) objEntry(j int, st spec.State) (int32, error) {
+	m.mk = binary.AppendUvarint(m.mk[:0], uint64(j))
+	pre := len(m.mk)
+	m.mk = spec.AppendStateKey(m.mk, st)
+	h := store.Hash(m.mk)
+	if e, ok := m.objs.LookupHash(m.mk, h); ok {
+		return int32(e), nil
+	}
+	if _, err := m.objs.InternHash(m.mk, h); err != nil {
+		return 0, err
+	}
+	lo := len(m.okeys)
+	m.okeys = append(m.okeys, m.mk[pre:]...)
+	m.oents = append(m.oents, objEntry{state: st, key: span{int32(lo), int32(len(m.okeys))}, offer: -1})
+	return int32(len(m.oents) - 1), nil
+}
+
+// offer returns the range of trans holding the transitions object entry
+// oe, of object p.Obj, offers for invocation p, adding them on a miss.
+// p.Obj must be in range (System.checkObj).
+func (m *stepMemo) offer(sys *System, oe int32, p machine.Poise) (lo, hi int32, err error) {
+	for o := m.oents[oe].offer; o >= 0; o = m.offers[o].link {
+		if mo := &m.offers[o]; mo.op == p.Op {
+			return mo.lo, mo.hi, nil
+		}
+	}
+	ts, err := sys.objStep(m.oents[oe].state, p)
+	if err != nil {
+		return 0, 0, err
+	}
+	lo = int32(len(m.trans))
+	for _, t := range ts {
+		next, err := m.objEntry(p.Obj, t.Next)
+		if err != nil {
+			return 0, 0, err
+		}
+		m.trans = append(m.trans, memoTrans{resp: t.Resp, next: next})
+	}
+	hi = int32(len(m.trans))
+	m.offers = append(m.offers, memoOffer{op: p.Op, lo: lo, hi: hi, link: m.oents[oe].offer})
+	m.oents[oe].offer = int32(len(m.offers) - 1)
+	return lo, hi, nil
+}
+
+// next returns the entry of the next state of process i, whose entry is
+// e, on response resp, resuming the process on a miss.
+func (m *stepMemo) next(sys *System, i int, e int32, resp value.Value) (int32, error) {
+	for r := m.pents[e].resp; r >= 0; r = m.resps[r].link {
+		if mr := &m.resps[r]; mr.resp == resp {
+			m.served++
+			return mr.next, nil
+		}
+	}
+	ps, err := sys.resume(i, m.pents[e].state, resp)
 	if err != nil {
 		return 0, err
 	}
-	m.pinv = append(m.pinv, sys.invocation(c, i))
-	m.presp = append(m.presp, -1)
-	return e, nil
+	next, err := m.procEntry(sys, i, ps)
+	if err != nil {
+		return 0, err
+	}
+	m.resps = append(m.resps, memoResp{resp: resp, next: next, link: m.pents[e].resp})
+	m.pents[e].resp = int32(len(m.resps) - 1)
+	return next, nil
 }
 
-// offer returns the range of trans holding the transitions object p.Obj
-// of c, whose key bytes are block, offers for invocation p, adding them
-// on a miss. p.Obj must be in range (System.checkObj).
-func (m *stepMemo) offer(sys *System, c *Config, p machine.Poise, block []byte) (lo, hi int, err error) {
-	mk := binary.AppendUvarint(m.mk[:0], uint64(p.Obj))
-	mk = append(mk, byte(p.Op.Method))
-	mk = binary.AppendVarint(mk, int64(p.Op.Arg))
-	mk = binary.AppendVarint(mk, int64(p.Op.Label))
-	m.mk = append(mk, block...)
-	h := store.Hash(m.mk)
-	if e, ok := m.objs.LookupHash(m.mk, h); ok {
-		if e > 0 {
-			lo = int(m.oend[e-1])
-		}
-		return lo, int(m.oend[e]), nil
-	}
-	ts, err := sys.offer(c, p)
-	if err != nil {
-		return 0, 0, err
-	}
-	if _, err := m.objs.InternHash(m.mk, h); err != nil {
-		return 0, 0, err
-	}
-	lo = len(m.trans)
-	for _, t := range ts {
-		k := len(m.keys)
-		m.keys = spec.AppendStateKey(m.keys, t.Next)
-		m.trans = append(m.trans, memoTrans{resp: t.Resp, next: t.Next, key: m.since(k)})
-	}
-	m.oend = append(m.oend, int32(len(m.trans)))
-	return lo, len(m.trans), nil
-}
-
-// next returns the next state of live process i of c, whose entry is e,
-// on response resp, and the span of its key bytes, resuming the process
-// on a miss.
-func (m *stepMemo) next(sys *System, c *Config, i, e int, resp value.Value) (machine.ProcState, span, error) {
-	for r := m.presp[e]; r >= 0; r = m.resps[r].link {
-		if mr := &m.resps[r]; mr.resp == resp {
-			m.served++
-			return mr.next, mr.key, nil
-		}
-	}
-	ps, err := sys.resume(c, i, resp)
-	if err != nil {
-		return ps, span{}, err
-	}
-	k := len(m.keys)
-	m.keys = ps.AppendKey(m.keys)
-	sp := m.since(k)
-	m.resps = append(m.resps, memoResp{resp: resp, next: ps, key: sp, link: m.presp[e]})
-	m.presp[e] = int32(len(m.resps) - 1)
-	return ps, sp, nil
+// build returns the successor of c, whose handles are hs, in which
+// process i takes the state of process entry pe and object j that of
+// object entry oe, built from sl and carrying its own handles.
+func (m *stepMemo) build(c *Config, hs []int32, i, j int, pe, oe int32, sl *slab) *Config {
+	nc := c.after(move{Step: Step{Proc: i, Obj: j}, proc: m.pents[pe].state, obj: m.oents[oe].state}, sl)
+	copy(nc.hnd, hs)
+	nc.hnd[i], nc.hnd[len(c.Procs)+j] = pe, oe
+	nc.memo, nc.mgen = m, m.gen
+	return nc
 }

@@ -1,6 +1,7 @@
 package explore_test
 
 import (
+	"errors"
 	"testing"
 
 	"setagree/internal/core"
@@ -69,39 +70,57 @@ func memoSystems(t *testing.T) map[string]*explore.System {
 // TestMemoMatchesReferenceStep: on every reachable configuration of the
 // memo systems, at Workers 1 and 4, expansion served from the step memo
 // gives the same successors, in the same order, as the step built
-// from poised, step, after and AppendKey, on the memos the Check warmed
-// and on a fresh one. After the Check and again after the expansions,
-// every memo state still encodes to its cached key and every resident
-// configuration to the key the store copied when it was interned: no
-// step mutated a state the memo shares.
+// from poised, step, after and AppendKey, on the memos the Check warmed,
+// on one of them reset and on a fresh one. After the Check and again
+// after the expansions, every memo state still encodes to its cached
+// key and every resident configuration to the key the store copied when
+// it was interned: no step mutated a state the memo shares. Each system
+// is also checked under a state limit that stops the search with its
+// last levels resident, so configurations carrying handles are
+// expanded on the memos that built them, on others, and after the reset
+// that makes their handles stale; their handles must re-encode to their
+// keys.
 func TestMemoMatchesReferenceStep(t *testing.T) {
 	t.Parallel()
-	branched := 0
+	branched, handled := 0, 0
 	for name, sys := range memoSystems(t) {
-		for _, workers := range []int{1, 4} {
-			ck := new(explore.Checker)
-			rep, err := ck.Check(sys, nil, explore.Options{Workers: workers})
-			if err != nil {
-				t.Fatalf("%s/workers=%d: %v", name, workers, err)
-			}
-			if held, err := explore.MemoIntact(ck); err != nil || held == 0 {
-				t.Fatalf("%s/workers=%d: after the Check: %d memo states, %v", name, workers, held, err)
-			}
-			n, b, err := explore.MemoExpansions(ck)
-			branched += b
-			if err != nil {
-				t.Fatalf("%s/workers=%d: %v", name, workers, err)
-			}
-			if n <= rep.States {
-				t.Fatalf("%s/workers=%d: %d expansions compared over %d states", name, workers, n, rep.States)
-			}
-			if _, err := explore.MemoIntact(ck); err != nil {
-				t.Fatalf("%s/workers=%d: after the expansions: %v", name, workers, err)
+		full := 0
+		for _, limited := range []bool{false, true} {
+			for _, workers := range []int{1, 4} {
+				opts := explore.Options{Workers: workers}
+				if limited {
+					opts.MaxStates = full / 2
+				}
+				ck := new(explore.Checker)
+				rep, err := ck.Check(sys, nil, opts)
+				if limited != errors.Is(err, explore.ErrStateLimit) || (err != nil && !limited) {
+					t.Fatalf("%s/workers=%d/limit=%d: %v", name, workers, opts.MaxStates, err)
+				}
+				full = max(full, rep.States)
+				held, h, err := explore.MemoIntact(ck)
+				if err != nil || held == 0 {
+					t.Fatalf("%s/workers=%d/limit=%d: after the Check: %d memo states, %v", name, workers, opts.MaxStates, held, err)
+				}
+				handled += h
+				n, b, err := explore.MemoExpansions(ck)
+				branched += b
+				if err != nil {
+					t.Fatalf("%s/workers=%d/limit=%d: %v", name, workers, opts.MaxStates, err)
+				}
+				if n <= rep.States {
+					t.Fatalf("%s/workers=%d/limit=%d: %d expansions compared over %d states", name, workers, opts.MaxStates, n, rep.States)
+				}
+				if _, _, err := explore.MemoIntact(ck); err != nil {
+					t.Fatalf("%s/workers=%d/limit=%d: after the expansions: %v", name, workers, opts.MaxStates, err)
+				}
 			}
 		}
 	}
 	if branched == 0 {
 		t.Fatal("no step compared takes an object's second branch or later")
+	}
+	if handled == 0 {
+		t.Fatal("no resident configuration carried live handles")
 	}
 }
 

@@ -11,10 +11,11 @@
 // backends produce byte-identical Reports, witnesses, valency labels,
 // DOT output, event streams, and snapshots at any worker count.
 //
-// What stays resident per configuration: the BFS tree columns (parent
-// id + Step), the canon column, one (nil after spill) *Config pointer,
-// and two arena offsets. Everything else is decoded on demand through
-// metaAt/edgeIter below: edgeIter.next decodes whole edges, and
+// What stays resident per configuration: the BFS tree's parent id, the
+// canon column, one (nil after spill) *Config pointer, and two arena
+// offsets. The tree step into a configuration is decoded from its
+// parent's edge record (treeStep). Everything else is decoded on demand
+// through metaAt/edgeIter below: edgeIter.next decodes whole edges, and
 // edgeIter.lean only the target and stepping process, for the walks
 // that read nothing else (SCCs, the liveness cycle loop, valency
 // propagation). The safety check and the liveness check's
@@ -24,7 +25,8 @@
 // as it goes.
 //
 // A configuration the BFS builds comes from its shard's slab (see slab
-// and search.retire) and lives from the merge that interns it until
+// and search.retire), with its step-memo handles when symmetry is off
+// (see stepMemo), and lives from the merge that interns it until
 // spillExpanded drops it, after its own level's expansion; the barrier
 // that spills a level recycles the slab generation that held it. The
 // root, and every configuration replay, restore or configAt builds,
@@ -64,14 +66,15 @@ type diskState struct {
 // canonical orbit key when symmetry is on; the stored configuration
 // stays concrete), whose store.Hash is h, recording its BFS parent and
 // the group index gi that canonicalizes it, and returns the new id. The
-// caller has already verified the key is absent. The key and the outcome metadata
-// record go to the store's arenas. Every configuration — root, merged
+// tree step from the parent is the parent's first edge to the new id
+// (see treeStep). The caller has already verified the key is absent.
+// The key and the outcome metadata record go to the store's arenas. Every configuration — root, merged
 // successor, restored checkpoint entry — passes through here, in id
 // order, so this is where the first configuration that fails the
 // task's safety predicate is noted for the safety check, and the first
 // halted-undecided configuration of each process for the liveness
 // check.
-func (g *graph) intern(key []byte, h uint32, c *Config, parent int, via Step, gi int) (int, error) {
+func (g *graph) intern(key []byte, h uint32, c *Config, parent int, gi int) (int, error) {
 	id := len(g.configs)
 	d := g.disk
 	sid, err := d.s.InternHash(key, h)
@@ -95,7 +98,6 @@ func (g *graph) intern(key []byte, h uint32, c *Config, parent int, via Step, gi
 	}
 	g.configs = append(g.configs, c)
 	g.parent = append(g.parent, parent)
-	g.parentE = append(g.parentE, via)
 	g.canon = append(g.canon, gi)
 	return id, nil
 }
@@ -140,7 +142,7 @@ func (g *graph) configAt(id int) *Config {
 	}
 	c := g.configs[at]
 	for k := len(chain) - 1; k >= 0; k-- {
-		next, ok, err := g.sys.replay(c, g.parentE[chain[k]])
+		next, ok, err := g.sys.replay(c, g.treeStep(chain[k]))
 		if err != nil || !ok {
 			// The same replay succeeded when the configuration was first
 			// interned (or restored), so failure here is memory corruption,
@@ -151,6 +153,33 @@ func (g *graph) configAt(id int) *Config {
 		g.configs[chain[k]] = c
 	}
 	return c
+}
+
+// treeStep returns the BFS tree step into config id, which is not the
+// root: the first edge in its parent's edge record that targets id. The
+// merge interns id on that edge, and no earlier edge of the parent can
+// reach a configuration not yet interned; restore checks that a
+// snapshot's tree agrees.
+func (g *graph) treeStep(id int) Step {
+	s, ok := g.firstEdge(g.parent[id], id)
+	if !ok {
+		panic(fmt.Sprintf("explore: internal: no edge of configuration %d reaches its child %d", g.parent[id], id))
+	}
+	return s
+}
+
+// firstEdge returns the step of the first edge in from's edge record
+// that targets to, decoding only the targets of the edges before it.
+func (g *graph) firstEdge(from, to int) (Step, bool) {
+	it := g.edgeIter(from)
+	for d := &it.dec; it.rem > 0; it.rem-- {
+		if int(d.varint()) == to {
+			return d.step(), true
+		}
+		d.i++     // method byte
+		d.skip(7) // arg, label, response, process, object, branch, group index
+	}
+	return Step{}, false
 }
 
 // metaRec is the decoded per-configuration outcome record: everything

@@ -590,9 +590,11 @@ type keyScratch struct {
 	binv     []int
 	tp       []int
 	// Spliced-key scratch (symmetry off, see expandSpliced): the parent
-	// key and its per-component end offsets.
+	// key, its per-component end offsets, and the handles of a parent
+	// the shard's step memo did not build.
 	parent []byte
 	ends   []int
+	hnd    []int32
 }
 
 // blockRef locates one rendered process block in keyScratch.blocks;

@@ -81,7 +81,7 @@ func storedGraph(t *testing.T, sys *System, configs []*Config, parents []int, ad
 		d.edgeOff = append(d.edgeOff, edgeOff)
 	}
 	d.edgeDurable = s.Edges.Len()
-	return &graph{sys: sys, configs: configs, parent: parents, parentE: make([]Step, len(configs)), disk: d}
+	return &graph{sys: sys, configs: configs, parent: parents, disk: d}
 }
 
 // naiveValence is the obviously-correct reference: seed each

@@ -3,7 +3,9 @@
 // level-synchronized BFS only reads back rarely — interned
 // configuration keys, per-configuration outcome records, and the edge
 // lists of completed levels — in the store, while the active frontier
-// stays live in memory.
+// stays live in memory. The table's 8-byte slots hold only a key's hash
+// and id; an id → offset column locates the key's bytes in the Keys
+// arena, for the comparison that confirms a probe and for Key.
 //
 // A store is heap-backed unless Options.Dir names a directory; then
 // its arenas are mmap'd files there, which the kernel may evict under
@@ -107,15 +109,14 @@ const defaultChunkBytes = 1 << 24 // 16 MiB
 // unseeded, so identical explorations build identical stores.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// slot is one open-addressing table entry: the key's hash, its bytes in
-// the key arena, and the interned id. klen == 0 marks an empty slot
-// (interned keys are never empty). In-memory index cost: 24 B per slot,
-// ≤ 2 slots per key at the 0.75 maximum load factor.
+// slot is one open-addressing table entry: the key's hash and its id
+// plus one; id1 == 0 marks an empty slot. The key's bytes are found
+// through the id → offset column koff. In-memory index cost: 8 B per
+// slot, 2 to 4 slots per key at the 1/2 maximum load factor, plus 8 B
+// per key for its offset.
 type slot struct {
-	off  int64
-	klen uint32
 	hash uint32
-	id   int32
+	id1  uint32
 }
 
 // Store owns the three arenas and the key table. Open one per
@@ -132,8 +133,10 @@ type Store struct {
 	Meta  *Arena
 	Edges *Arena
 
-	slots   []slot
-	count   int
+	slots []slot
+	// koff[id] is key id's offset in Keys; keys are appended in id
+	// order, so key id ends where key id+1 starts (or at Keys.Len()).
+	koff    []int64
 	heapMax *obs.Gauge
 }
 
@@ -197,14 +200,14 @@ func (s *Store) CopyFrom(src *Store) {
 		// lookups are unchanged.
 		clear(s.slots)
 		for _, sl := range src.slots {
-			if sl.klen != 0 {
+			if sl.id1 != 0 {
 				s.insert(sl)
 			}
 		}
 	} else {
 		s.slots = append(s.slots[:0], src.slots...)
 	}
-	s.count = src.count
+	s.koff = append(s.koff[:0], src.koff...)
 	s.Keys.copyFrom(src.Keys)
 	s.Meta.copyFrom(src.Meta)
 	s.Edges.copyFrom(src.Edges)
@@ -234,14 +237,26 @@ func (s *Store) Close() error {
 // returned.
 func (s *Store) Reset() {
 	clear(s.slots)
-	s.count = 0
+	s.koff = s.koff[:0]
 	for _, a := range []*Arena{s.Keys, s.Meta, s.Edges} {
 		a.reset()
 	}
 }
 
 // Count returns the number of interned keys.
-func (s *Store) Count() int { return s.count }
+func (s *Store) Count() int { return len(s.koff) }
+
+// Key returns the bytes of key id, which must be interned: a view into
+// the Keys arena, or a copy when the key straddles a chunk boundary.
+func (s *Store) Key(id int) []byte { return s.Keys.Span(s.koff[id], s.keyEnd(id)) }
+
+// keyEnd returns the offset in Keys just past key id.
+func (s *Store) keyEnd(id int) int64 {
+	if id+1 < len(s.koff) {
+		return s.koff[id+1]
+	}
+	return s.Keys.Len()
+}
 
 // Hash returns the table hash of key, which LookupHash and InternHash
 // take so that a caller probing several stores with one key hashes it
@@ -259,12 +274,16 @@ func (s *Store) LookupHash(key []byte, h uint32) (int, bool) {
 	}
 	mask := uint32(len(s.slots) - 1)
 	for i := h & mask; ; i = (i + 1) & mask {
-		sl := &s.slots[i]
-		if sl.klen == 0 {
+		sl := s.slots[i]
+		if sl.id1 == 0 {
 			return 0, false
 		}
-		if sl.hash == h && int(sl.klen) == len(key) && s.Keys.Equal(sl.off, key) {
-			return int(sl.id), true
+		if sl.hash != h {
+			continue
+		}
+		id := int(sl.id1 - 1)
+		if off := s.koff[id]; s.keyEnd(id)-off == int64(len(key)) && s.Keys.Equal(off, key) {
+			return id, true
 		}
 	}
 }
@@ -279,26 +298,26 @@ func (s *Store) InternHash(key []byte, h uint32) (int, error) {
 	if len(key) == 0 {
 		return 0, errors.New("store: empty key")
 	}
-	if s.count > 1<<31-2 {
-		return 0, fmt.Errorf("store: %d keys exceed the table's id width", s.count)
+	id := len(s.koff)
+	if id > 1<<31-2 {
+		return 0, fmt.Errorf("store: %d keys exceed the table's id width", id)
 	}
 	off, err := s.Keys.Append(key)
 	if err != nil {
 		return 0, err
 	}
-	if 4*(s.count+1) > 3*len(s.slots) {
+	if 2*(id+1) > len(s.slots) {
 		s.grow()
 	}
-	id := s.count
-	s.insert(slot{off: off, klen: uint32(len(key)), hash: h, id: int32(id)})
-	s.count++
+	s.koff = append(s.koff, off)
+	s.insert(slot{hash: h, id1: uint32(id + 1)})
 	return id, nil
 }
 
 func (s *Store) insert(sl slot) {
 	mask := uint32(len(s.slots) - 1)
 	for i := sl.hash & mask; ; i = (i + 1) & mask {
-		if s.slots[i].klen == 0 {
+		if s.slots[i].id1 == 0 {
 			s.slots[i] = sl
 			return
 		}
@@ -313,7 +332,7 @@ func (s *Store) grow() {
 	old := s.slots
 	s.slots = make([]slot, max(2*len(old), 8))
 	for _, sl := range old {
-		if sl.klen != 0 {
+		if sl.id1 != 0 {
 			s.insert(sl)
 		}
 	}

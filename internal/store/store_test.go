@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -373,6 +374,127 @@ func testInternLookupGrow(t *testing.T, opts Options) {
 	}
 	if _, err := s.Intern(nil); err == nil {
 		t.Fatal("Intern of empty key succeeded")
+	}
+}
+
+// hashCollisions returns two pairs of distinct keys with equal Hash,
+// found by brute force: one pair of equal length (8 bytes each) and one
+// of unequal length (4 and 5 bytes). Key i is the first n bytes of
+// i·φ64: CRCs of equal-length keys that differ only in their low 31
+// bits never collide, so the keys spread over all their bits.
+func hashCollisions(t *testing.T) (equalLen, unequalLen [2][]byte) {
+	t.Helper()
+	le := func(i uint64, n int) []byte { return binary.LittleEndian.AppendUint64(nil, i*0x9e3779b97f4a7c15)[:n] }
+	seen := map[uint32]uint64{}
+	found := false
+	for i := uint64(1); i < 1<<22 && !found; i++ {
+		k := le(i, 8)
+		if j, ok := seen[Hash(k)]; ok {
+			equalLen, found = [2][]byte{le(j, 8), k}, true
+		}
+		seen[Hash(k)] = i
+	}
+	if !found {
+		t.Fatal("no equal-length collision among 2^22 keys")
+	}
+	clear(seen)
+	for i := uint64(0); i < 1<<17; i++ {
+		seen[Hash(le(i, 4))] = i
+	}
+	for i := uint64(0); i < 1<<24; i++ {
+		k := le(i, 5)
+		if j, ok := seen[Hash(k)]; ok {
+			return equalLen, [2][]byte{le(j, 4), k}
+		}
+	}
+	t.Fatal("no 4-byte key collides with a 5-byte one")
+	return
+}
+
+// TestTableHashCollisions: keys whose hashes are equal, of equal and of
+// unequal length, intern to distinct ids, and each looks up to its own
+// id while the table grows, after Reset, and in copies made by
+// CopyFrom into a store with a smaller table and into one with a larger
+// table. The table holds only hashes and ids, so this is what the key
+// comparison through the offset column decides.
+func TestTableHashCollisions(t *testing.T) {
+	equalLen, unequalLen := hashCollisions(t)
+	colliding := [][]byte{equalLen[0], equalLen[1], unequalLen[0], unequalLen[1]}
+	filler := func(i int) []byte { return []byte(fmt.Sprintf("filler-%d", i)) }
+	// check asserts that s holds the colliding keys at ids[k] and the
+	// first fill filler keys, each at its own id.
+	check := func(what string, s *Store, ids []int, fill int) {
+		t.Helper()
+		for k, key := range colliding {
+			if id, ok := s.Lookup(key); !ok || id != ids[k] {
+				t.Fatalf("%s: Lookup(colliding key %d %x) = %d, %v; want %d", what, k, key, id, ok, ids[k])
+			}
+			if got := s.Key(ids[k]); !bytes.Equal(got, key) {
+				t.Fatalf("%s: Key(%d) = %x, want %x", what, ids[k], got, key)
+			}
+		}
+		for i := 0; i < fill; i++ {
+			if id, ok := s.Lookup(filler(i)); !ok || !bytes.Equal(s.Key(id), filler(i)) {
+				t.Fatalf("%s: Lookup(filler %d) = %d, %v", what, i, id, ok)
+			}
+		}
+		if s.Count() != len(colliding)+fill {
+			t.Fatalf("%s: Count() = %d, want %d", what, s.Count(), len(colliding)+fill)
+		}
+	}
+	s, err := Open(Options{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Intern one key of each pair, then fillers that grow the table many
+	// times, then the other key of each pair.
+	ids := make([]int, len(colliding))
+	intern := func(k int) {
+		t.Helper()
+		if _, ok := s.Lookup(colliding[k]); ok {
+			t.Fatalf("colliding key %d found before it was interned", k)
+		}
+		id, err := s.Intern(colliding[k])
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids[k] = id
+	}
+	const fill = 1000
+	for round := 0; round < 2; round++ {
+		intern(0)
+		intern(3)
+		for i := 0; i < fill; i++ {
+			if _, err := s.Intern(filler(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		intern(1)
+		intern(2)
+		check(fmt.Sprintf("round %d, grown", round), s, ids, fill)
+		small, err := Open(Options{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		small.CopyFrom(s)
+		check(fmt.Sprintf("round %d, copied into an empty store", round), small, ids, fill)
+		large, err := Open(Options{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 8*fill; i++ {
+			if _, err := large.Intern(filler(-1 - i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		large.CopyFrom(s)
+		check(fmt.Sprintf("round %d, copied into a larger table", round), large, ids, fill)
+		s.Reset()
+		for k, key := range colliding {
+			if _, ok := s.Lookup(key); ok {
+				t.Fatalf("round %d: colliding key %d found after Reset", round, k)
+			}
+		}
 	}
 }
 
