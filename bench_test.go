@@ -213,6 +213,14 @@ func BenchmarkModelCheckDAC(b *testing.B) {
 			benchModelCheckDAC(b, 4, canonical, 1, mode)
 		})
 	}
+	// The n=7 ids row is the benchmark's explore-n7-ids unit: alg2 n=7
+	// on inputs 1,0,…,0 under ids symmetry at Workers 1, a group of
+	// order 720 and 2,260 orbit representatives.
+	b.Run("n=7/symmetry=ids", func(b *testing.B) {
+		in := make([]value.Value, 7)
+		in[0] = 1
+		benchModelCheckDAC(b, 7, in, 1, explore.SymmetryIDs)
+	})
 	// The checkpoint rows measure durable-run overhead: the same
 	// exploration with snapshots written atomically to a throwaway file
 	// at every level and at every 4th level. n=7 is the smallest

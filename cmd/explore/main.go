@@ -237,8 +237,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "explored: %d configurations, %d transitions, %d quiescent\n",
 		rep.States, rep.Transitions, rep.Quiescent)
 	if symMode != explore.SymmetryOff {
-		fmt.Fprintf(stdout, "symmetry: %s (group order %d) — counts are orbit representatives\n",
-			symMode, rep.SymmetryGroupOrder())
+		fmt.Fprintf(stdout, "symmetry: %s (group order %d) — counts are orbit representatives of %d configurations, %d transitions\n",
+			symMode, rep.SymmetryGroupOrder(), rep.UnreducedStates, rep.UnreducedTransitions)
 	}
 	fmt.Fprintf(stdout, "elapsed:  %s (%.0f states/sec)\n",
 		elapsed.Round(time.Microsecond), statesPerSec(rep.States, elapsed))

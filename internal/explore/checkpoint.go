@@ -361,6 +361,11 @@ func (st *search) restore(path string) error {
 
 	n := g.sys.Procs()
 	var sc keyScratch
+	var mo *stepMemo
+	if g.grp != nil {
+		mo = newStepMemo()
+		mo.reset(g.sys.Objects, g.grp)
+	}
 	// tree[id] is the snapshot's tree step into id, checked against the
 	// edge section once that is loaded.
 	tree := make([]Step, numConfigs)
@@ -385,9 +390,13 @@ func (st *search) restore(path string) error {
 			return corruptf("config %d: stored step %v does not replay from its parent", id, s)
 		}
 		var key []byte
-		gi := 0
+		gi, orbit := 0, 1
 		if g.grp != nil {
-			key, gi, _ = g.grp.canonical(&sc, nc)
+			hs, err := mo.handles(g.sys, nc, &sc.hnd)
+			if err != nil {
+				return err
+			}
+			key, gi, orbit = g.grp.canonical(&sc, mo, hs, nc.SteppedMask)
 		} else {
 			sc.best = nc.AppendKey(sc.best[:0])
 			key = sc.best
@@ -396,7 +405,7 @@ func (st *search) restore(path string) error {
 		if _, dup := g.disk.s.LookupHash(key, h); dup {
 			return corruptf("config %d: duplicate configuration in spanning tree", id)
 		}
-		if _, err := g.intern(key, h, nc, parent, gi); err != nil {
+		if _, err := g.intern(key, h, nc, parent, gi, orbit); err != nil {
 			return err
 		}
 		tree[id] = s
@@ -412,6 +421,9 @@ func (st *search) restore(path string) error {
 		}
 		if cnt < 0 || cnt > d.Len() {
 			return corruptf("config %d: implausible edge count %d", id, cnt)
+		}
+		if g.grp != nil {
+			g.unreducedTrans += int64(g.orbit[id]) * int64(cnt)
 		}
 		for k := 0; k < cnt; k++ {
 			to := d.Int()

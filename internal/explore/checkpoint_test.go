@@ -61,6 +61,10 @@ func sameReport(t *testing.T, label string, got, want *explore.Report) {
 			got.States, got.Transitions, got.Quiescent,
 			want.States, want.Transitions, want.Quiescent)
 	}
+	if got.UnreducedStates != want.UnreducedStates || got.UnreducedTransitions != want.UnreducedTransitions {
+		t.Errorf("%s: unreduced counts (%d,%d), want (%d,%d)", label,
+			got.UnreducedStates, got.UnreducedTransitions, want.UnreducedStates, want.UnreducedTransitions)
+	}
 	if !reflect.DeepEqual(got.Violations, want.Violations) {
 		t.Errorf("%s: violations differ: %v vs %v", label, got.Violations, want.Violations)
 	}

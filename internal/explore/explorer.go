@@ -254,6 +254,12 @@ type Report struct {
 	// set (valid on partial reports too: a state-limited prefix records
 	// exactly the branches its merged levels exercised).
 	Cover []BranchCover
+	// UnreducedStates and UnreducedTransitions count the concrete graph
+	// explored: under symmetry, Σ orbit(rep) and Σ orbit(rep)·outdeg(rep)
+	// over the representatives (every orbit member has its
+	// representative's out-degree); without, States and Transitions.
+	UnreducedStates      int64
+	UnreducedTransitions int64
 
 	g *graph
 }
@@ -277,8 +283,12 @@ type graph struct {
 	valence []Valence  // per-config valence, populated by valency()
 	grp     *group     // symmetry group, nil when Options.Symmetry is off
 	canon   []int      // per config: index of the group element g with g·config canonical
+	orbit   []int      // per config under symmetry: its orbit size
 	disk    *diskState // configuration store
 	scc     sccScratch // the liveness and valency passes' working memory
+	// Under symmetry, Σ orbit over the interned configurations and Σ
+	// orbit·outdegree over the expanded ones: the unreduced counts.
+	unreducedStates, unreducedTrans int64
 	// halted[i] is the first configuration (in id order) in which
 	// process i has halted undecided, -1 when none; intern keeps it.
 	halted []int
@@ -370,6 +380,7 @@ func (c *Checker) reset(sys *System, tsk task.Task) *graph {
 		configs: g.configs[:0],
 		parent:  g.parent[:0],
 		canon:   g.canon[:0],
+		orbit:   g.orbit[:0],
 		disk:    d,
 		scc:     g.scc,
 		halted:  resize(g.halted, sys.Procs()),
@@ -379,6 +390,7 @@ func (c *Checker) reset(sys *System, tsk task.Task) *graph {
 	for i := range g.halted {
 		g.halted[i] = -1
 	}
+	g.scc.stab.at(-1)
 	if !slices.Equal(g.outcome.Inputs, sys.Inputs) {
 		g.outcome = task.NewOutcome(sys.Inputs)
 	}
@@ -417,10 +429,7 @@ func (c *Checker) heapStore() *store.Store {
 // begin starts a search over g on the checker's shard buffers.
 func (c *Checker) begin(g *graph, rep *Report, opts *Options) *search {
 	st := &search{ck: c, g: g, rep: rep, opts: opts, frontierMax: 1, hbNext: opts.HeartbeatEvery}
-	// The step memos cache steps of the last search's programs; a sweep
-	// reuses its checker with new ones.
 	for _, out := range c.shards {
-		out.memo.reset(g.sys.Objects)
 		// The last search's configurations are dead: its Report is
 		// invalid from here on.
 		for i := range out.slabs {
@@ -441,6 +450,14 @@ func (c *Checker) begin(g *graph, rep *Report, opts *Options) *search {
 		st.levelHist = opts.Obs.Histogram("explore.level_ns")
 	}
 	return st
+}
+
+// resetMemos readies the shards' step memos, which cache the last
+// search's steps, for a search of g with its group built.
+func (c *Checker) resetMemos(g *graph) {
+	for _, out := range c.shards {
+		out.memo.reset(g.sys.Objects, g.grp)
+	}
 }
 
 // newSearch validates the system/task pair, normalizes opts in place,
@@ -494,10 +511,11 @@ func (c *Checker) newSearch(sys *System, tsk task.Task, opts *Options) (*search,
 		}
 		g.grp = grp
 	}
+	c.resetMemos(g)
 	// Every group element stabilizes the root, so its concrete key is
-	// already canonical.
+	// already canonical and its orbit is the root alone.
 	rootKey := root.AppendKey(nil)
-	if _, err := g.intern(rootKey, store.Hash(rootKey), root, -1, 0); err != nil {
+	if _, err := g.intern(rootKey, store.Hash(rootKey), root, -1, 0, 1); err != nil {
 		return fail(err)
 	}
 	return st, rep, nil
@@ -629,6 +647,7 @@ type shardOut struct {
 	local    *store.Store // level-local table of keys the global one missed
 	khash    []uint32     // by local id: the key's store.Hash
 	cfgs     []*Config    // by local id: the first occurrence's configuration
+	orbits   []int        // by local id: the configuration's orbit size (1 without symmetry)
 	gids     []int        // merge scratch: global id by local id, -1 until merged
 	err      error
 	errAt    int // config id whose expansion failed
@@ -637,11 +656,8 @@ type shardOut struct {
 	sc       keyScratch
 	memo     *stepMemo // kept across the levels of a search
 	// slabs are the two generations of successor configurations (see
-	// search.retire); scratch holds the one successor expandCanonical
-	// canonicalizes at a time. All three are kept across levels and
-	// searches.
-	slabs   [2]slab
-	scratch slab
+	// search.retire), kept across levels and searches.
+	slabs [2]slab
 }
 
 // reset empties out for the shard starting at config id start, keeping
@@ -651,17 +667,17 @@ func (out *shardOut) reset(start int) {
 	out.local.Reset()
 	clear(out.cfgs)
 	*out = shardOut{
-		start:   start,
-		exps:    out.exps[:0],
-		succs:   out.succs,
-		local:   out.local,
-		khash:   out.khash[:0],
-		cfgs:    out.cfgs[:0],
-		gids:    out.gids[:0],
-		sc:      out.sc,
-		memo:    out.memo,
-		slabs:   out.slabs,
-		scratch: out.scratch,
+		start:  start,
+		exps:   out.exps[:0],
+		succs:  out.succs,
+		local:  out.local,
+		khash:  out.khash[:0],
+		cfgs:   out.cfgs[:0],
+		orbits: out.orbits[:0],
+		gids:   out.gids[:0],
+		sc:     out.sc,
+		memo:   out.memo,
+		slabs:  out.slabs,
 	}
 }
 
@@ -694,15 +710,16 @@ func (out *shardOut) lookup(g *graph, rec *succRec, key []byte, h uint32) bool {
 }
 
 // intern adds the first occurrence of key, whose store.Hash is h, in
-// the shard to the level-local table, keeping its configuration c, and
-// returns the local id.
-func (out *shardOut) intern(key []byte, h uint32, c *Config) (int, error) {
+// the shard to the level-local table, keeping its configuration c and
+// its orbit size, and returns the local id.
+func (out *shardOut) intern(key []byte, h uint32, c *Config, orbit int) (int, error) {
 	lid, err := out.local.InternHash(key, h)
 	if err != nil {
 		return 0, err
 	}
 	out.khash = append(out.khash, h)
 	out.cfgs = append(out.cfgs, c)
+	out.orbits = append(out.orbits, orbit)
 	return lid, nil
 }
 
@@ -859,7 +876,9 @@ func (st *search) expandLevel(levelStart, levelEnd int) []*shardOut {
 	ck := st.ck
 	for len(ck.shards) < shards {
 		local, _ := store.Open(store.Options{}, nil) // a heap store cannot fail to open
-		ck.shards = append(ck.shards, &shardOut{local: local, memo: newStepMemo()})
+		memo := newStepMemo()
+		memo.reset(st.g.sys.Objects, st.g.grp)
+		ck.shards = append(ck.shards, &shardOut{local: local, memo: memo})
 	}
 	outs := ck.shards[:shards]
 	if shards == 1 {
@@ -901,57 +920,45 @@ func (st *search) expandShard(out *shardOut, start, end int) {
 }
 
 // expand appends the successors of c, in (proc, branch) order, and
-// then c's expansion entry to out.
+// then c's expansion entry to out. Every component step comes from the
+// shard's step memo through the parent's handles (see stepMemo): the
+// invocation from the process entry, the offered transitions from the
+// object entry and the operation, the next process entry per response.
+// A step changes two components, the stepping process's state and the
+// touched object's, so a successor is the parent's handles with two
+// replaced, and its probe key is formed from them: without symmetry
+// spliced, the parent's key bytes (concatenated once from its entries',
+// with per-component end offsets) with the two components' replaced;
+// under symmetry canonical, which group.canonical reads from the
+// entries. A successor builds a Config, from the memo's states and with
+// its own handles, only when both tables miss its key.
 func (st *search) expand(out *shardOut, c *Config) error {
-	var err error
-	if st.g.grp == nil {
-		err = st.expandSpliced(out, c)
-		// Memo-served steps are still steps: one tally per expansion.
-		machine.CountSteps(out.memo.served)
-		out.memo.served = 0
-	} else {
-		err = st.expandCanonical(out, c)
-	}
-	if err != nil {
-		return err
-	}
-	out.exps = append(out.exps, expansion{quiescent: c.Quiescent(), end: out.nSuccs})
-	return nil
-}
-
-// expandSpliced is expand without symmetry. A step changes exactly two
-// components of a configuration — the stepping process's state and the
-// touched object's state — and every component encoding is
-// self-delimiting, so a successor's key is the parent's key bytes with
-// the two components replaced. Every component step, with its next
-// state's key bytes, comes from the shard's step memo through the
-// parent's handles (see stepMemo): the parent key is concatenated from
-// its entries' key bytes with per-component end offsets, the invocation
-// read from the process entry, and the offered transitions found by
-// the object entry and the operation. A successor builds a Config, from
-// the memo's states and with its own handles, only when both tables
-// miss its key.
-func (st *search) expandSpliced(out *shardOut, c *Config) error {
 	g, sc, mo := st.g, &out.sc, out.memo
 	hs, err := mo.handles(g.sys, c, &sc.hnd)
 	if err != nil {
 		return err
 	}
 	np := len(c.Procs)
-	// Parent key with component ends: the mask ends at ends[0], process
-	// i at ends[1+i], object j at ends[1+np+j].
-	ends := slices.Grow(sc.ends[:0], 1+len(hs))[:1+len(hs)]
-	pkey := binary.AppendUvarint(sc.parent[:0], c.SteppedMask)
-	ends[0] = len(pkey)
-	for k, e := range hs {
-		if k < np {
-			pkey = append(pkey, mo.procKey(e)...)
-		} else {
-			pkey = append(pkey, mo.objKey(e)...)
+	var pkey []byte
+	var ends []int
+	if g.grp == nil {
+		// Parent key with component ends: the mask ends at ends[0],
+		// process i at ends[1+i], object j at ends[1+np+j].
+		ends = slices.Grow(sc.ends[:0], 1+len(hs))[:1+len(hs)]
+		pkey = binary.AppendUvarint(sc.parent[:0], c.SteppedMask)
+		ends[0] = len(pkey)
+		for k, e := range hs {
+			if k < np {
+				pkey = append(pkey, mo.procKey(e)...)
+			} else {
+				pkey = append(pkey, mo.objKey(e)...)
+			}
+			ends[1+k] = len(pkey)
 		}
-		ends[1+k] = len(pkey)
+		sc.parent, sc.ends = pkey, ends
+	} else {
+		sc.succ = append(sc.succ[:0], hs...)
 	}
-	sc.parent, sc.ends = pkey, ends
 	for i := range c.Procs {
 		if !c.Live(i) {
 			continue
@@ -972,61 +979,39 @@ func (st *search) expandSpliced(out *shardOut, c *Config) error {
 			if err != nil {
 				return err
 			}
-			key := binary.AppendUvarint(sc.best[:0], c.SteppedMask|1<<uint(i))
-			key = append(key, pkey[ends[0]:ends[i]]...)
-			key = append(key, mo.procKey(ne)...)
-			key = append(key, pkey[ends[i+1]:ends[np+jo]]...)
-			key = append(key, mo.objKey(t.next)...)
-			key = append(key, pkey[ends[np+jo+1]:]...)
-			sc.best = key
 			rec := succRec{step: Step{Proc: i, Obj: jo, Op: p.Op, Resp: t.resp, Branch: int(b - lo)}, id: -1}
+			var key []byte
+			orbit := 1
+			if g.grp == nil {
+				key = binary.AppendUvarint(sc.best[:0], c.SteppedMask|1<<uint(i))
+				key = append(key, pkey[ends[0]:ends[i]]...)
+				key = append(key, mo.procKey(ne)...)
+				key = append(key, pkey[ends[i+1]:ends[np+jo]]...)
+				key = append(key, mo.objKey(t.next)...)
+				key = append(key, pkey[ends[np+jo+1]:]...)
+				sc.best = key
+			} else {
+				sc.succ[i], sc.succ[np+jo] = ne, t.next
+				key, rec.gi, orbit = g.grp.canonical(sc, mo, sc.succ, c.SteppedMask|1<<uint(i))
+				sc.succ[i], sc.succ[np+jo] = pe, hs[np+jo]
+				out.orbitMax = max(out.orbitMax, orbit)
+				if rec.gi != 0 {
+					out.symHits++
+				}
+			}
 			if h := store.Hash(key); !out.lookup(g, &rec, key, h) {
 				nc := mo.build(c, hs, i, jo, ne, t.next, &out.slabs[st.gen])
-				if rec.lid, err = out.intern(key, h, nc); err != nil {
+				if rec.lid, err = out.intern(key, h, nc, orbit); err != nil {
 					return err
 				}
 			}
 			out.addSucc(rec)
 		}
 	}
-	return nil
-}
-
-// expandCanonical is expand under symmetry: canonicalization reads the
-// whole successor, so it builds every one, in the shard's scratch, and
-// probes its orbit's canonical key. Only a successor both tables miss
-// is copied into the shard's slab.
-func (st *search) expandCanonical(out *shardOut, c *Config) error {
-	g, sc := st.g, &out.sc
-	for i := range c.Procs {
-		if !c.Live(i) {
-			continue
-		}
-		p, ts, err := g.sys.poised(c, i)
-		if err != nil {
-			return err
-		}
-		for b := range ts {
-			m, err := g.sys.step(c, i, p, ts, b)
-			if err != nil {
-				return err
-			}
-			out.scratch.recycle(0)
-			nc := c.after(m, &out.scratch)
-			key, gi, orbit := g.grp.canonical(sc, nc)
-			out.orbitMax = max(out.orbitMax, orbit)
-			if gi != 0 {
-				out.symHits++
-			}
-			rec := succRec{step: m.Step, id: -1, gi: gi}
-			if h := store.Hash(key); !out.lookup(g, &rec, key, h) {
-				if rec.lid, err = out.intern(key, h, nc.clone(&out.slabs[st.gen])); err != nil {
-					return err
-				}
-			}
-			out.addSucc(rec)
-		}
-	}
+	// Memo-served steps are still steps: one tally per expansion.
+	machine.CountSteps(mo.served)
+	mo.served = 0
+	out.exps = append(out.exps, expansion{quiescent: c.Quiescent(), end: out.nSuccs})
 	return nil
 }
 
@@ -1093,7 +1078,7 @@ func (st *search) mergeLevel(outs []*shardOut) error {
 							id = known
 						} else {
 							var err error
-							if id, err = g.intern(key, h, out.cfgs[s.lid], at, s.gi); err != nil {
+							if id, err = g.intern(key, h, out.cfgs[s.lid], at, s.gi, out.orbits[s.lid]); err != nil {
 								return err
 							}
 							fresh = true
@@ -1120,6 +1105,9 @@ func (st *search) mergeLevel(outs []*shardOut) error {
 				}
 			}
 			lo = exp.end
+			if g.grp != nil {
+				g.unreducedTrans += int64(g.orbit[at]) * int64(merged)
+			}
 			// One arena append per configuration — the whole edge batch,
 			// count-prefixed in the checkpoint section format — rather
 			// than one write per successor. On an aborted merge the
@@ -1175,6 +1163,10 @@ func (st *search) heartbeat() {
 // noise of uninstrumented ones.
 func (st *search) flush(event string, err error) {
 	rep, opts := st.rep, st.opts
+	rep.UnreducedStates, rep.UnreducedTransitions = int64(rep.States), int64(rep.Transitions)
+	if st.g.grp != nil {
+		rep.UnreducedStates, rep.UnreducedTransitions = st.g.unreducedStates, st.g.unreducedTrans
+	}
 	if opts.Obs != nil {
 		o := opts.Obs
 		o.Counter("explore.runs").Inc()

@@ -125,11 +125,131 @@ func scanCanonical(perms []spec.Perm, c *Config) (key []byte, gi, orbit int) {
 // every configuration a symmetry-reduced exploration stores, which is
 // exactly the set the explorer canonicalizes.
 type CanonSuite struct {
-	grp   *group
+	*canonizer
 	succs []*Config
-	sc    keyScratch
+	// hs holds each successor's handles in the canonizer's memo, resolved
+	// on its first canonicalization.
+	hs [][]int32
 	// ref builds the reference group scanCanonical scans.
 	ref func() ([]spec.Perm, error)
+}
+
+// canonizer canonicalizes configurations in hand the way restore does:
+// through a step memo of its own, which resolves their components.
+type canonizer struct {
+	grp *group
+	sys *System
+	m   *stepMemo
+	sc  keyScratch
+}
+
+func newCanonizer(grp *group, sys *System) *canonizer {
+	m := newStepMemo()
+	m.reset(sys.Objects, grp)
+	return &canonizer{grp: grp, sys: sys, m: m}
+}
+
+// canonical canonicalizes c; the key aliases the canonizer's scratch.
+func (z *canonizer) canonical(c *Config) (key []byte, gi, orbit int) {
+	hs, err := z.m.handles(z.sys, c, &z.sc.hnd)
+	if err != nil {
+		panic(err)
+	}
+	return z.grp.canonical(&z.sc, z.m, hs, c.SteppedMask)
+}
+
+// element unranks group element k.
+func (grp *group) element(k int) spec.Perm {
+	var p spec.Perm
+	grp.elementInto(k, &p)
+	return p
+}
+
+// referenceCanonical is canonical as it was before the step memo served
+// symmetry, and its reference: it renders c's process blocks, pid
+// masked, once per value map, and finds the sub-runs of its runs by
+// rendering c's objects under each transposition (referenceSubRuns).
+// It shares placement and the candidate loop (place, runsOf,
+// objectStage) with canonical. sc must not be a canonical call's.
+func (grp *group) referenceCanonical(sc *keyScratch, c *Config) (key []byte, gi, orbit int) {
+	n := len(c.Procs)
+	sc.reset(grp, n)
+	sc.blocks = sc.blocks[:0]
+	var mask uint64
+	for t := range grp.vmaps {
+		refs := sc.refs[t*n : (t+1)*n]
+		for i := range c.Procs {
+			lo := len(sc.blocks)
+			sc.blocks = c.Procs[i].AppendKeyWithPid(sc.blocks, grp.vmaps[t], 0)
+			refs[i] = blockRef{lo: int32(lo), hi: int32(len(sc.blocks))}
+		}
+		sc.rankBlocks(refs)
+		m := grp.place(sc, c.SteppedMask, t) | c.SteppedMask>>uint(n)<<uint(n)
+		if len(sc.vties) > 0 {
+			d := cmpUvarint(m, mask)
+			if d == 0 {
+				d = sc.cmpPlaced(n, t, sc.vties[0])
+			}
+			if d > 0 {
+				continue
+			}
+			if d < 0 {
+				sc.vties = sc.vties[:0]
+			}
+		}
+		mask = m
+		sc.vties = append(sc.vties, t)
+	}
+	sc.runsOf(grp, n, sc.vties[0], mask)
+	bt, ties := grp.objectStage(sc, c.Objs, mask, referenceSubRuns(sc, c))
+	gi = grp.rank(sc.bproc)
+	if gi == 0 {
+		return c.AppendKey(nil), 0, grp.order / ties
+	}
+	return c.AppendKeyUnder(nil, spec.Perm{Proc: sc.bproc, Inv: sc.binv, Vals: grp.vmaps[bt].Vals}), gi, grp.order / ties
+}
+
+// referenceSubRuns is subRuns on c's own object states: a run process
+// joins the first earlier sub-run whose least process it can trade
+// places with, the transposition leaving the object keys unchanged.
+func referenceSubRuns(sc *keyScratch, c *Config) int {
+	var ref []byte
+	for _, o := range c.Objs {
+		ref = spec.AppendStateKey(ref, o)
+	}
+	tp := make([]int, len(c.Procs))
+	for i := range tp {
+		tp[i] = i
+	}
+	swapFixes := func(a, b int) bool {
+		tp[a], tp[b] = b, a
+		cand := appendStatesUnder(nil, c.Objs, spec.Perm{Proc: tp, Inv: tp})
+		tp[a], tp[b] = a, b
+		return bytes.Equal(cand, ref)
+	}
+	weight := 1
+	for _, r := range sc.runs {
+		ps := sc.runProcs[r.lo:r.hi]
+		for k, x := range ps {
+			sc.sub[x] = x
+			for _, y := range ps[:k] {
+				if sc.sub[y] == y && swapFixes(y, x) {
+					sc.sub[x] = y
+					break
+				}
+			}
+		}
+		for _, x := range ps {
+			size := 0
+			for _, y := range ps {
+				if sc.sub[y] == x {
+					size++
+				}
+			}
+			weight *= factorial[size]
+		}
+	}
+	return weight
 }
 
 // NewCanonSuite explores sys against tsk under mode at one worker and
@@ -144,7 +264,7 @@ func NewCanonSuite(sys *System, tsk task.Task, mode Symmetry) (*CanonSuite, erro
 	if g.grp == nil {
 		return nil, fmt.Errorf("no symmetry group under %v", mode)
 	}
-	s := &CanonSuite{grp: g.grp, ref: func() ([]spec.Perm, error) { return referenceGroup(sys, tsk, mode) }}
+	s := &CanonSuite{canonizer: newCanonizer(g.grp, sys), ref: func() ([]spec.Perm, error) { return referenceGroup(sys, tsk, mode) }}
 	for id := 0; id < rep.States; id++ {
 		c := g.configAt(id)
 		for i := range c.Procs {
@@ -180,7 +300,7 @@ func NewWalkSuite(sys *System, tsk task.Task, mode Symmetry, walks, depth int, s
 	if err != nil {
 		return nil, err
 	}
-	s := &CanonSuite{grp: grp, ref: func() ([]spec.Perm, error) { return referenceGroup(sys, tsk, mode) }}
+	s := &CanonSuite{canonizer: newCanonizer(grp, sys), ref: func() ([]spec.Perm, error) { return referenceGroup(sys, tsk, mode) }}
 	rng := rand.New(rand.NewSource(seed))
 	for w := 0; w < walks; w++ {
 		c := root
@@ -243,9 +363,21 @@ func (s *CanonSuite) GroupOrder() int { return s.grp.order }
 // ValueClasses is the number of distinct value maps in the group.
 func (s *CanonSuite) ValueClasses() int { return len(s.grp.vmaps) }
 
-// Canonical canonicalizes successor i with the suite's own scratch.
+// Canonical canonicalizes successor i with the suite's own memo and
+// scratch. After the first call on i it costs what canonicalizing a
+// successor costs the expansion, whose handles are in hand.
 func (s *CanonSuite) Canonical(i int) (key []byte, gi, orbit int) {
-	return s.grp.canonical(&s.sc, s.succs[i])
+	if s.hs == nil {
+		s.hs = make([][]int32, len(s.succs))
+	}
+	if s.hs[i] == nil {
+		hs, err := s.m.handles(s.sys, s.succs[i], &s.sc.hnd)
+		if err != nil {
+			panic(err)
+		}
+		s.hs[i] = slices.Clone(hs)
+	}
+	return s.grp.canonical(&s.sc, s.m, s.hs[i], s.succs[i].SteppedMask)
 }
 
 // MatchScan checks canonical against scanCanonical on every successor
@@ -465,9 +597,9 @@ func (g *graph) cyclePath(from, to, i int, kind ViolationKind, comp []int) []Ste
 // reference for liftedCycle's solo verdict, and needs a group.
 func (g *graph) liftedSolo(from int, en edge, comp []int) bool {
 	i := en.step.Proc
-	stab := &stabChecker{g: g, id: from}
+	stab := &stabChecker{id: from}
 	start := liftNode{en.to, en.g}
-	if start.v == from && stab.contains(start.h) {
+	if start.v == from && stab.contains(g, start.h) {
 		return true
 	}
 	seen := map[liftNode]bool{start: true}
@@ -491,7 +623,7 @@ func (g *graph) liftedSolo(from int, en edge, comp []int) bool {
 			if seen[nx] {
 				continue
 			}
-			if nx.v == from && stab.contains(nx.h) {
+			if nx.v == from && stab.contains(g, nx.h) {
 				return true
 			}
 			seen[nx] = true
@@ -657,16 +789,19 @@ func SafetyAllocs(ck *Checker) float64 {
 // safety predicate in rep's graph, -1 when none.
 func UnsafeID(rep *Report) int { return rep.g.unsafe }
 
-// refSucc is one successor of the reference expansion: its step and
-// its configuration's key.
+// refSucc is one successor of the reference expansion: its step, its
+// configuration's key, and under symmetry the group element that
+// canonicalizes it and its orbit size.
 type refSucc struct {
-	step Step
-	key  []byte
+	step      Step
+	key       []byte
+	gi, orbit int
 }
 
 // referenceSuccs expands c the way the step is defined, with no memo:
-// poised and step per live process and branch, after, and AppendKey.
-func referenceSuccs(sys *System, c *Config) ([]refSucc, error) {
+// poised and step per live process and branch, after, and AppendKey,
+// or under grp referenceCanonical on sc.
+func referenceSuccs(sys *System, grp *group, sc *keyScratch, c *Config) ([]refSucc, error) {
 	var ref []refSucc
 	for i := range c.Procs {
 		if !c.Live(i) {
@@ -681,45 +816,53 @@ func referenceSuccs(sys *System, c *Config) ([]refSucc, error) {
 			if err != nil {
 				return nil, err
 			}
-			ref = append(ref, refSucc{m.Step, c.after(m, nil).AppendKey(nil)})
+			r := refSucc{step: m.Step, orbit: 1}
+			if grp == nil {
+				r.key = c.after(m, nil).AppendKey(nil)
+			} else {
+				r.key, r.gi, r.orbit = grp.referenceCanonical(sc, c.after(m, nil))
+			}
+			ref = append(ref, r)
 		}
 	}
 	return ref, nil
 }
 
 // MemoExpansions compares memo-served expansion with the reference on
-// every configuration of the graph a symmetry-off Check on ck left. It
-// expands each configuration, in id order, on every step memo the Check
-// left warm, then on the first of them reset (a new generation that
-// keeps the object half), and then on one fresh memo that fills as it
-// goes. A configuration still resident from the Check is expanded as it
-// is, with the handles it carries; a spilled one is replayed. Each
+// every configuration of the graph a Check on ck left. It expands each
+// configuration, in id order, on every step memo the Check left warm,
+// then on the first of them reset (a new generation that keeps the
+// object half), and then on one fresh memo that fills as it goes. A
+// configuration still resident from the Check is expanded as it is,
+// with the handles it carries; a spilled one is replayed. Each
 // expansion's (step, successor key) list must equal, in order, the
-// reference's, and must leave the configuration's key as it was. It
+// reference's, and under symmetry each successor's group element and
+// orbit size too (the orbit is the one its representative was interned
+// with); the expansion must leave the configuration's key as it was. It
 // returns the number of expansions compared and of successors on a
 // branch other than an object's first.
 func MemoExpansions(ck *Checker) (n, branched int, err error) {
 	g := ck.g
-	if g.grp != nil {
-		return 0, 0, fmt.Errorf("the step memo serves symmetry-off checks only")
-	}
 	var memos []*stepMemo
 	for _, out := range ck.shards {
 		memos = append(memos, out.memo)
 	}
-	memos = append(memos, nil, newStepMemo())
+	fresh := newStepMemo()
+	fresh.reset(g.sys.Objects, g.grp)
+	memos = append(memos, nil, fresh)
 	local, _ := store.Open(store.Options{}, nil)
 	st := &search{g: g}
+	var sc keyScratch
 	for k, mo := range memos {
 		if mo == nil {
 			mo = memos[0]
-			mo.reset(g.sys.Objects)
+			mo.reset(g.sys.Objects, g.grp)
 		}
 		out := &shardOut{local: local, memo: mo}
 		for id := range g.configs {
 			c := g.configAt(id)
 			before := c.AppendKey(nil)
-			ref, err := referenceSuccs(g.sys, c)
+			ref, err := referenceSuccs(g.sys, g.grp, &sc, c)
 			if err != nil {
 				return n, branched, err
 			}
@@ -736,14 +879,18 @@ func MemoExpansions(ck *Checker) (n, branched int, err error) {
 			for j, r := range ref {
 				s := out.succs[j/succChunk][j%succChunk]
 				var key []byte
+				orbit := 1
 				if s.id >= 0 {
 					key = g.disk.s.Key(s.id)
+					if g.grp != nil {
+						orbit = g.orbit[s.id]
+					}
 				} else {
-					key = out.local.Key(s.lid)
+					key, orbit = out.local.Key(s.lid), out.orbits[s.lid]
 				}
-				if s.step != r.step || !bytes.Equal(key, r.key) {
-					return n, branched, fmt.Errorf("memo %d, config %d, successor %d: %v to %x, reference %v to %x",
-						k, id, j, s.step, key, r.step, r.key)
+				if s.step != r.step || !bytes.Equal(key, r.key) || s.gi != r.gi || orbit != r.orbit {
+					return n, branched, fmt.Errorf("memo %d, config %d, successor %d: %v to %x (gi %d, orbit %d), reference %v to %x (gi %d, orbit %d)",
+						k, id, j, s.step, key, s.gi, orbit, r.step, r.key, r.gi, r.orbit)
 				}
 				if s.step.Branch > 0 {
 					branched++
@@ -756,18 +903,26 @@ func MemoExpansions(ck *Checker) (n, branched int, err error) {
 }
 
 // MemoIntact checks, after a Check on ck, that every state the step
-// memos hold still encodes to the key bytes cached with it, that every
-// resident configuration still encodes to the key the store copied
-// when it was interned, and that every resident configuration whose
-// handles are live re-encodes through its entries' key bytes to that
-// key too. It returns the number of memo states and of configurations
-// with live handles.
+// memos hold still encodes to the key bytes cached with it (and, under
+// symmetry, to its cached blocks), that every resident configuration
+// still encodes to the key the store copied when it was interned
+// (under symmetry, once moved by the group element that canonicalized
+// it), and that every resident configuration whose handles are live
+// re-encodes through its entries' key bytes to its own key too. It
+// returns the number of memo states and of configurations with live
+// handles.
 func MemoIntact(ck *Checker) (states, handled int, err error) {
 	for k, out := range ck.shards {
 		m := out.memo
 		for e := range m.pents {
 			if !bytes.Equal(m.pents[e].state.AppendKey(nil), m.procKey(int32(e))) {
 				return states, handled, fmt.Errorf("memo %d: process state %d no longer encodes to its cached key", k, e)
+			}
+			for t := 0; m.grp != nil && t < len(m.grp.vmaps); t++ {
+				b := m.block(int32(e), t)
+				if !bytes.Equal(m.pents[e].state.AppendKeyWithPid(nil, m.grp.vmaps[t], 0), m.bkeys[b.lo:b.hi]) {
+					return states, handled, fmt.Errorf("memo %d: process state %d no longer encodes to its cached block %d", k, e, t)
+				}
 			}
 		}
 		for e := range m.oents {
@@ -782,15 +937,19 @@ func MemoIntact(ck *Checker) (states, handled int, err error) {
 		if c == nil {
 			continue
 		}
-		want := g.disk.s.Key(id)
-		if !bytes.Equal(c.AppendKey(nil), want) {
+		want, own := g.disk.s.Key(id), c.AppendKey(nil)
+		key := own
+		if g.grp != nil {
+			key = c.AppendKeyUnder(nil, g.grp.element(g.canon[id]))
+		}
+		if !bytes.Equal(key, want) {
 			return states, handled, fmt.Errorf("resident configuration %d no longer encodes to its interned key", id)
 		}
 		m := c.memo
 		if m == nil || c.mgen != m.gen {
 			continue
 		}
-		key := binary.AppendUvarint(nil, c.SteppedMask)
+		key = binary.AppendUvarint(nil, c.SteppedMask)
 		for k, e := range c.hnd {
 			if k < len(c.Procs) {
 				key = append(key, m.procKey(e)...)
@@ -798,8 +957,8 @@ func MemoIntact(ck *Checker) (states, handled int, err error) {
 				key = append(key, m.objKey(e)...)
 			}
 		}
-		if !bytes.Equal(key, want) {
-			return states, handled, fmt.Errorf("resident configuration %d's handles encode to %x, its interned key is %x", id, key, want)
+		if !bytes.Equal(key, own) {
+			return states, handled, fmt.Errorf("resident configuration %d's handles encode to %x, its key is %x", id, key, own)
 		}
 		handled++
 	}
@@ -807,9 +966,8 @@ func MemoIntact(ck *Checker) (states, handled int, err error) {
 }
 
 // WarmExpandAllocs is the average number of allocations of expanding
-// every configuration of the graph a symmetry-off, one-worker Check on
-// ck left, on the step memo that Check warmed. Every successor is
-// interned by then.
+// every configuration of the graph a one-worker Check on ck left, on
+// the step memo that Check warmed. Every successor is interned by then.
 func WarmExpandAllocs(ck *Checker) float64 {
 	g := ck.g
 	for id := range g.configs {

@@ -172,6 +172,7 @@ func (c *Checker) Fork(s *Snapshot, sys *System, opts Options) (*Report, error) 
 
 	rep := &Report{g: g, Transitions: s.transitions, Quiescent: s.quiescent}
 	st := c.begin(g, rep, &opts)
+	c.resetMemos(g)
 	st.expanded = s.expanded
 	st.frontierMax = s.frontierMax
 	st.batchMax = s.batchMax

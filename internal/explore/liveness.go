@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 
+	"setagree/internal/spec"
 	"setagree/internal/task"
 )
 
@@ -210,6 +211,13 @@ type sccScratch struct {
 	// local ids' components.
 	lid, nodes, off, adj []int32
 	soloComp             []int
+	// liftedCycle's: the stabilizer of the configuration its last walk
+	// started from, the walk's crumbs and queue, and the group elements
+	// of the node it is at and of the edge it follows.
+	stab         stabChecker
+	crumbs       map[liftNode]crumb
+	queue        []liftNode
+	hperm, gperm spec.Perm
 }
 
 // sccs labels the explored graph's strongly connected components: each

@@ -1,8 +1,11 @@
 package explore
 
 import (
+	"bytes"
 	"encoding/binary"
+	"math/bits"
 	"reflect"
+	"slices"
 
 	"setagree/internal/machine"
 	"setagree/internal/spec"
@@ -22,14 +25,19 @@ import (
 // steps computed from it so far: a process entry its invocation and its
 // next entry per response seen, an object entry the transitions it
 // offers per operation seen, each leading to the next state's entry. It
-// serves the symmetry-off expansion only (see expandSpliced).
+// serves every expansion (see expand).
 //
-// Every configuration expandSpliced builds carries its components'
-// entry ids, its handles, so expanding it reads the parent key, the
-// invocations and the offers from the entries without encoding or
-// hashing a component; only a configuration this memo did not build
-// (the root, a restored or replayed one, another shard's, a Fork
-// prefix's) is resolved by its component bytes, once, into scratch.
+// Every configuration expand builds carries its components' entry ids,
+// its handles, so expanding it reads the parent key, the invocations
+// and the offers from the entries without encoding or hashing a
+// component; only a configuration this memo did not build (the root, a
+// restored or replayed one, another shard's, a Fork prefix's) is
+// resolved by its component bytes, once, into scratch.
+//
+// Under symmetry the entries also cache what orbit canonicalization
+// reads of them (see group.canonical): a process entry its block, its
+// key with the pid register masked, once per value map of the group;
+// an object entry, when first asked, its transposition classes.
 //
 // A miss fills the memo through the System's own step functions
 // (invocation, objStep, resume), so the step is defined once. Errors
@@ -58,8 +66,19 @@ type stepMemo struct {
 	offers []memoOffer
 	trans  []memoTrans
 	okeys  []byte
-	// mk is the table key being probed.
+	// mk is the table key being probed, tp a transposition classes
+	// renders under.
 	mk []byte
+	tp []int
+	// The symmetry half, emptied by every reset: grp is the search's
+	// group (nil when symmetry is off); pblk holds process entry e's
+	// block under value map t at e*len(grp.vmaps)+t, its bytes in bkeys;
+	// ocls object entry e's transposition classes at e*n, zero until
+	// computed.
+	grp   *group
+	pblk  []procBlock
+	bkeys []byte
+	ocls  []uint64
 	// served counts the process steps answered without a Resume since
 	// the expansion's tally (see expand).
 	served int
@@ -91,6 +110,13 @@ type objEntry struct {
 	offer int32
 }
 
+// procBlock locates one process entry's block in stepMemo.bkeys: the
+// bytes [lo, hi), whose byte at lo+pid is the masked pid register (pid
+// is -1 when the state has none).
+type procBlock struct {
+	lo, hi, pid int32
+}
+
 // memoOffer is the transitions trans[lo:hi] an object state offers
 // operation op, linked to the next operation seen on the same state.
 type memoOffer struct {
@@ -117,15 +143,17 @@ func newStepMemo() *stepMemo {
 }
 
 // reset empties the memo for a search of a system with object specs
-// objects, keeping its buffers' capacity and invalidating every handle.
-// The object half survives when objects equal the specs it was built
-// for, since an object step depends on nothing else. Clearing entries
-// drops their states, which a new search's programs must not see.
-func (m *stepMemo) reset(objects []spec.Spec) {
+// objects under group grp (nil when symmetry is off), keeping its
+// buffers' capacity and invalidating every handle. The object half
+// survives when objects equal the specs it was built for, since an
+// object step depends on nothing else. Clearing entries drops their
+// states, which a new search's programs must not see.
+func (m *stepMemo) reset(objects []spec.Spec, grp *group) {
 	m.gen++
 	m.procs.Reset()
 	clear(m.pents)
 	m.pents, m.resps, m.pkeys = m.pents[:0], m.resps[:0], m.pkeys[:0]
+	m.grp, m.pblk, m.bkeys, m.ocls = grp, m.pblk[:0], m.bkeys[:0], m.ocls[:0]
 	m.served = 0
 	if sameSpecs(m.specs, objects) {
 		return
@@ -209,7 +237,98 @@ func (m *stepMemo) procEntry(sys *System, i int, ps machine.ProcState) (int32, e
 	m.pkeys = append(m.pkeys, m.mk[pre:]...)
 	inv, _ := machine.Poised(sys.Programs[i], ps)
 	m.pents = append(m.pents, procEntry{state: ps, key: span{int32(lo), int32(len(m.pkeys))}, inv: inv, resp: -1})
+	if m.grp != nil {
+		m.addBlocks(ps)
+	}
 	return int32(len(m.pents) - 1), nil
+}
+
+// addBlocks renders the blocks of the process entry just added, one per
+// value map, with the pid register masked to 0. Rendered with pid 1
+// instead, a block differs in exactly the register's byte (0 and 1 both
+// take one byte), which locates it.
+func (m *stepMemo) addBlocks(ps machine.ProcState) {
+	for _, vm := range m.grp.vmaps {
+		lo := len(m.bkeys)
+		m.bkeys = ps.AppendKeyWithPid(m.bkeys, vm, 0)
+		m.mk = ps.AppendKeyWithPid(m.mk[:0], vm, 1)
+		b := procBlock{lo: int32(lo), hi: int32(len(m.bkeys)), pid: -1}
+		for k, x := range m.bkeys[lo:] {
+			if x != m.mk[k] {
+				b.pid = int32(k)
+				break
+			}
+		}
+		m.pblk = append(m.pblk, b)
+	}
+}
+
+// block returns process entry e's block under value map t.
+func (m *stepMemo) block(e int32, t int) procBlock {
+	return m.pblk[int(e)*len(m.grp.vmaps)+t]
+}
+
+// appendBlock appends process entry e's block under value map t with
+// pid written into its pid register: the process's key in slot pid-1.
+func (m *stepMemo) appendBlock(dst []byte, e int32, t, pid int) []byte {
+	b := m.block(e, t)
+	at := len(dst) + int(b.pid)
+	dst = append(dst, m.bkeys[b.lo:b.hi]...)
+	switch {
+	case b.pid < 0:
+	case pid < 64:
+		dst[at] = byte(pid << 1) // the one-byte zigzag varint of pid
+	default:
+		dst = binary.AppendVarint(dst[:at], int64(pid))
+		dst = append(dst, m.bkeys[b.lo+b.pid+1:b.hi]...)
+	}
+	return dst
+}
+
+// classes returns object entry e's transposition classes: for every
+// process x, the processes of x's class in the group whose
+// transposition with x leaves the object's key unchanged, x included,
+// as a mask. Such transpositions lie in the group and make an
+// equivalence, since (a c) = (a b)(b c)(a b), so each class is found
+// from its least member. They are computed on the first call.
+func (m *stepMemo) classes(e int32) []uint64 {
+	n, lo := m.grp.n, int(e)*m.grp.n
+	if k := len(m.ocls); k < lo+n {
+		m.ocls = slices.Grow(m.ocls, lo+n-k)[:lo+n]
+		clear(m.ocls[k:])
+	}
+	cls := m.ocls[lo : lo+n]
+	if cls[0] != 0 {
+		return cls
+	}
+	tp := resize(m.tp, n)
+	m.tp = tp
+	for x := range tp {
+		tp[x] = x
+	}
+	key, st := m.objKey(e), m.oents[e].state
+	for x := range cls {
+		if cls[x] != 0 {
+			continue // x's class has a lower member
+		}
+		cls[x] = 1 << uint(x)
+		for rest := m.grp.slots[m.grp.cls[x]] &^ (2<<uint(x) - 1); rest != 0; rest &= rest - 1 {
+			y := bits.TrailingZeros64(rest)
+			if cls[y] != 0 {
+				continue
+			}
+			tp[x], tp[y] = y, x
+			m.mk, _ = spec.AppendStateKeyUnder(m.mk[:0], st, spec.Perm{Proc: tp, Inv: tp})
+			tp[x], tp[y] = x, y
+			if bytes.Equal(m.mk, key) {
+				cls[x] |= 1 << uint(y)
+			}
+		}
+		for s := cls[x] &^ (1 << uint(x)); s != 0; s &= s - 1 {
+			cls[bits.TrailingZeros64(s)] = cls[x]
+		}
+	}
+	return cls
 }
 
 // objEntry returns the entry of object j in state st, adding it on a

@@ -68,10 +68,12 @@ func memoSystems(t *testing.T) map[string]*explore.System {
 }
 
 // TestMemoMatchesReferenceStep: on every reachable configuration of the
-// memo systems, at Workers 1 and 4, expansion served from the step memo
-// gives the same successors, in the same order, as the step built
-// from poised, step, after and AppendKey, on the memos the Check warmed,
-// on one of them reset and on a fresh one. After the Check and again
+// memo systems, at Workers 1 and 4, with symmetry off and under ids and
+// values where the system admits them, expansion served from the step
+// memo gives the same successors, in the same order, as the step built
+// from poised, step, after and AppendKey, or canonicalized by the
+// reference canonical, with the same group element and orbit size, on
+// the memos the Check warmed, on one of them reset and on a fresh one. After the Check and again
 // after the expansions, every memo state still encodes to its cached
 // key and every resident configuration to the key the store copied when
 // it was interned: no step mutated a state the memo shares. Each system
@@ -83,35 +85,45 @@ func memoSystems(t *testing.T) map[string]*explore.System {
 func TestMemoMatchesReferenceStep(t *testing.T) {
 	t.Parallel()
 	branched, handled := 0, 0
-	for name, sys := range memoSystems(t) {
-		full := 0
-		for _, limited := range []bool{false, true} {
-			for _, workers := range []int{1, 4} {
-				opts := explore.Options{Workers: workers}
-				if limited {
-					opts.MaxStates = full / 2
-				}
-				ck := new(explore.Checker)
-				rep, err := ck.Check(sys, nil, opts)
-				if limited != errors.Is(err, explore.ErrStateLimit) || (err != nil && !limited) {
-					t.Fatalf("%s/workers=%d/limit=%d: %v", name, workers, opts.MaxStates, err)
-				}
-				full = max(full, rep.States)
-				held, h, err := explore.MemoIntact(ck)
-				if err != nil || held == 0 {
-					t.Fatalf("%s/workers=%d/limit=%d: after the Check: %d memo states, %v", name, workers, opts.MaxStates, held, err)
-				}
-				handled += h
-				n, b, err := explore.MemoExpansions(ck)
-				branched += b
-				if err != nil {
-					t.Fatalf("%s/workers=%d/limit=%d: %v", name, workers, opts.MaxStates, err)
-				}
-				if n <= rep.States {
-					t.Fatalf("%s/workers=%d/limit=%d: %d expansions compared over %d states", name, workers, opts.MaxStates, n, rep.States)
-				}
-				if _, _, err := explore.MemoIntact(ck); err != nil {
-					t.Fatalf("%s/workers=%d/limit=%d: after the expansions: %v", name, workers, opts.MaxStates, err)
+	reduced := map[explore.Symmetry]int{}
+	for sname, sys := range memoSystems(t) {
+		for _, mode := range []explore.Symmetry{explore.SymmetryOff, explore.SymmetryIDs, explore.SymmetryValues} {
+			name := sname + "/" + mode.String()
+			full := 0
+			for _, limited := range []bool{false, true} {
+				for _, workers := range []int{1, 4} {
+					opts := explore.Options{Workers: workers, Symmetry: mode}
+					if limited {
+						opts.MaxStates = full / 2
+					}
+					ck := new(explore.Checker)
+					rep, err := ck.Check(sys, nil, opts)
+					if errors.Is(err, explore.ErrNotSymmetric) {
+						continue
+					}
+					if limited != errors.Is(err, explore.ErrStateLimit) || (err != nil && !limited) {
+						t.Fatalf("%s/workers=%d/limit=%d: %v", name, workers, opts.MaxStates, err)
+					}
+					if rep.SymmetryGroupOrder() > 1 {
+						reduced[mode]++
+					}
+					full = max(full, rep.States)
+					held, h, err := explore.MemoIntact(ck)
+					if err != nil || held == 0 {
+						t.Fatalf("%s/workers=%d/limit=%d: after the Check: %d memo states, %v", name, workers, opts.MaxStates, held, err)
+					}
+					handled += h
+					n, b, err := explore.MemoExpansions(ck)
+					branched += b
+					if err != nil {
+						t.Fatalf("%s/workers=%d/limit=%d: %v", name, workers, opts.MaxStates, err)
+					}
+					if n <= rep.States {
+						t.Fatalf("%s/workers=%d/limit=%d: %d expansions compared over %d states", name, workers, opts.MaxStates, n, rep.States)
+					}
+					if _, _, err := explore.MemoIntact(ck); err != nil {
+						t.Fatalf("%s/workers=%d/limit=%d: after the expansions: %v", name, workers, opts.MaxStates, err)
+					}
 				}
 			}
 		}
@@ -122,6 +134,9 @@ func TestMemoMatchesReferenceStep(t *testing.T) {
 	if handled == 0 {
 		t.Fatal("no resident configuration carried live handles")
 	}
+	if reduced[explore.SymmetryIDs] == 0 || reduced[explore.SymmetryValues] == 0 {
+		t.Fatalf("checks under a nontrivial group: %d at ids, %d at values", reduced[explore.SymmetryIDs], reduced[explore.SymmetryValues])
+	}
 }
 
 // TestWarmMemoExpandAllocs: with a warmed step memo, expanding a
@@ -129,12 +144,22 @@ func TestMemoMatchesReferenceStep(t *testing.T) {
 // It does not run in parallel: testing.AllocsPerRun counts every
 // goroutine's allocations.
 func TestWarmMemoExpandAllocs(t *testing.T) {
+	warmExpandAllocs(t, explore.SymmetryOff)
+}
+
+// TestWarmMemoExpandAllocsIDs is TestWarmMemoExpandAllocs under ids
+// symmetry, where every successor is canonicalized from its entries.
+func TestWarmMemoExpandAllocsIDs(t *testing.T) {
+	warmExpandAllocs(t, explore.SymmetryIDs)
+}
+
+func warmExpandAllocs(t *testing.T, mode explore.Symmetry) {
 	ck := new(explore.Checker)
 	sys, err := programs.Algorithm2(4, 1).System([]value.Value{1, 0, 0, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ck.Check(sys, task.DAC{N: 4, P: 0}, explore.Options{Workers: 1}); err != nil {
+	if _, err := ck.Check(sys, task.DAC{N: 4, P: 0}, explore.Options{Workers: 1, Symmetry: mode}); err != nil {
 		t.Fatal(err)
 	}
 	if allocs := explore.WarmExpandAllocs(ck); allocs != 0 {

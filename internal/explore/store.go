@@ -25,8 +25,8 @@
 // as it goes.
 //
 // A configuration the BFS builds comes from its shard's slab (see slab
-// and search.retire), with its step-memo handles when symmetry is off
-// (see stepMemo), and lives from the merge that interns it until
+// and search.retire), with its step-memo handles (see stepMemo), and
+// lives from the merge that interns it until
 // spillExpanded drops it, after its own level's expansion; the barrier
 // that spills a level recycles the slab generation that held it. The
 // root, and every configuration replay, restore or configAt builds,
@@ -64,8 +64,9 @@ type diskState struct {
 
 // intern adds a fresh configuration under its binary key (the
 // canonical orbit key when symmetry is on; the stored configuration
-// stays concrete), whose store.Hash is h, recording its BFS parent and
-// the group index gi that canonicalizes it, and returns the new id. The
+// stays concrete), whose store.Hash is h, recording its BFS parent, the
+// group index gi that canonicalizes it and, under symmetry, its orbit
+// size, and returns the new id. The
 // tree step from the parent is the parent's first edge to the new id
 // (see treeStep). The caller has already verified the key is absent.
 // The key and the outcome metadata record go to the store's arenas. Every configuration — root, merged
@@ -74,7 +75,7 @@ type diskState struct {
 // task's safety predicate is noted for the safety check, and the first
 // halted-undecided configuration of each process for the liveness
 // check.
-func (g *graph) intern(key []byte, h uint32, c *Config, parent int, gi int) (int, error) {
+func (g *graph) intern(key []byte, h uint32, c *Config, parent, gi, orbit int) (int, error) {
 	id := len(g.configs)
 	d := g.disk
 	sid, err := d.s.InternHash(key, h)
@@ -99,6 +100,10 @@ func (g *graph) intern(key []byte, h uint32, c *Config, parent int, gi int) (int
 	g.configs = append(g.configs, c)
 	g.parent = append(g.parent, parent)
 	g.canon = append(g.canon, gi)
+	if g.grp != nil {
+		g.orbit = append(g.orbit, orbit)
+		g.unreducedStates += int64(orbit)
+	}
 	return id, nil
 }
 

@@ -23,6 +23,7 @@ package explore
 import (
 	"bytes"
 	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -465,11 +466,13 @@ func (grp *group) unrankInto(k int, proc []int) (t int) {
 	return slices.Index(live, true)
 }
 
-// element unranks group element k.
-func (grp *group) element(k int) spec.Perm {
-	proc := make([]int, grp.n)
-	t := grp.unrankInto(k, proc)
-	return spec.MakePerm(proc, grp.vmaps[t].Vals)
+// elementInto unranks group element k into p, reusing its slices.
+func (grp *group) elementInto(k int, p *spec.Perm) {
+	p.Proc, p.Inv = resize(p.Proc, grp.n), resize(p.Inv, grp.n)
+	p.Vals = grp.vmaps[grp.unrankInto(k, p.Proc)].Vals
+	for i, j := range p.Proc {
+		p.Inv[j] = i
+	}
 }
 
 // compose returns the index of a∘b, defined by (a∘b)·C = a·(b·C).
@@ -557,14 +560,13 @@ func (grp *group) checkRootStable(root *Config) error {
 // successor keying allocates nothing once the buffers have grown.
 type keyScratch struct {
 	// best holds the key canonical returns; cand and objs hold object
-	// keys of a candidate and of the running minimum, ref the object
-	// keys of the configuration itself.
+	// keys of a candidate and of the running minimum.
 	best []byte
 	cand []byte
 	objs []byte
-	ref  []byte
-	// blocks holds the process blocks canonical has rendered this call,
-	// refs their spans and per-map ranks (indexed map*n + process).
+	// blocks holds the process blocks canonical ranks, the step memo's
+	// (a read-only view), refs their spans and per-map ranks (indexed
+	// map*n + process).
 	blocks []byte
 	refs   []blockRef
 	// asg[t*n+j] is the process value map t's minimal placement puts in
@@ -577,29 +579,33 @@ type keyScratch struct {
 	// Object-stage workspace: the runs of interchangeable processes
 	// (runSlots and runProcs hold each run's slots and processes, both
 	// ascending, and labels the sub-run each slot takes), each process's
-	// sub-run label, a candidate σ (proc, inv) and the least minimizer
-	// found (bproc, binv), and a transposition.
+	// sub-run label and its sub-run as a mask, a candidate σ (proc, inv)
+	// and the least minimizer found (bproc, binv), and the object states
+	// the candidates render.
 	runs     []objRun
 	runSlots []int
 	runProcs []int
 	labels   []int
 	sub      []int
+	meet     []uint64
 	proc     []int
 	inv      []int
 	bproc    []int
 	binv     []int
-	tp       []int
-	// Spliced-key scratch (symmetry off, see expandSpliced): the parent
-	// key, its per-component end offsets, and the handles of a parent
-	// the shard's step memo did not build.
+	states   []spec.State
+	// Expansion scratch (see expand): the parent key and its
+	// per-component end offsets (symmetry off), the handles of a parent
+	// the shard's step memo did not build, and a successor's handles
+	// (under symmetry).
 	parent []byte
 	ends   []int
 	hnd    []int32
+	succ   []int32
 }
 
-// blockRef locates one rendered process block in keyScratch.blocks;
-// rank orders it among the blocks rendered under its value map (equal
-// bytes, equal rank).
+// blockRef locates one process block in keyScratch.blocks; rank orders
+// it among the blocks ranked under its value map (equal bytes, equal
+// rank).
 type blockRef struct {
 	lo, hi, rank int32
 }
@@ -611,11 +617,14 @@ type objRun struct {
 	lo, hi int
 }
 
-// canonical renders the canonical (orbit-minimal) key of c into sc and
-// returns it along with the index gi of the first group element
-// realizing the minimum (gi == 0 iff c's own key is canonical) and the
-// orbit size |G|/|stabilizer| (the stabilizer is exactly the coset of
-// elements tying the minimal key, by orbit–stabilizer).
+// canonical renders into sc the canonical (orbit-minimal) key of the
+// configuration whose components are the entries hs of step memo m (its
+// processes', then its objects') and whose stepped mask is stepped. It
+// returns the key along with the index gi of the first group element
+// realizing the minimum (gi == 0 iff the configuration's own key is
+// canonical) and the orbit size |G|/|stabilizer| (the stabilizer is
+// exactly the coset of elements tying the minimal key, by
+// orbit–stabilizer).
 //
 // The returned slice aliases sc; callers copy it before reuse. A key
 // is the stepped-mask uvarint, then one block per process slot, then
@@ -625,25 +634,33 @@ type objRun struct {
 //   - mask: each class's stepped processes take the slots whose bits
 //     minimize the mask's uvarint bytes (minMask);
 //   - blocks: within a class, stepped and unstepped slots each take
-//     their processes' blocks in ascending order (a block renders once
-//     per map, its pid register masked: every block bound for slot j
-//     carries pid j+1);
+//     their processes' blocks in ascending order. The memo caches each
+//     process entry's block per map with its pid register masked: every
+//     block bound for slot j carries pid j+1, so masked blocks order as
+//     the slot's keys do, and the key writes j+1 back in;
 //   - objects: only runs of processes with equal blocks remain free,
 //     and the permutations of them that the object states cannot tell
-//     apart are skipped (objectStage).
+//     apart are skipped (subRuns, objectStage).
 //
 // Maps tying on mask and blocks are compared on object keys. Ties on
 // the whole key are broken by the forward map, which orders as the
-// element indices do.
-func (grp *group) canonical(sc *keyScratch, c *Config) (key []byte, gi, orbit int) {
-	n := len(c.Procs)
+// element indices do. Objects are rendered permuted only for those
+// ties and for the key itself when gi != 0.
+func (grp *group) canonical(sc *keyScratch, m *stepMemo, hs []int32, stepped uint64) (key []byte, gi, orbit int) {
+	n := grp.n
 	sc.reset(grp, n)
+	sc.blocks = m.bkeys[:len(m.bkeys):len(m.bkeys)]
 	var mask uint64
 	for t := range grp.vmaps {
-		sc.render(grp, c, t)
-		m := grp.place(sc, c, t) | c.SteppedMask>>uint(n)<<uint(n)
+		refs := sc.refs[t*n : (t+1)*n]
+		for i, e := range hs[:n] {
+			b := m.block(e, t)
+			refs[i] = blockRef{lo: b.lo, hi: b.hi}
+		}
+		sc.rankBlocks(refs)
+		mk := grp.place(sc, stepped, t) | stepped>>uint(n)<<uint(n)
 		if len(sc.vties) > 0 {
-			d := cmpUvarint(m, mask)
+			d := cmpUvarint(mk, mask)
 			if d == 0 {
 				d = sc.cmpPlaced(n, t, sc.vties[0])
 			}
@@ -654,54 +671,46 @@ func (grp *group) canonical(sc *keyScratch, c *Config) (key []byte, gi, orbit in
 				sc.vties = sc.vties[:0]
 			}
 		}
-		mask = m
+		mask = mk
 		sc.vties = append(sc.vties, t)
 	}
-	bt, ties := grp.objectStage(sc, c, mask)
-	gi = grp.rank(sc.bproc)
-	if gi == 0 {
-		sc.best = c.AppendKey(sc.best[:0])
-	} else {
-		sc.best = c.AppendKeyUnder(sc.best[:0], spec.Perm{Proc: sc.bproc, Inv: sc.binv, Vals: grp.vmaps[bt].Vals})
+	objs := hs[n:]
+	sc.runsOf(grp, n, sc.vties[0], mask)
+	weight := sc.subRuns(m, objs)
+	sc.states = sc.states[:0]
+	for _, e := range objs {
+		sc.states = append(sc.states, m.oents[e].state)
 	}
-	return sc.best, gi, grp.order / ties
+	bt, ties := grp.objectStage(sc, sc.states, mask, weight)
+	gi = grp.rank(sc.bproc)
+	key = binary.AppendUvarint(sc.best[:0], mask)
+	for j, p := range sc.binv {
+		key = m.appendBlock(key, hs[p], bt, j+1)
+	}
+	if gi == 0 {
+		for _, e := range objs {
+			key = append(key, m.objKey(e)...)
+		}
+	} else {
+		key = appendStatesUnder(key, sc.states, spec.Perm{Proc: sc.bproc, Inv: sc.binv, Vals: grp.vmaps[bt].Vals})
+	}
+	sc.best = key
+	return key, gi, grp.order / ties
 }
 
 // reset sizes sc for a canonical call over an n-process configuration.
 func (sc *keyScratch) reset(grp *group, n int) {
 	nv := len(grp.vmaps)
-	if len(sc.refs) < nv*n {
-		sc.refs = make([]blockRef, nv*n)
-		sc.asg = make([]int, nv*n)
-	}
-	if cap(sc.proc) < n {
-		sc.sub = make([]int, n)
-		sc.proc = make([]int, n)
-		sc.inv = make([]int, n)
-		sc.bproc = make([]int, n)
-		sc.binv = make([]int, n)
-		sc.tp = make([]int, n)
-	}
-	// Forward maps handed to the encoders must be exactly n long.
-	sc.proc, sc.inv, sc.bproc, sc.binv, sc.tp = sc.proc[:n], sc.inv[:n], sc.bproc[:n], sc.binv[:n], sc.tp[:n]
-	if len(sc.need) < len(grp.slots) {
-		sc.need = make([]int, len(grp.slots))
-	}
-	sc.blocks = sc.blocks[:0]
+	sc.refs, sc.asg, sc.need = resize(sc.refs, nv*n), resize(sc.asg, nv*n), resize(sc.need, len(grp.slots))
+	sc.sub, sc.meet, sc.proc, sc.inv = resize(sc.sub, n), resize(sc.meet, n), resize(sc.proc, n), resize(sc.inv, n)
+	sc.bproc, sc.binv = resize(sc.bproc, n), resize(sc.binv, n)
 	sc.vties = sc.vties[:0]
 }
 
-// render renders and ranks c's process blocks under value map t.
-func (sc *keyScratch) render(grp *group, c *Config, t int) {
-	n := len(c.Procs)
-	refs := sc.refs[t*n : (t+1)*n]
-	for i := range c.Procs {
-		lo := len(sc.blocks)
-		sc.blocks = c.Procs[i].AppendKeyWithPid(sc.blocks, grp.vmaps[t], 0)
-		refs[i] = blockRef{lo: int32(lo), hi: int32(len(sc.blocks))}
-	}
-	// A block's rank is the number of strictly smaller blocks: equal
-	// blocks share a rank and ranks order as the bytes do.
+// rankBlocks sets the rank of every block refs locates: the number of
+// strictly smaller blocks, so equal blocks share a rank and ranks order
+// as the bytes do.
+func (sc *keyScratch) rankBlocks(refs []blockRef) {
 	for i := range refs {
 		for j := i + 1; j < len(refs); j++ {
 			switch bytes.Compare(sc.block(refs[i]), sc.block(refs[j])) {
@@ -714,28 +723,29 @@ func (sc *keyScratch) render(grp *group, c *Config, t int) {
 	}
 }
 
-// block returns the rendered bytes r locates.
+// block returns the bytes r locates.
 func (sc *keyScratch) block(r blockRef) []byte { return sc.blocks[r.lo:r.hi] }
 
-// place fills sc.asg with value map t's minimal placement of c's
-// processes and returns its stepped mask (bits below n). Each class's
-// stepped processes, sorted by block, fill the stepped slots of its
-// target class in ascending order, and likewise the unstepped ones;
-// equal blocks keep ascending process order, which makes the placement
-// the least forward map among those it ties with.
-func (grp *group) place(sc *keyScratch, c *Config, t int) uint64 {
-	n := len(c.Procs)
+// place fills sc.asg with value map t's minimal placement of the
+// processes, whose stepped mask is stepped, and returns its stepped
+// mask (bits below n). Each class's stepped processes, sorted by block,
+// fill the stepped slots of its target class in ascending order, and
+// likewise the unstepped ones; equal blocks keep ascending process
+// order, which makes the placement the least forward map among those
+// it ties with.
+func (grp *group) place(sc *keyScratch, stepped uint64, t int) uint64 {
+	n := grp.n
 	need := sc.need[:len(grp.slots)]
 	clear(need)
 	for i, k := range grp.cls {
-		if c.SteppedMask&(1<<uint(i)) != 0 {
+		if stepped&(1<<uint(i)) != 0 {
 			need[grp.tgt[t][k]]++
 		}
 	}
 	mask := grp.minMask(need)
 	refs, asg := sc.refs[t*n:(t+1)*n], sc.asg[t*n:(t+1)*n]
 	sortKey := func(i int) int32 {
-		if c.SteppedMask&(1<<uint(i)) == 0 {
+		if stepped&(1<<uint(i)) == 0 {
 			return refs[i].rank + MaxProcs
 		}
 		return refs[i].rank
@@ -818,20 +828,20 @@ func (sc *keyScratch) cmpPlaced(n, a, b int) int {
 	return 0
 }
 
-// objectStage finishes canonical once mask and blocks are fixed. The
-// elements still tying differ only by permuting runs of processes with
-// equal blocks among their slots. Within a run, processes whose
-// transposition fixes the object states form a sub-run, and permuting
-// a sub-run cannot change the key, so a candidate only chooses which
+// objectStage finishes canonical once mask and blocks are fixed and
+// the runs of the first tying value map's placement are labelled with
+// their sub-runs, each candidate standing for weight forward maps (see
+// subRuns). The elements still tying differ only by permuting runs of
+// processes with equal blocks among their slots, and permuting a
+// sub-run cannot change the key, so a candidate only chooses which
 // slots each sub-run takes (its processes fill them in ascending order,
-// the least forward map of the candidate's coset). It leaves the least
-// minimizer's forward map in sc.bproc/sc.binv and returns its value
-// map and the number of group elements tying the minimal key.
-func (grp *group) objectStage(sc *keyScratch, c *Config, mask uint64) (bt, ties int) {
-	n := len(c.Procs)
+// the least forward map of the candidate's coset). Candidates render
+// the object states objs. It leaves the least minimizer's forward map
+// in sc.bproc/sc.binv and returns its value map and the number of group
+// elements tying the minimal key.
+func (grp *group) objectStage(sc *keyScratch, objs []spec.State, mask uint64, weight int) (bt, ties int) {
+	n := grp.n
 	bt = sc.vties[0]
-	sc.runsOf(grp, n, bt, mask)
-	weight := sc.subRuns(c)
 	if !sc.varyingRuns() && len(sc.vties) == 1 {
 		sc.setCandidate(n, bt)
 		copy(sc.bproc, sc.proc)
@@ -846,7 +856,7 @@ func (grp *group) objectStage(sc *keyScratch, c *Config, mask uint64) (bt, ties 
 		}
 		for {
 			sc.setCandidate(n, t)
-			sc.cand = c.appendObjKeysUnder(sc.cand[:0], spec.Perm{Proc: sc.proc, Inv: sc.inv, Vals: grp.vmaps[t].Vals})
+			sc.cand = appendStatesUnder(sc.cand[:0], objs, spec.Perm{Proc: sc.proc, Inv: sc.inv, Vals: grp.vmaps[t].Vals})
 			d := -1
 			if count > 0 {
 				d = bytes.Compare(sc.cand, sc.objs)
@@ -908,38 +918,33 @@ func (sc *keyScratch) closeRun(start int) {
 // sub-run and returns the number of forward maps each candidate stands
 // for: the product of the sub-run sizes' factorials. A transposition
 // of two processes of one run belongs to the identity coset, and it
-// fixes c's object states iff their keys under it are unchanged; such
-// transpositions make an equivalence, since (a c) = (a b)(b c)(a b).
+// fixes the object states objs, entries of m, iff it fixes each of
+// them, so sub-runs are the run cut by the meet of the objects'
+// transposition classes (stepMemo.classes), itself an equivalence.
 // Sub-runs are the same sets under every value map, as a map renders
 // equal blocks equally.
-func (sc *keyScratch) subRuns(c *Config) int {
-	if len(sc.runs) == 0 {
-		return 1
-	}
-	sc.ref = c.appendObjKeys(sc.ref[:0])
-	for i := range sc.tp {
-		sc.tp[i] = i
-	}
+func (sc *keyScratch) subRuns(m *stepMemo, objs []int32) int {
 	weight := 1
 	for _, r := range sc.runs {
 		ps := sc.runProcs[r.lo:r.hi]
-		for k, x := range ps {
-			sc.sub[x] = x
-			for _, y := range ps[:k] {
-				if sc.sub[y] == y && sc.swapFixes(c, y, x) {
-					sc.sub[x] = y
-					break
-				}
+		var run uint64
+		for _, x := range ps {
+			run |= 1 << uint(x)
+		}
+		for _, x := range ps {
+			sc.meet[x] = run
+		}
+		for _, e := range objs {
+			cls := m.classes(e)
+			for _, x := range ps {
+				sc.meet[x] &= cls[x]
 			}
 		}
 		for _, x := range ps {
-			size := 0
-			for _, y := range ps {
-				if sc.sub[y] == x {
-					size++
-				}
+			sc.sub[x] = bits.TrailingZeros64(sc.meet[x])
+			if sc.sub[x] == x {
+				weight *= factorial[bits.OnesCount64(sc.meet[x])]
 			}
-			weight *= factorial[size]
 		}
 	}
 	return weight
@@ -964,15 +969,6 @@ func (sc *keyScratch) varyingRuns() bool {
 	}
 	sc.runs = runs
 	return len(runs) > 0
-}
-
-// swapFixes reports whether transposing processes a and b leaves c's
-// object keys unchanged.
-func (sc *keyScratch) swapFixes(c *Config, a, b int) bool {
-	sc.tp[a], sc.tp[b] = b, a
-	sc.cand = c.appendObjKeysUnder(sc.cand[:0], spec.Perm{Proc: sc.tp, Inv: sc.tp})
-	sc.tp[a], sc.tp[b] = a, b
-	return bytes.Equal(sc.cand, sc.ref)
 }
 
 // setCandidate writes into sc.inv and sc.proc the forward map of value
@@ -1094,19 +1090,30 @@ type liftNode struct {
 // stabChecker memoizes membership in the stabilizer of one stored
 // configuration (whether element h fixes it), keyed by group index. The
 // identity needs no check, so the configuration is rebuilt (see
-// configAt) and the memo made only when a non-identity element is first
-// tested, which many lifted walks, and every walk without symmetry,
-// never do.
+// configAt) only when a non-identity element is first tested, which
+// many lifted walks, and every walk without symmetry, never do. The
+// graph keeps one in its sccScratch for the configuration the last
+// lifted walk started from, so the walks from one configuration share
+// what it learns.
 type stabChecker struct {
-	g     *graph
 	id    int
 	cfg   *Config
 	ref   []byte
 	buf   []byte
+	perm  spec.Perm
 	known map[int]bool
 }
 
-func (s *stabChecker) contains(h int) bool {
+// at readies s for configuration id, keeping what it knows when it
+// already serves id.
+func (s *stabChecker) at(id int) {
+	if s.id != id {
+		s.id, s.cfg = id, nil
+		clear(s.known)
+	}
+}
+
+func (s *stabChecker) contains(g *graph, h int) bool {
 	if h == 0 {
 		return true
 	}
@@ -1114,14 +1121,25 @@ func (s *stabChecker) contains(h int) bool {
 		return in
 	}
 	if s.cfg == nil {
-		s.cfg = s.g.configAt(s.id)
-		s.ref = s.cfg.AppendKey(nil)
+		s.cfg = g.configAt(s.id)
+		s.ref = s.cfg.AppendKey(s.ref[:0])
+	}
+	if s.known == nil {
 		s.known = map[int]bool{}
 	}
-	s.buf = s.cfg.AppendKeyUnder(s.buf[:0], s.g.grp.element(h))
+	g.grp.elementInto(h, &s.perm)
+	s.buf = s.cfg.AppendKeyUnder(s.buf[:0], s.perm)
 	in := bytes.Equal(s.buf, s.ref)
 	s.known[h] = in
 	return in
+}
+
+// crumb is a lifted walk's way into a node: the node it came from and
+// the concrete step it took, or root for the walk's start.
+type crumb struct {
+	prev liftNode
+	step Step
+	root bool
 }
 
 // liftedCycle extracts a concrete cycle schedule through the quotient
@@ -1141,26 +1159,29 @@ func (s *stabChecker) contains(h int) bool {
 // cyclic SCC: iterating any quotient loop multiplies the accumulated
 // group element, which has finite order, so some iterate lands in the
 // stabilizer. Without symmetry every element is the identity, and the
-// walk is a plain breadth-first search of the SCC.
+// walk is a plain breadth-first search of the SCC. The walk's memory
+// is the graph's sccScratch.
 func (g *graph) liftedCycle(from int, en edge, i int, soloOnly bool, comp []int) []Step {
-	stab := stabChecker{g: g, id: from}
+	sc := &g.scc
+	stab := &sc.stab
+	stab.at(from)
 	start := liftNode{en.to, en.g}
-	if start.v == from && stab.contains(start.h) {
+	if start.v == from && stab.contains(g, start.h) {
 		return []Step{en.step}
 	}
-	type crumb struct {
-		prev liftNode
-		step Step
-		root bool
+	if sc.crumbs == nil {
+		sc.crumbs = map[liftNode]crumb{}
 	}
-	crumbs := map[liftNode]crumb{start: {root: true}}
-	queue := []liftNode{start}
-	for len(queue) > 0 {
-		at := queue[0]
-		queue = queue[1:]
-		var h spec.Perm
+	crumbs := sc.crumbs
+	clear(crumbs)
+	crumbs[start] = crumb{root: true}
+	queue := append(sc.queue[:0], start)
+	defer func() { sc.queue = queue[:0] }()
+	h, ge := &sc.hperm, &sc.gperm
+	for q := 0; q < len(queue); q++ {
+		at := queue[q]
 		if g.grp != nil {
-			h = g.grp.element(at.h)
+			g.grp.elementInto(at.h, h)
 		}
 		for it := g.edgeIter(at.v); ; {
 			e, ok := it.next()
@@ -1172,19 +1193,20 @@ func (g *graph) liftedCycle(from int, en edge, i int, soloOnly bool, comp []int)
 			}
 			nx := liftNode{v: e.to}
 			if g.grp != nil {
-				e.step = permuteStep(e.step, h)
+				e.step = permuteStep(e.step, *h)
 			}
 			if soloOnly && e.step.Proc != i {
 				continue
 			}
 			if g.grp != nil {
-				nx.h = g.grp.compose(h, g.grp.element(e.g))
+				g.grp.elementInto(e.g, ge)
+				nx.h = g.grp.compose(*h, *ge)
 			}
 			if _, ok := crumbs[nx]; ok {
 				continue
 			}
 			crumbs[nx] = crumb{prev: at, step: e.step}
-			if nx.v == from && stab.contains(nx.h) {
+			if nx.v == from && stab.contains(g, nx.h) {
 				var rev []Step
 				for n := nx; !crumbs[n].root; n = crumbs[n].prev {
 					rev = append(rev, crumbs[n].step)

@@ -273,12 +273,12 @@ func TestSymmetryEquivariance(t *testing.T) {
 			}
 			g := rep.g
 			root := g.configs[0]
-			sc, sc2 := &keyScratch{}, &keyScratch{}
+			z, z2 := newCanonizer(grp, sys), newCanonizer(grp, sys)
 			var naive, under []byte
 			for id := range g.configs {
 				c := g.configAt(id)
 				sched := g.pathTo(id)
-				aliased, gi, orbit := grp.canonical(sc, c)
+				aliased, gi, orbit := z.canonical(c)
 				// canonical's result aliases its scratch; keep a stable copy.
 				key := append([]byte(nil), aliased...)
 				// Pruned minimum == naive minimum over the full group.
@@ -316,7 +316,7 @@ func TestSymmetryEquivariance(t *testing.T) {
 					}
 					// Orbit invariance: the permuted image canonicalizes to
 					// the same key.
-					dkey, _, dorbit := grp.canonical(sc2, d)
+					dkey, _, dorbit := z2.canonical(d)
 					if !bytes.Equal(dkey, key) {
 						t.Fatalf("config %d, perm %d: canonical key not orbit-invariant", id, k)
 					}
@@ -387,7 +387,7 @@ func TestSymmetryCanonicalTieBreak(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
-	sc := &keyScratch{}
+	z := newCanonizer(grp, sys)
 	for trial := 0; trial < 500; trial++ {
 		var st pairState
 		for k := rng.Intn(4); k > 0; k-- {
@@ -397,7 +397,7 @@ func TestSymmetryCanonicalTieBreak(t *testing.T) {
 			}
 		}
 		c := &Config{Procs: root.Procs, Objs: []spec.State{st}, SteppedMask: uint64(rng.Intn(64))}
-		key, gi, orbit := grp.canonical(sc, c)
+		key, gi, orbit := z.canonical(c)
 		wkey, wgi, worbit := scanCanonical(perms, c)
 		if !bytes.Equal(key, wkey) || gi != wgi || orbit != worbit {
 			t.Fatalf("pairs %v, mask %06b: canonical gives gi %d, orbit %d, key %x; scan gives gi %d, orbit %d, key %x",

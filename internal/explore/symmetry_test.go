@@ -75,6 +75,55 @@ func replaySchedule(t *testing.T, sys *explore.System, tsk task.Task, sched []ex
 	return res
 }
 
+// soundCases are TestSymmetrySound's systems, each with the modes it
+// is reduced under.
+var soundCases = []struct {
+	name   string
+	prot   programs.Protocol
+	inputs []value.Value
+	tsk    task.Task
+	modes  []explore.Symmetry
+}{
+	{
+		// Solved n-DAC protocol: the two 0-input non-distinguished
+		// processes are exchangeable in ids mode.
+		name:   "algorithm2-dac",
+		prot:   programs.Algorithm2(3, 1),
+		inputs: []value.Value{1, 0, 0},
+		tsk:    task.DAC{N: 3, P: 0},
+		modes:  []explore.Symmetry{explore.SymmetryIDs, explore.SymmetryValues},
+	},
+	{
+		// Safety violation: ids mode has a trivial group (distinct
+		// inputs); values mode can swap the processes along with
+		// their proposals.
+		name:   "naive-2sa-safety",
+		prot:   programs.NaiveTwoSAConsensus(2),
+		inputs: []value.Value{0, 1},
+		tsk:    task.Consensus{N: 2},
+		modes:  []explore.Symmetry{explore.SymmetryIDs, explore.SymmetryValues},
+	},
+	{
+		// Liveness violations with cycle witnesses.
+		name:   "oversubscribed-liveness",
+		prot:   programs.OverSubscribedConsensus(2),
+		inputs: []value.Value{0, 1, 2},
+		tsk:    task.Consensus{N: 3},
+		modes:  []explore.Symmetry{explore.SymmetryIDs, explore.SymmetryValues},
+	},
+	{
+		// (3,2)-PACs among four processes: process 3 owns none of
+		// their ports, so it never trades places with process 2,
+		// though both run the same program on the same input. Keying
+		// a PAC under such a swap indexed past its slots.
+		name:   "partition-on-narrow-pac",
+		prot:   programs.PartitionObjectO(2, 2),
+		inputs: []value.Value{3, 3, 5, 5},
+		tsk:    task.KSetAgreement{N: 4, K: 2},
+		modes:  []explore.Symmetry{explore.SymmetryIDs, explore.SymmetryValues},
+	},
+}
+
 // TestSymmetrySound cross-checks reduced against unreduced exploration
 // on every determinism-suite protocol: identical verdicts, state
 // counts bounded by the orbit equation, deterministic reduced runs at
@@ -83,53 +132,7 @@ func replaySchedule(t *testing.T, sys *explore.System, tsk task.Task, sched []ex
 // liveness witnesses execute their cycle.
 func TestSymmetrySound(t *testing.T) {
 	t.Parallel()
-	cases := []struct {
-		name   string
-		prot   programs.Protocol
-		inputs []value.Value
-		tsk    task.Task
-		modes  []explore.Symmetry
-	}{
-		{
-			// Solved n-DAC protocol: the two 0-input non-distinguished
-			// processes are exchangeable in ids mode.
-			name:   "algorithm2-dac",
-			prot:   programs.Algorithm2(3, 1),
-			inputs: []value.Value{1, 0, 0},
-			tsk:    task.DAC{N: 3, P: 0},
-			modes:  []explore.Symmetry{explore.SymmetryIDs, explore.SymmetryValues},
-		},
-		{
-			// Safety violation: ids mode has a trivial group (distinct
-			// inputs); values mode can swap the processes along with
-			// their proposals.
-			name:   "naive-2sa-safety",
-			prot:   programs.NaiveTwoSAConsensus(2),
-			inputs: []value.Value{0, 1},
-			tsk:    task.Consensus{N: 2},
-			modes:  []explore.Symmetry{explore.SymmetryIDs, explore.SymmetryValues},
-		},
-		{
-			// Liveness violations with cycle witnesses.
-			name:   "oversubscribed-liveness",
-			prot:   programs.OverSubscribedConsensus(2),
-			inputs: []value.Value{0, 1, 2},
-			tsk:    task.Consensus{N: 3},
-			modes:  []explore.Symmetry{explore.SymmetryIDs, explore.SymmetryValues},
-		},
-		{
-			// (3,2)-PACs among four processes: process 3 owns none of
-			// their ports, so it never trades places with process 2,
-			// though both run the same program on the same input. Keying
-			// a PAC under such a swap indexed past its slots.
-			name:   "partition-on-narrow-pac",
-			prot:   programs.PartitionObjectO(2, 2),
-			inputs: []value.Value{3, 3, 5, 5},
-			tsk:    task.KSetAgreement{N: 4, K: 2},
-			modes:  []explore.Symmetry{explore.SymmetryIDs, explore.SymmetryValues},
-		},
-	}
-	for _, tc := range cases {
+	for _, tc := range soundCases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
@@ -217,6 +220,88 @@ func TestSymmetrySound(t *testing.T) {
 		})
 	}
 }
+
+// TestUnreducedCounts checks the counts a reduced exploration reports
+// for the concrete graph, Σ orbit(rep) and Σ orbit(rep)·outdeg(rep),
+// against an unreduced run of the same system, for every
+// TestSymmetrySound and canonicalization case under ids and values
+// (a mode the system does not admit is skipped), at Workers 1 and 4.
+// The alg2 n=8 counts, whose unreduced run is too large for a test,
+// are pinned.
+func TestUnreducedCounts(t *testing.T) {
+	t.Parallel()
+	type run struct {
+		name   string
+		prot   programs.Protocol
+		inputs []value.Value
+		tsk    task.Task
+		states int64
+		trans  int64
+	}
+	var runs []run
+	for _, tc := range soundCases {
+		runs = append(runs, run{name: tc.name, prot: tc.prot, inputs: tc.inputs, tsk: tc.tsk})
+	}
+	for _, tc := range canonCases {
+		if tc.slow && testing.Short() {
+			continue
+		}
+		r := run{name: tc.name, prot: tc.prot, inputs: tc.inputs, tsk: tc.tsk}
+		if tc.name == "alg2-n8-ids" {
+			r.states, r.trans = alg2N8States, alg2N8Transitions
+		}
+		runs = append(runs, r)
+	}
+	for _, r := range runs {
+		r := r
+		t.Run(r.name, func(t *testing.T) {
+			t.Parallel()
+			sys, err := r.prot.System(r.inputs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.states == 0 {
+				base, err := explore.Check(sys, r.tsk, explore.Options{Workers: 2})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if base.UnreducedStates != int64(base.States) || base.UnreducedTransitions != int64(base.Transitions) {
+					t.Fatalf("unreduced run reports %d/%d concrete counts for %d/%d",
+						base.UnreducedStates, base.UnreducedTransitions, base.States, base.Transitions)
+				}
+				r.states, r.trans = int64(base.States), int64(base.Transitions)
+			}
+			reduced := 0
+			for _, mode := range []explore.Symmetry{explore.SymmetryIDs, explore.SymmetryValues} {
+				for _, w := range []int{1, 4} {
+					red, err := explore.Check(sys, r.tsk, explore.Options{Workers: w, Symmetry: mode})
+					if errors.Is(err, explore.ErrNotSymmetric) || errors.Is(err, explore.ErrSymmetryUnsupported) {
+						continue
+					}
+					if err != nil {
+						t.Fatalf("%v/workers=%d: %v", mode, w, err)
+					}
+					if red.UnreducedStates != r.states || red.UnreducedTransitions != r.trans {
+						t.Fatalf("%v/workers=%d: %d representatives stand for %d configurations and %d transitions, unreduced %d and %d",
+							mode, w, red.States, red.UnreducedStates, red.UnreducedTransitions, r.states, r.trans)
+					}
+					reduced++
+				}
+			}
+			if reduced == 0 {
+				t.Fatal("no symmetry mode admits the system")
+			}
+		})
+	}
+}
+
+// The alg2 n=8 (p=1, inputs 1,0,…,0) concrete counts: an unreduced run
+// and Σ orbit(rep), Σ orbit(rep)·outdeg(rep) over its ids quotient
+// agree on them.
+const (
+	alg2N8States      = 1_484_272
+	alg2N8Transitions = 9_088_544
+)
 
 // TestSymmetryReductionRatio pins the headline win on the paper's
 // Algorithm 2 at n = 4 with one distinguished 1-input: three
