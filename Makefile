@@ -89,15 +89,15 @@ bench:
 # read the parent key and component steps through step-memo handles
 # and the key table took 8-byte slots (the commit after 5992980):
 # explore-n7 about 2,270, sweep-e3 about 1,510 and dacd-jobs about 89.
-# explore-n7-ids's is about twice the 75.5 it read once symmetry
-# expansion, too, took its steps and canonicalization inputs from the
-# step memo (the commit after 7079bf0). So a ceiling trips on a lost
+# explore-n7-ids's is about twice the 60.0 it read once Termination (b)
+# was decided by one SCC pass and the merge composed group elements
+# from a cache (the commit after 88ebf54). So a ceiling trips on a lost
 # fast path, not on noise.
 # Lower a ceiling in the same commit as a measured speed-up it should
 # hold.
 # encoding/json writes the metrics map with sorted keys, so sed can
 # read the value without a JSON tool.
-BENCH_CEILINGS = explore-n7:4500 explore-n7-ids:150 sweep-e3:3100 dacd-jobs:180
+BENCH_CEILINGS = explore-n7:4500 explore-n7-ids:120 sweep-e3:3100 dacd-jobs:180
 bench-gate:
 	@for wc in $(BENCH_CEILINGS); do \
 		w=$${wc%%:*}; ceiling=$${wc#*:}; \

@@ -391,12 +391,14 @@ func (st *search) restore(path string) error {
 		}
 		var key []byte
 		gi, orbit := 0, 1
+		var stab []uint8
 		if g.grp != nil {
 			hs, err := mo.handles(g.sys, nc, &sc.hnd)
 			if err != nil {
 				return err
 			}
 			key, gi, orbit = g.grp.canonical(&sc, mo, hs, nc.SteppedMask)
+			stab = slices.Clone(sc.orb)
 		} else {
 			sc.best = nc.AppendKey(sc.best[:0])
 			key = sc.best
@@ -405,7 +407,7 @@ func (st *search) restore(path string) error {
 		if _, dup := g.disk.s.LookupHash(key, h); dup {
 			return corruptf("config %d: duplicate configuration in spanning tree", id)
 		}
-		if _, err := g.intern(key, h, nc, parent, gi, orbit); err != nil {
+		if _, err := g.intern(key, h, nc, parent, gi, orbit, stab); err != nil {
 			return err
 		}
 		tree[id] = s

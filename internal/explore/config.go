@@ -81,9 +81,10 @@ func (c *Config) Key() string {
 // configurations of one System are equal iff their encodings are equal:
 // the process and object counts are fixed per System and every
 // component encoding is self-delimiting, so the concatenation is
-// injective. The explorer interns configurations by these bytes through
-// a map[string]int with zero-copy string(bytes) lookups, which is what
-// keeps per-state allocations off the hot path.
+// injective. The explorer interns configurations by these bytes in the
+// configuration store (internal/store), whose table compares a probe
+// against the key arena's bytes without copying them, and its analyses
+// decode per-process outcomes from the interned bytes (metaAt).
 func (c *Config) AppendKey(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, c.SteppedMask)
 	for _, p := range c.Procs {

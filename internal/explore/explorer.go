@@ -269,9 +269,9 @@ func (r *Report) Solved() bool { return len(r.Violations) == 0 }
 
 // graph is the explored configuration graph. Configurations are
 // interned by their compact binary key (Config.AppendKey) in the
-// configuration store (see store.go): keys live in its hash table,
-// outcome records in its Meta arena, edge lists in its Edges arena,
-// and expanded configs entries are nil after their level's spill.
+// configuration store (see store.go): keys live in its hash table
+// and Keys arena, edge lists in its Edges arena, and expanded configs
+// entries are nil after their level's spill.
 type graph struct {
 	sys     *System
 	tsk     task.Task
@@ -284,6 +284,7 @@ type graph struct {
 	grp     *group     // symmetry group, nil when Options.Symmetry is off
 	canon   []int      // per config: index of the group element g with g·config canonical
 	orbit   []int      // per config under symmetry: its orbit size
+	stab    []uint8    // under symmetry, n per config: its stabilizer's orbits (see keyScratch.orb)
 	disk    *diskState // configuration store
 	scc     sccScratch // the liveness and valency passes' working memory
 	// Under symmetry, Σ orbit over the interned configurations and Σ
@@ -381,6 +382,7 @@ func (c *Checker) reset(sys *System, tsk task.Task) *graph {
 		parent:  g.parent[:0],
 		canon:   g.canon[:0],
 		orbit:   g.orbit[:0],
+		stab:    g.stab[:0],
 		disk:    d,
 		scc:     g.scc,
 		halted:  resize(g.halted, sys.Procs()),
@@ -391,14 +393,13 @@ func (c *Checker) reset(sys *System, tsk task.Task) *graph {
 		g.halted[i] = -1
 	}
 	g.scc.stab.at(-1)
+	g.scc.walks = 0
 	if !slices.Equal(g.outcome.Inputs, sys.Inputs) {
 		g.outcome = task.NewOutcome(sys.Inputs)
 	}
 	*d = diskState{
-		metaOff: d.metaOff[:0],
 		edgeOff: d.edgeOff[:0],
 		edgeRec: d.edgeRec[:0],
-		metaRec: d.metaRec[:0],
 	}
 	return g
 }
@@ -515,7 +516,11 @@ func (c *Checker) newSearch(sys *System, tsk task.Task, opts *Options) (*search,
 	// Every group element stabilizes the root, so its concrete key is
 	// already canonical and its orbit is the root alone.
 	rootKey := root.AppendKey(nil)
-	if _, err := g.intern(rootKey, store.Hash(rootKey), root, -1, 0, 1); err != nil {
+	var rootStab []uint8
+	if g.grp != nil {
+		rootStab = g.grp.rootOrbits()
+	}
+	if _, err := g.intern(rootKey, store.Hash(rootKey), root, -1, 0, 1, rootStab); err != nil {
 		return fail(err)
 	}
 	return st, rep, nil
@@ -648,6 +653,7 @@ type shardOut struct {
 	khash    []uint32     // by local id: the key's store.Hash
 	cfgs     []*Config    // by local id: the first occurrence's configuration
 	orbits   []int        // by local id: the configuration's orbit size (1 without symmetry)
+	stabs    []uint8      // under symmetry, n per local id: its stabilizer's orbits
 	gids     []int        // merge scratch: global id by local id, -1 until merged
 	err      error
 	errAt    int // config id whose expansion failed
@@ -674,6 +680,7 @@ func (out *shardOut) reset(start int) {
 		khash:  out.khash[:0],
 		cfgs:   out.cfgs[:0],
 		orbits: out.orbits[:0],
+		stabs:  out.stabs[:0],
 		gids:   out.gids[:0],
 		sc:     out.sc,
 		memo:   out.memo,
@@ -1004,6 +1011,9 @@ func (st *search) expand(out *shardOut, c *Config) error {
 				if rec.lid, err = out.intern(key, h, nc, orbit); err != nil {
 					return err
 				}
+				if g.grp != nil {
+					out.stabs = append(out.stabs, sc.orb...)
+				}
 			}
 			out.addSucc(rec)
 		}
@@ -1037,6 +1047,7 @@ func (st *search) mergeLevel(outs []*shardOut) error {
 		return firstErr
 	}
 	g, rep, d := st.g, st.rep, st.g.disk
+	np := g.sys.Procs()
 	for _, out := range outs {
 		st.symHits += out.symHits
 		if out.orbitMax > st.orbitMax {
@@ -1044,7 +1055,7 @@ func (st *search) mergeLevel(outs []*shardOut) error {
 		}
 	}
 	batch := 0
-	for _, out := range outs {
+	for x, out := range outs {
 		for range out.cfgs {
 			out.gids = append(out.gids, -1)
 		}
@@ -1074,11 +1085,19 @@ func (st *search) mergeLevel(outs []*shardOut) error {
 				if id < 0 {
 					if id = out.gids[s.lid]; id < 0 {
 						key, h := out.local.Key(s.lid), out.khash[s.lid]
-						if known, ok := g.disk.s.LookupHash(key, h); ok {
+						known, ok := 0, false
+						if x > 0 { // the first shard's keys missed the frozen table in expansion, and nothing has joined it since
+							known, ok = g.disk.s.LookupHash(key, h)
+						}
+						if ok {
 							id = known
 						} else {
 							var err error
-							if id, err = g.intern(key, h, out.cfgs[s.lid], at, s.gi, out.orbits[s.lid]); err != nil {
+							var stab []uint8
+							if g.grp != nil {
+								stab = out.stabs[s.lid*np : (s.lid+1)*np]
+							}
+							if id, err = g.intern(key, h, out.cfgs[s.lid], at, s.gi, out.orbits[s.lid], stab); err != nil {
 								return err
 							}
 							fresh = true

@@ -448,8 +448,8 @@ func SnapshotBytes(s *Snapshot) []byte {
 		}
 		b.WriteByte('\n')
 	}
-	fmt.Fprintf(&b, "%v %d %v %v %v %d\n%+v\n", g.halted, g.unsafe, g.unsafeErr, d.metaOff, d.edgeOff, d.edgeDurable, *d.s)
-	for _, a := range []*store.Arena{d.s.Keys, d.s.Meta, d.s.Edges} {
+	fmt.Fprintf(&b, "%v %d %v %v %d\n%+v\n", g.halted, g.unsafe, g.unsafeErr, d.edgeOff, d.edgeDurable, *d.s)
+	for _, a := range []*store.Arena{d.s.Keys, d.s.Edges} {
 		b.Write(bytes.Join(a.Sections(a.Len()), nil))
 		b.WriteByte('\n')
 	}
@@ -489,38 +489,34 @@ func (g *graph) soloCycle(from, to, i int, comp []int) bool {
 }
 
 // SoloAgreement compares, on every intra-SCC edge of every process but
-// skip (-1 skips none) in rep's graph, the per-process SCC answer to
-// "does this edge lie on a solo cycle" with soloCycle's. It returns how
-// many edges it compared, how many lie on a solo cycle, and the first
-// disagreement. rep must come from a symmetry-off Check.
+// skip (-1 skips none) in rep's graph, the solo graph's answer to "does
+// this edge lie on a solo cycle of its process" (soloGraph and
+// onSoloCycle, with skip as the distinguished process) with the
+// per-edge references: the lifted walk restricted to the edge's
+// process (liftedCycle), and without symmetry also soloCycle's plain
+// search. It returns how many edges it compared, how many lie on a solo
+// cycle, and the first disagreement.
 func SoloAgreement(rep *Report, skip int) (edges, solo int, err error) {
 	g := rep.g
-	comp, _ := g.sccs()
-	byProc := make([][]soloEdge, g.sys.Procs())
+	comp, cyclic := g.sccs()
+	anySolo := g.soloGraph(comp, cyclic, skip)
 	for from := range g.configs {
-		it := g.edgeIter(from)
-		for k := 0; ; k++ {
+		for it := g.edgeIter(from); ; {
 			e, ok := it.next()
 			if !ok {
 				break
 			}
-			if i := e.step.Proc; i != skip && comp[e.to] == comp[from] {
-				byProc[i] = append(byProc[i], soloEdge{int32(from), int32(e.to), int32(k)})
+			i := e.step.Proc
+			if i == skip || comp[e.to] != comp[from] {
+				continue
 			}
-		}
-	}
-	sc := &g.scc
-	sc.lid = resize(sc.lid, len(g.configs))
-	for i, es := range byProc {
-		if len(es) == 0 {
-			continue
-		}
-		sc.soloSCCs(es)
-		for _, e := range es {
-			got := sc.soloComp[sc.lid[e.from]] == sc.soloComp[sc.lid[e.to]]
-			want := g.soloCycle(int(e.from), int(e.to), i, comp)
+			got := anySolo && g.onSoloCycle(from, e.to, i, e.g)
+			want := g.liftedCycle(from, e, i, true, comp) != nil
 			if got != want && err == nil {
-				err = fmt.Errorf("p%d edge %d->%d: per-process SCCs say %v, soloCycle %v", i+1, e.from, e.to, got, want)
+				err = fmt.Errorf("p%d edge %d->%d (group index %d): solo graph says %v, liftedCycle %v", i+1, from, e.to, e.g, got, want)
+			}
+			if plain := g.grp == nil && g.soloCycle(from, e.to, i, comp); g.grp == nil && plain != want && err == nil {
+				err = fmt.Errorf("p%d edge %d->%d: liftedCycle says %v, soloCycle %v", i+1, from, e.to, want, plain)
 			}
 			edges++
 			if want {
@@ -529,6 +525,47 @@ func SoloAgreement(rep *Report, skip int) (edges, solo int, err error) {
 		}
 	}
 	return edges, solo, err
+}
+
+// LiftedWalks returns how many lifted walks (liftedCycle calls) the
+// graph of rep's checker made since its Check began.
+func LiftedWalks(rep *Report) int { return rep.g.scc.walks }
+
+// appendMeta encodes c's outcome record as metaAt decodes it: per
+// process a status byte, decision varint, and poised-object varint. It
+// is metaAt's reference, read off the configuration itself.
+func appendMeta(dst []byte, sys *System, c *Config) []byte {
+	for i := range c.Procs {
+		dst = append(dst, byte(c.Procs[i].Status))
+		dst = binary.AppendVarint(dst, int64(c.Procs[i].Decision))
+		obj := -1
+		if poise, ok := machine.Poised(sys.Programs[i], c.Procs[i]); ok {
+			obj = poise.Obj
+		}
+		dst = binary.AppendVarint(dst, int64(obj))
+	}
+	return dst
+}
+
+// MetaAgreement compares metaAt, which decodes the interned key, with
+// appendMeta over configAt's configuration, for every configuration of
+// rep's graph, and returns the first disagreement.
+func MetaAgreement(rep *Report) error {
+	g := rep.g
+	var m metaRec
+	for id := range g.configs {
+		g.metaAt(id, &m)
+		var got []byte
+		for i := range m.status {
+			got = append(got, byte(m.status[i]))
+			got = binary.AppendVarint(got, int64(m.decision[i]))
+			got = binary.AppendVarint(got, int64(m.poised[i]))
+		}
+		if want := appendMeta(nil, g.sys, g.configAt(id)); !bytes.Equal(got, want) {
+			return fmt.Errorf("configuration %d (group index %d): metaAt %v, configuration %v", id, g.canon[id], got, want)
+		}
+	}
+	return nil
 }
 
 // LivenessAllocs is the average number of allocations of one liveness

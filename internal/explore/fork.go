@@ -166,7 +166,6 @@ func (c *Checker) Fork(s *Snapshot, sys *System, opts Options) (*Report, error) 
 	d, bd := g.disk, base.disk
 	d.s = c.heapStore()
 	d.s.CopyFrom(bd.s)
-	d.metaOff = append(d.metaOff, bd.metaOff...)
 	d.edgeOff = append(d.edgeOff, bd.edgeOff...)
 	d.edgeDurable = bd.edgeDurable
 

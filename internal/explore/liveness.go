@@ -3,6 +3,7 @@ package explore
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"setagree/internal/spec"
 	"setagree/internal/task"
@@ -23,9 +24,11 @@ import (
 //
 // The work is linear in the graph: one Tarjan walk, then one walk over
 // the edges of the configurations in cyclic SCCs (every cycle lies in
-// one), both decoding only each edge's target and process. Each
-// process's first violating edge in that walk is reported, in walk
-// order, exactly as a per-edge search would.
+// one), both decoding only each edge's target and process. n-DAC adds
+// two walks over those edges and one Tarjan walk over the solo graph
+// Termination (b) is decided on (see soloGraph). Each process's first
+// violating edge in walk order is reported, exactly as a per-edge
+// search would.
 func (g *graph) checkLiveness(rep *Report) {
 	live := g.tsk.Liveness()
 	n := g.sys.Procs()
@@ -48,14 +51,7 @@ func (g *graph) checkLiveness(rep *Report) {
 
 	comp, cyclic := g.sccs()
 	isDAC := !live.WaitFree && live.DACDistinguished >= 0
-	// Termination (b) without symmetry: an i-edge inside an SCC lies on
-	// an i-only cycle iff its endpoints share a component of the
-	// subgraph of intra-SCC i-edges, which the walk collects per process.
-	soloExact := isDAC && g.grp == nil
-	sc.edges = resize(sc.edges, n)
-	for i := range sc.edges {
-		sc.edges[i] = sc.edges[i][:0]
-	}
+	solo := isDAC && g.soloGraph(comp, cyclic, live.DACDistinguished)
 
 	// For resilience-bounded tasks we reason per SCC: the processes with
 	// no step inside a cyclic SCC are "effectively crashed" in the
@@ -99,8 +95,7 @@ func (g *graph) checkLiveness(rep *Report) {
 		}
 		it := g.edgeIter(from)
 		for k := 0; ; k++ {
-			at := it
-			to, i, ok := it.lean()
+			to, i, gi, ok := it.leanGroup()
 			if !ok {
 				break
 			}
@@ -112,13 +107,8 @@ func (g *graph) checkLiveness(rep *Report) {
 			case live.WaitFree:
 			case isDAC && i == live.DACDistinguished:
 				kind = ViolationDACTerminationA
-			case soloExact:
-				sc.edges[i] = append(sc.edges[i], soloEdge{int32(from), int32(to), int32(k)})
-				continue
 			case isDAC:
-				// Under symmetry quotient i-edges conflate steps of i's
-				// translates: seek the solo cycle in the lifted graph.
-				if e, _ := at.next(); g.liftedCycle(from, e, i, true, comp) == nil {
+				if !solo || !g.onSoloCycle(from, to, i, gi) {
 					continue
 				}
 				kind = ViolationDACTerminationB
@@ -135,19 +125,130 @@ func (g *graph) checkLiveness(rep *Report) {
 			hits[i] = livenessHit{at: from, k: k, kind: kind}
 		}
 	}
-	sc.lid = resize(sc.lid, len(g.configs))
-	for i, es := range sc.edges {
-		if len(es) > 0 {
-			sc.soloSCCs(es)
+	g.reportHits(rep, hits, comp)
+}
+
+// soloGraph builds and labels the graph Termination (b) is decided on,
+// and reports whether it has a cycle. Its nodes are pairs (v, o) of a
+// configuration v in a cyclic SCC and an orbit o of v's stabilizer on
+// the process slots, o holding a non-distinguished process with a step
+// inside the SCC; without symmetry every orbit is one slot. A quotient
+// edge u→v of such a process k, with group index g, becomes the edge
+// (u, [k]) → (v, [g⁻¹(k)]): the concrete successor is g·R_v, so the
+// process that stepped sits in slot g⁻¹(k) of the representative R_v.
+//
+// An edge lies on a concrete solo cycle of its process iff its two
+// endpoints share a component. A cycle through (u, [k]), followed with
+// the process's own edges, brings it back to u in a slot of k's orbit;
+// composing the accumulated group element with the stabilizer element
+// that moves that slot back to k gives an element G fixing k, and
+// repeating the cycle ord(G) times closes it concretely. Conversely a
+// concrete solo cycle returns to u by an element of u's stabilizer,
+// which keeps k in its orbit, so it projects onto a cycle. A graph of
+// slots instead of orbits misses exactly the cycles that bring the
+// process back in another slot of its orbit. Without symmetry every
+// orbit is one slot and every g the identity, so the graph splits into
+// one subgraph per process.
+//
+// It reads each intra-SCC edge twice, first to number the nodes
+// (sc.base and sc.mask), then to build the compressed sparse rows of
+// their successors, an edge to a node without one dropped.
+func (g *graph) soloGraph(comp []int, cyclic []bool, d int) bool {
+	sc := &g.scc
+	sc.base, sc.mask = resize(sc.base, len(g.configs)), resize(sc.mask, len(g.configs))
+	nodes := int32(0)
+	for v := range g.configs {
+		if !cyclic[comp[v]] {
+			continue
 		}
-		for _, e := range es {
-			if sc.soloComp[sc.lid[e.from]] == sc.soloComp[sc.lid[e.to]] {
-				hits[i] = livenessHit{at: int(e.from), k: int(e.k), kind: ViolationDACTerminationB}
+		var m uint64
+		for it := g.edgeIter(v); ; {
+			to, i, ok := it.lean()
+			if !ok {
 				break
 			}
+			if i != d && comp[to] == comp[v] {
+				m |= 1 << g.orbitOf(v, i)
+			}
 		}
+		sc.base[v], sc.mask[v] = nodes, m
+		nodes += int32(bits.OnesCount64(m))
 	}
-	g.reportHits(rep, hits, comp)
+	sc.off, sc.adj = sc.off[:0], sc.adj[:0]
+	for v := range g.configs {
+		if !cyclic[comp[v]] {
+			continue
+		}
+		row := sc.row[:0]
+		for it := g.edgeIter(v); ; {
+			to, i, gi, ok := it.leanGroup()
+			if !ok {
+				break
+			}
+			if i == d || comp[to] != comp[v] {
+				continue
+			}
+			arc := soloArc{g.orbitOf(v, i), g.soloNode(to, i, gi)}
+			x := len(row)
+			row = append(row, arc)
+			for ; x > 0 && row[x-1].orb > arc.orb; x-- { // stable, by orbit
+				row[x] = row[x-1]
+			}
+			row[x] = arc
+		}
+		for x, a := range row {
+			if x == 0 || a.orb != row[x-1].orb {
+				sc.off = append(sc.off, int32(len(sc.adj)))
+			}
+			if a.to >= 0 {
+				sc.adj = append(sc.adj, a.to)
+			}
+		}
+		sc.row = row
+	}
+	sc.off = append(sc.off, int32(len(sc.adj)))
+	var cyc []bool
+	sc.soloComp, cyc = runTarjan(&sc.solo, int(nodes), csrEdges{sc.off, sc.adj})
+	return slices.Contains(cyc, true)
+}
+
+// soloArc is one successor of a configuration in soloGraph: the orbit
+// of the process that steps, and the node it reaches (-1 for none).
+type soloArc struct {
+	orb uint
+	to  int32
+}
+
+// orbitOf returns the least slot of slot i's orbit under configuration
+// v's stabilizer: i itself without symmetry.
+func (g *graph) orbitOf(v, i int) uint {
+	if g.grp == nil {
+		return uint(i)
+	}
+	return uint(g.stab[v*g.grp.n+i])
+}
+
+// soloNode returns the solo-graph node of process k's step to v with
+// group index gi, (v, [gi⁻¹(k)]), or -1 when soloGraph numbered none.
+func (g *graph) soloNode(v, k, gi int) int32 {
+	if gi != 0 {
+		_, inv, _ := g.grp.elem(gi)
+		k = int(inv[k])
+	}
+	o, m := g.orbitOf(v, k), g.scc.mask[v]
+	if m&(1<<o) == 0 {
+		return -1
+	}
+	return g.scc.base[v] + int32(bits.OnesCount64(m&(1<<o-1)))
+}
+
+// onSoloCycle reports whether the step of non-distinguished process k
+// from u to v with group index gi lies on a solo cycle of k: whether
+// its endpoints in the graph soloGraph built share a component.
+func (g *graph) onSoloCycle(u, v, k, gi int) bool {
+	sc := &g.scc
+	to := g.soloNode(v, k, gi)
+	return to >= 0 && sc.soloComp[g.soloNode(u, k, 0)] == sc.soloComp[to]
 }
 
 // livenessHit is a process's first violation: edge k of configuration
@@ -156,9 +257,6 @@ type livenessHit struct {
 	at, k int
 	kind  ViolationKind
 }
-
-// soloEdge is edge k of from, to a configuration in from's SCC.
-type soloEdge struct{ from, to, k int32 }
 
 // reportHits appends one violation per hit, in (configuration,
 // process) order, which is walk order (a configuration's edges are in
@@ -202,15 +300,17 @@ func (g *graph) reportHits(rep *Report, hits []livenessHit, comp []int) (reporte
 // keeps it, so a reused Checker's liveness checks allocate nothing.
 type sccScratch struct {
 	graph tarjan[edgeIter]  // sccs's
-	solo  tarjan[csrCursor] // soloSCCs's
+	solo  tarjan[csrCursor] // soloGraph's
 	hits  []livenessHit
 	steps []struct{ live, stepping uint64 } // per SCC, for resilience bounds
-	edges [][]soloEdge                      // per process, for soloSCCs
-	// soloSCCs's subgraph: a sparse set of local ids (lid[v] is v's iff
-	// nodes[lid[v]] == v, so lid is never cleared), CSR rows and the
-	// local ids' components.
-	lid, nodes, off, adj []int32
-	soloComp             []int
+	// soloGraph's: per configuration in a cyclic SCC its first node and
+	// the orbits it has nodes for, the CSR rows, a configuration's arcs
+	// and the nodes' components.
+	base     []int32
+	mask     []uint64
+	off, adj []int32
+	row      []soloArc
+	soloComp []int
 	// liftedCycle's: the stabilizer of the configuration its last walk
 	// started from, the walk's crumbs and queue, and the group elements
 	// of the node it is at and of the edge it follows.
@@ -218,6 +318,7 @@ type sccScratch struct {
 	crumbs       map[liftNode]crumb
 	queue        []liftNode
 	hperm, gperm spec.Perm
+	walks        int // liftedCycle calls since the search began
 }
 
 // sccs labels the explored graph's strongly connected components: each
@@ -226,36 +327,6 @@ type sccScratch struct {
 // scratch, valid until the next sccs call.
 func (g *graph) sccs() (comp []int, cyclic []bool) {
 	return runTarjan(&g.scc.graph, len(g.configs), arenaEdges{g})
-}
-
-// soloSCCs labels the components of the subgraph one process's
-// collected edges es span, in sc.soloComp by local id. es is in walk
-// order, so each source's edges are contiguous and, with sources
-// numbered first, already CSR rows; sc.lid must cover every
-// configuration.
-func (sc *sccScratch) soloSCCs(es []soloEdge) {
-	local := func(v int32) int32 {
-		if l := sc.lid[v]; int(l) < len(sc.nodes) && sc.nodes[l] == v {
-			return l
-		}
-		sc.lid[v] = int32(len(sc.nodes))
-		sc.nodes = append(sc.nodes, v)
-		return sc.lid[v]
-	}
-	sc.nodes, sc.off, sc.adj = sc.nodes[:0], sc.off[:0], sc.adj[:0]
-	for x, e := range es {
-		if x == 0 || e.from != es[x-1].from {
-			local(e.from)
-			sc.off = append(sc.off, int32(x))
-		}
-	}
-	for _, e := range es {
-		sc.adj = append(sc.adj, local(e.to))
-	}
-	for len(sc.off) <= len(sc.nodes) { // targets that are no source have no row
-		sc.off = append(sc.off, int32(len(es)))
-	}
-	sc.soloComp, _ = runTarjan(&sc.solo, len(sc.nodes), csrEdges{sc.off, sc.adj})
 }
 
 // resize returns s with length n, reusing its backing array when it is

@@ -3,10 +3,12 @@ package explore
 import (
 	"math/rand"
 	"testing"
+
+	"setagree/internal/machine"
 )
 
 // TestTarjanRandomDigraphs checks the shared Tarjan core and the
-// per-process components against a naive transitive closure on seeded
+// solo graph (soloGraph) against a naive transitive closure on seeded
 // random digraphs of up to 30 nodes, with self loops and edges labelled
 // by one of three processes:
 //   - two nodes share a component iff each reaches the other;
@@ -14,13 +16,11 @@ import (
 //     nonempty path;
 //   - every edge between components goes to a lower-numbered one;
 //   - an intra-SCC i-edge from→to has endpoints in one component of
-//     the intra-SCC i-edges iff an i-only path leads from to back to
-//     from.
+//     the solo graph iff an i-only path leads from to back to from.
 func TestTarjanRandomDigraphs(t *testing.T) {
 	t.Parallel()
 	const procs = 3
 	rng := rand.New(rand.NewSource(1))
-	var sc sccScratch
 	var full tarjan[csrCursor]
 	var solo, intra int
 	for trial := 0; trial < 2000; trial++ {
@@ -87,25 +87,29 @@ func TestTarjanRandomDigraphs(t *testing.T) {
 			}
 		}
 
-		sc.lid = resize(sc.lid, n)
-		for p := 0; p < procs; p++ {
-			var es []soloEdge
-			for u, pairs := range out {
-				for k, e := range pairs {
-					if e[1] == p && comp[e[0]] == comp[u] {
-						es = append(es, soloEdge{int32(u), int32(e[0]), int32(k)})
-					}
-				}
-			}
-			if len(es) == 0 {
-				continue
-			}
-			sc.soloSCCs(es)
+		// The same digraph as an explored graph, each edge a step of its
+		// process, no process distinguished.
+		sys := &System{Programs: make([]*machine.Program, procs)}
+		configs, parents, adj := make([]*Config, n), make([]int, n), make([][]edge, n)
+		for u, es := range out {
+			configs[u], parents[u] = &Config{Procs: make([]machine.ProcState, procs)}, -1
 			for _, e := range es {
-				got := sc.soloComp[sc.lid[e.from]] == sc.soloComp[sc.lid[e.to]]
-				want := e.from == e.to || reach[p][e.to][e.from]
+				adj[u] = append(adj[u], edge{to: e[0], step: Step{Proc: e[1]}})
+			}
+		}
+		sg := storedGraph(t, sys, configs, parents, adj)
+		gcomp, gcyclic := sg.sccs()
+		anySolo := sg.soloGraph(gcomp, gcyclic, -1)
+		for u, es := range out {
+			for _, e := range es {
+				v, p := e[0], e[1]
+				if comp[v] != comp[u] {
+					continue
+				}
+				got := anySolo && sg.onSoloCycle(u, v, p, 0)
+				want := u == v || reach[p][v][u]
 				if got != want {
-					t.Fatalf("trial %d: p%d edge %d->%d same component %v, i-only path back %v", trial, p, e.from, e.to, got, want)
+					t.Fatalf("trial %d: p%d edge %d->%d on a solo-graph cycle %v, i-only path back %v", trial, p, u, v, got, want)
 				}
 				intra++
 				if want {

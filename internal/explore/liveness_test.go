@@ -289,10 +289,13 @@ func TestReportDeterminism(t *testing.T) {
 	}
 }
 
-// TestSoloSCCsMatchSoloCycle compares the per-process SCC test for
-// Termination (b) with the per-edge BFS it replaced, soloCycle, on
-// every intra-SCC edge of every non-distinguished process: over this
-// file's systems, Algorithm 2 at n=3 for every distinguished process
+// TestSoloSCCsMatchSoloCycle compares the solo-graph SCC test for
+// Termination (b) with the per-edge searches it replaced (liftedCycle's
+// solo walk, and soloCycle's without symmetry; explore.SoloAgreement)
+// on every intra-SCC edge of every non-distinguished process, at
+// symmetry off, ids and values and at Workers 1 and 4: over this file's
+// systems, two togglers whose solo cycles return through configurations
+// that swap them, Algorithm 2 at n=3 for every distinguished process
 // and binary input vector, and Algorithm 2 at n=4.
 func TestSoloSCCsMatchSoloCycle(t *testing.T) {
 	t.Parallel()
@@ -310,6 +313,12 @@ func TestSoloSCCsMatchSoloCycle(t *testing.T) {
 	halter := machine.NewBuilder("halter", 4).
 		Invoke(2, 0, value.MethodRead, machine.Operand{}, machine.Operand{}).
 		Halt().
+		MustBuild()
+	toggler := machine.NewBuilder("toggler", 4).
+		Label("loop").
+		Invoke(2, 1, value.MethodWrite, machine.R(machine.RegInput), machine.Operand{}).
+		Invoke(2, 1, value.MethodWrite, machine.C(0), machine.Operand{}).
+		Jmp("loop").
 		MustBuild()
 	pDecides := machine.NewBuilder("p-decides", 4).
 		Invoke(2, 0, value.MethodWrite, machine.C(7), machine.Operand{}).
@@ -334,6 +343,20 @@ func TestSoloSCCsMatchSoloCycle(t *testing.T) {
 			Inputs:   []value.Value{0, 0},
 		}, -1},
 		{"alg2-n2", a2, 0},
+		// The togglers write their input, then 0, forever. Where both sit
+		// at the loop head the configuration is fixed by swapping them (in
+		// values mode together with their inputs), so a toggler's cycle
+		// through it comes back, in the quotient, in the other's slot.
+		{"swapped-togglers", &explore.System{
+			Programs: []*machine.Program{decideOwn(0), toggler, toggler},
+			Objects:  []spec.Spec{objects.NewRegister(), objects.NewRegister()},
+			Inputs:   []value.Value{5, 7, 7},
+		}, 0},
+		{"swapped-togglers-values", &explore.System{
+			Programs: []*machine.Program{decideOwn(0), toggler, toggler},
+			Objects:  []spec.Spec{objects.NewRegister(), objects.NewRegister()},
+			Inputs:   []value.Value{5, 7, 9},
+		}, 0},
 	}
 	for p := 1; p <= 3; p++ {
 		for bits := 0; bits < 8; bits++ {
@@ -351,21 +374,61 @@ func TestSoloSCCsMatchSoloCycle(t *testing.T) {
 	}
 	instances = append(instances, instance{"alg2-n4", sys4, 0})
 
-	var edges, solo int
-	for _, in := range instances {
-		rep, err := explore.Check(in.sys, nil, explore.Options{Workers: 1})
-		if err != nil {
-			t.Fatal(in.name, err)
+	for _, sym := range []explore.Symmetry{explore.SymmetryOff, explore.SymmetryIDs, explore.SymmetryValues} {
+		for _, workers := range []int{1, 4} {
+			var edges, solo, reduced int
+			for _, in := range instances {
+				var tsk task.Task
+				if in.skip >= 0 {
+					tsk = task.DAC{N: in.sys.Procs(), P: in.skip}
+				}
+				rep, err := explore.Check(in.sys, tsk, explore.Options{Workers: workers, Symmetry: sym})
+				if errors.Is(err, explore.ErrNotSymmetric) || errors.Is(err, explore.ErrSymmetryUnsupported) {
+					continue
+				}
+				if err != nil {
+					t.Fatal(in.name, err)
+				}
+				if rep.SymmetryGroupOrder() > 1 {
+					reduced++
+				}
+				e, s, err := explore.SoloAgreement(rep, in.skip)
+				if err != nil {
+					t.Errorf("%s/%s/workers=%d: %v", in.name, sym, workers, err)
+				}
+				edges += e
+				solo += s
+			}
+			if solo == 0 || solo == edges {
+				t.Fatalf("%s/workers=%d: %d of %d compared edges lie on a solo cycle: the suite must show both answers", sym, workers, solo, edges)
+			}
+			if sym != explore.SymmetryOff && reduced == 0 {
+				t.Fatalf("%s: no instance has a nontrivial group", sym)
+			}
 		}
-		e, s, err := explore.SoloAgreement(rep, in.skip)
-		if err != nil {
-			t.Errorf("%s: %v", in.name, err)
-		}
-		edges += e
-		solo += s
 	}
-	if solo == 0 || solo == edges {
-		t.Fatalf("%d of %d compared edges lie on a solo cycle: the suite must show both answers", solo, edges)
+}
+
+// TestSolvedCheckMakesNoLiftedWalk: Termination (b) is decided by one
+// SCC pass, so a solved check, which reports no cycle, makes no lifted
+// walk, with symmetry off and under ids.
+func TestSolvedCheckMakesNoLiftedWalk(t *testing.T) {
+	t.Parallel()
+	sys, err := programs.Algorithm2(5, 1).System([]value.Value{1, 0, 0, 0, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sym := range []explore.Symmetry{explore.SymmetryOff, explore.SymmetryIDs} {
+		rep, err := explore.Check(sys, task.DAC{N: 5, P: 0}, explore.Options{Workers: 1, Symmetry: sym})
+		if err != nil || !rep.Solved() {
+			t.Fatalf("%s: %v %v", sym, err, rep.Violations)
+		}
+		if sym == explore.SymmetryIDs && rep.SymmetryGroupOrder() != 24 {
+			t.Fatalf("ids: group order %d, want 24", rep.SymmetryGroupOrder())
+		}
+		if n := explore.LiftedWalks(rep); n != 0 {
+			t.Fatalf("%s: a solved check made %d lifted walks", sym, n)
+		}
 	}
 }
 

@@ -1,8 +1,8 @@
 // The strongly connected components core. One iterative Tarjan serves
 // every graph the analyses label: the explored graph, walked through
 // its edge records in the Edges arena (sccs, for liveness and valency),
-// and the per-process subgraphs of intra-SCC edges Termination (b) is
-// decided on, held as compressed sparse rows (soloSCCs).
+// and the solo graph Termination (b) is decided on, held as compressed
+// sparse rows (soloGraph).
 package explore
 
 // sccEdges is a graph as runTarjan walks it: cursor starts node v's

@@ -2,9 +2,9 @@
 //
 // The explorer keeps the active BFS frontier live in memory while
 // everything only the post-exploration analyses need — the interning
-// table, per-configuration outcome metadata, and the encoded edge lists
-// of completed levels — lives in the append-only arenas of
-// internal/store: on the heap, or mmap'd under Options.Store.Dir.
+// table with its keys, and the encoded edge lists of completed levels
+// — lives in the append-only arenas of internal/store: on the heap, or
+// mmap'd under Options.Store.Dir.
 // Edge lists are written in exactly the delta-encoded section format
 // the checkpoint package persists, so a snapshot's edge section is
 // served zero-copy from the arena's committed prefix, and the two
@@ -12,13 +12,15 @@
 // DOT output, event streams, and snapshots at any worker count.
 //
 // What stays resident per configuration: the BFS tree's parent id, the
-// canon column, one (nil after spill) *Config pointer, and two arena
-// offsets. The tree step into a configuration is decoded from its
-// parent's edge record (treeStep). Everything else is decoded on demand
-// through metaAt/edgeIter below: edgeIter.next decodes whole edges, and
-// edgeIter.lean only the target and stepping process, for the walks
-// that read nothing else (SCCs, the liveness cycle loop, valency
-// propagation). The safety check and the liveness check's
+// canon column, one (nil after spill) *Config pointer, the key table's
+// offset and the edge record's (under symmetry also the orbit size and
+// the stabilizer's orbits). The tree step into a configuration is
+// decoded from its parent's edge record (treeStep). Everything else is
+// decoded on demand through metaAt/edgeIter below: metaAt reads the
+// process outcomes from the interned key, edgeIter.next decodes whole
+// edges, and edgeIter.lean only the target and stepping process, for
+// the walks that read nothing else (SCCs, the liveness cycle loop,
+// valency propagation). The safety check and the liveness check's
 // halted-undecided scan read no record at all: intern evaluates the
 // task's safety predicate on the configuration in hand and notes the
 // first that fails it, and each process's first halted configuration,
@@ -46,20 +48,17 @@ import (
 // diskState is the explorer's view of its configuration store.
 type diskState struct {
 	s *store.Store
-	// metaOff[id] and edgeOff[id] locate config id's outcome record in
-	// the Meta arena and its encoded edge list in the Edges arena; both
-	// are written in id order, so each record ends where the next one
-	// starts (or at the arena's Len for the last).
-	metaOff []int64
+	// edgeOff[id] locates config id's encoded edge list in the Edges
+	// arena. Lists are written in id order, so each ends where the next
+	// one starts (or at the arena's Len for the last).
 	edgeOff []int64
 	// edgeDurable is the Edges-arena prefix covered by completed level
 	// barriers. Snapshots serialize exactly this prefix; the merge of a
 	// partially-failed level may append beyond it, and those bytes never
 	// enter a snapshot.
 	edgeDurable int64
-	// Single-threaded merge/intern scratch.
+	// Single-threaded merge scratch.
 	edgeRec []byte
-	metaRec []byte
 }
 
 // intern adds a fresh configuration under its binary key (the
@@ -69,13 +68,15 @@ type diskState struct {
 // size, and returns the new id. The
 // tree step from the parent is the parent's first edge to the new id
 // (see treeStep). The caller has already verified the key is absent.
-// The key and the outcome metadata record go to the store's arenas. Every configuration — root, merged
+// The key goes to the store's Keys arena and, under symmetry, stab (the
+// orbits of the configuration's stabilizer, see keyScratch.orb) to the
+// stab column. Every configuration — root, merged
 // successor, restored checkpoint entry — passes through here, in id
 // order, so this is where the first configuration that fails the
 // task's safety predicate is noted for the safety check, and the first
 // halted-undecided configuration of each process for the liveness
 // check.
-func (g *graph) intern(key []byte, h uint32, c *Config, parent, gi, orbit int) (int, error) {
+func (g *graph) intern(key []byte, h uint32, c *Config, parent, gi, orbit int, stab []uint8) (int, error) {
 	id := len(g.configs)
 	d := g.disk
 	sid, err := d.s.InternHash(key, h)
@@ -85,12 +86,6 @@ func (g *graph) intern(key []byte, h uint32, c *Config, parent, gi, orbit int) (
 	if sid != id {
 		return 0, fmt.Errorf("explore: internal: store assigned id %d to configuration %d", sid, id)
 	}
-	d.metaRec = appendMeta(d.metaRec[:0], g.sys, c)
-	off, err := d.s.Meta.Append(d.metaRec)
-	if err != nil {
-		return 0, err
-	}
-	d.metaOff = append(d.metaOff, off)
 	g.noteUnsafe(id, c)
 	for i := range c.Procs {
 		if c.Procs[i].Status == machine.StatusHalted && g.halted[i] < 0 {
@@ -102,6 +97,7 @@ func (g *graph) intern(key []byte, h uint32, c *Config, parent, gi, orbit int) (
 	g.canon = append(g.canon, gi)
 	if g.grp != nil {
 		g.orbit = append(g.orbit, orbit)
+		g.stab = append(g.stab, stab...)
 		g.unreducedStates += int64(orbit)
 	}
 	return id, nil
@@ -121,7 +117,7 @@ func (g *graph) noteUnsafe(id int, c *Config) {
 
 // spillExpanded drops the resident *Config of every configuration in
 // [start, end) — they have been expanded, and every later read goes
-// through the meta arena (or tree replay, for the rare witness-time
+// through the store's arenas (or tree replay, for the rare witness-time
 // configAt). The root (id 0) always stays resident: the snapshot
 // fingerprint and the symmetry root-stability check key it directly.
 func (g *graph) spillExpanded(start, end int) {
@@ -198,24 +194,14 @@ type metaRec struct {
 	poised   []int // object index process i is poised on, -1 when none
 }
 
-// appendMeta encodes c's outcome record: per process a status byte,
-// decision varint, and poised-object varint.
-func appendMeta(dst []byte, sys *System, c *Config) []byte {
-	for i := range c.Procs {
-		dst = append(dst, byte(c.Procs[i].Status))
-		dst = binary.AppendVarint(dst, int64(c.Procs[i].Decision))
-		obj := -1
-		if poise, ok := machine.Poised(sys.Programs[i], c.Procs[i]); ok {
-			obj = poise.Obj
-		}
-		dst = binary.AppendVarint(dst, int64(obj))
-	}
-	return dst
-}
-
-// metaAt fills m with config id's outcome record, decoded from the meta
-// arena. m's slices are reused across calls; callers keep one metaRec
-// per scan.
+// metaAt fills m with config id's outcome record, decoded from its
+// interned key: per process slot a block of status byte, PC uvarint,
+// decision varint, register count and registers (see Config.AppendKey),
+// the poised object read off the program at the PC. Under symmetry the
+// key is the canonical one, canon[id]·R_id, whose slot g(i) holds
+// process i's block with its decision renamed by g's value map, so
+// metaAt maps both back. m's slices are reused across calls; callers
+// keep one metaRec per scan.
 func (g *graph) metaAt(id int, m *metaRec) {
 	n := g.sys.Procs()
 	if len(m.status) != n {
@@ -223,13 +209,38 @@ func (g *graph) metaAt(id int, m *metaRec) {
 		m.decision = make([]value.Value, n)
 		m.poised = make([]int, n)
 	}
-	d := g.disk
-	dec := recDec{b: record(d.s.Meta, d.metaOff, id)}
-	for i := 0; i < n; i++ {
-		m.status[i] = machine.Status(dec.byte())
-		m.decision[i] = value.Value(dec.varint())
-		m.poised[i] = int(dec.varint())
+	var inv []uint8
+	var vals map[value.Value]value.Value
+	if gi := g.canon[id]; gi != 0 {
+		var t int
+		_, inv, t = g.grp.elem(gi)
+		vals = g.grp.vmaps[t].Vals
 	}
+	dec := recDec{b: g.disk.s.Key(id)}
+	dec.skip(1) // stepped mask
+	for j := 0; j < n; j++ {
+		i := j
+		if inv != nil {
+			i = int(inv[j])
+		}
+		st, pc := machine.Status(dec.byte()), int(dec.uvarint())
+		m.status[i], m.decision[i], m.poised[i] = st, preimage(vals, value.Value(dec.varint())), -1
+		if st == machine.StatusPoised {
+			m.poised[i] = g.sys.Programs[i].Instrs[pc].Obj
+		}
+		dec.skip(int(dec.uvarint())) // registers
+	}
+}
+
+// preimage returns the value vals maps to v, v itself when none does
+// (vals is a value map: a bijection on the values it moves).
+func preimage(vals map[value.Value]value.Value, v value.Value) value.Value {
+	for u, w := range vals {
+		if w == v {
+			return u
+		}
+	}
+	return v
 }
 
 // record returns record id of an arena whose records start at offs and
@@ -358,6 +369,23 @@ func (it *edgeIter) lean() (to, proc int, ok bool) {
 	proc = int(d.varint())
 	d.skip(3) // object, branch, group index
 	return to, proc, true
+}
+
+// leanGroup is lean that also decodes the edge's group index, for the
+// walks that relate a step to its target's slots (the liveness cycle
+// loop and the solo graph).
+func (it *edgeIter) leanGroup() (to, proc, g int, ok bool) {
+	if it.rem == 0 {
+		return 0, 0, 0, false
+	}
+	it.rem--
+	d := &it.dec
+	to = int(d.varint())
+	d.i++     // method byte
+	d.skip(3) // arg, label, response
+	proc = int(d.varint())
+	d.skip(2) // object, branch
+	return to, proc, int(d.varint()), true
 }
 
 // Close releases the report's configuration store, unmapping and

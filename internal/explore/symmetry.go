@@ -130,6 +130,8 @@ type group struct {
 	// σ(i) within its coset: the product over classes of (members not
 	// yet placed)!, the same in every coset.
 	tail []int
+	// elems caches unranked elements for relate and the analyses.
+	elems elemCache
 }
 
 // factorial[k] is k!; 20! is the largest that fits an int64, and a
@@ -485,7 +487,8 @@ func (grp *group) compose(a, b spec.Perm) int {
 	return grp.rank(proc)
 }
 
-// relate returns the index of a⁻¹∘b.
+// relate returns the index of a⁻¹∘b, composed from the cached maps of
+// a and b.
 func (grp *group) relate(a, b int) int {
 	switch {
 	case a == b:
@@ -493,16 +496,76 @@ func (grp *group) relate(a, b int) int {
 	case a == 0:
 		return b
 	}
-	var pa, pb, proc [MaxProcs]int
-	grp.unrankInto(a, pa[:grp.n])
-	grp.unrankInto(b, pb[:grp.n])
-	for i := range grp.n {
-		proc[pa[i]] = i // a's inverse, for now
+	var proc [MaxProcs]int
+	fb, _, _ := grp.elem(b)
+	for i, j := range fb {
+		proc[i] = int(j)
 	}
+	// b's entry may share a's slot: read it before a's lookup evicts it.
+	_, ia, _ := grp.elem(a)
 	for i := range grp.n {
-		pa[i] = proc[pb[i]]
+		proc[i] = int(ia[proc[i]])
 	}
-	return grp.rank(pa[:grp.n])
+	return grp.rank(proc[:grp.n])
+}
+
+// maxElems bounds the element cache's entries, whatever the group
+// order.
+const maxElems = 1024
+
+// elemCache holds the forward and inverse maps and the coset of
+// recently used group elements, direct-mapped by index: entry e serves
+// element idx[e], its maps are maps[2ne:2ne+n] and maps[2ne+n:2n(e+1)],
+// and idx[e] < 0 marks it empty. The merge and the post-BFS analyses,
+// which run single-threaded, are its only users.
+type elemCache struct {
+	idx   []int
+	coset []int32
+	maps  []uint8
+	shift uint
+}
+
+// elem returns element k's forward map, its inverse and its coset,
+// unranking k only when its entry holds another element. The maps
+// alias the cache and stay valid until the next lookup.
+func (grp *group) elem(k int) (fwd, inv []uint8, t int) {
+	c, n := &grp.elems, grp.n
+	if c.idx == nil {
+		size := 1
+		for size < min(grp.order, maxElems) {
+			size *= 2
+		}
+		c.idx, c.coset, c.maps = make([]int, size), make([]int32, size), make([]uint8, 2*n*size)
+		for e := range c.idx {
+			c.idx[e] = -1
+		}
+		c.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	}
+	e := int(uint64(k) * 0x9e3779b97f4a7c15 >> c.shift) // Fibonacci hashing; 0 when size is 1
+	m := c.maps[2*n*e : 2*n*(e+1)]
+	if c.idx[e] != k {
+		var proc [MaxProcs]int
+		c.idx[e], c.coset[e] = k, int32(grp.unrankInto(k, proc[:n]))
+		for i, j := range proc[:n] {
+			m[i], m[n+j] = uint8(j), uint8(i)
+		}
+	}
+	return m[:n], m[n:], int(c.coset[e])
+}
+
+// rootOrbits returns, per process, the least process of its orbit
+// under the whole group, which stabilizes the initial configuration:
+// the union of the classes its class's targets name.
+func (grp *group) rootOrbits() []uint8 {
+	orbs := make([]uint8, grp.n)
+	for i, k := range grp.cls {
+		var orb uint64
+		for _, tgt := range grp.tgt {
+			orb |= grp.slots[tgt[k]]
+		}
+		orbs[i] = uint8(bits.TrailingZeros64(orb))
+	}
+	return orbs
 }
 
 // checkRootStable verifies the group fixes the initial configuration —
@@ -593,6 +656,12 @@ type keyScratch struct {
 	bproc    []int
 	binv     []int
 	states   []spec.State
+	// orb[p] is the least process of p's orbit under the stabilizer of
+	// the configuration canonical keyed last. The elements tying the
+	// minimal key are a coset of the stabilizer, so it is generated by
+	// the permutations within sub-runs and by best⁻¹∘x for each tying
+	// candidate x, which objectStage joins.
+	orb []uint8
 	// Expansion scratch (see expand): the parent key and its
 	// per-component end offsets (symmetry off), the handles of a parent
 	// the shard's step memo did not build, and a successor's handles
@@ -624,7 +693,8 @@ type objRun struct {
 // realizing the minimum (gi == 0 iff the configuration's own key is
 // canonical) and the orbit size |G|/|stabilizer| (the stabilizer is
 // exactly the coset of elements tying the minimal key, by
-// orbit–stabilizer).
+// orbit–stabilizer), and leaves the stabilizer's orbits on the
+// processes in sc.orb.
 //
 // The returned slice aliases sc; callers copy it before reuse. A key
 // is the stepped-mask uvarint, then one block per process slot, then
@@ -703,7 +773,7 @@ func (sc *keyScratch) reset(grp *group, n int) {
 	nv := len(grp.vmaps)
 	sc.refs, sc.asg, sc.need = resize(sc.refs, nv*n), resize(sc.asg, nv*n), resize(sc.need, len(grp.slots))
 	sc.sub, sc.meet, sc.proc, sc.inv = resize(sc.sub, n), resize(sc.meet, n), resize(sc.proc, n), resize(sc.inv, n)
-	sc.bproc, sc.binv = resize(sc.bproc, n), resize(sc.binv, n)
+	sc.bproc, sc.binv, sc.orb = resize(sc.bproc, n), resize(sc.binv, n), resize(sc.orb, n)
 	sc.vties = sc.vties[:0]
 }
 
@@ -842,6 +912,7 @@ func (sc *keyScratch) cmpPlaced(n, a, b int) int {
 func (grp *group) objectStage(sc *keyScratch, objs []spec.State, mask uint64, weight int) (bt, ties int) {
 	n := grp.n
 	bt = sc.vties[0]
+	sc.subRunOrbits()
 	if !sc.varyingRuns() && len(sc.vties) == 1 {
 		sc.setCandidate(n, bt)
 		copy(sc.bproc, sc.proc)
@@ -863,10 +934,15 @@ func (grp *group) objectStage(sc *keyScratch, objs []spec.State, mask uint64, we
 			}
 			if d == 0 {
 				count++
+				// best⁻¹∘candidate fixes the configuration.
+				for p, j := range sc.proc {
+					sc.join(p, sc.binv[j])
+				}
 				d = slices.Compare(sc.proc, sc.bproc)
 			} else if d < 0 {
 				count = 1
 				sc.objs, sc.cand = sc.cand, sc.objs
+				sc.subRunOrbits()
 			}
 			if d < 0 {
 				bt = t
@@ -879,6 +955,27 @@ func (grp *group) objectStage(sc *keyScratch, objs []spec.State, mask uint64, we
 		}
 	}
 	return bt, count * weight
+}
+
+// subRunOrbits resets sc.orb to the sub-runs: the permutations within
+// them fix the configuration (see subRuns).
+func (sc *keyScratch) subRunOrbits() {
+	for p := range sc.orb {
+		sc.orb[p] = uint8(p)
+	}
+	for _, p := range sc.runProcs {
+		sc.orb[p] = uint8(sc.sub[p])
+	}
+}
+
+// join merges the orbits of processes a and b in sc.orb.
+func (sc *keyScratch) join(a, b int) {
+	lo, hi := min(sc.orb[a], sc.orb[b]), max(sc.orb[a], sc.orb[b])
+	for p, o := range sc.orb {
+		if o == hi {
+			sc.orb[p] = lo
+		}
+	}
 }
 
 // runsOf collects the runs of value map t's placement: maximal groups
@@ -1153,8 +1250,9 @@ type crumb struct {
 // any concrete cycle translates into the lifted graph edge by edge.
 //
 // soloOnly restricts the walk to concrete i-steps, so a nil result
-// decides that no solo cycle of i passes through the edge
-// (Termination (b) under symmetry). For the unrestricted kinds a
+// decides that no solo cycle of i passes through the edge; liveness
+// decides that for every edge at once (soloGraph) and walks only to
+// render the schedule of an edge it reports. For the unrestricted kinds a
 // returning lifted walk always exists once the quotient edge lies in a
 // cyclic SCC: iterating any quotient loop multiplies the accumulated
 // group element, which has finite order, so some iterate lands in the
@@ -1163,6 +1261,7 @@ type crumb struct {
 // is the graph's sccScratch.
 func (g *graph) liftedCycle(from int, en edge, i int, soloOnly bool, comp []int) []Step {
 	sc := &g.scc
+	sc.walks++
 	stab := &sc.stab
 	stab.at(from)
 	start := liftNode{en.to, en.g}

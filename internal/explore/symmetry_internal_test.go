@@ -167,6 +167,61 @@ func TestBuildGroupOrders(t *testing.T) {
 	}
 }
 
+// TestRelateCacheMatchesUnrank: relate, which composes maps from the
+// group's element cache, equals the composition of two freshly
+// unranked elements on random index pairs, and every cached element's
+// maps and coset equal unrankInto's. The first two groups outnumber
+// the cache's entries, so entries are evicted and refilled; the second
+// has two cosets and the third a coset per element.
+func TestRelateCacheMatchesUnrank(t *testing.T) {
+	t.Parallel()
+	relateUnranked := func(grp *group, a, b int) int {
+		pa, pb, proc := make([]int, grp.n), make([]int, grp.n), make([]int, grp.n)
+		grp.unrankInto(a, pa)
+		grp.unrankInto(b, pb)
+		for i, j := range pb {
+			proc[i] = slices.Index(pa, j) // a⁻¹(b(i))
+		}
+		return grp.rank(proc)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, tc := range []struct {
+		mode          Symmetry
+		inputs        []value.Value
+		order, cosets int
+	}{
+		{SymmetryIDs, []value.Value{7, 7, 7, 7, 7, 7, 7, 7}, 40320, 1},
+		{SymmetryValues, []value.Value{7, 7, 7, 7, 8, 8, 8, 8}, 1152, 2},
+		{SymmetryValues, []value.Value{3, 4, 5, 6, 7}, 120, 120},
+	} {
+		grp, err := buildGroup(symSystem(t, tc.inputs...), nil, tc.mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if grp.order != tc.order || len(grp.vmaps) != tc.cosets {
+			t.Fatalf("%v %v: group order %d in %d cosets, want %d in %d", tc.mode, tc.inputs, grp.order, len(grp.vmaps), tc.order, tc.cosets)
+		}
+		proc := make([]int, grp.n)
+		for range 20000 {
+			a, b := rng.Intn(grp.order), rng.Intn(grp.order)
+			if got, want := grp.relate(a, b), relateUnranked(grp, a, b); got != want {
+				t.Fatalf("%v %v: relate(%d, %d) = %d, want %d", tc.mode, tc.inputs, a, b, got, want)
+			}
+			k := rng.Intn(grp.order)
+			fwd, inv, c := grp.elem(k)
+			coset := grp.unrankInto(k, proc)
+			for i, j := range proc {
+				if int(fwd[i]) != j || int(inv[j]) != i {
+					t.Fatalf("%v %v: element %d cached as %v/%v, unranks to %v", tc.mode, tc.inputs, k, fwd, inv, proc)
+				}
+			}
+			if c != coset {
+				t.Fatalf("%v %v: element %d cached in coset %d, unranks in %d", tc.mode, tc.inputs, k, c, coset)
+			}
+		}
+	}
+}
+
 // TestBuildGroupFixesDACDistinguished: the DAC distinguished process
 // must be a fixed point of every admissible permutation, and 0/1 of
 // every value map.

@@ -295,6 +295,56 @@ func TestUnreducedCounts(t *testing.T) {
 	}
 }
 
+// TestMetaAtMatchesConfigs: the outcome record the analyses decode from
+// each interned key (metaAt) is the one read off the configuration
+// itself, at symmetry off, ids and values, over TestSymmetrySound's
+// systems and the canonicalization cases that are not slow. Under
+// symmetry the keys are canonical, so this checks that metaAt maps
+// slots and decision values back to the stored configuration's.
+func TestMetaAtMatchesConfigs(t *testing.T) {
+	t.Parallel()
+	type run struct {
+		name   string
+		prot   programs.Protocol
+		inputs []value.Value
+		tsk    task.Task
+	}
+	var runs []run
+	for _, tc := range soundCases {
+		runs = append(runs, run{tc.name, tc.prot, tc.inputs, tc.tsk})
+	}
+	for _, tc := range canonCases {
+		if !tc.slow {
+			runs = append(runs, run{tc.name, tc.prot, tc.inputs, tc.tsk})
+		}
+	}
+	moved := 0
+	for _, r := range runs {
+		sys, err := r.prot.System(r.inputs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range []explore.Symmetry{explore.SymmetryOff, explore.SymmetryIDs, explore.SymmetryValues} {
+			rep, err := explore.Check(sys, r.tsk, explore.Options{Workers: 2, Symmetry: mode})
+			if errors.Is(err, explore.ErrNotSymmetric) || errors.Is(err, explore.ErrSymmetryUnsupported) {
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s/%v: %v", r.name, mode, err)
+			}
+			if err := explore.MetaAgreement(rep); err != nil {
+				t.Errorf("%s/%v: %v", r.name, mode, err)
+			}
+			if rep.SymmetryGroupOrder() > 1 {
+				moved++
+			}
+		}
+	}
+	if moved == 0 {
+		t.Fatal("no run has a nontrivial group")
+	}
+}
+
 // The alg2 n=8 (p=1, inputs 1,0,…,0) concrete counts: an unreduced run
 // and Σ orbit(rep), Σ orbit(rep)·outdeg(rep) over its ids quotient
 // agree on them.

@@ -55,8 +55,9 @@ func synthGraph(t *testing.T, rng *rand.Rand) (*graph, [][]edge) {
 }
 
 // storedGraph returns the graph over configs with BFS tree parents and
-// adjacency lists adj, writing their meta and edge records in id order
-// into a heap-backed store, as an exploration's merge does.
+// adjacency lists adj, interning their keys and writing their edge
+// records in id order into a heap-backed store, as an exploration's
+// merge does. Equal configurations are interned again under new ids.
 func storedGraph(t *testing.T, sys *System, configs []*Config, parents []int, adj [][]edge) *graph {
 	t.Helper()
 	s, err := store.Open(store.Options{}, nil)
@@ -69,19 +70,17 @@ func storedGraph(t *testing.T, sys *System, configs []*Config, parents []int, ad
 		for _, e := range adj[id] {
 			rec = appendEdge(rec, e.to, e.step, e.g)
 		}
-		metaOff, err := s.Meta.Append(appendMeta(nil, sys, c))
-		if err != nil {
+		if _, err := s.Intern(c.AppendKey(nil)); err != nil {
 			t.Fatal(err)
 		}
 		edgeOff, err := s.Edges.Append(rec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		d.metaOff = append(d.metaOff, metaOff)
 		d.edgeOff = append(d.edgeOff, edgeOff)
 	}
 	d.edgeDurable = s.Edges.Len()
-	return &graph{sys: sys, configs: configs, parent: parents, disk: d}
+	return &graph{sys: sys, configs: configs, parent: parents, canon: make([]int, len(configs)), disk: d}
 }
 
 // naiveValence is the obviously-correct reference: seed each

@@ -1,11 +1,12 @@
 // Package store is the explorer's configuration store: one hash table
-// over append-only arenas. The explorer keeps everything a
+// over two append-only arenas. The explorer keeps everything a
 // level-synchronized BFS only reads back rarely — interned
-// configuration keys, per-configuration outcome records, and the edge
-// lists of completed levels — in the store, while the active frontier
-// stays live in memory. The table's 8-byte slots hold only a key's hash
-// and id; an id → offset column locates the key's bytes in the Keys
-// arena, for the comparison that confirms a probe and for Key.
+// configuration keys, from which it also decodes each configuration's
+// process outcomes, and the edge lists of completed levels — in the
+// store, while the active frontier stays live in memory. The table's
+// 8-byte slots hold only a key's hash and id; an id → offset column
+// locates the key's bytes in the Keys arena, for the comparison that
+// confirms a probe and for Key.
 //
 // A store is heap-backed unless Options.Dir names a directory; then
 // its arenas are mmap'd files there, which the kernel may evict under
@@ -119,18 +120,16 @@ type slot struct {
 	id1  uint32
 }
 
-// Store owns the three arenas and the key table. Open one per
+// Store owns the two arenas and the key table. Open one per
 // exploration; a directory store is not reusable after Close.
 type Store struct {
 	dir    string
 	budget int64
 
-	// Keys holds the interned configuration keys, Meta the explorer's
-	// per-configuration outcome records, Edges its encoded edge lists
-	// (checkpoint section format). The explorer appends and decodes;
-	// the store only indexes Keys.
+	// Keys holds the interned configuration keys, Edges the explorer's
+	// encoded edge lists (checkpoint section format). The explorer
+	// appends and decodes; the store only indexes Keys.
 	Keys  *Arena
-	Meta  *Arena
 	Edges *Arena
 
 	slots []slot
@@ -157,8 +156,7 @@ func Open(opts Options, sink *obs.Sink) (*Store, error) {
 // openHeap returns a heap store whose arenas use power-of-two
 // chunkBytes chunks.
 func openHeap(budget, chunkBytes int64) *Store {
-	return &Store{budget: budget, Keys: newHeapArena(chunkBytes),
-		Meta: newHeapArena(chunkBytes), Edges: newHeapArena(chunkBytes)}
+	return &Store{budget: budget, Keys: newHeapArena(chunkBytes), Edges: newHeapArena(chunkBytes)}
 }
 
 // openDir opens a directory store whose arenas map power-of-two
@@ -177,7 +175,7 @@ func openDir(opts Options, chunkBytes int64, sink *obs.Sink) (*Store, error) {
 	for _, a := range []struct {
 		dst  **Arena
 		name string
-	}{{&s.Keys, "keys.arena"}, {&s.Meta, "meta.arena"}, {&s.Edges, "edges.arena"}} {
+	}{{&s.Keys, "keys.arena"}, {&s.Edges, "edges.arena"}} {
 		ar, err := newArena(filepath.Join(opts.Dir, a.name), chunkBytes, spilled, faults)
 		if err != nil {
 			s.Close()
@@ -209,7 +207,6 @@ func (s *Store) CopyFrom(src *Store) {
 	}
 	s.koff = append(s.koff[:0], src.koff...)
 	s.Keys.copyFrom(src.Keys)
-	s.Meta.copyFrom(src.Meta)
 	s.Edges.copyFrom(src.Edges)
 }
 
@@ -220,7 +217,7 @@ func (s *Store) Close() error {
 		return nil
 	}
 	var err error
-	for _, a := range []**Arena{&s.Keys, &s.Meta, &s.Edges} {
+	for _, a := range []**Arena{&s.Keys, &s.Edges} {
 		if *a != nil {
 			err = errors.Join(err, (*a).close())
 			*a = nil
@@ -238,7 +235,7 @@ func (s *Store) Close() error {
 func (s *Store) Reset() {
 	clear(s.slots)
 	s.koff = s.koff[:0]
-	for _, a := range []*Arena{s.Keys, s.Meta, s.Edges} {
+	for _, a := range []*Arena{s.Keys, s.Edges} {
 		a.reset()
 	}
 }

@@ -142,7 +142,7 @@ func TestArenaViewsStable(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer s.Close()
-		a := s.Meta
+		a := s.Edges
 		rec := make([]byte, 1000)
 		fill := func(n int64) {
 			for a.Len() < n {
@@ -198,7 +198,7 @@ func TestCopyFrom(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := s.Meta.Append([]byte("m")); err != nil {
+	if _, err := s.Edges.Append([]byte("m")); err != nil {
 		t.Fatal(err)
 	}
 	c, err := Open(Options{}, nil)
@@ -218,18 +218,18 @@ func TestCopyFrom(t *testing.T) {
 		if id, ok := c.Lookup([]byte("bb")); !ok || id != 1 {
 			t.Fatalf("round %d: copy Lookup(bb) = %d, %v", round, id, ok)
 		}
-		if _, err := c.Meta.Append([]byte("n")); err != nil {
+		if _, err := c.Edges.Append([]byte("n")); err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := s.Lookup([]byte("dddd")); ok || s.Count() != 3 || s.Keys.Len() != 6 || s.Meta.Len() != 1 {
-			t.Fatalf("round %d: the copy's appends reached the source: count %d, %d key bytes, %d meta bytes",
-				round, s.Count(), s.Keys.Len(), s.Meta.Len())
+		if _, ok := s.Lookup([]byte("dddd")); ok || s.Count() != 3 || s.Keys.Len() != 6 || s.Edges.Len() != 1 {
+			t.Fatalf("round %d: the copy's appends reached the source: count %d, %d key bytes, %d edge bytes",
+				round, s.Count(), s.Keys.Len(), s.Edges.Len())
 		}
 		if got := string(c.Keys.Span(0, 3)); got != "abb" {
 			t.Fatalf("round %d: copy keys start %q", round, got)
 		}
-		if got := string(c.Meta.Span(0, c.Meta.Len())); got != "mn" {
-			t.Fatalf("round %d: copy meta %q", round, got)
+		if got := string(c.Edges.Span(0, c.Edges.Len())); got != "mn" {
+			t.Fatalf("round %d: copy edges %q", round, got)
 		}
 	}
 }
@@ -246,7 +246,7 @@ func TestCopyFromChunks(t *testing.T) {
 			if _, err := s.Intern(key(p, i)); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := s.Meta.Append(key(p+"m", i)); err != nil {
+			if _, err := s.Edges.Append(key(p+"m", i)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -259,7 +259,7 @@ func TestCopyFromChunks(t *testing.T) {
 		if n, m := len(src.Keys.chunks), len(dst.Keys.chunks); n < 3 || (held > 40) != (m > n) {
 			t.Fatalf("held %d: source has %d key chunks, destination %d", held, n, m)
 		}
-		srcKeys, srcMeta := bytes.Clone(src.Keys.Span(0, src.Keys.Len())), bytes.Clone(src.Meta.Span(0, src.Meta.Len()))
+		srcKeys, srcEdges := bytes.Clone(src.Keys.Span(0, src.Keys.Len())), bytes.Clone(src.Edges.Span(0, src.Edges.Len()))
 
 		dst.CopyFrom(src)
 		check := func(s *Store, who string, extra int) {
@@ -275,14 +275,14 @@ func TestCopyFromChunks(t *testing.T) {
 			if got := s.Keys.Span(0, int64(len(srcKeys))); !bytes.Equal(got, srcKeys) {
 				t.Fatalf("held %d: %s key bytes differ from the source's", held, who)
 			}
-			if got := s.Meta.Span(0, int64(len(srcMeta))); !bytes.Equal(got, srcMeta) {
-				t.Fatalf("held %d: %s meta bytes differ from the source's", held, who)
+			if got := s.Edges.Span(0, int64(len(srcEdges))); !bytes.Equal(got, srcEdges) {
+				t.Fatalf("held %d: %s edge bytes differ from the source's", held, who)
 			}
 		}
 		check(dst, "copy", 0)
-		if dst.Keys.Len() != src.Keys.Len() || dst.Meta.Len() != src.Meta.Len() {
+		if dst.Keys.Len() != src.Keys.Len() || dst.Edges.Len() != src.Edges.Len() {
 			t.Fatalf("held %d: copy lengths %d/%d, source %d/%d", held,
-				dst.Keys.Len(), dst.Meta.Len(), src.Keys.Len(), src.Meta.Len())
+				dst.Keys.Len(), dst.Edges.Len(), src.Keys.Len(), src.Edges.Len())
 		}
 		if _, ok := dst.Lookup(key("old", 0)); ok {
 			t.Fatalf("held %d: the copy still finds a key it held before", held)
@@ -507,7 +507,7 @@ func TestCloseRemovesFiles(t *testing.T) {
 	if _, err := s.Keys.Append([]byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"keys.arena", "meta.arena", "edges.arena"} {
+	for _, name := range []string{"keys.arena", "edges.arena"} {
 		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
 			t.Fatalf("%s missing before Close: %v", name, err)
 		}
@@ -515,7 +515,7 @@ func TestCloseRemovesFiles(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"keys.arena", "meta.arena", "edges.arena"} {
+	for _, name := range []string{"keys.arena", "edges.arena"} {
 		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
 			t.Fatalf("%s survives Close (err %v)", name, err)
 		}
@@ -572,27 +572,27 @@ func TestStoreReset(t *testing.T) {
 		for i := range keys {
 			keys[i] = []byte(fmt.Sprintf("key-%03d-%0200d", i, i))
 		}
-		meta := bytes.Repeat([]byte("meta"), 3<<10)
+		rec := bytes.Repeat([]byte("edge"), 3<<10)
 		fill := func(keys [][]byte) {
 			for i, k := range keys {
 				if id, err := s.Intern(k); err != nil || id != i {
 					t.Fatalf("dir=%q: intern %d: id %d, %v", dir, i, id, err)
 				}
 			}
-			if _, err := s.Meta.Append(meta); err != nil {
+			if _, err := s.Edges.Append(rec); err != nil {
 				t.Fatal(err)
 			}
 		}
 		fill(keys)
 		slots, caps := len(s.slots), chunkCaps(s)
 		if len(caps[0]) < 3 || len(caps[1]) < 3 {
-			t.Fatalf("dir=%q: %d key chunks, %d meta chunks; want several", dir, len(caps[0]), len(caps[1]))
+			t.Fatalf("dir=%q: %d key chunks, %d edge chunks; want several", dir, len(caps[0]), len(caps[1]))
 		}
 
 		s.Reset()
-		if s.Count() != 0 || s.Keys.Len() != 0 || s.Meta.Len() != 0 || s.Edges.Len() != 0 {
-			t.Fatalf("dir=%q: after Reset count %d, arena lengths %d/%d/%d", dir,
-				s.Count(), s.Keys.Len(), s.Meta.Len(), s.Edges.Len())
+		if s.Count() != 0 || s.Keys.Len() != 0 || s.Edges.Len() != 0 {
+			t.Fatalf("dir=%q: after Reset count %d, arena lengths %d/%d", dir,
+				s.Count(), s.Keys.Len(), s.Edges.Len())
 		}
 		for _, k := range keys {
 			if id, ok := s.Lookup(k); ok {
@@ -635,7 +635,7 @@ func TestStoreReset(t *testing.T) {
 // chunkCaps returns the capacity of every chunk of s's arenas.
 func chunkCaps(s *Store) [][]int {
 	var caps [][]int
-	for _, a := range []*Arena{s.Keys, s.Meta, s.Edges} {
+	for _, a := range []*Arena{s.Keys, s.Edges} {
 		var c []int
 		for _, ch := range a.chunks {
 			c = append(c, cap(ch))
