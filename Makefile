@@ -85,19 +85,16 @@ bench:
 # (unit CPU time over a reference computation run alongside, so the
 # figure does not drift with host load) is at most the workload's
 # ceiling in BENCH_CEILINGS. Each ceiling is about twice the median
-# unit_cost_refs measured over interleaved 28-s runs once expansion
-# read the parent key and component steps through step-memo handles
-# and the key table took 8-byte slots (the commit after 5992980):
-# explore-n7 about 2,270, sweep-e3 about 1,510 and dacd-jobs about 89.
-# explore-n7-ids's is about twice the 60.0 it read once Termination (b)
-# was decided by one SCC pass and the merge composed group elements
-# from a cache (the commit after 88ebf54). So a ceiling trips on a lost
-# fast path, not on noise.
+# unit_cost_refs measured over interleaved 28-s runs once every value
+# in a key or step record took its one-byte value code (the commit
+# after f0d92b9): explore-n7 about 1,860, explore-n7-ids about 54,
+# sweep-e3 about 1,440 and dacd-jobs about 71. So a ceiling trips on a
+# lost fast path, not on noise.
 # Lower a ceiling in the same commit as a measured speed-up it should
 # hold.
 # encoding/json writes the metrics map with sorted keys, so sed can
 # read the value without a JSON tool.
-BENCH_CEILINGS = explore-n7:4500 explore-n7-ids:120 sweep-e3:3100 dacd-jobs:180
+BENCH_CEILINGS = explore-n7:3700 explore-n7-ids:110 sweep-e3:2900 dacd-jobs:140
 bench-gate:
 	@for wc in $(BENCH_CEILINGS); do \
 		w=$${wc%%:*}; ceiling=$${wc#*:}; \

@@ -3,14 +3,17 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
+	"setagree/internal/checkpoint"
 	"setagree/internal/jobs"
 )
 
@@ -126,5 +129,49 @@ func TestExploreJobDiskStore(t *testing.T) {
 	j := waitJob(t, ts.URL, bad.ID, jobs.Failed, 30*time.Second)
 	if j.Error == "" {
 		t.Errorf("budget-without-store job failed with no error message")
+	}
+}
+
+// TestExploreJobOldCheckpoint pins what happens to an explore job that
+// was interrupted under a build writing version-1 snapshots, whose
+// values were zigzag varints rather than value codes: the runner fails
+// it with checkpoint.ErrVersion and keeps the snapshot, without
+// panicking or decoding the payload, and the pool marks the job failed
+// with that error.
+func TestExploreJobOldCheckpoint(t *testing.T) {
+	t.Parallel()
+	store, err := jobs.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	spec, err := json.Marshal(map[string]any{"protocol": "alg2", "n": 3, "p": 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := store.Submit("explore", spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpt := store.CheckpointPath(job.ID)
+	h := checkpoint.Header{Kind: "explore.bfs", Version: 1}
+	if err := checkpoint.Write(ckpt, h, []byte{0, 0, 3, 1, 9, 9}); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := runExploreJob(context.Background(), store, job); !errors.Is(err, checkpoint.ErrVersion) {
+		t.Fatalf("runExploreJob over a version-1 snapshot returned %v, want ErrVersion", err)
+	}
+	if _, err := os.Stat(ckpt); err != nil {
+		t.Errorf("version-1 snapshot removed: %v", err)
+	}
+
+	pool := jobs.NewPool(store, 1, map[string]jobs.Runner{"explore": runExploreJob})
+	ts := httptest.NewServer(newServer(store, pool, serverOptions{}))
+	defer ts.Close()
+	defer pool.Drain(context.Background())
+	j := waitJob(t, ts.URL, job.ID, jobs.Failed, 30*time.Second)
+	if !strings.Contains(j.Error, checkpoint.ErrVersion.Error()) {
+		t.Errorf("job failed with %q, want it to name %q", j.Error, checkpoint.ErrVersion)
 	}
 }

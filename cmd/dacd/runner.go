@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"setagree/cmd/internal/protobuild"
+	"setagree/internal/checkpoint"
 	"setagree/internal/explore"
 	"setagree/internal/jobs"
 	"setagree/internal/obs"
@@ -133,6 +134,11 @@ func runExploreJobWith(ctx context.Context, store *jobs.Store, job jobs.Job, reg
 			return nil, err
 		}
 		resume = true
+	} else if errors.Is(err, checkpoint.ErrVersion) {
+		// A snapshot another build wrote in another payload schema: fail
+		// the job with the typed error, keeping the snapshot, rather than
+		// quietly discarding the progress it records.
+		return nil, err
 	} else if !errors.Is(err, fs.ErrNotExist) {
 		// Unreadable checkpoint (e.g. damaged disk): start the job over
 		// rather than failing it — correctness never depends on a

@@ -60,10 +60,10 @@ func (s PACState) AppendKey(dst []byte) []byte {
 	}
 	dst = append(dst, upset)
 	dst = binary.AppendUvarint(dst, uint64(s.L))
-	dst = binary.AppendVarint(dst, int64(s.Val))
+	dst = value.AppendKey(dst, s.Val)
 	dst = binary.AppendUvarint(dst, uint64(len(s.V)))
 	for _, v := range s.V {
-		dst = binary.AppendVarint(dst, int64(v))
+		dst = value.AppendKey(dst, v)
 	}
 	return dst
 }

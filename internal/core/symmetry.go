@@ -11,6 +11,7 @@ import (
 	"fmt"
 
 	"setagree/internal/spec"
+	"setagree/internal/value"
 )
 
 // appendComponentKeyUnder renders a component state's key under p. All
@@ -38,10 +39,10 @@ func (s PACState) AppendKeyUnder(dst []byte, p spec.Perm) []byte {
 	}
 	dst = append(dst, upset)
 	dst = binary.AppendUvarint(dst, uint64(p.Port(s.L)))
-	dst = binary.AppendVarint(dst, int64(p.Val(s.Val)))
+	dst = value.AppendKey(dst, p.Val(s.Val))
 	dst = binary.AppendUvarint(dst, uint64(len(s.V)))
 	for j := range s.V {
-		dst = binary.AppendVarint(dst, int64(p.Val(s.V[p.PortInv(j+1)-1])))
+		dst = value.AppendKey(dst, p.Val(s.V[p.PortInv(j+1)-1]))
 	}
 	return dst
 }

@@ -36,11 +36,25 @@ import (
 )
 
 // checkpointKind and checkpointVersion identify the explorer's snapshot
-// payload schema inside the generic container.
+// payload schema inside the generic container. Version 2 writes every
+// value in the tree and edge sections as its value.KeyUint code, so
+// restore and PeekCheckpoint read no other version: a version-1
+// payload would decode to the wrong values.
 const (
 	checkpointKind    = "explore.bfs"
-	checkpointVersion = 1
+	checkpointVersion = 2
 )
+
+// checkVersion rejects, with checkpoint.ErrVersion, a snapshot whose
+// payload schema is not exactly checkpointVersion. checkpoint.Read and
+// ReadUnverified reject only newer versions.
+func checkVersion(path string, v uint64) error {
+	if v != checkpointVersion {
+		return fmt.Errorf("explore: checkpoint: %s: version %d, this build reads only version %d: %w",
+			path, v, checkpointVersion, checkpoint.ErrVersion)
+	}
+	return nil
+}
 
 // fingerprint returns the snapshot fingerprint of the search's
 // instance: FNV-1a over the programs, object specs, root configuration
@@ -228,15 +242,14 @@ const (
 	edgeRecMax = 2*binary.MaxVarintLen64 + stepLenMax
 )
 
-// putV writes the signed varint v at buf[i:] (the caller has reserved
-// room) and returns the end offset — byte-identical to
-// binary.PutVarint, with the dominant one-byte case inlined. Together
+// putU writes the unsigned varint u at buf[i:] (the caller has
+// reserved room) and returns the end offset — byte-identical to
+// binary.PutUvarint, with the dominant one-byte case inlined. Together
 // with the single capacity reservation per record this keeps the
 // snapshot encoder off the per-byte grow checks and per-field call
 // overhead of append-style encoding, which otherwise dominate the
 // barrier stall on snapshot-sized graphs.
-func putV(buf []byte, i int, v int64) int {
-	u := uint64(v<<1) ^ uint64(v>>63)
+func putU(buf []byte, i int, u uint64) int {
 	if u < 0x80 {
 		buf[i] = byte(u)
 		return i + 1
@@ -244,14 +257,22 @@ func putV(buf []byte, i int, v int64) int {
 	return i + binary.PutUvarint(buf[i:], u)
 }
 
+// putV writes the signed varint v at buf[i:] like putU, byte-identical
+// to binary.PutVarint.
+func putV(buf []byte, i int, v int64) int {
+	return putU(buf, i, uint64(v<<1)^uint64(v>>63))
+}
+
 // putStep writes s at buf[i:] and returns the end offset, producing
-// exactly the bytes decodeStep (and recDec.step) reads back.
+// exactly the bytes decodeStep (and recDec.step) reads back: the method
+// byte, the argument and response as value.KeyUint codes, and the
+// label, process, object and branch as signed varints.
 func putStep(buf []byte, i int, s Step) int {
 	buf[i] = byte(s.Op.Method)
 	i++
-	i = putV(buf, i, int64(s.Op.Arg))
+	i = putU(buf, i, value.KeyUint(s.Op.Arg))
 	i = putV(buf, i, int64(s.Op.Label))
-	i = putV(buf, i, int64(s.Resp))
+	i = putU(buf, i, value.KeyUint(s.Resp))
 	i = putV(buf, i, int64(s.Proc))
 	i = putV(buf, i, int64(s.Obj))
 	i = putV(buf, i, int64(s.Branch))
@@ -271,9 +292,9 @@ func appendEdge(buf []byte, to int, s Step, gi int) []byte {
 func decodeStep(d *checkpoint.Dec) Step {
 	var s Step
 	s.Op.Method = value.Method(d.Byte())
-	s.Op.Arg = value.Value(d.Varint())
+	s.Op.Arg = value.FromKeyUint(d.Uvarint())
 	s.Op.Label = d.Int()
-	s.Resp = value.Value(d.Varint())
+	s.Resp = value.FromKeyUint(d.Uvarint())
 	s.Proc = d.Int()
 	s.Obj = d.Int()
 	s.Branch = d.Int()
@@ -287,9 +308,11 @@ func decodeStep(d *checkpoint.Dec) Step {
 // timestamps aside). The snapshot must have been taken from the same
 // system, task, and symmetry mode — mismatches are rejected with
 // checkpoint.ErrFingerprint before any payload byte is trusted —
-// while MaxStates and Workers may differ freely. When opts.Events is
-// set, its sequence counter is fast-forwarded to the snapshot's; pair
-// with obs.TruncateEventsFile to trim a reused events file first.
+// while MaxStates and Workers may differ freely. A snapshot of another
+// payload version is rejected with checkpoint.ErrVersion. When
+// opts.Events is set, its sequence counter is fast-forwarded to the
+// snapshot's; pair with obs.TruncateEventsFile to trim a reused events
+// file first.
 //
 // Past argument validation Resume follows Check's error contract:
 // partial counters are flushed and exactly one terminal event is
@@ -318,8 +341,11 @@ func corruptf(format string, args ...any) error {
 // the configuration table.
 func (st *search) restore(path string) error {
 	g, opts := st.g, st.opts
-	_, payload, err := checkpoint.Read(path, checkpointKind, checkpointVersion, st.fingerprint())
+	version, payload, err := checkpoint.Read(path, checkpointKind, checkpointVersion, st.fingerprint())
 	if err != nil {
+		return err
+	}
+	if err := checkVersion(path, version); err != nil {
 		return err
 	}
 	d := checkpoint.NewDec(payload)
@@ -504,10 +530,14 @@ type CheckpointInfo struct {
 }
 
 // PeekCheckpoint reads the snapshot summary at path, validating
-// integrity, kind, and version but not the fingerprint.
+// integrity, kind, and version (exactly checkpointVersion) but not the
+// fingerprint.
 func PeekCheckpoint(path string) (*CheckpointInfo, error) {
 	h, payload, err := checkpoint.ReadUnverified(path, checkpointKind, checkpointVersion)
 	if err != nil {
+		return nil, err
+	}
+	if err := checkVersion(path, h.Version); err != nil {
 		return nil, err
 	}
 	d := checkpoint.NewDec(payload)

@@ -339,9 +339,9 @@ func TestContextCancelWritesFinalCheckpoint(t *testing.T) {
 // TestResumeRejections pins every refusal class of explore.Resume: a
 // snapshot from different inputs or a different symmetry mode
 // (fingerprint), damaged or truncated bytes, a foreign magic number, a
-// future payload version, a wrong kind, and a CRC-valid payload with a
-// negative heartbeat boundary. Each rejected resume still
-// honours the terminal-event contract.
+// future or older payload version, a wrong kind, and a CRC-valid
+// payload with a negative heartbeat boundary. Each rejected resume
+// still honours the terminal-event contract.
 func TestResumeRejections(t *testing.T) {
 	t.Parallel()
 	sys, tsk := durableInstance(t)
@@ -419,6 +419,24 @@ func TestResumeRejections(t *testing.T) {
 	}
 	if _, err := explore.Resume(skew, sys, tsk, explore.Options{}); !errors.Is(err, checkpoint.ErrVersion) {
 		t.Errorf("version skew: %v, want ErrVersion", err)
+	}
+	// An older version is rejected too, not decoded with this version's
+	// value codes: version 1 wrote values as zigzag varints. The
+	// container carries this snapshot's own fingerprint and payload, so
+	// the version is the only thing wrong with it.
+	_, cur, err := checkpoint.ReadUnverified(ckptPath, h.Kind, h.Version)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := filepath.Join(dir, "v1.ckpt")
+	if err := checkpoint.Write(old, checkpoint.Header{Kind: h.Kind, Version: 1, Fingerprint: h.Fingerprint}, cur); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := explore.Resume(old, sys, tsk, explore.Options{}); !errors.Is(err, checkpoint.ErrVersion) {
+		t.Errorf("version-1 snapshot: Resume returned %v, want ErrVersion", err)
+	}
+	if _, err := explore.PeekCheckpoint(old); !errors.Is(err, checkpoint.ErrVersion) {
+		t.Errorf("version-1 snapshot: PeekCheckpoint returned %v, want ErrVersion", err)
 	}
 	foreign := filepath.Join(dir, "foreign.ckpt")
 	if err := checkpoint.Write(foreign, checkpoint.Header{Kind: "jobs.journal", Version: 1, Fingerprint: h.Fingerprint}, nil); err != nil {
@@ -536,7 +554,11 @@ func levelSnapshot(t testing.TB, sym explore.Symmetry, level int) (checkpoint.He
 	if _, err := explore.Check(sys, tsk, opts); !errors.Is(err, errKilled) {
 		t.Fatalf("%v: snapshot run returned %v, want errKilled", sym, err)
 	}
-	h, payload, err := checkpoint.ReadUnverified(path, "explore.bfs", 1)
+	h, err := checkpoint.Peek(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, payload, err := checkpoint.ReadUnverified(path, h.Kind, h.Version)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -527,6 +527,18 @@ func SoloAgreement(rep *Report, skip int) (edges, solo int, err error) {
 	return edges, solo, err
 }
 
+// EachRecord calls f on every interned key of rep's graph, in id order,
+// and then on every configuration's edge record.
+func EachRecord(rep *Report, f func(edges bool, id int, rec []byte)) {
+	d := rep.g.disk
+	for id := range rep.g.configs {
+		f(false, id, d.s.Key(id))
+	}
+	for id := range d.edgeOff {
+		f(true, id, record(d.s.Edges, d.edgeOff, id))
+	}
+}
+
 // LiftedWalks returns how many lifted walks (liftedCycle calls) the
 // graph of rep's checker made since its Check began.
 func LiftedWalks(rep *Report) int { return rep.g.scc.walks }

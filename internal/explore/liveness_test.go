@@ -289,6 +289,53 @@ func TestReportDeterminism(t *testing.T) {
 	}
 }
 
+// mixedLivelock is Algorithm 2's distinguished process and two of its
+// retrying processes over one 3-PAC, inputs 1, 0, 0: the retrying
+// processes can upset the PAC for each other forever.
+func mixedLivelock(t *testing.T) *explore.System {
+	t.Helper()
+	a2 := algorithm2System(t)
+	return &explore.System{
+		Programs: []*machine.Program{a2.Programs[0], a2.Programs[1], a2.Programs[1]},
+		Objects:  []spec.Spec{core.NewPAC(3)},
+		Inputs:   []value.Value{1, 0, 0},
+	}
+}
+
+// swappedTogglers are two systems of a deciding process and two
+// togglers, which write their input, then 0, forever, and so violate
+// Termination (b) of n-DAC with process 0 distinguished. Where both
+// togglers sit at the loop head the configuration is fixed by swapping
+// them (in values mode together with their inputs), so a toggler's
+// cycle through it comes back, in the quotient, in the other's slot.
+// The first system's togglers share an input, for ids; the second's
+// differ, for values.
+func swappedTogglers() []struct {
+	name string
+	sys  *explore.System
+} {
+	toggler := machine.NewBuilder("toggler", 4).
+		Label("loop").
+		Invoke(2, 1, value.MethodWrite, machine.R(machine.RegInput), machine.Operand{}).
+		Invoke(2, 1, value.MethodWrite, machine.C(0), machine.Operand{}).
+		Jmp("loop").
+		MustBuild()
+	mk := func(inputs ...value.Value) *explore.System {
+		return &explore.System{
+			Programs: []*machine.Program{decideOwn(0), toggler, toggler},
+			Objects:  []spec.Spec{objects.NewRegister(), objects.NewRegister()},
+			Inputs:   inputs,
+		}
+	}
+	return []struct {
+		name string
+		sys  *explore.System
+	}{
+		{"swapped-togglers", mk(5, 7, 7)},
+		{"swapped-togglers-values", mk(5, 7, 9)},
+	}
+}
+
 // TestSoloSCCsMatchSoloCycle compares the solo-graph SCC test for
 // Termination (b) with the per-edge searches it replaced (liftedCycle's
 // solo walk, and soloCycle's without symmetry; explore.SoloAgreement)
@@ -305,20 +352,10 @@ func TestSoloSCCsMatchSoloCycle(t *testing.T) {
 		skip int // the distinguished process, -1 to compare every process
 	}
 	a2 := algorithm2System(t)
-	retrying := &explore.System{
-		Programs: []*machine.Program{a2.Programs[0], a2.Programs[1], a2.Programs[1]},
-		Objects:  []spec.Spec{core.NewPAC(3)},
-		Inputs:   []value.Value{1, 0, 0},
-	}
+	retrying := mixedLivelock(t)
 	halter := machine.NewBuilder("halter", 4).
 		Invoke(2, 0, value.MethodRead, machine.Operand{}, machine.Operand{}).
 		Halt().
-		MustBuild()
-	toggler := machine.NewBuilder("toggler", 4).
-		Label("loop").
-		Invoke(2, 1, value.MethodWrite, machine.R(machine.RegInput), machine.Operand{}).
-		Invoke(2, 1, value.MethodWrite, machine.C(0), machine.Operand{}).
-		Jmp("loop").
 		MustBuild()
 	pDecides := machine.NewBuilder("p-decides", 4).
 		Invoke(2, 0, value.MethodWrite, machine.C(7), machine.Operand{}).
@@ -343,20 +380,9 @@ func TestSoloSCCsMatchSoloCycle(t *testing.T) {
 			Inputs:   []value.Value{0, 0},
 		}, -1},
 		{"alg2-n2", a2, 0},
-		// The togglers write their input, then 0, forever. Where both sit
-		// at the loop head the configuration is fixed by swapping them (in
-		// values mode together with their inputs), so a toggler's cycle
-		// through it comes back, in the quotient, in the other's slot.
-		{"swapped-togglers", &explore.System{
-			Programs: []*machine.Program{decideOwn(0), toggler, toggler},
-			Objects:  []spec.Spec{objects.NewRegister(), objects.NewRegister()},
-			Inputs:   []value.Value{5, 7, 7},
-		}, 0},
-		{"swapped-togglers-values", &explore.System{
-			Programs: []*machine.Program{decideOwn(0), toggler, toggler},
-			Objects:  []spec.Spec{objects.NewRegister(), objects.NewRegister()},
-			Inputs:   []value.Value{5, 7, 9},
-		}, 0},
+	}
+	for _, tg := range swappedTogglers() {
+		instances = append(instances, instance{tg.name, tg.sys, 0})
 	}
 	for p := 1; p <= 3; p++ {
 		for bits := 0; bits < 8; bits++ {
@@ -446,11 +472,7 @@ func TestLiftedCycleMatchesReferences(t *testing.T) {
 		tsk  task.Task
 	}
 	a2 := algorithm2System(t)
-	retrying := &explore.System{
-		Programs: []*machine.Program{a2.Programs[0], a2.Programs[1], a2.Programs[1]},
-		Objects:  []spec.Spec{core.NewPAC(3)},
-		Inputs:   []value.Value{1, 0, 0},
-	}
+	retrying := mixedLivelock(t)
 	halter := machine.NewBuilder("halter", 4).
 		Invoke(2, 0, value.MethodRead, machine.Operand{}, machine.Operand{}).
 		Halt().

@@ -245,8 +245,8 @@ func (m *stepMemo) procEntry(sys *System, i int, ps machine.ProcState) (int32, e
 
 // addBlocks renders the blocks of the process entry just added, one per
 // value map, with the pid register masked to 0. Rendered with pid 1
-// instead, a block differs in exactly the register's byte (0 and 1 both
-// take one byte), which locates it.
+// instead, a block differs in exactly the register's byte (the value
+// codes of 0 and 1 both take one byte), which locates it.
 func (m *stepMemo) addBlocks(ps machine.ProcState) {
 	for _, vm := range m.grp.vmaps {
 		lo := len(m.bkeys)
@@ -274,12 +274,12 @@ func (m *stepMemo) appendBlock(dst []byte, e int32, t, pid int) []byte {
 	b := m.block(e, t)
 	at := len(dst) + int(b.pid)
 	dst = append(dst, m.bkeys[b.lo:b.hi]...)
-	switch {
+	switch u := value.KeyUint(value.Value(pid)); {
 	case b.pid < 0:
-	case pid < 64:
-		dst[at] = byte(pid << 1) // the one-byte zigzag varint of pid
+	case u < 0x80:
+		dst[at] = byte(u) // pid's one-byte value code
 	default:
-		dst = binary.AppendVarint(dst[:at], int64(pid))
+		dst = value.AppendKey(dst[:at], value.Value(pid))
 		dst = append(dst, m.bkeys[b.lo+b.pid+1:b.hi]...)
 	}
 	return dst

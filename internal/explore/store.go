@@ -196,12 +196,12 @@ type metaRec struct {
 
 // metaAt fills m with config id's outcome record, decoded from its
 // interned key: per process slot a block of status byte, PC uvarint,
-// decision varint, register count and registers (see Config.AppendKey),
-// the poised object read off the program at the PC. Under symmetry the
-// key is the canonical one, canon[id]·R_id, whose slot g(i) holds
-// process i's block with its decision renamed by g's value map, so
-// metaAt maps both back. m's slices are reused across calls; callers
-// keep one metaRec per scan.
+// decision value code, register count and registers (see
+// Config.AppendKey), the poised object read off the program at the
+// PC. Under symmetry the key is the canonical one, canon[id]·R_id,
+// whose slot g(i) holds process i's block with its decision renamed by
+// g's value map, so metaAt maps both back. m's slices are reused
+// across calls; callers keep one metaRec per scan.
 func (g *graph) metaAt(id int, m *metaRec) {
 	n := g.sys.Procs()
 	if len(m.status) != n {
@@ -224,7 +224,7 @@ func (g *graph) metaAt(id int, m *metaRec) {
 			i = int(inv[j])
 		}
 		st, pc := machine.Status(dec.byte()), int(dec.uvarint())
-		m.status[i], m.decision[i], m.poised[i] = st, preimage(vals, value.Value(dec.varint())), -1
+		m.status[i], m.decision[i], m.poised[i] = st, preimage(vals, value.FromKeyUint(dec.uvarint())), -1
 		if st == machine.StatusPoised {
 			m.poised[i] = g.sys.Programs[i].Instrs[pc].Obj
 		}
@@ -313,9 +313,9 @@ func (d *recDec) skip(k int) {
 func (d *recDec) step() Step {
 	var s Step
 	s.Op.Method = value.Method(d.byte())
-	s.Op.Arg = value.Value(d.varint())
+	s.Op.Arg = value.FromKeyUint(d.uvarint())
 	s.Op.Label = int(d.varint())
-	s.Resp = value.Value(d.varint())
+	s.Resp = value.FromKeyUint(d.uvarint())
 	s.Proc = int(d.varint())
 	s.Obj = int(d.varint())
 	s.Branch = int(d.varint())

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -218,6 +219,86 @@ func TestSymmetrySound(t *testing.T) {
 				})
 			}
 		})
+	}
+}
+
+// TestSymmetryLivenessWitnessesClose replays every liveness violation
+// a reduced check reports, on TestSymmetrySound's systems, the swapped
+// togglers and the mixed livelock under ids and values, through the
+// simulator: first the witness, then the witness and the cycle. Both
+// replays must follow their schedules step for step, the cycle must
+// close, ending in the very configuration the witness reaches, and a
+// Termination (b) cycle must be the reported process's solo run. Which
+// member of an orbit is canonical depends on the key bytes, so this
+// pins the reported schedules to concrete executions whatever the key
+// encoding.
+func TestSymmetryLivenessWitnessesClose(t *testing.T) {
+	t.Parallel()
+	type system struct {
+		name string
+		sys  *explore.System
+		tsk  task.Task
+	}
+	var systems []system
+	for _, tc := range soundCases {
+		sys, err := tc.prot.System(tc.inputs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		systems = append(systems, system{tc.name, sys, tc.tsk})
+	}
+	for _, tg := range swappedTogglers() {
+		systems = append(systems, system{tg.name, tg.sys, task.DAC{N: 3, P: 0}})
+	}
+	retrying := mixedLivelock(t)
+	systems = append(systems,
+		system{"mixed-livelock-dac", retrying, task.DAC{N: 3, P: 0}},
+		system{"mixed-livelock-consensus", retrying, task.Consensus{N: 3}})
+	var cycles, soloB, reduced int
+	for _, sy := range systems {
+		for _, mode := range []explore.Symmetry{explore.SymmetryIDs, explore.SymmetryValues} {
+			for _, w := range symmetryWorkerSet(t) {
+				name := sy.name + "/" + mode.String() + "/workers=" + strconv.Itoa(w)
+				rep, err := explore.Check(sy.sys, sy.tsk, explore.Options{Workers: w, Symmetry: mode})
+				if errors.Is(err, explore.ErrNotSymmetric) || errors.Is(err, explore.ErrSymmetryUnsupported) {
+					continue
+				}
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				for _, v := range rep.Violations {
+					switch v.Kind {
+					case explore.ViolationWaitFree, explore.ViolationDACTerminationA, explore.ViolationDACTerminationB:
+					default:
+						continue
+					}
+					if len(v.Cycle) == 0 {
+						t.Fatalf("%s: liveness violation without a cycle: %v", name, v)
+					}
+					at := replaySchedule(t, sy.sys, sy.tsk, v.Witness).Final
+					after := replaySchedule(t, sy.sys, sy.tsk, append(slices.Clone(v.Witness), v.Cycle...)).Final
+					if got, want := after.Key(), at.Key(); got != want {
+						t.Errorf("%s: %v: the cycle ends in %s, not where it starts, %s", name, v.Kind, got, want)
+					}
+					cycles++
+					if rep.SymmetryGroupOrder() > 1 {
+						reduced++
+					}
+					if v.Kind != explore.ViolationDACTerminationB {
+						continue
+					}
+					soloB++
+					for k, s := range v.Cycle {
+						if s.Proc != v.Proc {
+							t.Errorf("%s: Termination (b) cycle of process %d takes step %d by process %d", name, v.Proc, k, s.Proc)
+						}
+					}
+				}
+			}
+		}
+	}
+	if cycles == 0 || soloB == 0 || reduced == 0 {
+		t.Fatalf("replayed %d cycles, %d of them Termination (b) and %d under a nontrivial group: the suite must cover each", cycles, soloB, reduced)
 	}
 }
 

@@ -91,17 +91,19 @@ func (ps ProcState) Key() string {
 }
 
 // AppendKey appends a compact, self-delimiting binary encoding of the
-// process state to dst, with the same canonicity contract as Key. The
+// process state to dst, with the same canonicity contract as Key: the
+// status byte, the PC, the decision, the register count and the
+// registers, every value as its value.AppendKey code. The
 // model checker interns configurations through these bytes, so this is
 // the allocation-free hot-path twin of Key (which remains the
 // human-readable rendering).
 func (ps ProcState) AppendKey(dst []byte) []byte {
 	dst = append(dst, byte(ps.Status))
 	dst = binary.AppendUvarint(dst, uint64(ps.PC))
-	dst = binary.AppendVarint(dst, int64(ps.Decision))
+	dst = value.AppendKey(dst, ps.Decision)
 	dst = binary.AppendUvarint(dst, uint64(len(ps.Regs)))
 	for _, r := range ps.Regs {
-		dst = binary.AppendVarint(dst, int64(r))
+		dst = value.AppendKey(dst, r)
 	}
 	return dst
 }

@@ -193,13 +193,13 @@ func (ps ProcState) AppendKeyUnder(dst []byte, p spec.Perm) []byte {
 func (ps ProcState) AppendKeyWithPid(dst []byte, p spec.Perm, pid value.Value) []byte {
 	dst = append(dst, byte(ps.Status))
 	dst = binary.AppendUvarint(dst, uint64(ps.PC))
-	dst = binary.AppendVarint(dst, int64(p.Val(ps.Decision)))
+	dst = value.AppendKey(dst, p.Val(ps.Decision))
 	dst = binary.AppendUvarint(dst, uint64(len(ps.Regs)))
 	for i, r := range ps.Regs {
 		if i == int(RegID1) {
-			dst = binary.AppendVarint(dst, int64(pid))
+			dst = value.AppendKey(dst, pid)
 		} else {
-			dst = binary.AppendVarint(dst, int64(p.Val(r)))
+			dst = value.AppendKey(dst, p.Val(r))
 		}
 	}
 	return dst

@@ -38,7 +38,7 @@ func (s QueueState) Key() string {
 func (s QueueState) AppendKey(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s.Items)))
 	for _, v := range s.Items {
-		dst = binary.AppendVarint(dst, int64(v))
+		dst = value.AppendKey(dst, v)
 	}
 	return dst
 }
@@ -126,7 +126,7 @@ func (s CounterState) Key() string { return "c" + strconv.FormatInt(int64(s.Tota
 
 // AppendKey implements spec.AppendKeyer.
 func (s CounterState) AppendKey(dst []byte) []byte {
-	return binary.AppendVarint(dst, int64(s.Total))
+	return value.AppendKey(dst, s.Total)
 }
 
 var _ spec.State = CounterState{}

@@ -25,7 +25,7 @@ func (s ConsensusState) Key() string {
 
 // AppendKey implements spec.AppendKeyer.
 func (s ConsensusState) AppendKey(dst []byte) []byte {
-	dst = binary.AppendVarint(dst, int64(s.Val))
+	dst = value.AppendKey(dst, s.Val)
 	return binary.AppendUvarint(dst, uint64(s.Count))
 }
 

@@ -9,7 +9,6 @@
 package objects
 
 import (
-	"encoding/binary"
 	"strconv"
 
 	"setagree/internal/spec"
@@ -30,7 +29,7 @@ func (s RegisterState) Key() string {
 
 // AppendKey implements spec.AppendKeyer.
 func (s RegisterState) AppendKey(dst []byte) []byte {
-	return binary.AppendVarint(dst, int64(s.Val))
+	return value.AppendKey(dst, s.Val)
 }
 
 var _ spec.State = RegisterState{}

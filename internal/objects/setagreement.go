@@ -43,7 +43,7 @@ func (s SetAgreementState) Key() string {
 func (s SetAgreementState) AppendKey(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s.Vals)))
 	for _, v := range s.Vals {
-		dst = binary.AppendVarint(dst, int64(v))
+		dst = value.AppendKey(dst, v)
 	}
 	return binary.AppendUvarint(dst, uint64(s.Count))
 }

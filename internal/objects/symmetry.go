@@ -14,11 +14,12 @@ import (
 	"encoding/binary"
 
 	"setagree/internal/spec"
+	"setagree/internal/value"
 )
 
 // AppendKeyUnder implements spec.Symmetric.
 func (s RegisterState) AppendKeyUnder(dst []byte, p spec.Perm) []byte {
-	return binary.AppendVarint(dst, int64(p.Val(s.Val)))
+	return value.AppendKey(dst, p.Val(s.Val))
 }
 
 var _ spec.Symmetric = RegisterState{}
@@ -28,7 +29,7 @@ var _ spec.Symmetric = RegisterState{}
 // and the permuted execution's first proposal is the image of the
 // original's.
 func (s ConsensusState) AppendKeyUnder(dst []byte, p spec.Perm) []byte {
-	dst = binary.AppendVarint(dst, int64(p.Val(s.Val)))
+	dst = value.AppendKey(dst, p.Val(s.Val))
 	return binary.AppendUvarint(dst, uint64(s.Count))
 }
 
@@ -41,7 +42,7 @@ var _ spec.Symmetric = ConsensusState{}
 func (s SetAgreementState) AppendKeyUnder(dst []byte, p spec.Perm) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s.Vals)))
 	for _, v := range s.Vals {
-		dst = binary.AppendVarint(dst, int64(p.Val(v)))
+		dst = value.AppendKey(dst, p.Val(v))
 	}
 	return binary.AppendUvarint(dst, uint64(s.Count))
 }
@@ -53,7 +54,7 @@ var _ spec.Symmetric = SetAgreementState{}
 func (s QueueState) AppendKeyUnder(dst []byte, p spec.Perm) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s.Items)))
 	for _, v := range s.Items {
-		dst = binary.AppendVarint(dst, int64(p.Val(v)))
+		dst = value.AppendKey(dst, p.Val(v))
 	}
 	return dst
 }

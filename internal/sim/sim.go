@@ -136,6 +136,8 @@ type Result struct {
 	// Violation is the first task safety violation observed, nil if
 	// none (liveness cannot be decided from one finite run).
 	Violation error
+	// Final is the configuration the run stopped in.
+	Final *explore.Config
 }
 
 // Run executes sys under sched until every process terminates, a safety
@@ -240,6 +242,12 @@ func Run(sys *explore.System, tsk task.Task, sched Scheduler, opts Options) (*Re
 		}
 	}
 	res.Outcome = outcome()
+	res.Final = &explore.Config{Procs: procs, Objs: objs}
+	for i, ok := range stepped {
+		if ok {
+			res.Final.SteppedMask |= 1 << uint(i)
+		}
+	}
 	if opts.Obs != nil {
 		o := opts.Obs
 		o.Counter("sim.runs").Inc()

@@ -44,7 +44,8 @@ type State interface {
 // self-delimiting — decodable without knowing where the state's bytes
 // end — because the model checker concatenates the encodings of every
 // process and object state into one configuration key. Length-prefixing
-// variable-size components with binary.AppendUvarint suffices.
+// variable-size components with binary.AppendUvarint suffices. Values
+// go in as value.AppendKey codes, which give the sentinels one byte.
 //
 // States without the extension still work: the model checker falls back
 // to the length-prefixed Key string via AppendStateKey. Every State in

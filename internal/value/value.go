@@ -10,6 +10,7 @@
 package value
 
 import (
+	"encoding/binary"
 	"math"
 	"strconv"
 )
@@ -40,6 +41,32 @@ const (
 // (None, Bottom, or Done) rather than an application value.
 func (v Value) IsSentinel() bool {
 	return v == None || v == Bottom || v == Done
+}
+
+// keyBias shifts the zigzag encoding so that the three sentinels, whose
+// zigzag codes are the three largest uint64s, wrap around to the odd
+// codes 5, 3 and 1 below the code of 0.
+const keyBias = 6
+
+// KeyUint returns v's key code: the zigzag encoding of v plus 6, mod
+// 2⁶⁴. It is a bijection on int64 that maps None, Bottom and Done to
+// 5, 3 and 1, and every v with |v| ≤ 60 below 0x80, so each of them
+// takes one byte as an unsigned varint where a plain zigzag varint
+// spends ten on a sentinel. Every value in a configuration key or a
+// step record is written as this code.
+func KeyUint(v Value) uint64 {
+	return (uint64(v<<1) ^ uint64(v>>63)) + keyBias
+}
+
+// FromKeyUint inverts KeyUint.
+func FromKeyUint(u uint64) Value {
+	u -= keyBias
+	return Value(int64(u>>1) ^ -int64(u&1))
+}
+
+// AppendKey appends v's key code to dst as an unsigned varint.
+func AppendKey(dst []byte, v Value) []byte {
+	return binary.AppendUvarint(dst, KeyUint(v))
 }
 
 // String renders application values as decimal integers and the

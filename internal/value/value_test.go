@@ -1,6 +1,8 @@
 package value_test
 
 import (
+	"encoding/binary"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -46,6 +48,76 @@ func TestSentinelsDistinct(t *testing.T) {
 	t.Parallel()
 	if value.None == value.Bottom || value.Bottom == value.Done || value.None == value.Done {
 		t.Fatal("sentinels collide")
+	}
+}
+
+// keyCodeValues are the values the key-code tests pin: the int64 ends,
+// the sentinels among them, and every value around 0 up to the first
+// ones that no longer fit one byte.
+func keyCodeValues() []value.Value {
+	var vs []value.Value
+	for k := range 6 {
+		vs = append(vs, math.MinInt64+value.Value(k), math.MaxInt64-value.Value(k))
+	}
+	for v := -61; v <= 61; v++ {
+		vs = append(vs, value.Value(v))
+	}
+	return vs
+}
+
+func TestKeyUintRoundTrip(t *testing.T) {
+	t.Parallel()
+	check := func(v value.Value) bool {
+		u := value.KeyUint(v)
+		got, n := binary.Uvarint(value.AppendKey(nil, v))
+		return value.FromKeyUint(u) == v && got == u && n == len(value.AppendKey(nil, v))
+	}
+	for _, v := range keyCodeValues() {
+		if !check(v) {
+			t.Errorf("value %d: code %d does not round-trip", int64(v), value.KeyUint(v))
+		}
+	}
+	if err := quick.Check(func(raw int64) bool { return check(value.Value(raw)) }, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := quick.Check(func(u uint64) bool { return value.KeyUint(value.FromKeyUint(u)) == u }, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestKeyUintShort(t *testing.T) {
+	t.Parallel()
+	for v, want := range map[value.Value]uint64{value.None: 5, value.Bottom: 3, value.Done: 1, 0: 6, -1: 7, 1: 8} {
+		if got := value.KeyUint(v); got != want {
+			t.Errorf("KeyUint(%s) = %d, want %d", v, got, want)
+		}
+	}
+	for _, v := range keyCodeValues() {
+		n := len(value.AppendKey(nil, v))
+		short := v.IsSentinel() || (v >= -60 && v <= 60)
+		if short && n != 1 {
+			t.Errorf("value %s takes %d bytes, want 1", v, n)
+		}
+		if (v == 61 || v == math.MinInt64+3) && n == 1 {
+			t.Errorf("value %s takes one byte; the code is not the one documented", v)
+		}
+	}
+}
+
+func TestKeyUintDistinct(t *testing.T) {
+	t.Parallel()
+	seen := make(map[uint64]value.Value)
+	for _, v := range keyCodeValues() {
+		u := value.KeyUint(v)
+		if w, ok := seen[u]; ok && w != v {
+			t.Errorf("values %d and %d share code %d", int64(w), int64(v), u)
+		}
+		seen[u] = v
+	}
+	if err := quick.Check(func(a, b int64) bool {
+		return a == b || value.KeyUint(value.Value(a)) != value.KeyUint(value.Value(b))
+	}, nil); err != nil {
+		t.Fatal(err)
 	}
 }
 
