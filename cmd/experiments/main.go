@@ -496,7 +496,7 @@ func (r *runner) e8Theorem71() {
 		detail = err.Error()
 		ok = false
 	}
-	r.add("E8", "Thm 7.1 (+): (4,2)-PAC face solves 3-DAC", "n=3, m=2", ok, detail, time.Since(start))
+	r.add("E8", "Thm 7.1 (+): (3,2)-PAC face solves 3-DAC", "n=3, m=2", ok, detail, time.Since(start))
 
 	fam := theorem71Family()
 	if r.stopped() {

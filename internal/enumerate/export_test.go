@@ -16,3 +16,10 @@ func HeldFailures(p *Prepared, lo, hi int, inputVectors [][]value.Value, opts Sw
 	}
 	return held, err
 }
+
+// FullViolations returns opts with every check of the sweep reporting
+// all of its violations, not just the first.
+func FullViolations(opts SweepOptions) SweepOptions {
+	opts.fullViolations = true
+	return opts
+}

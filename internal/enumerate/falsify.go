@@ -93,6 +93,11 @@ type SweepOptions struct {
 	// terminal event is emitted, and the sweep returns an error
 	// satisfying errors.Is(err, ctx.Err()).
 	Ctx context.Context
+
+	// fullViolations makes every check report all its violations, as a
+	// plain explore.Check does; the sweep reads only the first, so only
+	// the equivalence tests set it.
+	fullViolations bool
 }
 
 // checkOptions are the options of every model check the sweep runs.
@@ -102,14 +107,18 @@ type SweepOptions struct {
 // explore.* counters across every check; per-check events stay off
 // (the sweep loop emits one sweep.candidate event per candidate
 // instead, keeping event volume proportional to candidates rather than
-// model-checker states).
+// model-checker states). A sweep reads one violation per refuted
+// check, so the checks stop their analyses at the first
+// (FirstViolation): the explore.violations counter counts at most one
+// per check.
 func (o *SweepOptions) checkOptions(mode explore.Symmetry) explore.Options {
 	return explore.Options{
-		Workers:   1,
-		MaxStates: o.MaxStatesPerCandidate,
-		Symmetry:  mode,
-		Obs:       o.Obs,
-		Ctx:       o.Ctx,
+		Workers:        1,
+		MaxStates:      o.MaxStatesPerCandidate,
+		Symmetry:       mode,
+		Obs:            o.Obs,
+		Ctx:            o.Ctx,
+		FirstViolation: !o.fullViolations,
 	}
 }
 

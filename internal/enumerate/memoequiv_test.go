@@ -12,9 +12,10 @@ import (
 	"setagree/internal/value"
 )
 
-// thm71Family is the Theorem 7.1 depth-1 family over {2-consensus,
-// register} — the 1116-candidate DAC sweep (EXPERIMENTS E8).
-func thm71Family() *enumerate.Family {
+// thm71Family is the Theorem 7.1 family over {2-consensus, register}
+// at the given depth; depth 1 is the 1116-candidate DAC sweep
+// (EXPERIMENTS E8).
+func thm71Family(depth int) *enumerate.Family {
 	return &enumerate.Family{
 		Objects: []spec.Spec{objects.NewConsensus(2), objects.NewRegister()},
 		Menu: []enumerate.Invoke{
@@ -22,7 +23,7 @@ func thm71Family() *enumerate.Family {
 			{Obj: 1, Method: value.MethodWrite, Arg: enumerate.ArgInput},
 			{Obj: 1, Method: value.MethodRead},
 		},
-		Depth: 1,
+		Depth: depth,
 		Actions: []enumerate.Action{
 			enumerate.ActDecideInput, enumerate.ActDecideLast, enumerate.ActDecideFirst,
 			enumerate.ActDecideZero, enumerate.ActDecideOne, enumerate.ActRetry,
@@ -57,7 +58,7 @@ func TestMemoByteEquivalence(t *testing.T) {
 			return enumerate.FalsifySymmetric(theorem42Family(1), task.Consensus{N: 3}, vectors, opts)
 		}},
 		{"thm71", func(opts enumerate.SweepOptions) (*enumerate.Report, error) {
-			return enumerate.FalsifyDAC(thm71Family(), 3, vectors, opts)
+			return enumerate.FalsifyDAC(thm71Family(1), 3, vectors, opts)
 		}},
 	}
 	for _, sw := range sweeps {

@@ -108,6 +108,16 @@ type Options struct {
 	// no interning, counting, or verdict, so Reports with and without
 	// Cover are otherwise identical.
 	Cover *CoverRequest
+	// FirstViolation stops the analyses once the first violation is
+	// known: Report.Violations is exactly the first element of a full
+	// Check's, witness and cycle included, or empty when that is. The
+	// exploration itself is the same, so every count, Cover and Valency
+	// match a full Check. A safety failure skips the liveness analysis, a
+	// halted-undecided process skips the SCC walk, and otherwise only the
+	// first cycle violation's witness and cycle are built. A caller that
+	// needs one counterexample per protocol (a falsification sweep) sets
+	// it; the explore.violations counter then counts at most one.
+	FirstViolation bool
 }
 
 // fill applies the defaults of MaxStates, HeartbeatEvery and Workers.
@@ -246,7 +256,8 @@ type Report struct {
 	// take a step.
 	Quiescent int
 	// Violations lists every property failure found (empty means the
-	// protocol solves the task on this instance).
+	// protocol solves the task on this instance); under
+	// Options.FirstViolation, only the first.
 	Violations []*Violation
 	// Valency holds the valence analysis when Options.Valency was set.
 	Valency *ValencyReport
@@ -561,7 +572,9 @@ func (st *search) run() (*Report, error) {
 				Witness: g.pathTo(g.unsafe),
 			})
 		}
-		g.checkLiveness(rep)
+		if !opts.FirstViolation || len(rep.Violations) == 0 {
+			g.checkLiveness(rep, opts.FirstViolation)
+		}
 	}
 	if opts.Valency {
 		v, err := g.valency()
@@ -622,12 +635,15 @@ type search struct {
 }
 
 // succRec is one successor produced by a worker, in canonical (proc,
-// branch) order within its parent's expansion.
+// branch) order within its parent's expansion. It names its step by
+// the shard's step memo, which rebuilds it at the merge (see step).
 type succRec struct {
-	step Step
-	id   int // global id when >= 0 (interned before this level), else -1
-	lid  int // level-local id in the shard's table when id < 0
-	gi   int // group index minimizing the key (0 when symmetry off)
+	id     int32 // global id when >= 0 (interned before this level), else ^ the level-local id in the shard's table
+	gi     int32 // group index minimizing the key (0 when symmetry off)
+	pe     int32 // the stepping process's memo entry, which holds its invocation
+	b      int32 // the transition's index in the memo's trans, which holds its response
+	proc   int32
+	branch int32
 }
 
 // expansion is one expanded configuration's entry in its shard: its
@@ -703,17 +719,25 @@ func (out *shardOut) addSucc(rec succRec) {
 	out.nSuccs++
 }
 
+// step rebuilds the step of successor s from the shard's step memo.
+func (out *shardOut) step(s *succRec) Step {
+	inv := &out.memo.pents[s.pe].inv
+	return Step{Proc: int(s.proc), Obj: inv.Obj, Op: inv.Op, Resp: out.memo.trans[s.b].resp, Branch: int(s.branch)}
+}
+
 // lookup resolves a successor's key, whose store.Hash is h, against
 // the frozen global table and then the shard's level-local one, setting
-// rec's id or lid. It reports false when both miss.
+// rec's id. It reports false when both miss.
 func (out *shardOut) lookup(g *graph, rec *succRec, key []byte, h uint32) bool {
 	if id, ok := g.disk.s.LookupHash(key, h); ok {
-		rec.id = id
+		rec.id = int32(id)
 		return true
 	}
-	var ok bool
-	rec.lid, ok = out.local.LookupHash(key, h)
-	return ok
+	if lid, ok := out.local.LookupHash(key, h); ok {
+		rec.id = ^int32(lid)
+		return true
+	}
+	return false
 }
 
 // intern adds the first occurrence of key, whose store.Hash is h, in
@@ -986,7 +1010,7 @@ func (st *search) expand(out *shardOut, c *Config) error {
 			if err != nil {
 				return err
 			}
-			rec := succRec{step: Step{Proc: i, Obj: jo, Op: p.Op, Resp: t.resp, Branch: int(b - lo)}, id: -1}
+			rec := succRec{pe: pe, b: b, proc: int32(i), branch: b - lo}
 			var key []byte
 			orbit := 1
 			if g.grp == nil {
@@ -999,7 +1023,9 @@ func (st *search) expand(out *shardOut, c *Config) error {
 				sc.best = key
 			} else {
 				sc.succ[i], sc.succ[np+jo] = ne, t.next
-				key, rec.gi, orbit = g.grp.canonical(sc, mo, sc.succ, c.SteppedMask|1<<uint(i))
+				var gi int
+				key, gi, orbit = g.grp.canonical(sc, mo, sc.succ, c.SteppedMask|1<<uint(i))
+				rec.gi = int32(gi)
 				sc.succ[i], sc.succ[np+jo] = pe, hs[np+jo]
 				out.orbitMax = max(out.orbitMax, orbit)
 				if rec.gi != 0 {
@@ -1008,9 +1034,11 @@ func (st *search) expand(out *shardOut, c *Config) error {
 			}
 			if h := store.Hash(key); !out.lookup(g, &rec, key, h) {
 				nc := mo.build(c, hs, i, jo, ne, t.next, &out.slabs[st.gen])
-				if rec.lid, err = out.intern(key, h, nc, orbit); err != nil {
+				lid, err := out.intern(key, h, nc, orbit)
+				if err != nil {
 					return err
 				}
+				rec.id = ^int32(lid)
 				if g.grp != nil {
 					out.stabs = append(out.stabs, sc.orb...)
 				}
@@ -1070,21 +1098,23 @@ func (st *search) mergeLevel(outs []*shardOut) error {
 			merged := 0
 			var stop error
 			for k := lo; k < exp.end; k++ {
-				s := out.succs[k/succChunk][k%succChunk]
-				if st.cover != nil && g.configs[at].Procs[s.step.Proc].PC == st.coverPC {
+				s := &out.succs[k/succChunk][k%succChunk]
+				step := out.step(s)
+				if st.cover != nil && g.configs[at].Procs[step.Proc].PC == st.coverPC {
 					// The parent configuration of the currently merging
 					// level is always resident (spilling runs after the
 					// merge).
-					if s.step.Resp == value.Bottom {
-						st.cover[s.step.Proc].Bottom = true
+					if step.Resp == value.Bottom {
+						st.cover[step.Proc].Bottom = true
 					} else {
-						st.cover[s.step.Proc].Value = true
+						st.cover[step.Proc].Value = true
 					}
 				}
-				id, fresh := s.id, false
+				id, fresh := int(s.id), false
 				if id < 0 {
-					if id = out.gids[s.lid]; id < 0 {
-						key, h := out.local.Key(s.lid), out.khash[s.lid]
+					lid := int(^s.id)
+					if id = out.gids[lid]; id < 0 {
+						key, h := out.local.Key(lid), out.khash[lid]
 						known, ok := 0, false
 						if x > 0 { // the first shard's keys missed the frozen table in expansion, and nothing has joined it since
 							known, ok = g.disk.s.LookupHash(key, h)
@@ -1095,14 +1125,14 @@ func (st *search) mergeLevel(outs []*shardOut) error {
 							var err error
 							var stab []uint8
 							if g.grp != nil {
-								stab = out.stabs[s.lid*np : (s.lid+1)*np]
+								stab = out.stabs[lid*np : (lid+1)*np]
 							}
-							if id, err = g.intern(key, h, out.cfgs[s.lid], at, s.gi, out.orbits[s.lid], stab); err != nil {
+							if id, err = g.intern(key, h, out.cfgs[lid], at, int(s.gi), out.orbits[lid], stab); err != nil {
 								return err
 							}
 							fresh = true
 						}
-						out.gids[s.lid] = id
+						out.gids[lid] = id
 					}
 				}
 				gi := 0
@@ -1110,9 +1140,9 @@ func (st *search) mergeLevel(outs []*shardOut) error {
 					// The concrete successor D satisfies
 					// s.gi·D = canonical = canon[id]·R_id, so
 					// D = (s.gi⁻¹ ∘ canon[id])·R_id.
-					gi = g.grp.relate(s.gi, g.canon[id])
+					gi = g.grp.relate(int(s.gi), g.canon[id])
 				}
-				rec = appendEdge(rec, id, s.step, gi)
+				rec = appendEdge(rec, id, step, gi)
 				merged++
 				rep.Transitions++
 				if fresh && len(g.configs) > st.opts.MaxStates {

@@ -585,7 +585,7 @@ func MetaAgreement(rep *Report) error {
 // violation.
 func LivenessAllocs(ck *Checker) float64 {
 	rep := &Report{}
-	return testing.AllocsPerRun(10, func() { ck.g.checkLiveness(rep) })
+	return testing.AllocsPerRun(10, func() { ck.g.checkLiveness(rep, false) })
 }
 
 // cyclePath returns a schedule from config `from` back to config `to`
@@ -926,22 +926,23 @@ func MemoExpansions(ck *Checker) (n, branched int, err error) {
 				return n, branched, fmt.Errorf("memo %d, config %d: %d successors, reference %d", k, id, out.nSuccs, len(ref))
 			}
 			for j, r := range ref {
-				s := out.succs[j/succChunk][j%succChunk]
+				s := &out.succs[j/succChunk][j%succChunk]
+				step := out.step(s)
 				var key []byte
 				orbit := 1
 				if s.id >= 0 {
-					key = g.disk.s.Key(s.id)
+					key = g.disk.s.Key(int(s.id))
 					if g.grp != nil {
 						orbit = g.orbit[s.id]
 					}
 				} else {
-					key, orbit = out.local.Key(s.lid), out.orbits[s.lid]
+					key, orbit = out.local.Key(int(^s.id)), out.orbits[^s.id]
 				}
-				if s.step != r.step || !bytes.Equal(key, r.key) || s.gi != r.gi || orbit != r.orbit {
+				if step != r.step || !bytes.Equal(key, r.key) || int(s.gi) != r.gi || orbit != r.orbit {
 					return n, branched, fmt.Errorf("memo %d, config %d, successor %d: %v to %x (gi %d, orbit %d), reference %v to %x (gi %d, orbit %d)",
-						k, id, j, s.step, key, s.gi, orbit, r.step, r.key, r.gi, r.orbit)
+						k, id, j, step, key, s.gi, orbit, r.step, r.key, r.gi, r.orbit)
 				}
-				if s.step.Branch > 0 {
+				if step.Branch > 0 {
 					branched++
 				}
 			}

@@ -29,7 +29,12 @@ import (
 // Termination (b) is decided on (see soloGraph). Each process's first
 // violating edge in walk order is reported, exactly as a per-edge
 // search would.
-func (g *graph) checkLiveness(rep *Report) {
+//
+// With first set only the first violation is reported: a halted process
+// skips the SCC passes, and the cycle walk stops at its first hit,
+// which is the first that reportHits would report, since walk order is
+// report order.
+func (g *graph) checkLiveness(rep *Report, first bool) {
 	live := g.tsk.Liveness()
 	n := g.sys.Procs()
 	sc := &g.scc
@@ -47,7 +52,10 @@ func (g *graph) checkLiveness(rep *Report) {
 	for i := range hits {
 		hits[i] = livenessHit{at: g.halted[i], kind: ViolationHaltUndecided}
 	}
-	reported := g.reportHits(rep, hits, nil)
+	reported := g.reportHits(rep, hits, nil, first)
+	if first && reported != 0 {
+		return
+	}
 
 	comp, cyclic := g.sccs()
 	isDAC := !live.WaitFree && live.DACDistinguished >= 0
@@ -88,6 +96,7 @@ func (g *graph) checkLiveness(rep *Report) {
 		}
 	}
 
+walk:
 	for from := range g.configs {
 		c := comp[from]
 		if !cyclic[c] {
@@ -123,9 +132,12 @@ func (g *graph) checkLiveness(rep *Report) {
 				}
 			}
 			hits[i] = livenessHit{at: from, k: k, kind: kind}
+			if first {
+				break walk
+			}
 		}
 	}
-	g.reportHits(rep, hits, comp)
+	g.reportHits(rep, hits, comp, first)
 }
 
 // soloGraph builds and labels the graph Termination (b) is decided on,
@@ -260,10 +272,11 @@ type livenessHit struct {
 
 // reportHits appends one violation per hit, in (configuration,
 // process) order, which is walk order (a configuration's edges are in
-// process order), clears the hits, and returns the processes reported.
-// Cycle schedules stay inside the SCCs comp labels.
-func (g *graph) reportHits(rep *Report, hits []livenessHit, comp []int) (reported uint64) {
-	for {
+// process order), clears the hits, and returns the processes reported;
+// with first set it stops after the first violation, leaving the other
+// hits set. Cycle schedules stay inside the SCCs comp labels.
+func (g *graph) reportHits(rep *Report, hits []livenessHit, comp []int, first bool) (reported uint64) {
+	for more := true; more; more = !first {
 		i := -1
 		for j, h := range hits {
 			if h.at >= 0 && (i < 0 || h.at < hits[i].at) {
@@ -271,7 +284,7 @@ func (g *graph) reportHits(rep *Report, hits []livenessHit, comp []int) (reporte
 			}
 		}
 		if i < 0 {
-			return reported
+			break
 		}
 		h := hits[i]
 		hits[i].at = -1
@@ -294,6 +307,7 @@ func (g *graph) reportHits(rep *Report, hits []livenessHit, comp []int) (reporte
 		// concrete cycle schedule.
 		v.Cycle = g.liftedCycle(h.at, e, i, h.kind == ViolationDACTerminationB, comp)
 	}
+	return reported
 }
 
 // sccScratch is the working memory of the SCC-based passes. The graph

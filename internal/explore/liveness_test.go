@@ -302,6 +302,17 @@ func mixedLivelock(t *testing.T) *explore.System {
 	}
 }
 
+// toggler writes its input to register 1, then 0, forever: it never
+// decides.
+func toggler() *machine.Program {
+	return machine.NewBuilder("toggler", 4).
+		Label("loop").
+		Invoke(2, 1, value.MethodWrite, machine.R(machine.RegInput), machine.Operand{}).
+		Invoke(2, 1, value.MethodWrite, machine.C(0), machine.Operand{}).
+		Jmp("loop").
+		MustBuild()
+}
+
 // swappedTogglers are two systems of a deciding process and two
 // togglers, which write their input, then 0, forever, and so violate
 // Termination (b) of n-DAC with process 0 distinguished. Where both
@@ -314,12 +325,7 @@ func swappedTogglers() []struct {
 	name string
 	sys  *explore.System
 } {
-	toggler := machine.NewBuilder("toggler", 4).
-		Label("loop").
-		Invoke(2, 1, value.MethodWrite, machine.R(machine.RegInput), machine.Operand{}).
-		Invoke(2, 1, value.MethodWrite, machine.C(0), machine.Operand{}).
-		Jmp("loop").
-		MustBuild()
+	toggler := toggler()
 	mk := func(inputs ...value.Value) *explore.System {
 		return &explore.System{
 			Programs: []*machine.Program{decideOwn(0), toggler, toggler},
